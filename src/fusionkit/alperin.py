@@ -8,7 +8,7 @@ breadth-first search; `verify_decomposition` recomputes the three clauses.
 
 from __future__ import annotations
 
-from .classify import fcr_objects
+from .classify import aut_f_group, fcr_objects
 from .fusion import FusionMorphism, FusionSystem, GeneratedFusion
 from .groups import Subgroup
 
@@ -85,10 +85,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))
     moves = []
     for Q in fcr:
-        auts = sorted(
-            t for t in F.hom_to_S_tables(Q) if frozenset(t) == Q.ids
-        )
-        for t in auts:
+        for t in F.aut_f_tables(Q):
             moves.append((Q, dict(zip(Q.sorted_ids, t)), t))
     parents = {start: None}
     frontier = [start]
@@ -137,10 +134,7 @@ def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
             return DecompositionCheck("a")
     prev = d.source
     for P_i, Q, psi in d.chain:
-        auts = {
-            t for t in F.hom_to_S_tables(Q) if frozenset(t) == Q.ids
-        }
-        if psi.images not in auts:
+        if psi.images not in F.aut_f_tables(Q):
             return DecompositionCheck("b")
         if not (prev.ids <= Q.ids and P_i.ids <= Q.ids):
             return DecompositionCheck("b")
@@ -162,11 +156,8 @@ def regenerate_from_fcr(F: FusionSystem, *, generators_only: bool = False):
     """
     seeds = []
     for Q in fcr_objects(F):
-        auts = sorted(
-            t for t in F.hom_to_S_tables(Q) if frozenset(t) == Q.ids
-        )
+        auts = F.aut_f_tables(Q)
         if generators_only:
-            from .classify import aut_f_group
             grp, tables = aut_f_group(F, Q)
             keep = [tables[i] for i in grp.full().generator_ids()]
             auts = sorted(keep)

@@ -63,7 +63,7 @@ class SaturationReport:
 
 def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
     aut_s, _ = F.aut_s_tables(P)
-    aut_f = [t for t in F.hom_to_S_tables(P) if frozenset(t) == P.ids]
+    aut_f = F.aut_f_tables(P)
     if not set(aut_s) <= set(aut_f):
         raise AssertionError("Aut_S(P) escaped Aut_F(P)")
     return len(aut_s) == _p_part(len(aut_f), F.p)
@@ -106,9 +106,7 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
     if P.ids == F.S.ids:
         # N_phi = S for every automorphism of S (twists stay inner), and
         # each map is its own extension
-        for t in F.hom_to_S_tables(P):
-            if frozenset(t) != P.ids:
-                continue
+        for t in F.aut_f_tables(P):
             phi = FusionMorphism(P, P, t)
             witnesses.append(NphiWitness(phi, P, FusionMorphism(P, F.S, t)))
             if stop_early:
@@ -166,8 +164,7 @@ def aut_f_group(F: FusionSystem, P: Subgroup) -> tuple[FiniteGroup, list]:
     """
     P = F.subgroup(P.ids)
     pos = {i: k for k, i in enumerate(P.sorted_ids)}
-    auts = [t for t in F.hom_to_S_tables(P) if frozenset(t) == P.ids]
-    as_perms = {tuple(pos[v] for v in t): t for t in auts}
+    as_perms = {tuple(pos[v] for v in t): t for t in F.aut_f_tables(P)}
     grp = FiniteGroup(
         P.order, [], name=f"Aut_F on {P.order} points",
         elements=set(as_perms),
@@ -179,6 +176,10 @@ def aut_f_group(F: FusionSystem, P: Subgroup) -> tuple[FiniteGroup, list]:
 def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     """Out_F(P) = Aut_F(P)/Inn(P), as a permutation group on Inn-cosets."""
     P = F.subgroup(P.ids)
+    return F.cached(("out_F", P.ids), lambda: _out_f(F, P))
+
+
+def _out_f(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     amb = F.ambient
     grp, _tables = aut_f_group(F, P)
     pos = {i: k for k, i in enumerate(P.sorted_ids)}
@@ -224,6 +225,10 @@ def is_radical(F: FusionSystem, P: Subgroup) -> bool:
 
 def fcr_objects(F: FusionSystem) -> list[Subgroup]:
     """Objects that are simultaneously fully normalised, centric, radical."""
+    return list(F.cached(("fcr_objects",), lambda: _fcr_objects(F)))
+
+
+def _fcr_objects(F: FusionSystem) -> tuple:
     out = []
     for cls in F.conjugacy_classes():
         rep = cls[0]
@@ -234,7 +239,7 @@ def fcr_objects(F: FusionSystem) -> list[Subgroup]:
         nsizes = {Q.ids: F.normalizer_of(Q).order for Q in cls}
         best = max(nsizes.values())
         out.extend(Q for Q in cls if nsizes[Q.ids] == best)
-    return sorted(out, key=lambda Q: (Q.order, Q.sorted_ids))
+    return tuple(sorted(out, key=lambda Q: (Q.order, Q.sorted_ids)))
 
 
 def cr_objects(F: FusionSystem) -> list[Subgroup]:

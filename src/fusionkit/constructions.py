@@ -14,7 +14,6 @@ from .fusion import (
     FusionMorphism,
     FusionSystem,
     GeneratedFusion,
-    equal_hom_tables,
 )
 from .groups import (
     FiniteGroup,
@@ -22,6 +21,7 @@ from .groups import (
     all_subgroups,
     automorphisms,
     centralizer,
+    is_abelian,
     isomorphisms,
     normalizer,
     quotient_group,
@@ -339,7 +339,6 @@ def main_theorem_witness(F1: FusionSystem, F2: FusionSystem,
     quotient of C_F(A) by A is isomorphic to F1."""
     p = F1.p
     _check_extraspecial(F1.S, p)
-    from .groups import is_abelian
     if not is_abelian(F2.S):
         raise ValueError("second factor is not abelian")
     if verify_inputs:

@@ -10,10 +10,15 @@ subsystems) are handed their tables by a construction.
 Morphism tables are tuples aligned with Q.sorted_ids whose entries are
 ambient element ids; equality of morphisms is extensional (domain, codomain,
 table) and never looks at provenance.
+
+A system never changes once built, so every invariant derived from its
+tables (automizers, classes, normalizers, fcr objects, ...) is computed
+once and kept in the system's single memo, `FusionSystem.cached`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 import random
@@ -29,6 +34,20 @@ from .groups import (
     normalizer,
     subgroup_generated,
 )
+
+_MISSING = object()
+
+
+def _memoised(method):
+    """Memoise a FusionSystem method of subgroup arguments in the system's
+    memo, keyed by the method name and the subgroups' id sets."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoised(self, *subgroups):
+        key = (name, *(X.ids for X in subgroups))
+        return self.cached(key, lambda: method(self, *subgroups))
+    return memoised
 
 
 class FusionMorphism:
@@ -109,14 +128,17 @@ class FusionSystem:
         self._objects: list[Subgroup] | None = None
         self._hom: dict[frozenset, tuple] = {}
         self._prov: dict[frozenset, dict] = {}
-        self._images: dict[frozenset, frozenset] = {}
-        self._classes: dict[frozenset, tuple] = {}
-        self._restriction_index: dict = {}
         self._sub_cache: dict[frozenset, Subgroup] = {}
-        self._norm: dict[frozenset, Subgroup] = {}
-        self._cent: dict[frozenset, Subgroup] = {}
-        self._aut_s: dict[frozenset, tuple] = {}
-        self._cosets: dict[frozenset, list] = {}
+        self._memo: dict = {}
+
+    def cached(self, key, compute):
+        """The derived invariant stored under `key`, from `compute()` on
+        first use. A system never changes once built, so each invariant is
+        computed once; callers store immutable values or hand out copies."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
+        return value
 
     # -- construction helpers (filled in by the factory functions) --------
 
@@ -167,70 +189,62 @@ class FusionSystem:
     def hom_to_S(self, Q: Subgroup) -> list[FusionMorphism]:
         return self.hom_set(Q, self.S)
 
+    @_memoised
+    def aut_f_tables(self, P: Subgroup) -> tuple:
+        """Aut_F(P): the tables of Hom(P, S) that map P onto itself."""
+        return tuple(
+            t for t in self.hom_to_S_tables(P) if frozenset(t) == P.ids
+        )
+
     def aut_f(self, P: Subgroup) -> list[FusionMorphism]:
         P = self.subgroup(P.ids)
+        tables = self.aut_f_tables(P)
         prov = self._prov.get(P.ids, {})
         return [
-            FusionMorphism(P, P, t, provenance=prov.get(t))
-            for t in self.hom_to_S_tables(P)
-            if frozenset(t) == P.ids
+            FusionMorphism(P, P, t, provenance=prov.get(t)) for t in tables
         ]
 
+    @_memoised
     def normalizer_of(self, P: Subgroup) -> Subgroup:
-        """N_S(P), cached per subgroup."""
-        out = self._norm.get(P.ids)
-        if out is None:
-            out = normalizer(self.S, self.subgroup(P.ids))
-            self._norm[P.ids] = out
-        return out
+        """N_S(P)."""
+        return normalizer(self.S, self.subgroup(P.ids))
 
+    @_memoised
     def centralizer_of(self, P: Subgroup) -> Subgroup:
-        """C_S(P), cached per subgroup."""
-        out = self._cent.get(P.ids)
-        if out is None:
-            out = centralizer(self.S, self.subgroup(P.ids))
-            self._cent[P.ids] = out
-        return out
+        """C_S(P)."""
+        return centralizer(self.S, self.subgroup(P.ids))
 
-    def centralizer_cosets(self, Q: Subgroup) -> list:
+    @_memoised
+    def centralizer_cosets(self, Q: Subgroup) -> tuple:
         """Cosets of C_S(Q) in N_S(Q) as (representative, member ids)."""
-        out = self._cosets.get(Q.ids)
-        if out is None:
-            amb = self.ambient
-            C = self.centralizer_of(Q)
-            N = self.normalizer_of(Q)
-            covered = set()
-            out = []
-            for r in N.sorted_ids:
-                if r in covered:
-                    continue
-                rp = amb.elements[r]
-                coset = frozenset(
-                    amb.index[perms.mul(amb.elements[c], rp)] for c in C.ids
-                )
-                covered |= coset
-                out.append((r, coset))
-            self._cosets[Q.ids] = out
-        return out
-
-    def aut_s_tables(self, P: Subgroup) -> tuple:
-        cached = self._aut_s.get(P.ids)
-        if cached is not None:
-            return cached
         amb = self.ambient
-        N = self.normalizer_of(P)
+        C = self.centralizer_of(Q)
+        covered = set()
+        out = []
+        for r in self.normalizer_of(Q).sorted_ids:
+            if r in covered:
+                continue
+            rp = amb.elements[r]
+            coset = frozenset(
+                amb.index[perms.mul(amb.elements[c], rp)] for c in C.ids
+            )
+            covered |= coset
+            out.append((r, coset))
+        return tuple(out)
+
+    @_memoised
+    def aut_s_tables(self, P: Subgroup) -> tuple:
+        amb = self.ambient
         seen = {}
         psorted = self.subgroup(P.ids).sorted_ids
-        for s in N.sorted_ids:
+        for s in self.normalizer_of(P).sorted_ids:
             sp = amb.elements[s]
             t = tuple(
                 amb.index[perms.conjugate(amb.elements[i], sp)]
                 for i in psorted
             )
             seen.setdefault(t, s)
-        cached = (tuple(sorted(seen)), seen)
-        self._aut_s[P.ids] = cached
-        return cached
+        return tuple(sorted(seen)), seen
 
     def aut_s(self, P: Subgroup) -> list[FusionMorphism]:
         P = self.subgroup(P.ids)
@@ -240,44 +254,38 @@ class FusionSystem:
             for t in tables
         ]
 
+    @_memoised
     def image_sets(self, Q: Subgroup) -> frozenset:
         """Images of all morphisms out of Q, as frozensets of ids."""
-        cached = self._images.get(Q.ids)
-        if cached is None:
-            cached = frozenset(
-                frozenset(t) for t in self.hom_to_S_tables(Q)
-            )
-            self._images[Q.ids] = cached
-        return cached
+        return frozenset(frozenset(t) for t in self.hom_to_S_tables(Q))
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
         """All subgroups F-isomorphic to P (isomorphic as objects, i.e.
         with invertible morphisms both ways)."""
-        cached = self._classes.get(P.ids)
-        if cached is None:
-            members = []
-            for img in self.image_sets(P):
-                if len(img) != P.order:
-                    continue
-                if P.ids in self.image_sets(self.subgroup(img)):
-                    members.append(img)
-            cached = tuple(
-                sorted(members, key=lambda ids: tuple(sorted(ids)))
-            )
-            for ids in cached:
-                self._classes[ids] = cached
-        return [self.subgroup(ids) for ids in cached]
+        key = ("f_conjugates", P.ids)
+        if key not in self._memo:
+            members = [
+                img for img in self.image_sets(P)
+                if len(img) == P.order
+                and P.ids in self.image_sets(self.subgroup(img))
+            ]
+            cls = tuple(sorted(members, key=lambda ids: tuple(sorted(ids))))
+            for ids in cls:
+                self._memo["f_conjugates", ids] = cls
+        return [self.subgroup(ids) for ids in self._memo[key]]
 
     def conjugacy_classes(self) -> list[list[Subgroup]]:
-        seen = set()
-        out = []
-        for Q in self.objects():
-            if Q.ids in seen:
-                continue
-            cls = self.f_conjugates(Q)
-            seen.update(m.ids for m in cls)
-            out.append(cls)
-        return out
+        def compute():
+            seen = set()
+            out = []
+            for Q in self.objects():
+                if Q.ids not in seen:
+                    cls = self.f_conjugates(Q)
+                    seen.update(m.ids for m in cls)
+                    out.append(tuple(cls))
+            return tuple(out)
+        classes = self.cached(("conjugacy_classes",), compute)
+        return [list(cls) for cls in classes]
 
     def f_class_of_element(self, x) -> list[int]:
         """Directed element fusion: all phi(x) for phi in Hom(<x>, S)."""
@@ -292,18 +300,15 @@ class FusionSystem:
 
     # -- extension lookups (receptivity, normalizer subsystems) -----------
 
+    @_memoised
     def extension_index(self, N: Subgroup, Q: Subgroup) -> dict:
         """Map (restriction-to-Q table) -> one full table over N, for every
         morphism out of N; Q must be contained in N."""
-        key = (N.ids, Q.ids)
-        idx = self._restriction_index.get(key)
-        if idx is None:
-            N = self.subgroup(N.ids)
-            qpos = [N.sorted_ids.index(i) for i in self.subgroup(Q.ids).sorted_ids]
-            idx = {}
-            for t in self.hom_to_S_tables(N):
-                idx.setdefault(tuple(t[k] for k in qpos), t)
-            self._restriction_index[key] = idx
+        N = self.subgroup(N.ids)
+        qpos = [N.sorted_ids.index(i) for i in self.subgroup(Q.ids).sorted_ids]
+        idx = {}
+        for t in self.hom_to_S_tables(N):
+            idx.setdefault(tuple(t[k] for k in qpos), t)
         return idx
 
     def generating_morphisms(self) -> list[FusionMorphism]:
@@ -336,66 +341,58 @@ class TransporterFusion(FusionSystem):
         super().__init__(S, p, "transporter", descriptor={"group": G})
         self.G = G
 
+    def _conjugation_pairs(self) -> tuple:
+        """The distinct pairs (D_g, c_g on D_g) over g in G, where
+        D_g = S n S^(g^-1) is the largest subgroup of S that g conjugates
+        into S: one (D_g, {x: x^g}, least such g) per pair, by increasing g.
+        One sweep over G conjugates every element of S once per g."""
+        def sweep():
+            els = self.G.elements
+            index = self.G.index
+            ssorted = self.S.sorted_ids
+            sids = self.S.ids
+            seen = set()
+            out = []
+            for g, gp in enumerate(els):
+                row = tuple(
+                    j if j in sids else -1
+                    for j in (index[perms.conjugate(els[i], gp)]
+                              for i in ssorted)
+                )
+                if row in seen:
+                    continue
+                seen.add(row)
+                table = {i: j for i, j in zip(ssorted, row) if j >= 0}
+                out.append((self.subgroup(frozenset(table)), table, g))
+            return tuple(out)
+        return self.cached(("conjugation_pairs",), sweep)
+
     def _compute_hom(self, Q: Subgroup):
-        amb = self.G
-        els = amb.elements
-        index = amb.index
-        sids = self.S.ids
-        gens_q = [els[i] for i in Q.generator_ids()]
+        """Hom(Q, S) by restriction: c_g maps Q into S exactly when
+        Q <= D_g, and the first pair giving a map carries its least g."""
+        qids = Q.ids
         qsorted = Q.sorted_ids
+        gens_q = Q.generator_ids()
         seen_vec = set()
-        tables = {}
         prov = {}
-        for g in range(amb.order):
-            gp = els[g]
-            vec = []
-            ok = True
-            for q in gens_q:
-                j = index[perms.conjugate(q, gp)]
-                if j not in sids:
-                    ok = False
-                    break
-                vec.append(j)
-            if not ok:
+        for D, table, g in self._conjugation_pairs():
+            if not qids <= D.ids:
                 continue
-            vec = tuple(vec)
+            vec = tuple(table[i] for i in gens_q)
             if vec in seen_vec:
                 continue
             seen_vec.add(vec)
-            t = tuple(
-                index[perms.conjugate(els[i], gp)] for i in qsorted
-            )
-            tables[t] = True
-            prov[t] = ("conjugation", g)
+            prov[tuple(table[i] for i in qsorted)] = ("conjugation", g)
         self._prov[Q.ids] = prov
-        return tuple(sorted(tables))
+        return tuple(sorted(prov))
 
     def generating_morphisms(self) -> list[FusionMorphism]:
         """One conjugation map per element of G, on its largest S-domain."""
-        amb = self.G
-        els = amb.elements
-        index = amb.index
-        sids = self.S.ids
-        seen = set()
-        out = []
-        for g in range(amb.order):
-            gp = els[g]
-            dom = frozenset(
-                i for i in sids
-                if index[perms.conjugate(els[i], gp)] in sids
-            )
-            D = self.subgroup(dom)
-            t = tuple(
-                index[perms.conjugate(els[i], gp)] for i in D.sorted_ids
-            )
-            key = (dom, t)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                FusionMorphism(D, self.S, t, provenance=("conjugation", g))
-            )
-        return out
+        return [
+            FusionMorphism(D, self.S, tuple(table[i] for i in D.sorted_ids),
+                           provenance=("conjugation", g))
+            for D, table, g in self._conjugation_pairs()
+        ]
 
 
 class GeneratedFusion(FusionSystem):

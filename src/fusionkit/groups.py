@@ -17,11 +17,21 @@ DEFAULT_MAX_ORDER = 200_000
 
 
 def max_group_order() -> int:
+    """The order cap from FUSIONKIT_MAX_GROUP_ORDER, or the default when the
+    variable is unset or empty; any other non-positive-integer value raises."""
     raw = os.environ.get("FUSIONKIT_MAX_GROUP_ORDER", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_ORDER
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            "FUSIONKIT_MAX_GROUP_ORDER must be a positive integer, "
+            f"got {raw!r}"
+        )
+    return cap
 
 
 class GroupTooLarge(ValueError):
@@ -172,7 +182,7 @@ class Subgroup:
                 if i in have:
                     continue
                 gens.append(i)
-                have = _closure_ids(amb, have | {i})
+                have = _closure_ids(amb, gens)
                 if len(have) == len(self.ids):
                     break
             self._gens = gens

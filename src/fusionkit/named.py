@@ -89,16 +89,6 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(degree, gens, name=name)
 
 
-def embed_in_product(
-    product_degree: int, offset: int, p: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Pad a factor permutation to act on a product domain at offset."""
-    q = list(range(product_degree))
-    for i, x in enumerate(p):
-        q[offset + i] = offset + x
-    return tuple(q)
-
-
 def extraspecial_plus(p: int) -> FiniteGroup:
     """The extraspecial group of order p^3 and exponent p, for odd p.
 

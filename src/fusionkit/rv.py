@@ -166,7 +166,6 @@ def _normalize(vec):
     if u1:
         inv = pow(u1, P - 2, P)
         return (1, (u2 * inv) % P)
-    inv = pow(u2, P - 2, P)
     return (0, 1)
 
 
@@ -386,8 +385,7 @@ def certify_rv(F: FusionSystem) -> dict:
     counts = {HALF_TYPE_ORDER: 0, FULL_TYPE_ORDER: 0}
     for line in _lines():
         V = F.subgroup(ext.rank2_subgroup(line).ids)
-        auts = [t for t in F.hom_to_S_tables(V) if frozenset(t) == V.ids]
-        counts[len(auts)] += 1
+        counts[len(F.aut_f_tables(V))] += 1
         assert is_centric(F, V) and is_radical(F, V), \
             "rank-2 subgroup not centric-radical"
     want = {HALF_TYPE_ORDER: 0, FULL_TYPE_ORDER: 0}
@@ -412,7 +410,7 @@ def certify_rv(F: FusionSystem) -> dict:
     for orb, type_order in F.rv_profile.items():
         rep = min(orb)
         V = F.subgroup(ext.rank2_subgroup(rep).ids)
-        mine = {t for t in F.hom_to_S_tables(V) if frozenset(t) == V.ids}
+        mine = set(F.aut_f_tables(V))
         want = ext.aut_group_tables(rep, type_order)
         assert mine == want, "rank-2 automorphism group differs from seed"
     closed = [

@@ -191,6 +191,15 @@ def test_group_cap(monkeypatch):
         symmetric_group(4)
     monkeypatch.delenv("FUSIONKIT_MAX_GROUP_ORDER")
     assert symmetric_group(4).order == 24
+    for bad in ("abc", "0", "-24", "2.5", " "):
+        monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", bad)
+        with pytest.raises(ValueError) as err:
+            symmetric_group(4)
+        assert not isinstance(err.value, GroupTooLarge)
+        assert "FUSIONKIT_MAX_GROUP_ORDER" in str(err.value)
+        assert repr(bad) in str(err.value)
+    monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", "")
+    assert symmetric_group(4).order == 24
 
 
 def test_hom_from_images_rejects_non_hom():

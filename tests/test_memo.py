@@ -1,0 +1,68 @@
+"""Memoised invariants: repeat calls agree with the first call and with a
+freshly built system, and a caller mutating a returned list cannot change
+what the next call returns."""
+
+import pytest
+
+from fusionkit import (
+    fcr_objects,
+    out_F,
+    sylow_p,
+    symmetric_group,
+    transporter_fusion,
+)
+
+
+def _system():
+    G = symmetric_group(6)
+    return transporter_fusion(G, sylow_p(G.full(), 2), 2)
+
+
+@pytest.fixture
+def pair():
+    return _system(), _system()
+
+
+def _class_ids(classes):
+    return [[Q.ids for Q in cls] for cls in classes]
+
+
+def test_aut_f_tables(pair):
+    F, fresh = pair
+    for Q in F.objects():
+        first = F.aut_f_tables(Q)
+        assert isinstance(first, tuple)
+        assert F.aut_f_tables(Q) == first
+        assert fresh.aut_f_tables(fresh.subgroup(Q.ids)) == first
+        assert [m.images for m in F.aut_f(Q)] == list(first)
+
+
+def test_conjugacy_classes(pair):
+    F, fresh = pair
+    first = F.conjugacy_classes()
+    want = _class_ids(first)
+    assert _class_ids(F.conjugacy_classes()) == want
+    assert _class_ids(fresh.conjugacy_classes()) == want
+    first[0].clear()
+    first.pop()
+    assert _class_ids(F.conjugacy_classes()) == want
+
+
+def test_fcr_objects(pair):
+    F, fresh = pair
+    first = fcr_objects(F)
+    want = [Q.ids for Q in first]
+    assert [Q.ids for Q in fcr_objects(F)] == want
+    assert [Q.ids for Q in fcr_objects(fresh)] == want
+    first.clear()
+    assert [Q.ids for Q in fcr_objects(F)] == want
+
+
+def test_out_F(pair):
+    F, fresh = pair
+    for Q in F.objects():
+        first = out_F(F, Q)
+        again = out_F(F, Q)
+        other = out_F(fresh, fresh.subgroup(Q.ids))
+        assert again.elements == first.elements
+        assert other.elements == first.elements
