@@ -82,11 +82,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     P = F.subgroup(phi.domain.ids)
     target = phi.images
     start = P.sorted_ids
-    fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))
-    moves = []
-    for Q in fcr:
-        for t in F.aut_f_tables(Q):
-            moves.append((Q, dict(zip(Q.sorted_ids, t)), t))
+    moves = F.cached(("alperin_moves",), lambda: _moves(F))
     parents = {start: None}
     frontier = [start]
     while frontier and target not in parents:
@@ -117,6 +113,17 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
         cur = prev
     steps.reverse()
     return AlperinDecomposition(P, F.subgroup(frozenset(target)), steps, phi)
+
+
+def _moves(F: FusionSystem) -> tuple:
+    """The search moves (Q, table as a dict, table): every automorphism of
+    every fcr object Q, larger objects first."""
+    fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))
+    return tuple(
+        (Q, dict(zip(Q.sorted_ids, t)), t)
+        for Q in fcr
+        for t in F.aut_f_tables(Q)
+    )
 
 
 def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,

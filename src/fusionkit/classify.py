@@ -8,21 +8,16 @@ permutation group), the fcr/cr object lists, strong closure, and normality.
 
 from __future__ import annotations
 
-from . import perms
 from .fusion import FusionMorphism, FusionSystem
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _p_part,
+    inner_automorphisms,
+    is_normal,
     p_core,
+    product_ids,
 )
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
 
 
 class NphiWitness:
@@ -75,19 +70,15 @@ def _n_phi_ids(F: FusionSystem, Q: Subgroup, table: tuple) -> frozenset:
     Computed over cosets of C_S(Q) in N_S(Q): inner twists land in
     Inn(P) <= Aut_S(P), so membership is constant on each coset.
     """
-    amb = F.ambient
     P = F.subgroup(frozenset(table))
     aut_s_P = set(F.aut_s_tables(P)[0])
     d = dict(zip(Q.sorted_ids, table))
     d_inv = {v: k for k, v in d.items()}
-    psorted = P.sorted_ids
+    # phi^-1 c_r phi on P, row by row: preimages of P, conjugated, mapped
+    pre = [d_inv[y] for y in P.sorted_ids]
     ids = set()
     for r, coset in F.centralizer_cosets(Q):
-        rp = amb.elements[r]
-        twisted = tuple(
-            d[amb.index[perms.conjugate(amb.elements[d_inv[y]], rp)]]
-            for y in psorted
-        )
+        twisted = tuple(d[j] for j in F.ambient.conj_row(pre, r))
         if twisted in aut_s_P:
             ids |= coset
     return frozenset(ids)
@@ -180,17 +171,12 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
 
 
 def _out_f(F: FusionSystem, P: Subgroup) -> FiniteGroup:
-    amb = F.ambient
     grp, _tables = aut_f_group(F, P)
     pos = {i: k for k, i in enumerate(P.sorted_ids)}
-    inn = set()
-    for x in P.sorted_ids:
-        xp = amb.elements[x]
-        inn.add(tuple(
-            pos[amb.index[perms.conjugate(amb.elements[i], xp)]]
-            for i in P.sorted_ids
-        ))
-    inn_ids = frozenset(grp.index[q] for q in inn)
+    inn_ids = frozenset(
+        grp.index[tuple(pos[v] for v in h.images)]
+        for h in inner_automorphisms(P)
+    )
     if len(inn_ids) == grp.order:
         return FiniteGroup(1, [], name="trivial")
     if len(inn_ids) == 1:
@@ -296,20 +282,13 @@ def is_strongly_closed(F: FusionSystem, P: Subgroup) -> bool:
 def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
     """P is normal in F: every morphism Q -> R extends to one on QP that
     maps P onto itself. Quantified over the full hom table."""
-    amb = F.ambient
     P = F.subgroup(P.ids)
     # the Q = S case of the definition forces P normal in S
-    for s in F.S.generator_ids():
-        sp = amb.elements[s]
-        if any(
-            amb.index[perms.conjugate(amb.elements[x], sp)] not in P.ids
-            for x in P.generator_ids()
-        ):
-            return False
+    if not is_normal(F.S, P):
+        return False
     ppos_cache: dict = {}
     for Q in F.objects():
-        qp_ids = _product_ids(amb, Q, P)
-        QP = F.subgroup(qp_ids)
+        QP = F.subgroup(product_ids(Q, P))
         key = (QP.ids, Q.ids)
         idx = ppos_cache.get(key)
         if idx is None:
@@ -324,17 +303,6 @@ def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
             if t not in idx:
                 return False
     return True
-
-
-def _product_ids(amb, Q: Subgroup, P: Subgroup) -> frozenset:
-    """Element ids of QP for P normal in S (so the set product is a group)."""
-    out = set()
-    els = amb.elements
-    for q in Q.ids:
-        qp = els[q]
-        for x in P.ids:
-            out.add(amb.index[perms.mul(qp, els[x])])
-    return frozenset(out)
 
 
 def classifier_rows(F: FusionSystem) -> list[dict]:

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import perms
 from .alperin import alperin_decompose, verify_decomposition
 from .classify import (
     classifier_rows,
@@ -253,7 +252,7 @@ def _witness_pairs_p3():
 def _witness_pairs_p7():
     C7 = cyclic_group(7)
     g = C7.generator_ids()[0]
-    action = [[perms.power(C7.elements[g], 2)]]
+    action = [[C7.elements[C7.power_ids(g, 2)]]]
     frob = semidirect_product(C7, cyclic_group(3), action)
     F2 = transporter_fusion(frob, sylow_p(frob.full(), 7), 7)
     return [("rv3", build_rv("rv3"), "C7:C3", F2)]

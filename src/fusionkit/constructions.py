@@ -24,6 +24,7 @@ from .groups import (
     is_abelian,
     isomorphisms,
     normalizer,
+    product_ids,
     quotient_group,
     subgroup_generated,
 )
@@ -106,23 +107,31 @@ class QuotientMap:
 
     def morphism_map(self, alpha: FusionMorphism) -> FusionMorphism:
         """alpha+ for alpha with domain containing T and alpha(T) = T."""
-        theta = self.theta
         dom = alpha.domain
         if not self.T.ids <= dom.ids:
             raise ValueError("domain does not contain the kernel")
-        d = dict(zip(dom.sorted_ids, alpha.images))
-        if frozenset(d[x] for x in self.T.ids) != self.T.ids:
-            raise ValueError("morphism does not stabilize the kernel")
-        vals: dict = {}
-        for x in dom.sorted_ids:
-            c, v = theta[x], theta[d[x]]
-            if c in vals:
-                assert vals[c] == v, "push-forward is not well defined"
-            else:
-                vals[c] = v
         Pq = self.object_map(dom)
-        images = tuple(vals[c] for c in Pq.sorted_ids)
+        images = _push_forward(self.theta, self.T.ids, dom.sorted_ids,
+                               alpha.images, Pq.sorted_ids)
+        if images is None:
+            raise ValueError("morphism does not stabilize the kernel")
         return FusionMorphism(Pq, self.Fq.subgroup(frozenset(images)), images)
+
+
+def _push_forward(theta: dict, kernel: frozenset, dom_sorted, table,
+                  target_sorted):
+    """The table over `target_sorted` (the quotient ids of the domain) of
+    the map theta(x) -> theta(phi(x)) induced by phi, given by `table` on
+    `dom_sorted`; None when phi does not map the kernel onto itself."""
+    d = dict(zip(dom_sorted, table))
+    if frozenset(d[x] for x in kernel) != kernel:
+        return None
+    vals: dict = {}
+    for x, y in d.items():
+        c, v = theta[x], theta[y]
+        if vals.setdefault(c, v) != v:
+            raise AssertionError("push-forward is not well defined")
+    return tuple(vals[c] for c in target_sorted)
 
 
 def quotient_fusion(F: FusionSystem, T: Subgroup):
@@ -142,22 +151,12 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
             x for c in Pq.ids for x in preimage[c]
         )
         Phat = F.subgroup(pre)
-        psorted = Phat.sorted_ids
-        tids = T.ids
-        out = set()
-        for t in F.hom_to_S_tables(Phat):
-            d = dict(zip(psorted, t))
-            if frozenset(d[x] for x in tids) != tids:
-                continue
-            vals: dict = {}
-            for x in psorted:
-                c, v = theta[x], theta[d[x]]
-                if c in vals:
-                    assert vals[c] == v, "push-forward is not well defined"
-                else:
-                    vals[c] = v
-            out.add(tuple(vals[c] for c in Pq.sorted_ids))
-        tables[Pq.ids] = tuple(sorted(out))
+        pushed = {
+            _push_forward(theta, T.ids, Phat.sorted_ids, t, Pq.sorted_ids)
+            for t in F.hom_to_S_tables(Phat)
+        }
+        pushed.discard(None)
+        tables[Pq.ids] = tuple(sorted(pushed))
     Fq = DerivedFusion(Sq, F.p, tables,
                        descriptor={"kind": "quotient",
                                    "kernel_order": T.order,
@@ -204,23 +203,15 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     Q = F.subgroup(Q.ids)
     K_tables = _coerce_aut_set(F, Q, K)
     qsorted = Q.sorted_ids
-    N = normalizer(F.S, Q)
-    s_ids = set()
-    for g in N.ids:
-        gp = amb.elements[g]
-        c_table = tuple(
-            amb.index[perms.conjugate(amb.elements[x], gp)] for x in qsorted
-        )
-        if c_table in K_tables:
-            s_ids.add(g)
+    s_ids = {
+        g for g in normalizer(F.S, Q).ids
+        if amb.conj_row(qsorted, g) in K_tables
+    }
     Sp = F.subgroup(frozenset(s_ids))
     assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
     tables: dict = {}
     for P in all_subgroups(Sp):
-        PQ = F.subgroup(frozenset(
-            amb.index[perms.mul(amb.elements[a], amb.elements[b])]
-            for a in P.ids for b in Q.ids
-        ))
+        PQ = F.subgroup(product_ids(P, Q))
         pq_sorted = PQ.sorted_ids
         qpos = [pq_sorted.index(x) for x in qsorted]
         ppos = [pq_sorted.index(x) for x in P.sorted_ids]

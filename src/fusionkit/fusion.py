@@ -23,11 +23,11 @@ import hashlib
 import pickle
 import random
 
-from . import perms
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _p_part,
     all_subgroups,
     centralizer,
     is_p_group,
@@ -66,9 +66,6 @@ class FusionMorphism:
     @property
     def table(self) -> dict[int, int]:
         return dict(zip(self.domain.sorted_ids, self.images))
-
-    def apply(self, i: int) -> int:
-        return self.images[self.domain.sorted_ids.index(i)]
 
     def image_ids(self) -> frozenset[int]:
         return frozenset(self.images)
@@ -217,33 +214,23 @@ class FusionSystem:
     @_memoised
     def centralizer_cosets(self, Q: Subgroup) -> tuple:
         """Cosets of C_S(Q) in N_S(Q) as (representative, member ids)."""
-        amb = self.ambient
         C = self.centralizer_of(Q)
         covered = set()
         out = []
         for r in self.normalizer_of(Q).sorted_ids:
             if r in covered:
                 continue
-            rp = amb.elements[r]
-            coset = frozenset(
-                amb.index[perms.mul(amb.elements[c], rp)] for c in C.ids
-            )
+            coset = frozenset(self.ambient.mul_row(C.ids, r))
             covered |= coset
             out.append((r, coset))
         return tuple(out)
 
     @_memoised
     def aut_s_tables(self, P: Subgroup) -> tuple:
-        amb = self.ambient
         seen = {}
         psorted = self.subgroup(P.ids).sorted_ids
         for s in self.normalizer_of(P).sorted_ids:
-            sp = amb.elements[s]
-            t = tuple(
-                amb.index[perms.conjugate(amb.elements[i], sp)]
-                for i in psorted
-            )
-            seen.setdefault(t, s)
+            seen.setdefault(self.ambient.conj_row(psorted, s), s)
         return tuple(sorted(seen)), seen
 
     def aut_s(self, P: Subgroup) -> list[FusionMorphism]:
@@ -329,11 +316,7 @@ class TransporterFusion(FusionSystem):
             raise ValueError("S must be a subgroup of G")
         if not S.is_subgroup_closed():
             raise ValueError("S is not closed under the group operation")
-        n, p_part = G.order, 1
-        while n % p == 0:
-            n //= p
-            p_part *= p
-        if S.order != p_part:
+        if S.order != _p_part(G.order, p):
             raise ValueError(
                 f"S (order {S.order}) is not a Sylow {p}-subgroup of G "
                 f"(order {G.order})"
@@ -347,17 +330,14 @@ class TransporterFusion(FusionSystem):
         into S: one (D_g, {x: x^g}, least such g) per pair, by increasing g.
         One sweep over G conjugates every element of S once per g."""
         def sweep():
-            els = self.G.elements
-            index = self.G.index
+            G = self.G
             ssorted = self.S.sorted_ids
             sids = self.S.ids
             seen = set()
             out = []
-            for g, gp in enumerate(els):
+            for g in range(G.order):
                 row = tuple(
-                    j if j in sids else -1
-                    for j in (index[perms.conjugate(els[i], gp)]
-                              for i in ssorted)
+                    j if j in sids else -1 for j in G.conj_row(ssorted, g)
                 )
                 if row in seen:
                     continue
@@ -425,11 +405,7 @@ class GeneratedFusion(FusionSystem):
                           dict(zip(images, domain.sorted_ids))))
         # conjugation seeds make every Hom_S map reachable
         for t in S.generator_ids():
-            tp = amb.elements[t]
-            table = {
-                i: amb.index[perms.conjugate(amb.elements[i], tp)]
-                for i in S.sorted_ids
-            }
+            table = dict(zip(S.sorted_ids, amb.conj_row(S.sorted_ids, t)))
             seeds.append((S.ids, table))
         self._seeds = seeds
         for Q in self.objects():
@@ -636,12 +612,7 @@ def audit_axioms(F: FusionSystem, *, full: bool = False,
         aut_s_tabs, _ = F.aut_s_tables(Q)
         # Hom_S(Q, S): conjugation by every s in S with Q^s <= S (always)
         for s in F.S.generator_ids():
-            sp = amb.elements[s]
-            t = tuple(
-                amb.index[perms.conjugate(amb.elements[i], sp)]
-                for i in Q.sorted_ids
-            )
-            if t not in table_set:
+            if amb.conj_row(Q.sorted_ids, s) not in table_set:
                 problems.append(
                     f"missing inner map on subgroup of order {Q.order}"
                 )

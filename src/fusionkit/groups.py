@@ -92,6 +92,21 @@ class FiniteGroup:
     def mul_ids(self, i: int, j: int) -> int:
         return self.index[perms.mul(self.elements[i], self.elements[j])]
 
+    def mul_row(self, ids, g: int) -> tuple[int, ...]:
+        """The ids of x*g for x in `ids`, in order."""
+        els, index, mul = self.elements, self.index, perms.mul
+        gp = els[g]
+        return tuple(index[mul(els[x], gp)] for x in ids)
+
+    def conj_row(self, ids, g: int) -> tuple[int, ...]:
+        """The ids of x^g = g^-1 x g for x in `ids`, in order."""
+        els, index, conjugate = self.elements, self.index, perms.conjugate
+        gp = els[g]
+        return tuple(index[conjugate(els[x], gp)] for x in ids)
+
+    def power_ids(self, i: int, k: int) -> int:
+        return self.index[perms.power(self.elements[i], k)]
+
     @property
     def inverse_ids(self) -> tuple[int, ...]:
         if self._inverse_ids is None:
@@ -203,17 +218,14 @@ class Subgroup:
 
 
 def _closure_ids(amb: FiniteGroup, seed_ids) -> set[int]:
-    els = amb.elements
-    index = amb.index
-    gens = [els[i] for i in seed_ids if i != amb.identity_id]
+    gens = [i for i in seed_ids if i != amb.identity_id]
     seen = {amb.identity_id}
     frontier = [amb.identity_id]
     while frontier:
         new = []
-        for i in frontier:
-            p = els[i]
-            for g in gens:
-                j = index[perms.mul(p, g)]
+        # row k of the zip holds frontier[k] times each generator
+        for products in zip(*(amb.mul_row(frontier, g) for g in gens)):
+            for j in products:
                 if j not in seen:
                     seen.add(j)
                     new.append(j)
@@ -227,16 +239,6 @@ def subgroup_generated(amb: FiniteGroup, gen_ids) -> Subgroup:
 
 def subgroup_from_perms(amb: FiniteGroup, gen_perms) -> Subgroup:
     return subgroup_generated(amb, [amb.id_of(p) for p in gen_perms])
-
-
-def conjugate_subgroup(H: Subgroup, g_perm) -> Subgroup:
-    amb = H.ambient
-    return Subgroup(
-        amb,
-        frozenset(
-            amb.index[perms.conjugate(amb.elements[i], g_perm)] for i in H.ids
-        ),
-    )
 
 
 def centralizer(G: Subgroup, X: Subgroup) -> Subgroup:
@@ -260,6 +262,8 @@ def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
     xgens = [els[i] for i in X.generator_ids()]
     xids = X.ids
     out = []
+    # one generator at a time rather than by conj_row: most elements fail
+    # on the first generator, and the test stops there
     for i in G.sorted_ids:
         p = els[i]
         if all(index[perms.conjugate(x, p)] in xids for x in xgens):
@@ -299,8 +303,7 @@ def sylow_p(G: Subgroup, p: int) -> Subgroup:
         o = amb.element_order(i)
         part = _p_part(o, p)
         if part > 1:
-            t = perms.power(amb.elements[i], o // part)
-            H = subgroup_generated(amb, [amb.id_of(t)])
+            H = subgroup_generated(amb, [amb.power_ids(i, o // part)])
             break
     assert H is not None
     while H.order < target:
@@ -315,7 +318,7 @@ def sylow_p(G: Subgroup, p: int) -> Subgroup:
             if d % p == 0:
                 j = i
                 if d != p:
-                    j = amb.id_of(perms.power(amb.elements[i], d // p))
+                    j = amb.power_ids(i, d // p)
                 H = _extend_by_normalizing_p_element(amb, H, j, p)
                 grown = True
                 break
@@ -338,11 +341,10 @@ def _extend_by_normalizing_p_element(
 ) -> Subgroup:
     """<H, g> = H u Hg u ... u Hg^(p-1) when g normalizes H and g^p in H."""
     ids = set(H.ids)
-    gp = amb.elements[g]
-    cur = gp
+    cur = g
     for _ in range(p - 1):
-        ids.update(amb.index[perms.mul(amb.elements[h], cur)] for h in H.ids)
-        cur = perms.mul(cur, gp)
+        ids.update(amb.mul_row(H.ids, cur))
+        cur = amb.mul_ids(cur, g)
     return Subgroup(amb, ids)
 
 
@@ -350,14 +352,23 @@ def p_core(G: Subgroup, p: int) -> Subgroup:
     """O_p(G): the intersection of the normal closure orbit of one Sylow."""
     amb = G.ambient
     C = sylow_p(G, p)
-    gens = [amb.elements[i] for i in G.generator_ids()]
+    gens = G.generator_ids()
     while True:
         cur = C
         for g in gens:
-            cur = intersect(cur, conjugate_subgroup(cur, g))
+            cur = intersect(cur, Subgroup(amb, amb.conj_row(cur.ids, g)))
         if cur == C:
             return C
         C = cur
+
+
+def product_ids(A: Subgroup, B: Subgroup) -> frozenset:
+    """Element ids of the set product AB, a subgroup when AB = BA."""
+    amb = A.ambient
+    out = set()
+    for b in B.ids:
+        out.update(amb.mul_row(A.ids, b))
+    return frozenset(out)
 
 
 def is_normal(G: Subgroup, X: Subgroup) -> bool:
@@ -485,19 +496,6 @@ def inclusion_hom(H: Subgroup, G: Subgroup) -> GroupHom:
     return GroupHom(H, G.ambient, H.sorted_ids)
 
 
-def conjugation_hom(H: Subgroup, g_perm) -> GroupHom:
-    """c_g on H, x |-> g^-1 x g, landing in the same ambient group."""
-    amb = H.ambient
-    return GroupHom(
-        H,
-        amb,
-        (
-            amb.index[perms.conjugate(amb.elements[i], g_perm)]
-            for i in H.sorted_ids
-        ),
-    )
-
-
 def hom_from_images(
     domain: Subgroup,
     codomain_ambient: FiniteGroup,
@@ -618,12 +616,10 @@ def automorphisms(P: Subgroup) -> list[GroupHom]:
 
 
 def inner_automorphisms(P: Subgroup) -> list[GroupHom]:
+    """The distinct conjugation maps c_x on P, x in P, by image table."""
     amb = P.ambient
-    seen = {}
-    for i in P.sorted_ids:
-        h = conjugation_hom(P, amb.elements[i])
-        seen.setdefault(h.images, h)
-    return [seen[k] for k in sorted(seen)]
+    tables = {amb.conj_row(P.sorted_ids, x) for x in P.sorted_ids}
+    return [GroupHom(P, amb, t) for t in sorted(tables)]
 
 
 # --------------------------------------------------------------------------
@@ -651,11 +647,11 @@ def all_subgroups(S: Subgroup) -> list[Subgroup]:
     while frontier:
         new = []
         for ids in frontier:
+            gens = Subgroup(amb, ids).generator_ids()
             for i in S.sorted_ids:
                 if i in ids:
                     continue
-                joined = _closure_ids(amb, set(ids) | {i})
-                fz = frozenset(joined)
+                fz = frozenset(_closure_ids(amb, gens + [i]))
                 if fz not in found:
                     found.add(fz)
                     new.append(fz)
@@ -692,14 +688,15 @@ def _p_group_subgroups(S: Subgroup, p: int) -> list[Subgroup]:
             if H.order == S.order:
                 continue
             N = normalizer(S, H)
+            # every g in <H, g> outside H grows the same overgroup, so
+            # elements of an overgroup already grown are skipped
+            covered = set(ids)
             for g in N.sorted_ids:
-                if g in ids:
-                    continue
-                gp = amb.elements[g]
-                if amb.id_of(perms.power(gp, p)) not in ids:
+                if g in covered or amb.power_ids(g, p) not in ids:
                     continue
                 grown = _extend_by_normalizing_p_element(amb, H, g, p)
                 nxt.add(grown.ids)
+                covered |= grown.ids
         level = nxt
         out.extend(Subgroup(amb, ids) for ids in sorted(level, key=sorted))
     uniq = {H.ids: H for H in out}
@@ -723,7 +720,6 @@ def quotient_group(S: Subgroup, T: Subgroup):
         raise ValueError("T is not contained in S")
     if not is_normal(S, T):
         raise ValueError("T is not normal in S")
-    els = amb.elements
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for i in S.sorted_ids:
@@ -731,16 +727,13 @@ def quotient_group(S: Subgroup, T: Subgroup):
             continue
         c = len(reps)
         reps.append(i)
-        for t in T.ids:
-            coset_of[amb.index[perms.mul(els[t], els[i])]] = c
+        for j in amb.mul_row(T.ids, i):
+            coset_of[j] = c
     m = len(reps)
     qperms = set()
     images: dict[int, tuple[int, ...]] = {}
     for s in S.sorted_ids:
-        sp = els[s]
-        q = tuple(
-            coset_of[amb.index[perms.mul(els[r], sp)]] for r in reps
-        )
+        q = tuple(coset_of[j] for j in amb.mul_row(reps, s))
         images[s] = q
         qperms.add(q)
     Q = FiniteGroup(

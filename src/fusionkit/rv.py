@@ -10,7 +10,6 @@ every advertised invariant of the result.
 
 from __future__ import annotations
 
-from . import perms
 from .classify import (
     cr_objects,
     is_centric,
@@ -146,7 +145,7 @@ def comparison_out_group(name: str) -> FiniteGroup:
     if name == "rv3":
         c16 = cyclic_group(16)
         r = c16.generator_ids()[0]
-        act = [[c16.elements[c16.index[perms.power(c16.elements[r], 7)]]]]
+        act = [[c16.elements[c16.power_ids(r, 7)]]]
         sd32 = semidirect_product(c16, cyclic_group(2), act)
         return direct_product(sd32, cyclic_group(3))
     raise ValueError(f"unknown system name {name!r}")
@@ -206,12 +205,9 @@ class _Extraspecial:
 
     def word(self, xe: int, ye: int, ze: int) -> int:
         """The element x^xe y^ye z^ze by id."""
-        g = perms.mul(
-            perms.mul(perms.power(self.G.elements[self.x], xe),
-                      perms.power(self.G.elements[self.y], ye)),
-            perms.power(self.G.elements[self.z], ze),
-        )
-        return self.G.index[g]
+        G = self.G
+        xy = G.mul_ids(G.power_ids(self.x, xe), G.power_ids(self.y, ye))
+        return G.mul_ids(xy, G.power_ids(self.z, ze))
 
     def lift(self, m):
         """The automorphism of S induced by the matrix m on S/Z, with z
@@ -255,9 +251,8 @@ class _Extraspecial:
         return seeds
 
     def _v_word(self, v: int, ve: int, ze: int) -> int:
-        g = perms.mul(perms.power(self.G.elements[v], ve),
-                      perms.power(self.G.elements[self.z], ze))
-        return self.G.index[g]
+        G = self.G
+        return G.mul_ids(G.power_ids(v, ve), G.power_ids(self.z, ze))
 
     def aut_group_tables(self, line, type_order: int) -> set:
         """All tables of the prescribed automorphism group on the rank-2

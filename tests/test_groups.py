@@ -1,5 +1,7 @@
 """Group kernel: named constructions, Sylow machinery, automorphisms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,38 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(symmetric_group(4).full())) == 30
     assert len(all_subgroups(elementary_abelian_group(2, 2).full())) == 5
     assert len(all_subgroups(extraspecial_plus(3).full())) == 19
+    assert len(all_subgroups(alternating_group(5).full())) == 59
+
+
+def _check_rows(G, xs, gs, ks):
+    """conj_row, mul_row and power_ids against the perms kernels."""
+    els, index = G.elements, G.index
+    for g in gs:
+        assert G.conj_row(xs, g) == tuple(
+            index[perms.conjugate(els[x], els[g])] for x in xs)
+        assert G.mul_row(xs, g) == tuple(
+            index[perms.mul(els[x], els[g])] for x in xs)
+    for x in xs:
+        for k in ks:
+            assert G.power_ids(x, k) == index[perms.power(els[x], k)]
+
+
+def test_row_arithmetic_on_all_of_s4():
+    G = symmetric_group(4)
+    _check_rows(G, range(G.order), range(G.order), range(-2, 6))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alternating_group(8),
+    lambda: extraspecial_plus(7),
+])
+def test_row_arithmetic_on_seeded_pairs(build):
+    G = build()
+    rng = random.Random(G.order)
+    xs = rng.sample(range(G.order), 60)
+    gs = rng.sample(range(G.order), 30)
+    _check_rows(G, xs, gs, [-1, 0, 1, 2, 7, rng.randrange(2, 50)])
+    assert G.conj_row((), gs[0]) == G.mul_row([], gs[0]) == ()
 
 
 def test_centralizer_normalizer():

@@ -1,0 +1,61 @@
+"""Element arithmetic goes through FiniteGroup.
+
+Only `groups` (which owns FiniteGroup), `named` (which builds groups from
+permutations) and `perms` itself may use the permutation kernels
+`perms.mul`, `perms.conjugate`, `perms.power` and `perms.inverse`; every
+other module works on element ids. The modules that never touch
+permutation tuples do not import `perms` at all.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
+KERNELS = {"mul", "conjugate", "power", "inverse"}
+KERNEL_USERS = {"groups.py", "named.py", "perms.py"}
+NO_PERMS_IMPORT = ["fusion.py", "classify.py", "alperin.py", "rv.py", "cli.py"]
+
+
+def _tree(name):
+    return ast.parse((SRC / name).read_text(), filename=name)
+
+
+def _kernel_uses(tree):
+    """Line numbers of `perms.<kernel>` references and kernel imports."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in KERNELS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "perms"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "perms"
+              and any(a.name in KERNELS for a in node.names)):
+            yield node.lineno
+
+
+def _imports_perms(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "perms":
+                return True
+            if any(a.name == "perms" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "perms" for a in node.names):
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in SRC.glob("*.py") if p.name not in KERNEL_USERS),
+)
+def test_no_permutation_kernel_outside_groups(name):
+    assert list(_kernel_uses(_tree(name))) == []
+
+
+@pytest.mark.parametrize("name", NO_PERMS_IMPORT)
+def test_id_only_modules_do_not_import_perms(name):
+    assert not _imports_perms(_tree(name))

@@ -4,7 +4,9 @@ what the next call returns."""
 
 import pytest
 
+import fusionkit.alperin
 from fusionkit import (
+    alperin_decompose,
     fcr_objects,
     out_F,
     sylow_p,
@@ -66,3 +68,28 @@ def test_out_F(pair):
         other = out_F(fresh, fresh.subgroup(Q.ids))
         assert again.elements == first.elements
         assert other.elements == first.elements
+
+
+def test_alperin_moves_built_once(pair, monkeypatch):
+    F, fresh = pair
+    built = []
+    moves = fusionkit.alperin._moves
+
+    def counting(system):
+        built.append(system)
+        return moves(system)
+
+    monkeypatch.setattr(fusionkit.alperin, "_moves", counting)
+    Q = max(F.objects(), key=lambda Q: (len(F.hom_to_S_tables(Q)), Q.order))
+    phi = F.hom_to_S(Q)[-1]
+    first = alperin_decompose(F, phi)
+    again = alperin_decompose(F, phi)
+    other = alperin_decompose(fresh, fresh.hom_to_S(fresh.subgroup(Q.ids))[-1])
+    assert built == [F, fresh]
+    assert len(first) > 0
+
+    def chain(d):
+        return [(P.ids, Q.ids, psi.images) for P, Q, psi in d.chain]
+
+    assert chain(again) == chain(first)
+    assert chain(other) == chain(first)
