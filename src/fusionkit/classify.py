@@ -64,22 +64,34 @@ def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
     return len(aut_s) == _p_part(len(aut_f), F.p)
 
 
-def _n_phi_ids(F: FusionSystem, Q: Subgroup, table: tuple) -> frozenset:
-    """N_phi for the iso given by `table` on Q, onto its image P.
+def _aut_s_generator_images(F: FusionSystem, P: Subgroup) -> frozenset:
+    """Aut_S(P) keyed by each automorphism's images of P.generator_ids()."""
+    def compute():
+        pos = {i: k for k, i in enumerate(P.sorted_ids)}
+        gpos = [pos[g] for g in P.generator_ids()]
+        return frozenset(
+            tuple(a[k] for k in gpos) for a in F.aut_s_tables(P)[0]
+        )
+    return F.cached(("aut_s_generator_images", P.ids), compute)
 
-    Computed over cosets of C_S(Q) in N_S(Q): inner twists land in
-    Inn(P) <= Aut_S(P), so membership is constant on each coset.
+
+def _n_phi_ids(F: FusionSystem, Q: Subgroup, table: tuple) -> frozenset:
+    """N_phi = {g in N_S(Q) : phi c_g phi^-1 in Aut_S(P)} for the iso phi
+    given by `table` on Q, onto its image P.
+
+    The twist by g depends only on g's coset of C_S(Q) in N_S(Q), and as an
+    automorphism of P it is fixed by its images of P's generators: each
+    coset's twist is read off its memoised conjugation row on those
+    generators alone and looked up in Aut_S(P) by generator images.
     """
     P = F.subgroup(frozenset(table))
-    aut_s_P = set(F.aut_s_tables(P)[0])
-    d = dict(zip(Q.sorted_ids, table))
-    d_inv = {v: k for k, v in d.items()}
-    # phi^-1 c_r phi on P, row by row: preimages of P, conjugated, mapped
-    pre = [d_inv[y] for y in P.sorted_ids]
+    aut_s_P = _aut_s_generator_images(F, P)
+    pos = {x: k for k, x in enumerate(Q.sorted_ids)}
+    # phi^-1 of P's generators, as positions in Q.sorted_ids
+    pre = [table.index(y) for y in P.generator_ids()]
     ids = set()
-    for r, coset in F.centralizer_cosets(Q):
-        twisted = tuple(d[j] for j in F.ambient.conj_row(pre, r))
-        if twisted in aut_s_P:
+    for _r, coset, row in F.centralizer_cosets(Q):
+        if tuple(table[pos[row[k]]] for k in pre) in aut_s_P:
             ids |= coset
     return frozenset(ids)
 
@@ -104,12 +116,14 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
                 break
         return True, witnesses
     for Q in F.f_conjugates(P):
+        pos = {x: k for k, x in enumerate(Q.sorted_ids)}
+        gpos = [pos[g] for g in Q.generator_ids()]
         for t in F.hom_to_S_tables(Q):
             if frozenset(t) != P.ids:
                 continue
             n_phi = F.subgroup(_n_phi_ids(F, Q, t))
             idx = F.extension_index(n_phi, Q)
-            full = idx.get(t)
+            full = idx.get(tuple(t[k] for k in gpos))
             phi = FusionMorphism(Q, P, t)
             if full is None:
                 witnesses.append(NphiWitness(phi, n_phi, None))
@@ -292,8 +306,9 @@ def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
         key = (QP.ids, Q.ids)
         idx = ppos_cache.get(key)
         if idx is None:
-            qpos = [QP.sorted_ids.index(i) for i in Q.sorted_ids]
-            ppos = [QP.sorted_ids.index(i) for i in P.sorted_ids]
+            pos = {i: k for k, i in enumerate(QP.sorted_ids)}
+            qpos = [pos[i] for i in Q.sorted_ids]
+            ppos = [pos[i] for i in P.sorted_ids]
             idx = set()
             for full in F.hom_to_S_tables(QP):
                 if frozenset(full[k] for k in ppos) == P.ids:

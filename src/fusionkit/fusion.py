@@ -213,25 +213,31 @@ class FusionSystem:
 
     @_memoised
     def centralizer_cosets(self, Q: Subgroup) -> tuple:
-        """Cosets of C_S(Q) in N_S(Q) as (representative, member ids)."""
+        """Cosets of C_S(Q) in N_S(Q) as (r, member ids, row), by increasing
+        r: r is the least element of its coset and row is Q.sorted_ids
+        conjugated by r, the table of the automorphism that every member of
+        the coset induces on Q. These rows are the only conjugations of Q
+        the system keeps; Aut_S(Q) and the N_phi twists read them."""
+        amb = self.ambient
         C = self.centralizer_of(Q)
+        qsorted = self.subgroup(Q.ids).sorted_ids
         covered = set()
         out = []
         for r in self.normalizer_of(Q).sorted_ids:
             if r in covered:
                 continue
-            coset = frozenset(self.ambient.mul_row(C.ids, r))
+            coset = frozenset(amb.mul_row(C.ids, r))
             covered |= coset
-            out.append((r, coset))
+            out.append((r, coset, amb.conj_row(qsorted, r)))
         return tuple(out)
 
     @_memoised
     def aut_s_tables(self, P: Subgroup) -> tuple:
-        seen = {}
-        psorted = self.subgroup(P.ids).sorted_ids
-        for s in self.normalizer_of(P).sorted_ids:
-            seen.setdefault(self.ambient.conj_row(psorted, s), s)
-        return tuple(sorted(seen)), seen
+        """Aut_S(P) as (sorted tables, {table: least s in N_S(P) inducing
+        it}), one table per centralizer coset of P, witnessed by the coset's
+        representative."""
+        witnesses = {row: r for r, _, row in self.centralizer_cosets(P)}
+        return tuple(sorted(witnesses)), witnesses
 
     def aut_s(self, P: Subgroup) -> list[FusionMorphism]:
         P = self.subgroup(P.ids)
@@ -285,17 +291,20 @@ class FusionSystem:
         pos = Q.sorted_ids.index(x)
         return sorted({t[pos] for t in self.hom_to_S_tables(Q)})
 
-    # -- extension lookups (receptivity, normalizer subsystems) -----------
+    # -- extension lookups (receptivity) ----------------------------------
 
     @_memoised
     def extension_index(self, N: Subgroup, Q: Subgroup) -> dict:
-        """Map (restriction-to-Q table) -> one full table over N, for every
-        morphism out of N; Q must be contained in N."""
+        """Map (images of Q.generator_ids()) -> one full table over N, for
+        every morphism out of N; Q must be contained in N. A homomorphism
+        on Q is fixed by its generator images, so the key names the
+        restriction to Q."""
         N = self.subgroup(N.ids)
-        qpos = [N.sorted_ids.index(i) for i in self.subgroup(Q.ids).sorted_ids]
+        pos = {i: k for k, i in enumerate(N.sorted_ids)}
+        gpos = [pos[i] for i in self.subgroup(Q.ids).generator_ids()]
         idx = {}
         for t in self.hom_to_S_tables(N):
-            idx.setdefault(tuple(t[k] for k in qpos), t)
+            idx.setdefault(tuple(t[k] for k in gpos), t)
         return idx
 
     def generating_morphisms(self) -> list[FusionMorphism]:
@@ -647,7 +656,8 @@ def audit_axioms(F: FusionSystem, *, full: bool = False,
     if not full and len(pairs) > samples:
         pairs = rng.sample(pairs, samples)
     for Q, R in pairs:
-        rpos = [Q.sorted_ids.index(i) for i in R.sorted_ids]
+        pos = {i: k for k, i in enumerate(Q.sorted_ids)}
+        rpos = [pos[i] for i in R.sorted_ids]
         sub_tables = set(F.hom_to_S_tables(R))
         for t in F.hom_to_S_tables(Q):
             if tuple(t[k] for k in rpos) not in sub_tables:

@@ -88,7 +88,6 @@ def test_rv_rebuild_is_deterministic(rv_systems):
     assert hom_table_digest(F) == hom_table_digest(F2)
 
 
-@pytest.mark.slow
 def test_rv_outer_group_shapes(rv_systems):
     for name, F in rv_systems.items():
         out = out_F(F, F.S)
