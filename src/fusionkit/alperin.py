@@ -2,14 +2,16 @@
 
 The decomposition theorem guarantees that in a saturated system every
 morphism is a composite of restricted automorphisms of fully normalised,
-centric, radical subgroups. `alperin_decompose` finds such a chain by
-breadth-first search; `verify_decomposition` recomputes the three clauses.
+centric, radical subgroups. `alperin_decompose` finds such a chain with
+`fusion.word_search`, the breadth-first search over generator images that
+also closes generated systems; `verify_decomposition` recomputes the three
+clauses.
 """
 
 from __future__ import annotations
 
 from .classify import aut_f_group, fcr_objects
-from .fusion import FusionMorphism, FusionSystem, GeneratedFusion
+from .fusion import FusionMorphism, FusionSystem, GeneratedFusion, word_search
 from .groups import Subgroup
 
 
@@ -34,8 +36,7 @@ class AlperinDecomposition:
         """The composite of the chain restricted to the source."""
         cur = self.source.sorted_ids
         for _P, Q, psi in self.chain:
-            d = dict(zip(Q.sorted_ids, psi.images))
-            cur = tuple(d[x] for x in cur)
+            cur = tuple(psi.images[Q.positions[x]] for x in cur)
         return cur
 
     def __repr__(self):
@@ -67,8 +68,7 @@ def _corestrict(F: FusionSystem, phi) -> FusionMorphism:
                              tuple(images))
     if not isinstance(phi, FusionMorphism):
         raise TypeError(f"cannot interpret {phi!r} as a morphism")
-    tables = F.hom_to_S_tables(F.subgroup(phi.domain.ids))
-    if phi.images not in set(tables):
+    if phi.images not in F.hom_to_S_tables(F.subgroup(phi.domain.ids)):
         raise ValueError("morphism does not belong to the system")
     return phi
 
@@ -77,53 +77,43 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     """Decompose `phi` (or its isomorphism-onto-image factor) into a chain
     of fcr automorphisms. Raises LookupError when the search exhausts,
     which on a saturated system cannot happen; exhaustion therefore
-    reports a theorem-hypothesis violation."""
+    reports a theorem-hypothesis violation. The search runs on generator
+    images, and full tables are rebuilt only along the returned chain."""
     phi = _corestrict(F, phi)
     P = F.subgroup(phi.domain.ids)
-    target = phi.images
-    start = P.sorted_ids
-    moves = F.cached(("alperin_moves",), lambda: _moves(F))
-    parents = {start: None}
-    frontier = [start]
-    while frontier and target not in parents:
-        new = []
-        for cur in frontier:
-            cur_set = set(cur)
-            for Q, d, t in moves:
-                if not cur_set <= Q.ids:
-                    continue
-                nxt = tuple(d[x] for x in cur)
-                if nxt in parents:
-                    continue
-                parents[nxt] = (cur, Q, t)
-                new.append(nxt)
-        frontier = new
+    gens = P.generator_ids()
+    target = tuple(phi.images[P.positions[g]] for g in gens)
+    maps, autos = F.cached(("alperin_moves",), lambda: _moves(F))
+    parents = word_search(gens, maps, target)
     if target not in parents:
         raise LookupError(
             "no fcr decomposition found; the decomposition theorem "
             "guarantees one for saturated systems, so the input system "
             "violates the theorem hypothesis"
         )
+    word = []
+    vec = target
+    while parents[vec] is not None:
+        vec, k = parents[vec]
+        word.append(k)
     steps = []
-    cur = target
-    while parents[cur] is not None:
-        prev, Q, t = parents[cur]
-        psi = FusionMorphism(Q, Q, t)
-        steps.append((F.subgroup(frozenset(cur)), Q, psi))
-        cur = prev
-    steps.reverse()
-    return AlperinDecomposition(P, F.subgroup(frozenset(target)), steps, phi)
+    cur = P.sorted_ids
+    for k in reversed(word):
+        Q, t = autos[k]
+        cur = tuple(maps[k][1][x] for x in cur)
+        steps.append((F.subgroup(frozenset(cur)), Q, FusionMorphism(Q, Q, t)))
+    return AlperinDecomposition(P, F.subgroup(frozenset(phi.images)), steps,
+                                phi)
 
 
 def _moves(F: FusionSystem) -> tuple:
-    """The search moves (Q, table as a dict, table): every automorphism of
-    every fcr object Q, larger objects first."""
+    """The search moves as (maps, autos): maps[k] = (Q.ids, table as a
+    dict) and autos[k] = (Q, table) range over every automorphism of every
+    fcr object Q, larger objects first."""
     fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))
-    return tuple(
-        (Q, dict(zip(Q.sorted_ids, t)), t)
-        for Q in fcr
-        for t in F.aut_f_tables(Q)
-    )
+    autos = tuple((Q, t) for Q in fcr for t in F.aut_f_tables(Q))
+    maps = tuple((Q.ids, dict(zip(Q.sorted_ids, t))) for Q, t in autos)
+    return maps, autos
 
 
 def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
@@ -145,8 +135,8 @@ def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
             return DecompositionCheck("b")
         if not (prev.ids <= Q.ids and P_i.ids <= Q.ids):
             return DecompositionCheck("b")
-        dmap = dict(zip(Q.sorted_ids, psi.images))
-        if frozenset(dmap[x] for x in prev.ids) != P_i.ids:
+        pos = Q.positions
+        if frozenset(psi.images[pos[x]] for x in prev.ids) != P_i.ids:
             return DecompositionCheck("b")
         prev = P_i
     if d.composite_table() != tuple(phi.images):

@@ -67,8 +67,7 @@ def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
 def _aut_s_generator_images(F: FusionSystem, P: Subgroup) -> frozenset:
     """Aut_S(P) keyed by each automorphism's images of P.generator_ids()."""
     def compute():
-        pos = {i: k for k, i in enumerate(P.sorted_ids)}
-        gpos = [pos[g] for g in P.generator_ids()]
+        gpos = [P.positions[g] for g in P.generator_ids()]
         return frozenset(
             tuple(a[k] for k in gpos) for a in F.aut_s_tables(P)[0]
         )
@@ -86,7 +85,7 @@ def _n_phi_ids(F: FusionSystem, Q: Subgroup, table: tuple) -> frozenset:
     """
     P = F.subgroup(frozenset(table))
     aut_s_P = _aut_s_generator_images(F, P)
-    pos = {x: k for k, x in enumerate(Q.sorted_ids)}
+    pos = Q.positions
     # phi^-1 of P's generators, as positions in Q.sorted_ids
     pre = [table.index(y) for y in P.generator_ids()]
     ids = set()
@@ -116,8 +115,7 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
                 break
         return True, witnesses
     for Q in F.f_conjugates(P):
-        pos = {x: k for k, x in enumerate(Q.sorted_ids)}
-        gpos = [pos[g] for g in Q.generator_ids()]
+        gpos = [Q.positions[g] for g in Q.generator_ids()]
         for t in F.hom_to_S_tables(Q):
             if frozenset(t) != P.ids:
                 continue
@@ -168,7 +166,7 @@ def aut_f_group(F: FusionSystem, P: Subgroup) -> tuple[FiniteGroup, list]:
     position-permutation is group.elements[i].
     """
     P = F.subgroup(P.ids)
-    pos = {i: k for k, i in enumerate(P.sorted_ids)}
+    pos = P.positions
     as_perms = {tuple(pos[v] for v in t): t for t in F.aut_f_tables(P)}
     grp = FiniteGroup(
         P.order, [], name=f"Aut_F on {P.order} points",
@@ -186,7 +184,7 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
 
 def _out_f(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     grp, _tables = aut_f_group(F, P)
-    pos = {i: k for k, i in enumerate(P.sorted_ids)}
+    pos = P.positions
     inn_ids = frozenset(
         grp.index[tuple(pos[v] for v in h.images)]
         for h in inner_automorphisms(P)
@@ -306,9 +304,8 @@ def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
         key = (QP.ids, Q.ids)
         idx = ppos_cache.get(key)
         if idx is None:
-            pos = {i: k for k, i in enumerate(QP.sorted_ids)}
-            qpos = [pos[i] for i in Q.sorted_ids]
-            ppos = [pos[i] for i in P.sorted_ids]
+            qpos = [QP.positions[i] for i in Q.sorted_ids]
+            ppos = [QP.positions[i] for i in P.sorted_ids]
             idx = set()
             for full in F.hom_to_S_tables(QP):
                 if frozenset(full[k] for k in ppos) == P.ids:

@@ -185,11 +185,10 @@ def _coerce_aut_set(F: FusionSystem, Q: Subgroup, K):
             raise ValueError("K contains a non-automorphism of Q")
     if qsorted not in tables:
         raise ValueError("K not closed under composition")
-    pos = dict(zip(qsorted, range(Q.order)))
+    pos = Q.positions
     for a in tables:
-        da = dict(zip(qsorted, a))
         for b in tables:
-            comp = tuple(b[pos[da[x]]] for x in qsorted)
+            comp = tuple(b[pos[y]] for y in a)
             if comp not in tables:
                 raise ValueError("K not closed under composition")
     return tables
@@ -212,9 +211,8 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     tables: dict = {}
     for P in all_subgroups(Sp):
         PQ = F.subgroup(product_ids(P, Q))
-        pq_sorted = PQ.sorted_ids
-        qpos = [pq_sorted.index(x) for x in qsorted]
-        ppos = [pq_sorted.index(x) for x in P.sorted_ids]
+        qpos = [PQ.positions[x] for x in qsorted]
+        ppos = [PQ.positions[x] for x in P.sorted_ids]
         out = set()
         for t in F.hom_to_S_tables(PQ):
             if tuple(t[k] for k in qpos) not in K_tables:
@@ -265,10 +263,8 @@ def fusion_isomorphic(F: FusionSystem, Fp: FusionSystem):
                 ok = False
                 break
             Qp = Fp.subgroup(qimg)
-            lookup = dict(zip(Q.sorted_ids, range(Q.order)))
-            back = [lookup[x] for x in sorted(
-                Q.sorted_ids, key=lambda x: Qp.sorted_ids.index(sigma[x])
-            )]
+            back = sorted(range(Q.order),
+                          key=lambda k: Qp.positions[sigma[Q.sorted_ids[k]]])
             pushed = {
                 tuple(sigma[t[k]] for k in back)
                 for t in F.hom_to_S_tables(Q)

@@ -5,7 +5,9 @@ Hom(Q, S) of morphisms out of Q as image tables; Hom(Q, P) is the subset
 whose image lies in P. Three backends fill those tables: transporter systems
 sweep conjugations by an ambient group, generated systems close a seed set
 of injective homomorphisms, and derived systems (quotients, normalizer
-subsystems) are handed their tables by a construction.
+subsystems) are handed their tables by a construction. The closure is
+`word_search`, a breadth-first search over generator images under partial
+maps; `alperin_decompose` runs the same search over fcr automorphisms.
 
 Morphism tables are tuples aligned with Q.sorted_ids whose entries are
 ambient element ids; equality of morphisms is extensional (domain, codomain,
@@ -288,7 +290,7 @@ class FusionSystem:
         if x not in self.S.ids:
             raise ValueError("element is not in S")
         Q = subgroup_generated(amb, [x])
-        pos = Q.sorted_ids.index(x)
+        pos = Q.positions[x]
         return sorted({t[pos] for t in self.hom_to_S_tables(Q)})
 
     # -- extension lookups (receptivity) ----------------------------------
@@ -300,8 +302,7 @@ class FusionSystem:
         on Q is fixed by its generator images, so the key names the
         restriction to Q."""
         N = self.subgroup(N.ids)
-        pos = {i: k for k, i in enumerate(N.sorted_ids)}
-        gpos = [pos[i] for i in self.subgroup(Q.ids).generator_ids()]
+        gpos = [N.positions[i] for i in self.subgroup(Q.ids).generator_ids()]
         idx = {}
         for t in self.hom_to_S_tables(N):
             idx.setdefault(tuple(t[k] for k in gpos), t)
@@ -384,6 +385,33 @@ class TransporterFusion(FusionSystem):
         ]
 
 
+def word_search(gens, maps, target=None) -> dict:
+    """Breadth-first search from the generator ids `gens` of a subgroup Q
+    under the partial homomorphisms `maps`, given as (domain ids,
+    {x: image}). A vector of generator images fixes a composite map on Q,
+    and a map applies to it when its domain contains every entry. Returns
+    {vector: (previous vector, map index)} in discovery order, None for
+    the start, and stops as soon as `target` is discovered."""
+    start = tuple(gens)
+    parents = {start: None}
+    frontier = [start]
+    while frontier and target not in parents:
+        new = []
+        for vec in frontier:
+            for k, (dom, table) in enumerate(maps):
+                if not dom.issuperset(vec):
+                    continue
+                nvec = tuple(table[v] for v in vec)
+                if nvec in parents:
+                    continue
+                parents[nvec] = (vec, k)
+                if nvec == target:
+                    return parents
+                new.append(nvec)
+        frontier = new
+    return parents
+
+
 class GeneratedFusion(FusionSystem):
     """The smallest fusion system over S containing a seed set of maps."""
 
@@ -421,42 +449,22 @@ class GeneratedFusion(FusionSystem):
             self.hom_to_S_tables(Q)
 
     def _compute_hom(self, Q: Subgroup):
-        gens_q = Q.generator_ids()
-        qsorted = Q.sorted_ids
-        start_vec = tuple(gens_q)
-        seen = {start_vec: qsorted}
-        parents = {start_vec: None}
-        frontier = [start_vec]
+        """Hom(Q, S): each searched map's table is built from its parent's."""
         seeds = self._seeds
-        while frontier:
-            new = []
-            for vec in frontier:
-                full = seen[vec]
-                for k, (dom, table) in enumerate(seeds):
-                    applies = True
-                    for v in vec:
-                        if v not in dom:
-                            applies = False
-                            break
-                    if not applies:
-                        continue
-                    nvec = tuple(table[v] for v in vec)
-                    if nvec in seen:
-                        continue
-                    seen[nvec] = tuple(table[x] for x in full)
-                    parents[nvec] = (vec, k)
-                    new.append(nvec)
-            frontier = new
-        prov = {}
-        for vec, full in seen.items():
-            word = []
-            cur = vec
-            while parents[cur] is not None:
-                cur, k = parents[cur]
-                word.append(k)
-            prov[full] = ("word", tuple(reversed(word)))
-        self._prov[Q.ids] = prov
-        return tuple(sorted(seen.values()))
+        full = {}
+        words = {}
+        for vec, parent in word_search(Q.generator_ids(), seeds).items():
+            if parent is None:
+                full[vec], words[vec] = Q.sorted_ids, ()
+                continue
+            prev, k = parent
+            table = seeds[k][1]
+            full[vec] = tuple(table[x] for x in full[prev])
+            words[vec] = words[prev] + (k,)
+        self._prov[Q.ids] = {
+            full[vec]: ("word", word) for vec, word in words.items()
+        }
+        return tuple(sorted(full.values()))
 
     def generating_morphisms(self) -> list[FusionMorphism]:
         return list(self._gen_morphisms)
@@ -630,22 +638,22 @@ def audit_axioms(F: FusionSystem, *, full: bool = False,
                 problems.append(
                     f"Aut_S not inside Aut_F at order {Q.order}"
                 )
-        gens_q = Q.generator_ids()
+        # t is multiplicative when t[i*g] = t[i]*t[g] for each generator g
+        pos = Q.positions
+        products = [
+            (pos[g], [pos[x] for x in amb.mul_row(Q.sorted_ids, g)])
+            for g in Q.generator_ids()
+        ]
         for t in tables:
             if len(set(t)) != Q.order:
                 problems.append(f"non-injective map on order {Q.order}")
                 continue
-            d = dict(zip(Q.sorted_ids, t))
-            for i in Q.sorted_ids:
-                for g in gens_q:
-                    if d[amb.mul_ids(i, g)] != amb.mul_ids(d[i], d[g]):
-                        problems.append(
-                            f"non-multiplicative map on order {Q.order}"
-                        )
-                        break
-                else:
-                    continue
-                break
+            for gk, ig in products:
+                if amb.mul_row(t, t[gk]) != tuple(t[k] for k in ig):
+                    problems.append(
+                        f"non-multiplicative map on order {Q.order}"
+                    )
+                    break
     rng = random.Random(seed)
     # restriction closure
     pairs = []
@@ -656,8 +664,7 @@ def audit_axioms(F: FusionSystem, *, full: bool = False,
     if not full and len(pairs) > samples:
         pairs = rng.sample(pairs, samples)
     for Q, R in pairs:
-        pos = {i: k for k, i in enumerate(Q.sorted_ids)}
-        rpos = [pos[i] for i in R.sorted_ids]
+        rpos = [Q.positions[i] for i in R.sorted_ids]
         sub_tables = set(F.hom_to_S_tables(R))
         for t in F.hom_to_S_tables(Q):
             if tuple(t[k] for k in rpos) not in sub_tables:
@@ -681,7 +688,7 @@ def audit_axioms(F: FusionSystem, *, full: bool = False,
             R = F.subgroup(img)
         second = F.hom_to_S_tables(R)
         table_set = set(F.hom_to_S_tables(Q))
-        pos = {i: k for k, i in enumerate(R.sorted_ids)}
+        pos = R.positions
         for t2 in second if full else second[: max(1, samples // 10)]:
             composite = tuple(t2[pos[i]] for i in t)
             if composite not in table_set:

@@ -139,12 +139,13 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup of a FiniteGroup, stored as a frozen set of element ids."""
 
-    __slots__ = ("ambient", "ids", "_sorted", "_gens", "_hash")
+    __slots__ = ("ambient", "ids", "_sorted", "_positions", "_gens", "_hash")
 
     def __init__(self, ambient: FiniteGroup, ids):
         self.ambient = ambient
         self.ids = ids if isinstance(ids, frozenset) else frozenset(ids)
         self._sorted: tuple[int, ...] | None = None
+        self._positions: dict[int, int] | None = None
         self._gens: list[int] | None = None
         self._hash = None
 
@@ -157,6 +158,13 @@ class Subgroup:
         if self._sorted is None:
             self._sorted = tuple(sorted(self.ids))
         return self._sorted
+
+    @property
+    def positions(self) -> dict[int, int]:
+        """{id: index in sorted_ids}; shared, so callers must not mutate it."""
+        if self._positions is None:
+            self._positions = {i: k for k, i in enumerate(self.sorted_ids)}
+        return self._positions
 
     def perms(self):
         amb = self.ambient.elements

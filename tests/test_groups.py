@@ -194,6 +194,14 @@ def test_row_arithmetic_on_seeded_pairs(build):
     assert G.conj_row((), gs[0]) == G.mul_row([], gs[0]) == ()
 
 
+def test_positions_index_sorted_ids():
+    for H in all_subgroups(sylow_p(symmetric_group(6).full(), 2)):
+        pos = H.positions
+        assert [H.sorted_ids[pos[i]] for i in H.ids] == list(H.ids)
+        assert sorted(pos.values()) == list(range(H.order))
+        assert H.positions is pos
+
+
 def test_centralizer_normalizer():
     G = symmetric_group(4)
     S = sylow_p(G.full(), 2)
