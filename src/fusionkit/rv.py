@@ -3,9 +3,10 @@
 Each system is generated by a chosen subgroup of the outer automorphism
 group (realized as 2x2 matrices over the 7-element field acting on S/Z)
 together with prescribed automorphism groups on designated rank-2
-subgroups. `build_rv` seeds, closes, and certifies saturation, retrying
-over the orbit-consistent assignment profiles; `certify_rv` recomputes
-every advertised invariant of the result.
+subgroups. `build_rv` seeds, closes, and certifies saturation; the line
+orbits of each outer group admit exactly one assignment profile, so there
+is one closure per system. `certify_rv` recomputes every advertised
+invariant of the result.
 """
 
 from __future__ import annotations
@@ -326,8 +327,8 @@ def _candidate_profiles(name: str, orbits: list):
 
 
 def build_rv(name, *, certify: bool = False):
-    """Construct the named system; retries over profile assignments and
-    accepts the first saturated closure. With certify=True the full
+    """Construct the named system from its one profile assignment and
+    check that the closure is saturated. With certify=True the full
     invariant battery runs and is attached as `certificate`."""
     if isinstance(name, RVDescriptor):
         name = name.name
@@ -339,31 +340,28 @@ def build_rv(name, *, certify: bool = False):
     closure = _mclose(mats)
     assert len(closure) == OUT_ORDERS[name], \
         f"outer matrix group has order {len(closure)}"
-    orbits = _line_orbits(mats)
-    failures = []
-    for profile in _candidate_profiles(name, orbits):
-        seeds = [ext.lift(m) for m in mats]
-        for orb, type_order in sorted(profile.items()):
-            rep = min(orb)
-            seeds.extend(ext.rank2_aut_seeds(rep, type_order))
-        F = GeneratedFusion(
-            ext.S, P, seeds,
-            descriptor={"kind": "rv", "name": name},
-        )
-        report = is_saturated(F)
-        if report.verdict:
-            F.rv = RVDescriptor(name, mats, profile)
-            F.rv_extraspecial = ext
-            F.rv_profile = profile
-            if certify:
-                F.certificate = certify_rv(F)
-            return F
-        failures.append(report.counterexample)
-    raise RuntimeError(
-        f"saturation certification failed for every {name} profile; "
-        f"counterexample orders {[c.order for c in failures]}; retry with "
-        "a conjugate seed"
+    profiles = _candidate_profiles(name, _line_orbits(mats))
+    assert len(profiles) == 1, \
+        f"{name} admits {len(profiles)} profile assignments"
+    profile = profiles[0]
+    seeds = [ext.lift(m) for m in mats]
+    for orb, type_order in sorted(profile.items()):
+        seeds.extend(ext.rank2_aut_seeds(min(orb), type_order))
+    F = GeneratedFusion(
+        ext.S, P, seeds,
+        descriptor={"kind": "rv", "name": name},
     )
+    report = is_saturated(F)
+    assert report.verdict, (
+        f"the {name} closure is not saturated: counterexample of order "
+        f"{report.counterexample.order}"
+    )
+    F.rv = RVDescriptor(name, mats, profile)
+    F.rv_extraspecial = ext
+    F.rv_profile = profile
+    if certify:
+        F.certificate = certify_rv(F)
+    return F
 
 
 def certify_rv(F: FusionSystem) -> dict:

@@ -1,11 +1,16 @@
 """Group kernel: named constructions, Sylow machinery, automorphisms."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_groups
+from conftest import extraspecial27_c2
+from oracle_sweep import _conj, _generators, _mul
+from test_sweep import relabelled
 from fusionkit import (
     GroupTooLarge,
     all_subgroups,
@@ -164,16 +169,22 @@ def test_all_subgroups_counts():
 
 
 def _check_rows(G, xs, gs, ks):
-    """conj_row, mul_row and power_ids against the perms kernels."""
+    """The element arithmetic of G against raw permutation tuples: rows,
+    columns, single products, powers and inverses."""
     els, index = G.elements, G.index
     for g in gs:
         assert G.conj_row(xs, g) == tuple(
-            index[perms.conjugate(els[x], els[g])] for x in xs)
+            index[_conj(els[x], els[g])] for x in xs)
         assert G.mul_row(xs, g) == tuple(
-            index[perms.mul(els[x], els[g])] for x in xs)
+            index[_mul(els[x], els[g])] for x in xs)
     for x in xs:
+        assert G.conj_col(x, gs) == tuple(
+            index[_conj(els[x], els[g])] for g in gs)
+        assert [G.mul_ids(x, g) for g in gs] == [
+            index[_mul(els[x], els[g])] for g in gs]
+        assert G.inverse_ids[x] == index[oracle_groups.inverse(els[x])]
         for k in ks:
-            assert G.power_ids(x, k) == index[perms.power(els[x], k)]
+            assert G.power_ids(x, k) == index[oracle_groups.power(els[x], k)]
 
 
 def test_row_arithmetic_on_all_of_s4():
@@ -192,6 +203,97 @@ def test_row_arithmetic_on_seeded_pairs(build):
     gs = rng.sample(range(G.order), 30)
     _check_rows(G, xs, gs, [-1, 0, 1, 2, 7, rng.randrange(2, 50)])
     assert G.conj_row((), gs[0]) == G.mul_row([], gs[0]) == ()
+
+
+TABLED = {
+    "7^(1+2)": (lambda: extraspecial_plus(7), 7),
+    "3^(1+2)xC3": (
+        lambda: direct_product(extraspecial_plus(3), cyclic_group(3)), 3),
+    "D16": (lambda: dihedral_group(16), 2),
+    "Syl2(S8)": (lambda: symmetric_group(8), 2),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True],
+                         ids=["plain", "relabelled"])
+@pytest.mark.parametrize("name", sorted(TABLED))
+def test_s_table_matches_tuple_arithmetic(name, relabel):
+    build, p = TABLED[name]
+    G = build()
+    if relabel:
+        G = relabelled(G, random.Random(name))
+    S = sylow_p(G.full(), p)
+    subgroups = all_subgroups(S)
+    assert [t.ids for t in G._tables] == [S.ids]
+    rng = random.Random(f"{name}:{relabel}")
+
+    def sample(ids, k):
+        return rng.sample(sorted(ids), min(k, len(ids)))
+
+    # operands outside S (only Syl2(S8) has any) take the tuple path,
+    # alone and mixed with operands inside S
+    outside = sample(set(range(G.order)) - S.ids, 10)
+    xs = sample(S.ids, 40) + outside[:5]
+    gs = sample(S.ids, 20) + outside
+    _check_rows(G, xs, gs, [-p - 1, -1, 0, 1, 2, p, rng.randrange(p, 60)])
+    els = G.elements
+    for g in outside:
+        assert G.conj_row(S.sorted_ids, g) == tuple(
+            G.index[_conj(els[x], els[g])] for x in S.sorted_ids)
+
+    s_perms = set(S.perms())
+    s_gens = _generators(sorted(s_perms))
+    for H in subgroups:
+        h_perms = set(H.perms())
+        assert (set(normalizer(S, H).perms())
+                == oracle_groups.normalizer(s_perms, h_perms))
+        assert (set(centralizer(S, H).perms())
+                == oracle_groups.centralizer(s_perms, h_perms))
+        assert is_normal(S, H) == oracle_groups.is_normal(s_gens, h_perms)
+    Z = center(S)
+    if outside:
+        assert (set(normalizer(G.full(), Z).perms())
+                == oracle_groups.normalizer(els, set(Z.perms())))
+
+    Q, theta = quotient_group(S, Z)
+    fibres = {}
+    for i in S.ids:
+        fibres.setdefault(theta[i], set()).add(els[i])
+    assert ({frozenset(f) for f in fibres.values()}
+            == oracle_groups.right_cosets(s_perms, set(Z.perms())))
+    for a in xs[:20]:
+        for b in gs[:20]:
+            if a in S.ids and b in S.ids:
+                ab = G.index[_mul(els[a], els[b])]
+                assert Q.elements[theta[ab]] == _mul(
+                    Q.elements[theta[a]], Q.elements[theta[b]])
+
+
+@pytest.mark.parametrize("name", ["7^(1+2)", "3^(1+2):2 x S3"])
+def test_tabled_s_makes_no_kernel_calls(name, monkeypatch):
+    if name == "7^(1+2)":
+        G, p = extraspecial_plus(7), 7
+    else:
+        G, p = direct_product(extraspecial27_c2(), symmetric_group(3)), 3
+    S = sylow_p(G.full(), p)
+    all_subgroups(S)
+    probe = cyclic_group(2)
+    calls = Counter()
+    for kernel in ("mul", "conjugate", "power", "inverse"):
+        def counted(*args, _real=getattr(perms, kernel), _name=kernel):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(perms, kernel, counted)
+    # the counters see the kernel calls of a group with no table
+    probe.mul_row([probe.identity_id], probe.identity_id)
+    assert calls == {"mul": 1}
+    calls.clear()
+    subgroups = all_subgroups(S)
+    for H in subgroups:
+        normalizer(S, H)
+        centralizer(S, H)
+    quotient_group(S, center(S))
+    assert calls == {}
 
 
 def test_positions_index_sorted_ids():

@@ -3,7 +3,9 @@
 Only `groups` (which owns FiniteGroup), `named` (which builds groups from
 permutations) and `perms` itself may use the permutation kernels
 `perms.mul`, `perms.conjugate`, `perms.power` and `perms.inverse`; every
-other module works on element ids. The modules that never touch
+other module works on element ids. Inside `groups` only FiniteGroup's own
+methods use them, so the choice between the S-local table and the
+permutation tuples is made in one place. The modules that never touch
 permutation tuples do not import `perms` at all.
 """
 
@@ -59,3 +61,15 @@ def test_no_permutation_kernel_outside_groups(name):
 @pytest.mark.parametrize("name", NO_PERMS_IMPORT)
 def test_id_only_modules_do_not_import_perms(name):
     assert not _imports_perms(_tree(name))
+
+
+def test_groups_uses_kernels_only_in_finitegroup_methods():
+    tree = _tree("groups.py")
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "FiniteGroup":
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    allowed.update(_kernel_uses(method))
+    assert allowed, "FiniteGroup no longer uses the kernels at all"
+    assert sorted(set(_kernel_uses(tree)) - allowed) == []
