@@ -11,8 +11,8 @@ clauses.
 from __future__ import annotations
 
 from .classify import aut_f_group, fcr_objects
-from .fusion import FusionMorphism, FusionSystem, GeneratedFusion, word_search
-from .groups import Subgroup
+from .fusion import FusionSystem, GeneratedFusion, word_search
+from .groups import GroupHom, Subgroup, as_hom
 
 
 class AlperinDecomposition:
@@ -23,7 +23,7 @@ class AlperinDecomposition:
     """
 
     def __init__(self, source: Subgroup, target: Subgroup, chain: list,
-                 phi: FusionMorphism):
+                 phi: GroupHom):
         self.source = source
         self.target = target
         self.chain = chain
@@ -61,26 +61,16 @@ class DecompositionCheck:
         return f"<DecompositionCheck violated clause {self.violated}>"
 
 
-def _corestrict(F: FusionSystem, phi) -> FusionMorphism:
-    if isinstance(phi, tuple) and len(phi) == 2:
-        domain, images = phi
-        phi = FusionMorphism(domain, F.subgroup(frozenset(images)),
-                             tuple(images))
-    if not isinstance(phi, FusionMorphism):
-        raise TypeError(f"cannot interpret {phi!r} as a morphism")
-    if phi.images not in F.hom_to_S_tables(F.subgroup(phi.domain.ids)):
-        raise ValueError("morphism does not belong to the system")
-    return phi
-
-
 def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     """Decompose `phi` (or its isomorphism-onto-image factor) into a chain
     of fcr automorphisms. Raises LookupError when the search exhausts,
     which on a saturated system cannot happen; exhaustion therefore
     reports a theorem-hypothesis violation. The search runs on generator
     images, and full tables are rebuilt only along the returned chain."""
-    phi = _corestrict(F, phi)
+    phi = as_hom(phi, F.S)
     P = F.subgroup(phi.domain.ids)
+    if phi.images not in F.hom_to_S_tables(P):
+        raise ValueError("morphism does not belong to the system")
     gens = P.generator_ids()
     target = tuple(phi.images[P.positions[g]] for g in gens)
     maps, autos = F.cached(("alperin_moves",), lambda: _moves(F))
@@ -101,7 +91,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     for k in reversed(word):
         Q, t = autos[k]
         cur = tuple(maps[k][1][x] for x in cur)
-        steps.append((F.subgroup(frozenset(cur)), Q, FusionMorphism(Q, Q, t)))
+        steps.append((F.subgroup(frozenset(cur)), Q, GroupHom(Q, Q, t)))
     return AlperinDecomposition(P, F.subgroup(frozenset(phi.images)), steps,
                                 phi)
 
@@ -121,10 +111,7 @@ def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
     """Recompute the three clauses: (a) every Q_i is fcr, (b) each psi_i
     is an F-automorphism of Q_i moving P_{i-1} onto P_i inside Q_i,
     (c) the composite restricted to the source equals phi."""
-    if phi is None:
-        phi = d.phi
-    if isinstance(phi, tuple) and len(phi) == 2:
-        phi = FusionMorphism(phi[0], F.S, tuple(phi[1]))
+    phi = as_hom(d.phi if phi is None else phi, F.S)
     fcr = {Q.ids for Q in fcr_objects(F)}
     for _P, Q, _psi in d.chain:
         if Q.ids not in fcr:
@@ -139,7 +126,7 @@ def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
         if frozenset(psi.images[pos[x]] for x in prev.ids) != P_i.ids:
             return DecompositionCheck("b")
         prev = P_i
-    if d.composite_table() != tuple(phi.images):
+    if d.composite_table() != phi.images:
         return DecompositionCheck("c")
     return DecompositionCheck(None)
 
@@ -158,6 +145,6 @@ def regenerate_from_fcr(F: FusionSystem, *, generators_only: bool = False):
             grp, tables = aut_f_group(F, Q)
             keep = [tables[i] for i in grp.full().generator_ids()]
             auts = sorted(keep)
-        seeds.extend(FusionMorphism(Q, Q, t) for t in auts)
+        seeds.extend(GroupHom(Q, Q, t) for t in auts)
     return GeneratedFusion(F.S, F.p, seeds,
                            descriptor={"kind": "fcr-regeneration"})

@@ -8,9 +8,10 @@ permutation group), the fcr/cr object lists, strong closure, and normality.
 
 from __future__ import annotations
 
-from .fusion import FusionMorphism, FusionSystem
+from .fusion import FusionSystem
 from .groups import (
     FiniteGroup,
+    GroupHom,
     Subgroup,
     _p_part,
     inner_automorphisms,
@@ -26,8 +27,8 @@ class NphiWitness:
 
     __slots__ = ("phi", "n_phi", "extension")
 
-    def __init__(self, phi: FusionMorphism, n_phi: Subgroup,
-                 extension: FusionMorphism | None):
+    def __init__(self, phi: GroupHom, n_phi: Subgroup,
+                 extension: GroupHom | None):
         self.phi = phi
         self.n_phi = n_phi
         self.extension = extension
@@ -109,8 +110,8 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
         # N_phi = S for every automorphism of S (twists stay inner), and
         # each map is its own extension
         for t in F.aut_f_tables(P):
-            phi = FusionMorphism(P, P, t)
-            witnesses.append(NphiWitness(phi, P, FusionMorphism(P, F.S, t)))
+            phi = GroupHom(P, P, t)
+            witnesses.append(NphiWitness(phi, P, GroupHom(P, F.S, t)))
             if stop_early:
                 break
         return True, witnesses
@@ -122,14 +123,14 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
             n_phi = F.subgroup(_n_phi_ids(F, Q, t))
             idx = F.extension_index(n_phi, Q)
             full = idx.get(tuple(t[k] for k in gpos))
-            phi = FusionMorphism(Q, P, t)
+            phi = GroupHom(Q, P, t)
             if full is None:
                 witnesses.append(NphiWitness(phi, n_phi, None))
                 verdict = False
                 if stop_early:
                     return verdict, witnesses
             else:
-                ext = FusionMorphism(n_phi, F.S, full)
+                ext = GroupHom(n_phi, F.S, full)
                 witnesses.append(NphiWitness(phi, n_phi, ext))
     return verdict, witnesses
 

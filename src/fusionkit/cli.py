@@ -33,7 +33,7 @@ from .descriptors import (
     parse_subgroup_spec,
     serialize_subgroup,
 )
-from .fusion import FusionMorphism, generated_fusion, transporter_fusion
+from .fusion import generated_fusion, transporter_fusion
 from .groups import FiniteGroup, sylow_p
 from .named import cyclic_group, extraspecial_plus, semidirect_product, symmetric_group
 from .report import Report, error_report
@@ -136,8 +136,7 @@ def _cmd_decompose(args, rep: Report):
         if len(entry) != 1:
             raise DescriptorError("decompose expects exactly one morphism")
         entry = entry[0]
-    (h,) = parse_fusion_generators(F.S, [entry])
-    phi = FusionMorphism(F.subgroup(h.domain.ids), F.S, h.images)
+    (phi,) = parse_fusion_generators(F.S, [entry])
     if phi.images not in F.hom_to_S_tables(phi.domain):
         raise DescriptorError("not an F-isomorphism")
     d = alperin_decompose(F, phi)

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from . import perms
 from .classify import is_saturated, is_strongly_closed
-from .fusion import (
-    DerivedFusion,
-    FusionMorphism,
-    FusionSystem,
-    GeneratedFusion,
-)
+from .fusion import DerivedFusion, FusionSystem, GeneratedFusion
 from .groups import (
     FiniteGroup,
+    GroupHom,
     Subgroup,
     all_subgroups,
+    as_hom,
     automorphisms,
     centralizer,
     is_abelian,
@@ -105,7 +102,7 @@ class QuotientMap:
             raise ValueError("subgroup does not contain the kernel")
         return self.Fq.subgroup(frozenset(self.theta[i] for i in P.ids))
 
-    def morphism_map(self, alpha: FusionMorphism) -> FusionMorphism:
+    def morphism_map(self, alpha: GroupHom) -> GroupHom:
         """alpha+ for alpha with domain containing T and alpha(T) = T."""
         dom = alpha.domain
         if not self.T.ids <= dom.ids:
@@ -115,7 +112,7 @@ class QuotientMap:
                                alpha.images, Pq.sorted_ids)
         if images is None:
             raise ValueError("morphism does not stabilize the kernel")
-        return FusionMorphism(Pq, self.Fq.subgroup(frozenset(images)), images)
+        return GroupHom(Pq, self.Fq.subgroup(frozenset(images)), images)
 
 
 def _push_forward(theta: dict, kernel: frozenset, dom_sorted, table,
@@ -174,12 +171,12 @@ def _coerce_aut_set(F: FusionSystem, Q: Subgroup, K):
         return {qsorted}
     tables = set()
     for k in K:
-        if isinstance(k, FusionMorphism) or hasattr(k, "images"):
-            if k.domain.ids != Q.ids:
+        if isinstance(k, GroupHom):
+            h = as_hom(k, Q)
+            if h.domain.ids != Q.ids:
                 raise ValueError("automorphism domain is not Q")
-            tables.add(tuple(k.images))
-        else:
-            tables.add(tuple(k))
+            k = h.images
+        tables.add(tuple(k))
     for t in tables:
         if frozenset(t) != Q.ids:
             raise ValueError("K contains a non-automorphism of Q")

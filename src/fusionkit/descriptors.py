@@ -156,7 +156,7 @@ def parse_fusion_generators(S: Subgroup, data) -> list[GroupHom]:
                 f"fusion generator {gen_ids} -> {image_ids} is not a "
                 "homomorphism"
             )
-        if len(set(h.images)) != domain.order:
+        if not h.is_injective():
             raise DescriptorError(
                 f"fusion generator {gen_ids} -> {image_ids} is not injective"
             )
@@ -168,10 +168,10 @@ def serialize_fusion_generators(F) -> list[dict]:
     out = []
     for m in F.generating_morphisms():
         gens = m.domain.generator_ids()
-        table = m.table
+        pos = m.domain.positions
         out.append({
             "domain_gens": list(gens),
-            "images": [table[g] for g in gens],
+            "images": [m.images[pos[g]] for g in gens],
         })
     return out
 

@@ -8,10 +8,7 @@ of injective homomorphisms, and derived systems (quotients, normalizer
 subsystems) are handed their tables by a construction. The closure is
 `word_search`, a breadth-first search over generator images under partial
 maps; `alperin_decompose` runs the same search over fcr automorphisms.
-
-Morphism tables are tuples aligned with Q.sorted_ids whose entries are
-ambient element ids; equality of morphisms is extensional (domain, codomain,
-table) and never looks at provenance.
+Morphisms are handed out as `groups.GroupHom`s with their provenance.
 
 A system never changes once built, so every invariant derived from its
 tables (automizers, classes, normalizers, fcr objects, ...) is computed
@@ -31,6 +28,7 @@ from .groups import (
     Subgroup,
     _p_part,
     all_subgroups,
+    as_hom,
     centralizer,
     is_p_group,
     normalizer,
@@ -50,67 +48,6 @@ def _memoised(method):
         key = (name, *(X.ids for X in subgroups))
         return self.cached(key, lambda: method(self, *subgroups))
     return memoised
-
-
-class FusionMorphism:
-    """A morphism Q -> P of a fusion system, with optional provenance."""
-
-    __slots__ = ("domain", "codomain", "images", "provenance", "_hash")
-
-    def __init__(self, domain: Subgroup, codomain: Subgroup, images,
-                 provenance=None):
-        self.domain = domain
-        self.codomain = codomain
-        self.images = tuple(images)
-        self.provenance = provenance
-        self._hash = None
-
-    @property
-    def table(self) -> dict[int, int]:
-        return dict(zip(self.domain.sorted_ids, self.images))
-
-    def image_ids(self) -> frozenset[int]:
-        return frozenset(self.images)
-
-    def image(self) -> Subgroup:
-        return Subgroup(self.domain.ambient, self.image_ids())
-
-    def is_isomorphism(self) -> bool:
-        return self.image_ids() == self.codomain.ids
-
-    def as_group_hom(self) -> GroupHom:
-        return GroupHom(self.domain, self.domain.ambient, self.images)
-
-    def restrict(self, sub: Subgroup) -> "FusionMorphism":
-        t = self.table
-        return FusionMorphism(
-            sub, self.codomain, (t[i] for i in sub.sorted_ids),
-            provenance=self.provenance,
-        )
-
-    def inverse_images(self) -> tuple[int, ...]:
-        """Table of the inverse iso, aligned with image().sorted_ids."""
-        inv = dict(zip(self.images, self.domain.sorted_ids))
-        return tuple(inv[i] for i in sorted(inv))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FusionMorphism)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.domain, self.codomain, self.images))
-        return self._hash
-
-    def __repr__(self):
-        return (
-            f"<FusionMorphism |Q|={self.domain.order} -> "
-            f"|P|={self.codomain.order}>"
-        )
 
 
 class FusionSystem:
@@ -169,23 +106,20 @@ class FusionSystem:
             self._hom[Q.ids] = tables
         return tables
 
-    def hom_set(self, Q: Subgroup, P: Subgroup) -> list[FusionMorphism]:
+    def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
         if not P.ids <= self.S.ids:
             raise ValueError("codomain is not a subgroup of S")
         P = self.subgroup(P.ids)
         pids = P.ids
         tables = self.hom_to_S_tables(Q)
+        Q = self.subgroup(Q.ids)
         prov = self._prov.get(Q.ids, {})
-        out = []
-        for t in tables:
-            if all(i in pids for i in t):
-                out.append(
-                    FusionMorphism(self.subgroup(Q.ids), P, t,
-                                   provenance=prov.get(t))
-                )
-        return out
+        return [
+            GroupHom(Q, P, t, provenance=prov.get(t))
+            for t in tables if all(i in pids for i in t)
+        ]
 
-    def hom_to_S(self, Q: Subgroup) -> list[FusionMorphism]:
+    def hom_to_S(self, Q: Subgroup) -> list[GroupHom]:
         return self.hom_set(Q, self.S)
 
     @_memoised
@@ -195,12 +129,12 @@ class FusionSystem:
             t for t in self.hom_to_S_tables(P) if frozenset(t) == P.ids
         )
 
-    def aut_f(self, P: Subgroup) -> list[FusionMorphism]:
+    def aut_f(self, P: Subgroup) -> list[GroupHom]:
         P = self.subgroup(P.ids)
         tables = self.aut_f_tables(P)
         prov = self._prov.get(P.ids, {})
         return [
-            FusionMorphism(P, P, t, provenance=prov.get(t)) for t in tables
+            GroupHom(P, P, t, provenance=prov.get(t)) for t in tables
         ]
 
     @_memoised
@@ -241,11 +175,11 @@ class FusionSystem:
         witnesses = {row: r for r, _, row in self.centralizer_cosets(P)}
         return tuple(sorted(witnesses)), witnesses
 
-    def aut_s(self, P: Subgroup) -> list[FusionMorphism]:
+    def aut_s(self, P: Subgroup) -> list[GroupHom]:
         P = self.subgroup(P.ids)
         tables, witnesses = self.aut_s_tables(P)
         return [
-            FusionMorphism(P, P, t, provenance=("conjugation", witnesses[t]))
+            GroupHom(P, P, t, provenance=("conjugation", witnesses[t]))
             for t in tables
         ]
 
@@ -308,7 +242,7 @@ class FusionSystem:
             idx.setdefault(tuple(t[k] for k in gpos), t)
         return idx
 
-    def generating_morphisms(self) -> list[FusionMorphism]:
+    def generating_morphisms(self) -> list[GroupHom]:
         raise NotImplementedError
 
     def __repr__(self):
@@ -376,11 +310,11 @@ class TransporterFusion(FusionSystem):
         self._prov[Q.ids] = prov
         return tuple(sorted(prov))
 
-    def generating_morphisms(self) -> list[FusionMorphism]:
+    def generating_morphisms(self) -> list[GroupHom]:
         """One conjugation map per element of G, on its largest S-domain."""
         return [
-            FusionMorphism(D, self.S, tuple(table[i] for i in D.sorted_ids),
-                           provenance=("conjugation", g))
+            GroupHom(D, self.S, [table[i] for i in D.sorted_ids],
+                     provenance=("conjugation", g))
             for D, table, g in self._conjugation_pairs()
         ]
 
@@ -422,19 +356,18 @@ class GeneratedFusion(FusionSystem):
         self._gen_morphisms = []
         seeds = []
         for k, g in enumerate(gens):
-            domain, images = _coerce_seed(amb, g)
+            g = as_hom(g, S)
+            domain, images = g.domain, g.images
             if not domain.ids <= S.ids:
                 raise ValueError("generator domain is not a subgroup of S")
             if not set(images) <= S.ids:
                 raise ValueError("generator image is not inside S")
-            if len(set(images)) != domain.order:
+            h = GroupHom(domain, S, images, provenance=("seed", k))
+            if not h.is_injective():
                 raise ValueError("generator is not injective")
-            gh = GroupHom(domain, amb, images)
-            if not gh.is_homomorphism():
+            if not h.is_homomorphism():
                 raise ValueError("generator is not a homomorphism")
-            self._gen_morphisms.append(
-                FusionMorphism(domain, S, images, provenance=("seed", k))
-            )
+            self._gen_morphisms.append(h)
             seeds.append((domain.ids, dict(zip(domain.sorted_ids, images))))
             # the factorization axiom forces the inverse of each seed,
             # viewed as an isomorphism onto its image, into the system
@@ -466,7 +399,7 @@ class GeneratedFusion(FusionSystem):
         }
         return tuple(sorted(full.values()))
 
-    def generating_morphisms(self) -> list[FusionMorphism]:
+    def generating_morphisms(self) -> list[GroupHom]:
         return list(self._gen_morphisms)
 
 
@@ -486,25 +419,12 @@ class DerivedFusion(FusionSystem):
             "carry a fixed object list"
         )
 
-    def generating_morphisms(self) -> list[FusionMorphism]:
+    def generating_morphisms(self) -> list[GroupHom]:
         out = []
         for ids in sorted(self._hom, key=lambda s: (len(s), sorted(s))):
             Q = self.subgroup(ids)
             out.extend(self.hom_set(Q, self.S))
         return out
-
-
-def _coerce_seed(amb: FiniteGroup, g):
-    if isinstance(g, FusionMorphism):
-        return g.domain, g.images
-    if isinstance(g, GroupHom):
-        if g.codomain_ambient is not amb:
-            raise ValueError("generator lives in a different ambient group")
-        return g.domain, g.images
-    if isinstance(g, tuple) and len(g) == 2:
-        domain, images = g
-        return domain, tuple(images)
-    raise TypeError(f"cannot interpret fusion generator {g!r}")
 
 
 def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:

@@ -72,6 +72,7 @@ class FiniteGroup:
         self.identity_id = self.index[perms.identity(degree)]
         self._order_cache: dict[int, int] = {}
         self._tables: list[_Table] = []
+        self._all_ids: frozenset[int] | None = None
 
     def _close(self, gens):
         cap = max_group_order()
@@ -228,7 +229,12 @@ class FiniteGroup:
         return [self.index[g] for g in self.generators]
 
     def full(self) -> "Subgroup":
-        return Subgroup(self, range(len(self.elements)))
+        # the id set is kept, not the Subgroup: a Subgroup refers back to
+        # its ambient, and that cycle would keep a dropped group alive
+        # until the cyclic garbage collector runs
+        if self._all_ids is None:
+            self._all_ids = frozenset(range(len(self.elements)))
+        return Subgroup(self, self._all_ids)
 
     def trivial(self) -> "Subgroup":
         return Subgroup(self, (self.identity_id,))
@@ -545,76 +551,67 @@ def is_p_group(G: Subgroup, p: int) -> bool:
 
 
 class GroupHom:
-    """A homomorphism between subgroups, stored by total image table.
+    """A homomorphism domain -> codomain between subgroups, stored by its
+    image table; this is the one morphism class, so a morphism of a fusion
+    system (an injective homomorphism between subgroups of S) is a GroupHom
+    too.
 
-    images[k] is the codomain-ambient id of the image of the k-th element of
-    domain.sorted_ids. Equality is extensional over (domain, codomain ambient,
-    table).
+    images[k] is the codomain-ambient id of the image of the k-th element
+    of domain.sorted_ids, and must cover the whole domain. `provenance`
+    records how a fusion system found the map (a conjugating element, a
+    seed index or a word in the seeds); it is kept for reports and never
+    compared. Equality is extensional over (domain, codomain, table).
     """
 
-    __slots__ = ("domain", "codomain_ambient", "images", "_hash", "_by_id")
+    __slots__ = ("domain", "codomain", "images", "provenance", "_hash")
 
-    def __init__(self, domain: Subgroup, codomain_ambient: FiniteGroup, images):
+    def __init__(self, domain: Subgroup, codomain: Subgroup, images,
+                 provenance=None):
         self.domain = domain
-        self.codomain_ambient = codomain_ambient
+        self.codomain = codomain
         self.images = tuple(images)
         if len(self.images) != domain.order:
             raise ValueError("image table does not cover the domain")
+        self.provenance = provenance
         self._hash = None
-        self._by_id: dict[int, int] | None = None
-
-    @property
-    def table(self) -> dict[int, int]:
-        if self._by_id is None:
-            self._by_id = dict(zip(self.domain.sorted_ids, self.images))
-        return self._by_id
-
-    def apply(self, i: int) -> int:
-        return self.table[i]
 
     def image_ids(self) -> frozenset[int]:
         return frozenset(self.images)
 
     def image(self) -> Subgroup:
-        return Subgroup(self.codomain_ambient, self.image_ids())
+        return Subgroup(self.codomain.ambient, self.image_ids())
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
 
+    def is_isomorphism(self) -> bool:
+        """Whether the map is onto its codomain."""
+        return self.image_ids() == self.codomain.ids
+
     def restrict(self, sub: Subgroup) -> "GroupHom":
         if not sub.ids <= self.domain.ids:
             raise ValueError("restriction target is not inside the domain")
-        t = self.table
+        pos, images = self.domain.positions, self.images
         return GroupHom(
-            sub, self.codomain_ambient, (t[i] for i in sub.sorted_ids)
+            sub, self.codomain, [images[pos[i]] for i in sub.sorted_ids],
+            provenance=self.provenance,
         )
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """self followed by other; image(self) must sit in other's domain."""
-        t = other.table
+        pos, images = other.domain.positions, other.images
         return GroupHom(
-            self.domain,
-            other.codomain_ambient,
-            (t[i] for i in self.images),
-        )
-
-    def inverse_iso(self) -> "GroupHom":
-        if not self.is_injective():
-            raise ValueError("not injective")
-        inv = dict(zip(self.images, self.domain.sorted_ids))
-        img = self.image()
-        return GroupHom(
-            img, self.domain.ambient, (inv[i] for i in img.sorted_ids)
+            self.domain, other.codomain, [images[pos[i]] for i in self.images]
         )
 
     def is_homomorphism(self) -> bool:
-        dom, cod = self.domain.ambient, self.codomain_ambient
+        dom, cod = self.domain.ambient, self.codomain.ambient
         _tabled(self.domain)
-        t = self.table
+        pos, images = self.domain.positions, self.images
         ids = self.domain.sorted_ids
         return all(
-            tuple([t[j] for j in dom.mul_row(ids, g)])
-            == cod.mul_row(self.images, t[g])
+            tuple([images[pos[j]] for j in dom.mul_row(ids, g)])
+            == cod.mul_row(images, images[pos[g]])
             for g in self.domain.generator_ids()
         )
 
@@ -622,32 +619,37 @@ class GroupHom:
         return (
             isinstance(other, GroupHom)
             and self.domain == other.domain
-            and self.codomain_ambient is other.codomain_ambient
+            and self.codomain == other.codomain
             and self.images == other.images
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (self.domain, id(self.codomain_ambient), self.images)
-            )
+            self._hash = hash((self.domain, self.codomain, self.images))
         return self._hash
 
     def __repr__(self):
         return (
-            f"<GroupHom from order-{self.domain.order} subgroup, "
-            f"image order {len(set(self.images))}>"
+            f"<GroupHom |Q|={self.domain.order} -> |P|={self.codomain.order}>"
         )
 
 
-def identity_hom(H: Subgroup) -> GroupHom:
-    return GroupHom(H, H.ambient, H.sorted_ids)
+def as_hom(phi, codomain: Subgroup) -> GroupHom:
+    """`phi` as a GroupHom into the ambient group of `codomain`.
 
-
-def inclusion_hom(H: Subgroup, G: Subgroup) -> GroupHom:
-    if not H.ids <= G.ids:
-        raise ValueError("not a subgroup inclusion")
-    return GroupHom(H, G.ambient, H.sorted_ids)
+    A GroupHom is returned as it is; a (domain, images) pair becomes the
+    GroupHom domain -> codomain with that table. A morphism or domain from
+    another ambient group raises ValueError, and anything else TypeError.
+    """
+    if (isinstance(phi, tuple) and len(phi) == 2
+            and isinstance(phi[0], Subgroup)):
+        phi = GroupHom(phi[0], codomain, phi[1])
+    elif not isinstance(phi, GroupHom):
+        raise TypeError(f"cannot interpret {phi!r} as a morphism")
+    amb = codomain.ambient
+    if phi.domain.ambient is not amb or phi.codomain.ambient is not amb:
+        raise ValueError("morphism lives in a different ambient group")
+    return phi
 
 
 def hom_from_images(
@@ -682,7 +684,7 @@ def hom_from_images(
         frontier = new
     if len(table) != domain.order:
         raise ValueError("gen_ids do not generate the domain")
-    return GroupHom(domain, cod, (table[i] for i in domain.sorted_ids))
+    return GroupHom(domain, cod.full(), [table[i] for i in domain.sorted_ids])
 
 
 def _iso_candidates(domain: Subgroup, codomain: Subgroup):
@@ -745,11 +747,11 @@ def isomorphisms(domain: Subgroup, codomain: Subgroup, *, limit=None):
         h = hom_from_images(domain, codomain.ambient, gens, assignment)
         if h is None:
             continue
-        if len(set(h.images)) != domain.order:
+        if not h.is_injective():
             continue
         if not h.image_ids() <= codomain.ids:
             continue
-        yield h
+        yield GroupHom(domain, codomain, h.images)
         count += 1
         if limit is not None and count >= limit:
             return
@@ -772,7 +774,7 @@ def inner_automorphisms(P: Subgroup) -> list[GroupHom]:
     """The distinct conjugation maps c_x on P, x in P, by image table."""
     amb = P.ambient
     tables = {amb.conj_row(P.sorted_ids, x) for x in P.sorted_ids}
-    return [GroupHom(P, amb, t) for t in sorted(tables)]
+    return [GroupHom(P, P, t) for t in sorted(tables)]
 
 
 # --------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def semidirect_product(
     for row in action:
         images = [base.id_of(p) for p in row]
         h = hom_from_images(base.full(), base, base_gen_ids, images)
-        if h is None or len(set(h.images)) != base.order:
+        if h is None or not h.is_injective():
             raise ValueError("action row is not an automorphism of the base")
         gen_autos.append(h.images)  # total table over base ids (sorted = all)
 

@@ -220,7 +220,7 @@ class _Extraspecial:
             self.word(0, 0, det),
         ]
         h = hom_from_images(self.S, self.G, [self.x, self.y, self.z], images)
-        if h is None or len(set(h.images)) != self.S.order:
+        if h is None or not h.is_injective():
             raise AssertionError(f"matrix {m} did not lift to an automorphism")
         return h
 
@@ -246,7 +246,7 @@ class _Extraspecial:
                 self._v_word(v, m[0][1], m[1][1]),
             ]
             h = hom_from_images(V, self.G, [v, self.z], imgs)
-            if h is None or len(set(h.images)) != V.order:
+            if h is None or not h.is_injective():
                 raise AssertionError(f"matrix {m} is not invertible on V")
             seeds.append(h)
         return seeds

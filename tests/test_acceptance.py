@@ -38,7 +38,7 @@ from fusionkit import (
     symmetric_group,
     transporter_fusion,
     verify_decomposition,
-    FusionMorphism,
+    GroupHom,
 )
 from fusionkit.cli import main as cli_main, _witness_pairs_p3
 from fusionkit.report import strip_timing
@@ -129,7 +129,7 @@ def test_criterion_3_decomposition(saturated_suite):
         n_maps = 0
         for Q in F.objects():
             for tab in F.hom_to_S_tables(Q):
-                phi = FusionMorphism(Q, F.S, tab)
+                phi = GroupHom(Q, F.S, tab)
                 d = alperin_decompose(F, phi)
                 chk = verify_decomposition(F, d, phi)
                 if not chk or not all(

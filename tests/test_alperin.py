@@ -4,7 +4,7 @@ import pytest
 
 from fusionkit import (
     AlperinDecomposition,
-    FusionMorphism,
+    GroupHom,
     alperin_decompose,
     equal_hom_tables,
     fcr_objects,
@@ -17,12 +17,12 @@ from fusionkit import (
 def _iso_morphisms(F):
     for Q in F.objects():
         for m in F.hom_to_S(Q):
-            yield FusionMorphism(Q, F.S, m.images)
+            yield GroupHom(Q, F.S, m.images)
 
 
 def test_identity_decomposes_to_empty_chain(f_s4):
     F = f_s4
-    phi = FusionMorphism(F.S, F.S, F.S.sorted_ids)
+    phi = GroupHom(F.S, F.S, F.S.sorted_ids)
     d = alperin_decompose(F, phi)
     assert len(d) == 0
     assert verify_decomposition(F, d)
@@ -31,7 +31,7 @@ def test_identity_decomposes_to_empty_chain(f_s4):
 def test_trivial_subgroup_needs_no_steps(f_s4):
     F = f_s4
     one = F.subgroup(frozenset([F.ambient.identity_id]))
-    phi = FusionMorphism(one, F.S, (F.ambient.identity_id,))
+    phi = GroupHom(one, F.S, (F.ambient.identity_id,))
     d = alperin_decompose(F, phi)
     assert len(d) == 0
 
@@ -42,7 +42,7 @@ def test_double_transposition_swap_is_one_step(f_s4):
     a = G.index[(1, 0, 3, 2)]
     b = G.index[(2, 3, 0, 1)]
     A = F.subgroup(frozenset([G.identity_id, a]))
-    phi = FusionMorphism(A, F.S, (G.identity_id, b))
+    phi = GroupHom(A, F.S, (G.identity_id, b))
     d = alperin_decompose(F, phi)
     assert len(d) == 1
     _P, Q, psi = d.chain[0]
@@ -63,7 +63,7 @@ def test_inner_morphism_goes_through_sylow(f_s4):
     img = G.index[perms.conjugate(G.elements[t], G.elements[s])]
     assert img != t
     A = F.subgroup(frozenset([G.identity_id, t]))
-    phi = FusionMorphism(A, F.S, (G.identity_id, img))
+    phi = GroupHom(A, F.S, (G.identity_id, img))
     d = alperin_decompose(F, phi)
     assert len(d) >= 1
     assert verify_decomposition(F, d)
@@ -87,7 +87,7 @@ def test_tampered_chain_detected(f_s4):
     a = G.index[(1, 0, 3, 2)]
     b = G.index[(2, 3, 0, 1)]
     A = F.subgroup(frozenset([G.identity_id, a]))
-    phi = FusionMorphism(A, F.S, (G.identity_id, b))
+    phi = GroupHom(A, F.S, (G.identity_id, b))
     d = alperin_decompose(F, phi)
     assert len(d) == 1
     P1, Q, psi = d.chain[0]
@@ -95,18 +95,18 @@ def test_tampered_chain_detected(f_s4):
     # clause a: route the step through a non-fcr object
     C = F.subgroup(frozenset([G.identity_id, a]))
     bad_a = AlperinDecomposition(
-        A, d.target, [(P1, C, FusionMorphism(C, C, C.sorted_ids))], phi)
+        A, d.target, [(P1, C, GroupHom(C, C, C.sorted_ids))], phi)
     assert verify_decomposition(F, bad_a).violated == "a"
 
     # clause b: replace psi by a non-automorphism table
     ims = list(psi.images)
     ims[0], ims[1] = ims[1], ims[0]
     bad_b = AlperinDecomposition(
-        A, d.target, [(P1, Q, FusionMorphism(Q, Q, tuple(ims)))], phi)
+        A, d.target, [(P1, Q, GroupHom(Q, Q, tuple(ims)))], phi)
     assert verify_decomposition(F, bad_b).violated == "b"
 
     # clause c: claim the chain computes a different morphism
-    other = FusionMorphism(A, F.S, (G.identity_id, a))
+    other = GroupHom(A, F.S, (G.identity_id, a))
     assert verify_decomposition(F, d, other).violated == "c"
 
 
@@ -115,7 +115,7 @@ def test_unsaturated_morphism_fails_to_decompose(f_swap):
     V = F.ambient
     a, b = V.generator_ids()
     A = F.subgroup(frozenset([V.identity_id, a]))
-    phi = FusionMorphism(A, F.S, (V.identity_id, b))
+    phi = GroupHom(A, F.S, (V.identity_id, b))
     assert phi.images in F.hom_to_S_tables(A)
     with pytest.raises(LookupError):
         alperin_decompose(F, phi)
@@ -142,7 +142,7 @@ def test_chain_steps_are_fcr_automorphisms(f_es54):
                for j in F.S.ids)
     ))
     for m in hom_set(F, Z, F.S):
-        d = alperin_decompose(F, FusionMorphism(Z, F.S, m.images))
+        d = alperin_decompose(F, GroupHom(Z, F.S, m.images))
         assert verify_decomposition(F, d)
         for _P, Q, psi in d.chain:
             assert Q.ids in fcr

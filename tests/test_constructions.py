@@ -3,7 +3,7 @@
 import pytest
 
 from fusionkit import (
-    FusionMorphism,
+    GroupHom,
     Subgroup,
     audit_axioms,
     aut_F,
@@ -113,7 +113,7 @@ def test_quotient_map_is_functorial(f_s4):
         mapped += 1
     assert mapped == 2  # V1 itself and the whole Sylow
     for m in hom_set(F, F.S, F.S):
-        alpha = FusionMorphism(F.S, F.S, m.images)
+        alpha = GroupHom(F.S, F.S, m.images)
         mq = qm.morphism_map(alpha)
         assert mq.images in Fq.hom_to_S_tables(mq.domain)
 
@@ -183,7 +183,7 @@ def test_normalizer_rejects_foreign_domain(f_s4):
     V1 = next(Q for Q in fcr_objects(F) if Q.order == 4)
     Z = F.subgroup(frozenset([G.identity_id,
                               next(iter(V1.ids - {G.identity_id}))]))
-    alien = FusionMorphism(Z, F.S, Z.sorted_ids)
+    alien = GroupHom(Z, F.S, Z.sorted_ids)
     with pytest.raises(ValueError):
         normalizer_subsystem(F, V1, [alien])
 

@@ -3,6 +3,9 @@
 import pytest
 
 from fusionkit import (
+    GroupHom,
+    Subgroup,
+    alperin_decompose,
     audit_axioms,
     aut_F,
     aut_S,
@@ -12,15 +15,18 @@ from fusionkit import (
     equal_hom_tables,
     f_class_of_element,
     f_conjugates,
+    fcr_objects,
     generated_fusion,
     hom_from_images,
     hom_set,
     hom_table_digest,
     inner_fusion,
+    normalizer_subsystem,
     subgroup_generated,
     sylow_p,
     symmetric_group,
     transporter_fusion,
+    verify_decomposition,
 )
 
 
@@ -209,3 +215,49 @@ def test_digest_stability(f_s3):
     d2 = hom_table_digest(f_s3)
     assert d1 == d2
     assert d1["object_count"] == len(f_s3.objects())
+
+
+def test_short_image_table_is_rejected(f_s4):
+    F = f_s4
+    S = F.S
+    short = S.sorted_ids[:2]
+    with pytest.raises(ValueError, match="does not cover the domain"):
+        GroupHom(S, S, short)
+    with pytest.raises(ValueError, match="does not cover the domain"):
+        generated_fusion(S, 2, [(S, short)])
+    d = alperin_decompose(F, (S, S.sorted_ids))
+    with pytest.raises(ValueError, match="does not cover the domain"):
+        verify_decomposition(F, d, (S, short))
+
+
+@pytest.mark.parametrize("form", ["pair", "hom_from_images", "morphism"])
+def test_morphisms_from_another_ambient_are_rejected(f_s4, form):
+    """The same ids in a separately built S4 name a different group."""
+    F = f_s4
+    V = next(Q for Q in fcr_objects(F) if Q.order == 4)
+    G2 = symmetric_group(4)
+    V2 = Subgroup(G2, V.ids)
+    gens = V2.generator_ids()
+    phi = {
+        "pair": (V2, V.sorted_ids),
+        "hom_from_images": hom_from_images(V2, G2, gens, gens),
+        "morphism": GroupHom(V2, Subgroup(G2, F.S.ids), V.sorted_ids),
+    }[form]
+    foreign = "different ambient group"
+    with pytest.raises(ValueError, match=foreign):
+        generated_fusion(F.S, 2, [phi])
+    with pytest.raises(ValueError, match=foreign):
+        alperin_decompose(F, phi)
+    d = alperin_decompose(F, (V, V.sorted_ids))
+    with pytest.raises(ValueError, match=foreign):
+        verify_decomposition(F, d, phi)
+    if form != "pair":
+        with pytest.raises(ValueError, match=foreign):
+            normalizer_subsystem(F, V, [phi])
+
+
+def test_restrict_outside_the_domain_raises(f_s4):
+    F = f_s4
+    V = next(Q for Q in fcr_objects(F) if Q.order == 4)
+    with pytest.raises(ValueError, match="not inside the domain"):
+        F.aut_f(V)[0].restrict(F.S)

@@ -105,6 +105,15 @@ def test_automorphism_group_order_of_extraspecial_27():
     assert set(inner) <= set(auts)
 
 
+def test_automorphisms_of_a_subgroup_are_onto_it():
+    G = symmetric_group(4)
+    S = sylow_p(G.full(), 2)
+    auts = automorphisms(S)
+    assert len(auts) == 8
+    assert all(a.codomain == S and a.is_isomorphism() for a in auts)
+    assert set(inner_automorphisms(S)) <= set(auts)
+
+
 def test_automorphisms_form_group():
     G = dihedral_group(8)
     auts = automorphisms(G.full())

@@ -7,6 +7,9 @@ other module works on element ids. Inside `groups` only FiniteGroup's own
 methods use them, so the choice between the S-local table and the
 permutation tuples is made in one place. The modules that never touch
 permutation tuples do not import `perms` at all.
+
+`groups.GroupHom` is the one class that holds a morphism's image table: no
+other module defines a class with an `images` slot.
 """
 
 import ast
@@ -73,3 +76,27 @@ def test_groups_uses_kernels_only_in_finitegroup_methods():
                     allowed.update(_kernel_uses(method))
     assert allowed, "FiniteGroup no longer uses the kernels at all"
     assert sorted(set(_kernel_uses(tree)) - allowed) == []
+
+
+def _slot_names(cls):
+    """The names listed in a class body's `__slots__` assignment."""
+    for node in cls.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in node.targets)):
+            value = node.value
+            elts = value.elts if isinstance(value, (ast.Tuple, ast.List,
+                                                    ast.Set)) else [value]
+            for e in elts:
+                if isinstance(e, ast.Constant):
+                    yield e.value
+
+
+def test_grouphom_is_the_only_morphism_class():
+    holders = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.ClassDef) and "images" in _slot_names(node)
+    ]
+    assert holders == ["groups.py:GroupHom"]

@@ -16,7 +16,7 @@ import oracle_word_search as oracle
 from conftest import extraspecial27_c2
 from test_sweep import GROUPS, relabelled
 from fusionkit import (
-    FusionMorphism,
+    GroupHom,
     alperin_decompose,
     generated_fusion,
     hom_from_images,
@@ -65,7 +65,7 @@ def _unsaturated(F):
     a, b = A.generator_ids()[0], B.generator_ids()[0]
     h = hom_from_images(A, amb, [a], [b])
     U = generated_fusion(F.S, F.p, [h])
-    return U, FusionMorphism(U.subgroup(A.ids), U.S, h.images)
+    return U, GroupHom(U.subgroup(A.ids), U.S, h.images)
 
 
 def _check_chains(F):
@@ -73,7 +73,7 @@ def _check_chains(F):
     count = 0
     for Q in F.objects():
         for t in F.hom_to_S_tables(Q):
-            d = alperin_decompose(F, FusionMorphism(Q, F.S, t))
+            d = alperin_decompose(F, GroupHom(Q, F.S, t))
             assert _chain(d) == oracle.decompose(moves, Q.sorted_ids, t)
             assert d.target.ids == frozenset(t)
             count += 1
