@@ -7,14 +7,13 @@ structural witness report combining all of them.
 
 from __future__ import annotations
 
-from . import perms
+from operator import add
+
 from .classify import is_saturated, is_strongly_closed
-from .fusion import DerivedFusion, FusionSystem, GeneratedFusion
+from .fusion import DerivedFusion, FusionSystem
 from .groups import (
-    FiniteGroup,
     GroupHom,
     Subgroup,
-    all_subgroups,
     as_hom,
     automorphisms,
     centralizer,
@@ -23,7 +22,6 @@ from .groups import (
     normalizer,
     product_ids,
     quotient_group,
-    subgroup_generated,
 )
 from .named import direct_product
 
@@ -31,59 +29,45 @@ MAX_ISO_SEARCH_ORDER = 4096
 
 
 def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
-    """The fusion system over S1 x S2 generated by coordinate pairs of
-    morphisms; seeded with identity-padded generators of each factor,
-    whose closure equals the all-pairs seeding."""
+    """F1 x F2 over S1 x S2, by the factor rule of Aschbacher, Kessar &
+    Oliver, Fusion Systems in Algebra and Topology (2011), I.6: Hom(Q, S)
+    is the set of restrictions to Q of a1 x a2, with a_i in
+    Hom_{F_i}(pi_i Q, S_i). The ambient is direct_product(G1, G2), whose
+    element i*|G2| + j is (g_i, h_j), so an id projects by divmod. Each
+    object's tables are built from the factors' when it is first asked for;
+    `factor_embeddings` holds S1 x 1 and 1 x S2."""
     if F1.p != F2.p:
         raise ValueError(f"prime mismatch: {F1.p} != {F2.p}")
-    amb1, amb2 = F1.ambient, F2.ambient
-    amb = direct_product(amb1, amb2)
-    pair_cache: dict = {}
+    amb = direct_product(F1.ambient, F2.ambient)
+    n2 = F2.ambient.order
 
-    def pair_id(i: int, j: int) -> int:
-        key = (i, j)
-        out = pair_cache.get(key)
-        if out is None:
-            out = amb.index[perms.direct_sum(amb1.elements[i],
-                                             amb2.elements[j])]
-            pair_cache[key] = out
+    def hom(Q: Subgroup):
+        pairs = [divmod(x, n2) for x in Q.sorted_ids]
+        Q1 = F1.subgroup(i for i, _ in pairs)
+        Q2 = F2.subgroup(j for _, j in pairs)
+        pos1 = [Q1.positions[i] for i, _ in pairs]
+        pos2 = [Q2.positions[j] for _, j in pairs]
+        left = [[t[k] * n2 for k in pos1] for t in F1.hom_to_S_tables(Q1)]
+        right = [[t[k] for k in pos2] for t in F2.hom_to_S_tables(Q2)]
+        # the identity table is Q.sorted_ids itself, as in a generated
+        # closure: hom_table_digest pickles the tables, and pickle writes an
+        # object shared with the object list by reference
+        out = {Q.sorted_ids}
+        out.update(tuple(map(add, a, b)) for a in left for b in right)
         return out
 
-    s_ids = frozenset(
-        pair_id(i, j) for i in F1.S.ids for j in F2.S.ids
+    S12 = Subgroup(amb, frozenset(
+        i * n2 + j for i in F1.S.ids for j in F2.S.ids
+    ))
+    F = DerivedFusion(S12, F1.p, hom,
+                      descriptor={"kind": "product",
+                                  "factors": (F1.descriptor, F2.descriptor)})
+    e1, e2 = F1.ambient.identity_id, F2.ambient.identity_id
+    F.factor_embeddings = (
+        F.subgroup(i * n2 + e2 for i in F1.S.ids),
+        F.subgroup(e1 * n2 + j for j in F2.S.ids),
     )
-    S12 = Subgroup(amb, s_ids)
-    seeds = []
-    for m in F1.generating_morphisms():
-        table = {}
-        mmap = dict(zip(m.domain.sorted_ids, m.images))
-        for x in m.domain.ids:
-            for j in F2.S.ids:
-                table[pair_id(x, j)] = pair_id(mmap[x], j)
-        D = Subgroup(amb, frozenset(table))
-        seeds.append((D, tuple(table[q] for q in D.sorted_ids)))
-    for m in F2.generating_morphisms():
-        table = {}
-        mmap = dict(zip(m.domain.sorted_ids, m.images))
-        for i in F1.S.ids:
-            for y in m.domain.ids:
-                table[pair_id(i, y)] = pair_id(i, mmap[y])
-        D = Subgroup(amb, frozenset(table))
-        seeds.append((D, tuple(table[q] for q in D.sorted_ids)))
-    F = GeneratedFusion(S12, F1.p, seeds,
-                        descriptor={"kind": "product",
-                                    "factors": (F1.descriptor, F2.descriptor)})
-    F.factor_embeddings = _factor_embeddings(F1, F2, amb, pair_id)
     return F
-
-
-def _factor_embeddings(F1, F2, amb, pair_id):
-    """Subgroups S1 x 1 and 1 x S2 inside the product ambient."""
-    e1 = F1.ambient.identity_id
-    e2 = F2.ambient.identity_id
-    left = Subgroup(amb, frozenset(pair_id(i, e2) for i in F1.S.ids))
-    right = Subgroup(amb, frozenset(pair_id(e1, j) for j in F2.S.ids))
-    return left, right
 
 
 class QuotientMap:
@@ -132,8 +116,9 @@ def _push_forward(theta: dict, kernel: frozenset, dom_sorted, table,
 
 
 def quotient_fusion(F: FusionSystem, T: Subgroup):
-    """(F/T, QuotientMap). T must be strongly closed; hom sets are the
-    push-forwards of the kernel-stabilizing morphisms on preimages."""
+    """(F/T, QuotientMap). T must be strongly closed. Hom(P/T, S/T) is the
+    set of push-forwards of the kernel-stabilizing morphisms out of the
+    preimage P, computed when P/T is first asked for."""
     T = F.subgroup(T.ids)
     if not is_strongly_closed(F, T):
         raise ValueError("kernel is not strongly closed")
@@ -142,26 +127,24 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
     preimage: dict = {}
     for i in F.S.sorted_ids:
         preimage.setdefault(theta[i], []).append(i)
-    tables: dict = {}
-    for Pq in all_subgroups(Sq):
-        pre = frozenset(
-            x for c in Pq.ids for x in preimage[c]
-        )
-        Phat = F.subgroup(pre)
+
+    def hom(Pq: Subgroup):
+        Phat = F.subgroup(x for c in Pq.ids for x in preimage[c])
         pushed = {
             _push_forward(theta, T.ids, Phat.sorted_ids, t, Pq.sorted_ids)
             for t in F.hom_to_S_tables(Phat)
         }
         pushed.discard(None)
-        tables[Pq.ids] = tuple(sorted(pushed))
-    Fq = DerivedFusion(Sq, F.p, tables,
+        return pushed
+
+    Fq = DerivedFusion(Sq, F.p, hom,
                        descriptor={"kind": "quotient",
                                    "kernel_order": T.order,
                                    "parent": F.descriptor})
     return Fq, QuotientMap(F, Fq, T, theta)
 
 
-def _coerce_aut_set(F: FusionSystem, Q: Subgroup, K):
+def _coerce_aut_set(Q: Subgroup, K):
     """K as a set of automorphism tables over Q.sorted_ids; validates
     closure under composition (with identity, a finite group)."""
     qsorted = Q.sorted_ids
@@ -194,19 +177,19 @@ def _coerce_aut_set(F: FusionSystem, Q: Subgroup, K):
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
                          K="full") -> FusionSystem:
     """N_F^K(Q): the system over N_S^K(Q) of morphisms extending to maps
-    that stabilize Q with restriction in K."""
-    amb = F.ambient
+    that stabilize Q with restriction in K, read for each object P from
+    Hom_F(PQ, S) when P is first asked for."""
     Q = F.subgroup(Q.ids)
-    K_tables = _coerce_aut_set(F, Q, K)
+    K_tables = _coerce_aut_set(Q, K)
     qsorted = Q.sorted_ids
     s_ids = {
         g for g in normalizer(F.S, Q).ids
-        if amb.conj_row(qsorted, g) in K_tables
+        if F.ambient.conj_row(qsorted, g) in K_tables
     }
     Sp = F.subgroup(frozenset(s_ids))
     assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
-    tables: dict = {}
-    for P in all_subgroups(Sp):
+
+    def hom(P: Subgroup):
         PQ = F.subgroup(product_ids(P, Q))
         qpos = [PQ.positions[x] for x in qsorted]
         ppos = [PQ.positions[x] for x in P.sorted_ids]
@@ -217,8 +200,9 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
             rest = tuple(t[k] for k in ppos)
             if set(rest) <= s_ids:
                 out.add(rest)
-        tables[P.ids] = tuple(sorted(out))
-    return DerivedFusion(Sp, F.p, tables,
+        return out
+
+    return DerivedFusion(Sp, F.p, hom,
                          descriptor={"kind": "normalizer",
                                      "at_order": Q.order,
                                      "k_order": len(K_tables),

@@ -2,13 +2,15 @@
 
 A FusionSystem stores, for each subgroup Q of its top group S, the full set
 Hom(Q, S) of morphisms out of Q as image tables; Hom(Q, P) is the subset
-whose image lies in P. Three backends fill those tables: transporter systems
-sweep conjugations by an ambient group, generated systems close a seed set
-of injective homomorphisms, and derived systems (quotients, normalizer
-subsystems) are handed their tables by a construction. The closure is
-`word_search`, a breadth-first search over generator images under partial
-maps; `alperin_decompose` runs the same search over fcr automorphisms.
-Morphisms are handed out as `groups.GroupHom`s with their provenance.
+whose image lies in P. Three backends fill those tables, each object's
+when it is first asked for: transporter systems sweep conjugations by an
+ambient group, generated systems close a seed set of injective
+homomorphisms, and derived systems (products, quotients, normalizer and
+centralizer subsystems) compute them from their parent systems by a rule
+the construction supplies. The closure is `word_search`, a breadth-first
+search over generator images under partial maps; `alperin_decompose` runs
+the same search over fcr automorphisms. Morphisms are handed out as
+`groups.GroupHom`s with their provenance.
 
 A system never changes once built, so every invariant derived from its
 tables (automizers, classes, normalizers, fcr objects, ...) is computed
@@ -378,8 +380,6 @@ class GeneratedFusion(FusionSystem):
             table = dict(zip(S.sorted_ids, amb.conj_row(S.sorted_ids, t)))
             seeds.append((S.ids, table))
         self._seeds = seeds
-        for Q in self.objects():
-            self.hom_to_S_tables(Q)
 
     def _compute_hom(self, Q: Subgroup):
         """Hom(Q, S): each searched map's table is built from its parent's."""
@@ -404,25 +404,21 @@ class GeneratedFusion(FusionSystem):
 
 
 class DerivedFusion(FusionSystem):
-    """A fusion system whose hom tables were produced by a construction."""
+    """A fusion system built from other systems by a construction: `hom(Q)`
+    gives the distinct tables of Hom(Q, S) for a subgroup Q of S, computed
+    from the parent systems when Q is first asked for."""
 
-    def __init__(self, S: Subgroup, p: int, tables: dict, descriptor=None,
-                 provenance: dict | None = None):
+    def __init__(self, S: Subgroup, p: int, hom, descriptor=None):
         super().__init__(S, p, "derived", descriptor=descriptor)
-        self._hom = {ids: tuple(sorted(ts)) for ids, ts in tables.items()}
-        if provenance:
-            self._prov.update(provenance)
+        self._derive = hom
 
     def _compute_hom(self, Q: Subgroup):
-        raise KeyError(
-            f"no hom table for subgroup of order {Q.order}; derived systems "
-            "carry a fixed object list"
-        )
+        return tuple(sorted(self._derive(Q)))
 
     def generating_morphisms(self) -> list[GroupHom]:
         out = []
-        for ids in sorted(self._hom, key=lambda s: (len(s), sorted(s))):
-            Q = self.subgroup(ids)
+        for Q in sorted(self.objects(),
+                        key=lambda Q: (Q.order, Q.sorted_ids)):
             out.extend(self.hom_set(Q, self.S))
         return out
 

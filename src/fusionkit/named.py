@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+from math import prod
+
 from . import perms
-from .groups import FiniteGroup, GroupTooLarge, hom_from_images
+from .groups import FiniteGroup, GroupTooLarge, hom_from_images, max_group_order
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -70,13 +73,23 @@ def abelian_group(invariants) -> FiniteGroup:
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:
-    """Direct product acting on the disjoint union of the factor domains."""
+    """Direct product acting on the disjoint union of the factor domains.
+
+    The elements are listed directly as the direct sums of factor
+    elements, each factor acting on its own block of points. Since the
+    factors' element lists are sorted, so is that list, and the ids follow
+    the factor order: for two factors G and H, element i*|H| + j is
+    (g_i, h_j)."""
     if not factors:
         raise ValueError("need at least one factor")
     if len(factors) == 1:
         return factors[0]
+    cap = max_group_order()
+    if prod(g.order for g in factors) > cap:
+        raise GroupTooLarge(f"group exceeds FUSIONKIT_MAX_GROUP_ORDER={cap}")
     degree = sum(g.degree for g in factors)
     gens = []
+    blocks = []
     offset = 0
     for g in factors:
         for p in g.generators:
@@ -84,9 +97,11 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
             for i, x in enumerate(p):
                 q[offset + i] = offset + x
             gens.append(tuple(q))
+        blocks.append([tuple(offset + x for x in p) for p in g.elements])
         offset += g.degree
+    elements = [sum(parts, ()) for parts in itertools.product(*blocks)]
     name = "x".join(g.name or "?" for g in factors)
-    return FiniteGroup(degree, gens, name=name)
+    return FiniteGroup(degree, gens, name=name, elements=elements)
 
 
 def extraspecial_plus(p: int) -> FiniteGroup:

@@ -338,6 +338,25 @@ def test_isomorphism_search():
     assert n == 2
 
 
+def test_direct_product_ids_follow_factor_order():
+    G, H = symmetric_group(3), cyclic_group(4)
+    P = direct_product(G, H)
+    assert P.order == G.order * H.order
+    for i, g in enumerate(G.elements):
+        for j, h in enumerate(H.elements):
+            assert P.elements[i * H.order + j] == perms.direct_sum(g, h)
+    closed = FiniteGroup(P.degree, P.generators)
+    assert closed.elements == P.elements
+
+
+def test_direct_product_respects_group_cap(monkeypatch):
+    S4 = symmetric_group(4)
+    monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", "100")
+    with pytest.raises(GroupTooLarge):
+        direct_product(S4, symmetric_group(4))
+    assert direct_product(S4, cyclic_group(4)).order == 96
+
+
 def test_group_cap(monkeypatch):
     monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", "10")
     with pytest.raises(GroupTooLarge):

@@ -20,7 +20,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
 KERNELS = {"mul", "conjugate", "power", "inverse"}
 KERNEL_USERS = {"groups.py", "named.py", "perms.py"}
-NO_PERMS_IMPORT = ["fusion.py", "classify.py", "alperin.py", "rv.py", "cli.py"]
+NO_PERMS_IMPORT = ["fusion.py", "classify.py", "alperin.py", "rv.py", "cli.py",
+                   "constructions.py"]
 
 
 def _tree(name):

@@ -5,13 +5,15 @@ Alperin chains are compared for every morphism of each transporter
 system and of a copy of G with its points relabelled by a seeded random
 permutation. The closure of generated systems is compared table by table
 and word by word on the fcr regeneration of each system, on a system
-that is not saturated, and on one product of `witness --p 3`.
+that is not saturated, and on the generated closure of one product of
+`witness --p 3` (oracle_product).
 """
 
 import random
 
 import pytest
 
+import oracle_product
 import oracle_word_search as oracle
 from conftest import extraspecial27_c2
 from test_sweep import GROUPS, relabelled
@@ -20,7 +22,6 @@ from fusionkit import (
     alperin_decompose,
     generated_fusion,
     hom_from_images,
-    product_fusion,
     regenerate_from_fcr,
     sylow_p,
     symmetric_group,
@@ -113,8 +114,8 @@ def test_regeneration_closure_matches_full_table_search(name, p, relabel):
 
 
 def test_witness_product_closure_matches_full_table_search():
-    F = product_fusion(_transporter(extraspecial27_c2(), 3),
-                       _transporter(symmetric_group(3), 3))
+    F = oracle_product.product_closure(_transporter(extraspecial27_c2(), 3),
+                                       _transporter(symmetric_group(3), 3))
     _check_closure(F)
 
 
