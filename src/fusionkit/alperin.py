@@ -10,8 +10,8 @@ clauses.
 
 from __future__ import annotations
 
-from .classify import aut_f_group, fcr_objects
-from .fusion import FusionSystem, GeneratedFusion, word_search
+from .classify import fcr_objects
+from .fusion import FusionSystem, generated_fusion, word_search
 from .groups import GroupHom, Subgroup, as_hom
 
 
@@ -131,20 +131,14 @@ def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
     return DecompositionCheck(None)
 
 
-def regenerate_from_fcr(F: FusionSystem, *, generators_only: bool = False):
+def regenerate_from_fcr(F: FusionSystem):
     """The fusion system generated by the fcr automorphism groups of F.
 
     For saturated F this regenerates F itself (the global content of the
-    decomposition theorem). `generators_only` seeds a generating subset
-    of each Aut_F(Q) instead of the full set; the closure is identical.
+    decomposition theorem).
     """
-    seeds = []
-    for Q in fcr_objects(F):
-        auts = F.aut_f_tables(Q)
-        if generators_only:
-            grp, tables = aut_f_group(F, Q)
-            keep = [tables[i] for i in grp.full().generator_ids()]
-            auts = sorted(keep)
-        seeds.extend(GroupHom(Q, Q, t) for t in auts)
-    return GeneratedFusion(F.S, F.p, seeds,
-                           descriptor={"kind": "fcr-regeneration"})
+    seeds = [
+        GroupHom(Q, Q, t) for Q in fcr_objects(F) for t in F.aut_f_tables(Q)
+    ]
+    return generated_fusion(F.S, F.p, seeds,
+                            descriptor={"kind": "fcr-regeneration"})

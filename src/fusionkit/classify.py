@@ -160,21 +160,14 @@ def is_centric(F: FusionSystem, P: Subgroup) -> bool:
     )
 
 
-def aut_f_group(F: FusionSystem, P: Subgroup) -> tuple[FiniteGroup, list]:
-    """Aut_F(P) as a permutation group on the elements of P.
-
-    Returns (group, tables) where tables[i] is the hom table whose
-    position-permutation is group.elements[i].
-    """
+def aut_f_group(F: FusionSystem, P: Subgroup) -> FiniteGroup:
+    """Aut_F(P) as a permutation group on the positions of P.sorted_ids."""
     P = F.subgroup(P.ids)
     pos = P.positions
-    as_perms = {tuple(pos[v] for v in t): t for t in F.aut_f_tables(P)}
-    grp = FiniteGroup(
+    return FiniteGroup(
         P.order, [], name=f"Aut_F on {P.order} points",
-        elements=set(as_perms),
+        elements={tuple(pos[v] for v in t) for t in F.aut_f_tables(P)},
     )
-    tables = [as_perms[q] for q in grp.elements]
-    return grp, tables
 
 
 def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
@@ -184,7 +177,7 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
 
 
 def _out_f(F: FusionSystem, P: Subgroup) -> FiniteGroup:
-    grp, _tables = aut_f_group(F, P)
+    grp = aut_f_group(F, P)
     pos = P.positions
     inn_ids = frozenset(
         grp.index[tuple(pos[v] for v in h.images)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import add
 
 from .classify import is_saturated, is_strongly_closed
-from .fusion import DerivedFusion, FusionSystem
+from .fusion import FusionSystem
 from .groups import (
     GroupHom,
     Subgroup,
@@ -41,7 +41,7 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     amb = direct_product(F1.ambient, F2.ambient)
     n2 = F2.ambient.order
 
-    def hom(Q: Subgroup):
+    def hom(_F, Q: Subgroup):
         pairs = [divmod(x, n2) for x in Q.sorted_ids]
         Q1 = F1.subgroup(i for i, _ in pairs)
         Q2 = F2.subgroup(j for _, j in pairs)
@@ -49,19 +49,16 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
         pos2 = [Q2.positions[j] for _, j in pairs]
         left = [[t[k] * n2 for k in pos1] for t in F1.hom_to_S_tables(Q1)]
         right = [[t[k] for k in pos2] for t in F2.hom_to_S_tables(Q2)]
-        # the identity table is Q.sorted_ids itself, as in a generated
-        # closure: hom_table_digest pickles the tables, and pickle writes an
-        # object shared with the object list by reference
-        out = {Q.sorted_ids}
-        out.update(tuple(map(add, a, b)) for a in left for b in right)
-        return out
+        return dict.fromkeys(
+            tuple(map(add, a, b)) for a in left for b in right
+        )
 
     S12 = Subgroup(amb, frozenset(
         i * n2 + j for i in F1.S.ids for j in F2.S.ids
     ))
-    F = DerivedFusion(S12, F1.p, hom,
-                      descriptor={"kind": "product",
-                                  "factors": (F1.descriptor, F2.descriptor)})
+    F = FusionSystem(S12, F1.p, hom, "derived",
+                     descriptor={"kind": "product",
+                                 "factors": (F1.descriptor, F2.descriptor)})
     e1, e2 = F1.ambient.identity_id, F2.ambient.identity_id
     F.factor_embeddings = (
         F.subgroup(i * n2 + e2 for i in F1.S.ids),
@@ -128,19 +125,19 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
     for i in F.S.sorted_ids:
         preimage.setdefault(theta[i], []).append(i)
 
-    def hom(Pq: Subgroup):
+    def hom(_F, Pq: Subgroup):
         Phat = F.subgroup(x for c in Pq.ids for x in preimage[c])
-        pushed = {
+        pushed = dict.fromkeys(
             _push_forward(theta, T.ids, Phat.sorted_ids, t, Pq.sorted_ids)
             for t in F.hom_to_S_tables(Phat)
-        }
-        pushed.discard(None)
+        )
+        pushed.pop(None, None)
         return pushed
 
-    Fq = DerivedFusion(Sq, F.p, hom,
-                       descriptor={"kind": "quotient",
-                                   "kernel_order": T.order,
-                                   "parent": F.descriptor})
+    Fq = FusionSystem(Sq, F.p, hom, "derived",
+                      descriptor={"kind": "quotient",
+                                  "kernel_order": T.order,
+                                  "parent": F.descriptor})
     return Fq, QuotientMap(F, Fq, T, theta)
 
 
@@ -189,24 +186,24 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     Sp = F.subgroup(frozenset(s_ids))
     assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
 
-    def hom(P: Subgroup):
+    def hom(_F, P: Subgroup):
         PQ = F.subgroup(product_ids(P, Q))
         qpos = [PQ.positions[x] for x in qsorted]
         ppos = [PQ.positions[x] for x in P.sorted_ids]
-        out = set()
+        out = {}
         for t in F.hom_to_S_tables(PQ):
             if tuple(t[k] for k in qpos) not in K_tables:
                 continue
             rest = tuple(t[k] for k in ppos)
             if set(rest) <= s_ids:
-                out.add(rest)
+                out[rest] = None
         return out
 
-    return DerivedFusion(Sp, F.p, hom,
-                         descriptor={"kind": "normalizer",
-                                     "at_order": Q.order,
-                                     "k_order": len(K_tables),
-                                     "parent": F.descriptor})
+    return FusionSystem(Sp, F.p, hom, "derived",
+                        descriptor={"kind": "normalizer",
+                                    "at_order": Q.order,
+                                    "k_order": len(K_tables),
+                                    "parent": F.descriptor})
 
 
 def centralizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
@@ -300,20 +297,19 @@ def _check_extraspecial(S: Subgroup, p: int):
         raise ValueError("first factor does not have exponent p")
 
 
-def main_theorem_witness(F1: FusionSystem, F2: FusionSystem,
-                         *, verify_inputs: bool = True) -> WitnessReport:
+def main_theorem_witness(F1: FusionSystem, F2: FusionSystem) -> WitnessReport:
     """Build F = F1 x F2 over (p^(1+2)) x A and certify: the abelian
     factor A is strongly closed, F/A is isomorphic to F1, and the
-    quotient of C_F(A) by A is isomorphic to F1."""
+    quotient of C_F(A) by A is isomorphic to F1. Both factors must be
+    saturated."""
     p = F1.p
     _check_extraspecial(F1.S, p)
     if not is_abelian(F2.S):
         raise ValueError("second factor is not abelian")
-    if verify_inputs:
-        if not is_saturated(F1).verdict:
-            raise ValueError("first factor system is not saturated")
-        if not is_saturated(F2).verdict:
-            raise ValueError("second factor system is not saturated")
+    if not is_saturated(F1).verdict:
+        raise ValueError("first factor system is not saturated")
+    if not is_saturated(F2).verdict:
+        raise ValueError("second factor system is not saturated")
     F = product_fusion(F1, F2)
     _left, A = F.factor_embeddings
     sc = is_strongly_closed(F, A)

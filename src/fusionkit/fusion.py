@@ -1,20 +1,22 @@
 """Fusion systems over a finite p-group.
 
-A FusionSystem stores, for each subgroup Q of its top group S, the full set
-Hom(Q, S) of morphisms out of Q as image tables; Hom(Q, P) is the subset
-whose image lies in P. Three backends fill those tables, each object's
-when it is first asked for: transporter systems sweep conjugations by an
-ambient group, generated systems close a seed set of injective
-homomorphisms, and derived systems (products, quotients, normalizer and
-centralizer subsystems) compute them from their parent systems by a rule
-the construction supplies. The closure is `word_search`, a breadth-first
-search over generator images under partial maps; `alperin_decompose` runs
-the same search over fcr automorphisms. Morphisms are handed out as
+A FusionSystem is fixed by the sets Hom(Q, S) of morphisms out of each
+subgroup Q of its top group S, stored as image tables; Hom(Q, P) is the
+subset whose image lies in P. One class holds every system, and a rule
+`hom(F, Q)` supplied by its constructor gives Hom(Q, S) as {image table:
+provenance} when Q is first asked for. `transporter_fusion` restricts the
+conjugations by an ambient group, `generated_fusion` closes a seed set of
+injective homomorphisms, and the constructions (products, quotients,
+normalizer and centralizer subsystems) read the tables of their parent
+systems. The closure is `word_search`, a breadth-first search over
+generator images under partial maps; `alperin_decompose` runs the same
+search over fcr automorphisms. Morphisms are handed out as
 `groups.GroupHom`s with their provenance.
 
-A system never changes once built, so every invariant derived from its
-tables (automizers, classes, normalizers, fcr objects, ...) is computed
-once and kept in the system's single memo, `FusionSystem.cached`.
+A system never changes once built, so its hom tables, its subgroup
+instances and every invariant derived from them (automizers, classes,
+normalizers, fcr objects, ...) are computed once and kept in the system's
+single memo, `FusionSystem.cached`.
 """
 
 from __future__ import annotations
@@ -53,9 +55,17 @@ def _memoised(method):
 
 
 class FusionSystem:
-    """Fusion system over a p-group S, queried through its hom tables."""
+    """Fusion system over a p-group S, queried through its hom tables.
 
-    def __init__(self, S: Subgroup, p: int, backend: str, descriptor=None):
+    `hom(F, Q)` returns Hom(Q, S) as {image table over Q.sorted_ids:
+    provenance} and runs once per object Q. It takes the system as an
+    argument rather than holding it, so a system is freed by reference
+    counting alone. `backend` names the rule ("transporter", "generated"
+    or "derived"). `generators(F)` lists morphisms that generate the
+    system; without it every morphism is listed."""
+
+    def __init__(self, S: Subgroup, p: int, hom, backend: str,
+                 descriptor=None, generators=None):
         if not is_p_group(S, p):
             raise ValueError(f"top group order {S.order} is not a power of {p}")
         self.S = S
@@ -63,10 +73,8 @@ class FusionSystem:
         self.ambient = S.ambient
         self.backend = backend
         self.descriptor = descriptor
-        self._objects: list[Subgroup] | None = None
-        self._hom: dict[frozenset, tuple] = {}
-        self._prov: dict[frozenset, dict] = {}
-        self._sub_cache: dict[frozenset, Subgroup] = {}
+        self._rule = hom
+        self._generators = generators
         self._memo: dict = {}
 
     def cached(self, key, compute):
@@ -78,46 +86,42 @@ class FusionSystem:
             value = self._memo[key] = compute()
         return value
 
-    # -- construction helpers (filled in by the factory functions) --------
-
-    def _compute_hom(self, Q: Subgroup):
-        raise NotImplementedError
-
     def subgroup(self, ids) -> Subgroup:
+        """The system's one Subgroup instance on the id set `ids`."""
         ids = ids if isinstance(ids, frozenset) else frozenset(ids)
-        sub = self._sub_cache.get(ids)
-        if sub is None:
-            sub = Subgroup(self.ambient, ids)
-            self._sub_cache[ids] = sub
-        return sub
+        return self.cached(("subgroup", ids),
+                           lambda: Subgroup(self.ambient, ids))
 
     # -- object and hom-set queries ---------------------------------------
 
     def objects(self) -> list[Subgroup]:
-        if self._objects is None:
-            subs = all_subgroups(self.S)
-            self._objects = [self.subgroup(H.ids) for H in subs]
-        return self._objects
+        return self.cached(("objects",), lambda: [
+            self.subgroup(H.ids) for H in all_subgroups(self.S)
+        ])
 
-    def hom_to_S_tables(self, Q: Subgroup) -> tuple:
+    def _homs(self, Q: Subgroup) -> tuple:
+        """(sorted tables of Hom(Q, S), {table: provenance}), from the rule
+        the first time Q is asked for."""
         if not Q.ids <= self.S.ids:
             raise ValueError("object is not a subgroup of S")
-        tables = self._hom.get(Q.ids)
-        if tables is None:
-            tables = self._compute_hom(self.subgroup(Q.ids))
-            self._hom[Q.ids] = tables
-        return tables
+
+        def compute():
+            prov = self._rule(self, self.subgroup(Q.ids))
+            return tuple(sorted(prov)), prov
+        return self.cached(("hom", Q.ids), compute)
+
+    def hom_to_S_tables(self, Q: Subgroup) -> tuple:
+        return self._homs(Q)[0]
 
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
         if not P.ids <= self.S.ids:
             raise ValueError("codomain is not a subgroup of S")
         P = self.subgroup(P.ids)
         pids = P.ids
-        tables = self.hom_to_S_tables(Q)
+        tables, prov = self._homs(Q)
         Q = self.subgroup(Q.ids)
-        prov = self._prov.get(Q.ids, {})
         return [
-            GroupHom(Q, P, t, provenance=prov.get(t))
+            GroupHom(Q, P, t, provenance=prov[t])
             for t in tables if all(i in pids for i in t)
         ]
 
@@ -134,9 +138,9 @@ class FusionSystem:
     def aut_f(self, P: Subgroup) -> list[GroupHom]:
         P = self.subgroup(P.ids)
         tables = self.aut_f_tables(P)
-        prov = self._prov.get(P.ids, {})
+        prov = self._homs(P)[1]
         return [
-            GroupHom(P, P, t, provenance=prov.get(t)) for t in tables
+            GroupHom(P, P, t, provenance=prov[t]) for t in tables
         ]
 
     @_memoised
@@ -245,7 +249,13 @@ class FusionSystem:
         return idx
 
     def generating_morphisms(self) -> list[GroupHom]:
-        raise NotImplementedError
+        if self._generators is not None:
+            return self._generators(self)
+        out = []
+        for Q in sorted(self.objects(),
+                        key=lambda Q: (Q.order, Q.sorted_ids)):
+            out.extend(self.hom_set(Q, self.S))
+        return out
 
     def __repr__(self):
         return (
@@ -254,54 +264,51 @@ class FusionSystem:
         )
 
 
-class TransporterFusion(FusionSystem):
-    """F_S(G): morphisms are conjugations by elements of G."""
-
-    def __init__(self, G: FiniteGroup, S: Subgroup, p: int):
-        if S.ambient is not G:
-            raise ValueError("S must be a subgroup of G")
-        if not S.is_subgroup_closed():
-            raise ValueError("S is not closed under the group operation")
-        if S.order != _p_part(G.order, p):
-            raise ValueError(
-                f"S (order {S.order}) is not a Sylow {p}-subgroup of G "
-                f"(order {G.order})"
+def _conjugation_pairs(F: FusionSystem, G: FiniteGroup) -> tuple:
+    """The distinct pairs (D_g, c_g on D_g) over g in G, where
+    D_g = S n S^(g^-1) is the largest subgroup of S that g conjugates
+    into S: one (D_g, {x: x^g}, least such g) per pair, by increasing g.
+    One sweep over G conjugates every element of S once per g."""
+    def sweep():
+        ssorted = F.S.sorted_ids
+        sids = F.S.ids
+        seen = set()
+        out = []
+        for g in range(G.order):
+            row = tuple(
+                j if j in sids else -1 for j in G.conj_row(ssorted, g)
             )
-        super().__init__(S, p, "transporter", descriptor={"group": G})
-        self.G = G
+            if row in seen:
+                continue
+            seen.add(row)
+            table = {i: j for i, j in zip(ssorted, row) if j >= 0}
+            out.append((F.subgroup(frozenset(table)), table, g))
+        return tuple(out)
+    return F.cached(("conjugation_pairs",), sweep)
 
-    def _conjugation_pairs(self) -> tuple:
-        """The distinct pairs (D_g, c_g on D_g) over g in G, where
-        D_g = S n S^(g^-1) is the largest subgroup of S that g conjugates
-        into S: one (D_g, {x: x^g}, least such g) per pair, by increasing g.
-        One sweep over G conjugates every element of S once per g."""
-        def sweep():
-            G = self.G
-            ssorted = self.S.sorted_ids
-            sids = self.S.ids
-            seen = set()
-            out = []
-            for g in range(G.order):
-                row = tuple(
-                    j if j in sids else -1 for j in G.conj_row(ssorted, g)
-                )
-                if row in seen:
-                    continue
-                seen.add(row)
-                table = {i: j for i, j in zip(ssorted, row) if j >= 0}
-                out.append((self.subgroup(frozenset(table)), table, g))
-            return tuple(out)
-        return self.cached(("conjugation_pairs",), sweep)
 
-    def _compute_hom(self, Q: Subgroup):
-        """Hom(Q, S) by restriction: c_g maps Q into S exactly when
-        Q <= D_g, and the first pair giving a map carries its least g."""
+def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
+    """F_S(G): morphisms are conjugations by elements of G. Hom(Q, S) is
+    read from the conjugation pairs by restriction: c_g maps Q into S
+    exactly when Q <= D_g, and the first pair giving a map carries its
+    least g. The generating morphisms are one conjugation map per pair."""
+    if S.ambient is not G:
+        raise ValueError("S must be a subgroup of G")
+    if not S.is_subgroup_closed():
+        raise ValueError("S is not closed under the group operation")
+    if S.order != _p_part(G.order, p):
+        raise ValueError(
+            f"S (order {S.order}) is not a Sylow {p}-subgroup of G "
+            f"(order {G.order})"
+        )
+
+    def hom(F, Q):
         qids = Q.ids
         qsorted = Q.sorted_ids
         gens_q = Q.generator_ids()
         seen_vec = set()
         prov = {}
-        for D, table, g in self._conjugation_pairs():
+        for D, table, g in _conjugation_pairs(F, G):
             if not qids <= D.ids:
                 continue
             vec = tuple(table[i] for i in gens_q)
@@ -309,16 +316,17 @@ class TransporterFusion(FusionSystem):
                 continue
             seen_vec.add(vec)
             prov[tuple(table[i] for i in qsorted)] = ("conjugation", g)
-        self._prov[Q.ids] = prov
-        return tuple(sorted(prov))
+        return prov
 
-    def generating_morphisms(self) -> list[GroupHom]:
-        """One conjugation map per element of G, on its largest S-domain."""
+    def generators(F):
         return [
-            GroupHom(D, self.S, [table[i] for i in D.sorted_ids],
+            GroupHom(D, F.S, [table[i] for i in D.sorted_ids],
                      provenance=("conjugation", g))
-            for D, table, g in self._conjugation_pairs()
+            for D, table, g in _conjugation_pairs(F, G)
         ]
+
+    return FusionSystem(S, p, hom, "transporter", descriptor={"group": G},
+                        generators=generators)
 
 
 def word_search(gens, maps, target=None) -> dict:
@@ -348,42 +356,39 @@ def word_search(gens, maps, target=None) -> dict:
     return parents
 
 
-class GeneratedFusion(FusionSystem):
-    """The smallest fusion system over S containing a seed set of maps."""
+def generated_fusion(S: Subgroup, p: int, gens, descriptor=None) -> FusionSystem:
+    """The smallest fusion system over S containing the seed maps `gens`.
+    Hom(Q, S) is the `word_search` closure of Q's generators under the
+    seeds, their inverses and the conjugations by the generators of S;
+    each table is built from its parent's, with provenance ("word", seed
+    indices)."""
+    amb = S.ambient
+    morphisms = []
+    seeds = []
+    for k, g in enumerate(gens):
+        g = as_hom(g, S)
+        domain, images = g.domain, g.images
+        if not domain.ids <= S.ids:
+            raise ValueError("generator domain is not a subgroup of S")
+        if not set(images) <= S.ids:
+            raise ValueError("generator image is not inside S")
+        h = GroupHom(domain, S, images, provenance=("seed", k))
+        if not h.is_injective():
+            raise ValueError("generator is not injective")
+        if not h.is_homomorphism():
+            raise ValueError("generator is not a homomorphism")
+        morphisms.append(h)
+        seeds.append((domain.ids, dict(zip(domain.sorted_ids, images))))
+        # the factorization axiom forces the inverse of each seed,
+        # viewed as an isomorphism onto its image, into the system
+        seeds.append((frozenset(images),
+                      dict(zip(images, domain.sorted_ids))))
+    # conjugation seeds make every Hom_S map reachable
+    for t in S.generator_ids():
+        table = dict(zip(S.sorted_ids, amb.conj_row(S.sorted_ids, t)))
+        seeds.append((S.ids, table))
 
-    def __init__(self, S: Subgroup, p: int, gens, descriptor=None):
-        super().__init__(S, p, "generated",
-                         descriptor=descriptor or {"gens": len(gens)})
-        amb = self.ambient
-        self._gen_morphisms = []
-        seeds = []
-        for k, g in enumerate(gens):
-            g = as_hom(g, S)
-            domain, images = g.domain, g.images
-            if not domain.ids <= S.ids:
-                raise ValueError("generator domain is not a subgroup of S")
-            if not set(images) <= S.ids:
-                raise ValueError("generator image is not inside S")
-            h = GroupHom(domain, S, images, provenance=("seed", k))
-            if not h.is_injective():
-                raise ValueError("generator is not injective")
-            if not h.is_homomorphism():
-                raise ValueError("generator is not a homomorphism")
-            self._gen_morphisms.append(h)
-            seeds.append((domain.ids, dict(zip(domain.sorted_ids, images))))
-            # the factorization axiom forces the inverse of each seed,
-            # viewed as an isomorphism onto its image, into the system
-            seeds.append((frozenset(images),
-                          dict(zip(images, domain.sorted_ids))))
-        # conjugation seeds make every Hom_S map reachable
-        for t in S.generator_ids():
-            table = dict(zip(S.sorted_ids, amb.conj_row(S.sorted_ids, t)))
-            seeds.append((S.ids, table))
-        self._seeds = seeds
-
-    def _compute_hom(self, Q: Subgroup):
-        """Hom(Q, S): each searched map's table is built from its parent's."""
-        seeds = self._seeds
+    def hom(_F, Q):
         full = {}
         words = {}
         for vec, parent in word_search(Q.generator_ids(), seeds).items():
@@ -394,41 +399,16 @@ class GeneratedFusion(FusionSystem):
             table = seeds[k][1]
             full[vec] = tuple(table[x] for x in full[prev])
             words[vec] = words[prev] + (k,)
-        self._prov[Q.ids] = {
-            full[vec]: ("word", word) for vec, word in words.items()
-        }
-        return tuple(sorted(full.values()))
+        return {full[vec]: ("word", word) for vec, word in words.items()}
 
-    def generating_morphisms(self) -> list[GroupHom]:
-        return list(self._gen_morphisms)
+    return FusionSystem(S, p, hom, "generated",
+                        descriptor=descriptor or {"gens": len(gens)},
+                        generators=lambda _F: list(morphisms))
 
 
-class DerivedFusion(FusionSystem):
-    """A fusion system built from other systems by a construction: `hom(Q)`
-    gives the distinct tables of Hom(Q, S) for a subgroup Q of S, computed
-    from the parent systems when Q is first asked for."""
-
-    def __init__(self, S: Subgroup, p: int, hom, descriptor=None):
-        super().__init__(S, p, "derived", descriptor=descriptor)
-        self._derive = hom
-
-    def _compute_hom(self, Q: Subgroup):
-        return tuple(sorted(self._derive(Q)))
-
-    def generating_morphisms(self) -> list[GroupHom]:
-        out = []
-        for Q in sorted(self.objects(),
-                        key=lambda Q: (Q.order, Q.sorted_ids)):
-            out.extend(self.hom_set(Q, self.S))
-        return out
-
-
-def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
-    return TransporterFusion(G, S, p)
-
-
-def generated_fusion(S: Subgroup, p: int, gens, descriptor=None) -> FusionSystem:
-    return GeneratedFusion(S, p, gens, descriptor=descriptor)
+# perfbench/tracing.py times the building of generated systems under
+# this name
+GeneratedFusion = generated_fusion
 
 
 def inner_fusion(S, p: int) -> FusionSystem:
@@ -436,8 +416,8 @@ def inner_fusion(S, p: int) -> FusionSystem:
     if isinstance(S, FiniteGroup):
         S = S.full()
     if S.ambient.order == S.order:
-        return TransporterFusion(S.ambient, S, p)
-    return GeneratedFusion(S, p, [])
+        return transporter_fusion(S.ambient, S, p)
+    return generated_fusion(S, p, [])
 
 
 # -- functional aliases ----------------------------------------------------
@@ -511,8 +491,14 @@ def hom_table_digest(F: FusionSystem) -> dict:
     cards = []
     payload_objs = []
     for Q in F.objects():
-        tables = F.hom_to_S_tables(Q)
-        payload_objs.append((Q.sorted_ids, tables))
+        # pickle writes an object it has already written as a reference,
+        # so the identity table is always written as Q.sorted_ids itself:
+        # equal systems then digest equally, whichever rule built them
+        ident = Q.sorted_ids
+        tables = tuple(
+            ident if t == ident else t for t in F.hom_to_S_tables(Q)
+        )
+        payload_objs.append((ident, tables))
         cards.append([Q.order, len(tables)])
     h.update(
         pickle.dumps(

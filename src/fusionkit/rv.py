@@ -19,7 +19,7 @@ from .classify import (
     is_strongly_closed,
     out_F,
 )
-from .fusion import FusionSystem, GeneratedFusion
+from .fusion import FusionSystem, generated_fusion
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -132,6 +132,21 @@ FCR_PROFILES = {
     "rv3": ((8, HALF_TYPE_ORDER),),
 }
 
+# Generator matrices of each prescribed rank-2 automorphism group, in the
+# basis (lift of the line, center), by group order.
+_RANK2_GENERATORS = {
+    FULL_TYPE_ORDER: (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((3, 0), (0, 1))),
+    HALF_TYPE_ORDER: (((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                      ((1, 0), (0, P - 1))),
+}
+
+
+def _rank2_generators(type_order: int) -> tuple:
+    mats = _RANK2_GENERATORS.get(type_order)
+    if mats is None:
+        raise ValueError(f"unknown type order {type_order}")
+    return mats
+
 
 def comparison_out_group(name: str) -> FiniteGroup:
     """The advertised abstract shape of each outer group, built
@@ -228,18 +243,12 @@ class _Extraspecial:
         v = self.word(line[0], line[1], 0)
         return subgroup_generated(self.G, [v, self.z])
 
-    def rank2_aut_seeds(self, line, type_order: int) -> list:
-        """Generators of the prescribed automorphism group of the rank-2
-        subgroup over the line, in the basis (lift of line, center)."""
+    def rank2_automorphisms(self, line, mats) -> list:
+        """The automorphisms of the rank-2 subgroup over the line given by
+        the matrices `mats`, in the basis (lift of line, center)."""
         V = self.rank2_subgroup(line)
         v = self.word(line[0], line[1], 0)
-        if type_order == FULL_TYPE_ORDER:
-            mats = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((3, 0), (0, 1))]
-        elif type_order == HALF_TYPE_ORDER:
-            mats = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (0, P - 1))]
-        else:
-            raise ValueError(f"unknown type order {type_order}")
-        seeds = []
+        out = []
         for m in mats:
             imgs = [
                 self._v_word(v, m[0][0], m[1][0]),
@@ -248,34 +257,24 @@ class _Extraspecial:
             h = hom_from_images(V, self.G, [v, self.z], imgs)
             if h is None or not h.is_injective():
                 raise AssertionError(f"matrix {m} is not invertible on V")
-            seeds.append(h)
-        return seeds
+            out.append(h)
+        return out
 
     def _v_word(self, v: int, ve: int, ze: int) -> int:
         G = self.G
         return G.mul_ids(G.power_ids(v, ve), G.power_ids(self.z, ze))
 
+    def rank2_aut_seeds(self, line, type_order: int) -> list:
+        """Generators of the prescribed automorphism group of the rank-2
+        subgroup over the line."""
+        return self.rank2_automorphisms(line, _rank2_generators(type_order))
+
     def aut_group_tables(self, line, type_order: int) -> set:
         """All tables of the prescribed automorphism group on the rank-2
         subgroup over the line."""
-        V = self.rank2_subgroup(line)
-        v = self.word(line[0], line[1], 0)
-        if type_order == FULL_TYPE_ORDER:
-            mats = _mclose([((1, 1), (0, 1)), ((1, 0), (1, 1)),
-                            ((3, 0), (0, 1))])
-        else:
-            mats = _mclose([((1, 1), (0, 1)), ((1, 0), (1, 1)),
-                            ((1, 0), (0, P - 1))])
+        mats = _mclose(_rank2_generators(type_order))
         assert len(mats) == type_order
-        out = set()
-        for m in mats:
-            imgs = [
-                self._v_word(v, m[0][0], m[1][0]),
-                self._v_word(v, m[0][1], m[1][1]),
-            ]
-            h = hom_from_images(V, self.G, [v, self.z], imgs)
-            out.add(h.images)
-        return out
+        return {h.images for h in self.rank2_automorphisms(line, mats)}
 
 
 class RVDescriptor:
@@ -347,7 +346,7 @@ def build_rv(name, *, certify: bool = False):
     seeds = [ext.lift(m) for m in mats]
     for orb, type_order in sorted(profile.items()):
         seeds.extend(ext.rank2_aut_seeds(min(orb), type_order))
-    F = GeneratedFusion(
+    F = generated_fusion(
         ext.S, P, seeds,
         descriptor={"kind": "rv", "name": name},
     )

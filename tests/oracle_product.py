@@ -10,7 +10,7 @@ morphism b of F2 on E. Every object's tables come from a breadth-first
 search, which is why the library no longer builds products this way.
 """
 
-from fusionkit import FiniteGroup, GeneratedFusion, Subgroup, perms
+from fusionkit import FiniteGroup, Subgroup, generated_fusion, perms
 
 
 def padded_ambient(G1, G2):
@@ -48,4 +48,4 @@ def product_closure(F1, F2):
                  for i in F1.S.ids for y in m.domain.ids}
         D = Subgroup(amb, frozenset(table))
         seeds.append((D, tuple(table[q] for q in D.sorted_ids)))
-    return GeneratedFusion(S12, F1.p, seeds)
+    return generated_fusion(S12, F1.p, seeds)

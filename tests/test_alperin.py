@@ -127,12 +127,6 @@ def test_regeneration_reproduces_suite(saturated_suite):
         assert equal_hom_tables(F, R), name
 
 
-def test_regeneration_from_generators_only(f_s4, f_a4):
-    for F in (f_s4, f_a4):
-        R = regenerate_from_fcr(F, generators_only=True)
-        assert equal_hom_tables(F, R)
-
-
 def test_chain_steps_are_fcr_automorphisms(f_es54):
     F = f_es54
     fcr = {Q.ids for Q in fcr_objects(F)}

@@ -217,6 +217,23 @@ def test_digest_stability(f_s3):
     assert d1["object_count"] == len(f_s3.objects())
 
 
+def test_digest_independent_of_backend(f_s4):
+    """Equal systems digest equally, whichever rule built their tables:
+    S4@2 as a transporter system, as the closure of its own generating
+    morphisms, and as N_F(1), the derived normalizer of the trivial
+    subgroup."""
+    F = f_s4
+    gen = generated_fusion(F.S, 2, F.generating_morphisms())
+    trivial = F.subgroup(frozenset([F.ambient.identity_id]))
+    derived = normalizer_subsystem(F, trivial)
+    assert (F.backend, gen.backend, derived.backend) == (
+        "transporter", "generated", "derived")
+    want = hom_table_digest(F)
+    for other in (gen, derived):
+        assert equal_hom_tables(F, other)
+        assert hom_table_digest(other) == want
+
+
 def test_short_image_table_is_rejected(f_s4):
     F = f_s4
     S = F.S

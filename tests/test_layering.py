@@ -101,3 +101,16 @@ def test_grouphom_is_the_only_morphism_class():
         if isinstance(node, ast.ClassDef) and "images" in _slot_names(node)
     ]
     assert holders == ["groups.py:GroupHom"]
+
+
+def test_fusionsystem_has_no_subclass():
+    """Every fusion system is one FusionSystem with its own hom rule."""
+    subclasses = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(b, "id", getattr(b, "attr", None)) == "FusionSystem"
+                for b in node.bases)
+    ]
+    assert subclasses == []

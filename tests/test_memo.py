@@ -1,6 +1,10 @@
 """Memoised invariants: repeat calls agree with the first call and with a
 freshly built system, and a caller mutating a returned list cannot change
-what the next call returns."""
+what the next call returns. A system's memo holds no reference back to the
+system, so every kind of system is freed by reference counting alone."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -8,7 +12,13 @@ import fusionkit.alperin
 from fusionkit import (
     alperin_decompose,
     fcr_objects,
+    generated_fusion,
+    hom_table_digest,
+    is_saturated,
+    normalizer_subsystem,
     out_F,
+    product_fusion,
+    quotient_fusion,
     sylow_p,
     symmetric_group,
     transporter_fusion,
@@ -93,3 +103,38 @@ def test_alperin_moves_built_once(pair, monkeypatch):
 
     assert chain(again) == chain(first)
     assert chain(other) == chain(first)
+
+
+KINDS = ["generated", "normalizer", "product", "quotient", "transporter"]
+
+
+def _build(kind):
+    F1, F2 = (transporter_fusion(G, sylow_p(G.full(), 2), 2)
+              for G in (symmetric_group(4), symmetric_group(2)))
+    if kind == "transporter":
+        return F1
+    if kind == "generated":
+        return generated_fusion(F1.S, 2, F1.generating_morphisms())
+    if kind == "normalizer":
+        return normalizer_subsystem(F1, F1.S)
+    F = product_fusion(F1, F2)
+    if kind == "product":
+        return F
+    return quotient_fusion(F, F.factor_embeddings[1])[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_system_freed_by_reference_counting(kind):
+    F = _build(kind)
+    assert is_saturated(F).verdict
+    fcr_objects(F)
+    F.conjugacy_classes()
+    F.generating_morphisms()
+    hom_table_digest(F)
+    ref = weakref.ref(F)
+    gc.disable()
+    try:
+        del F
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -74,7 +74,7 @@ def test_witness_reads_only_objects_inside_or_above_A(monkeypatch):
     assert main_theorem_witness(F1, F2).all_pass
     (F,) = built
     _left, A = F.factor_embeddings
-    computed = list(F._hom)
+    computed = [key[1] for key in F._memo if key[0] == "hom"]
     assert computed
     assert all(Q <= A.ids or A.ids <= Q for Q in computed)
     assert len(computed) < len(F.objects())

@@ -15,7 +15,7 @@ from fusionkit import (
     out_F,
     outer_group_matrices,
 )
-from fusionkit.rv import _lines, _line_orbits, _mclose
+from fusionkit.rv import _Extraspecial, _lines, _line_orbits, _mclose
 
 
 def test_unknown_name_rejected():
@@ -23,6 +23,12 @@ def test_unknown_name_rejected():
         build_rv("rv4")
     with pytest.raises(ValueError):
         RVDescriptor("xx", [], {})
+
+
+@pytest.mark.parametrize("build", ["rank2_aut_seeds", "aut_group_tables"])
+def test_unknown_rank2_type_order_rejected(build):
+    with pytest.raises(ValueError, match="unknown type order"):
+        getattr(_Extraspecial(), build)((1, 0), 100)
 
 
 def test_descriptor_rejects_wrong_profile():

@@ -81,9 +81,27 @@ def _check_chains(F):
     return count
 
 
+def _seeds(F):
+    """The seed maps of a generated system from its definition, as
+    (domain ids, {x: image}): each generating morphism, its inverse onto
+    its image, then conjugation by each generator of S."""
+    seeds = []
+    for m in F.generating_morphisms():
+        dom = m.domain
+        seeds.append((dom.ids, dict(zip(dom.sorted_ids, m.images))))
+        seeds.append((frozenset(m.images),
+                      dict(zip(m.images, dom.sorted_ids))))
+    ssorted = F.S.sorted_ids
+    for t in F.S.generator_ids():
+        seeds.append((F.S.ids,
+                      dict(zip(ssorted, F.ambient.conj_row(ssorted, t)))))
+    return seeds
+
+
 def _check_closure(F):
+    seeds = _seeds(F)
     for Q in F.objects():
-        want = oracle.closure(F._seeds, Q.generator_ids(), Q.sorted_ids)
+        want = oracle.closure(seeds, Q.generator_ids(), Q.sorted_ids)
         assert F.hom_to_S_tables(Q) == tuple(sorted(want))
         assert {m.images: m.provenance for m in F.hom_to_S(Q)} == want
 
