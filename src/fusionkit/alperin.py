@@ -140,5 +140,4 @@ def regenerate_from_fcr(F: FusionSystem):
     seeds = [
         GroupHom(Q, Q, t) for Q in fcr_objects(F) for t in F.aut_f_tables(Q)
     ]
-    return generated_fusion(F.S, F.p, seeds,
-                            descriptor={"kind": "fcr-regeneration"})
+    return generated_fusion(F.S, F.p, seeds)

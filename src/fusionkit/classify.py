@@ -2,8 +2,10 @@
 
 Implements the full battery over a FusionSystem F: fully automised,
 receptive (with N_phi witnesses), saturated, fully centralised/normalised,
-centric, radical (via the outer automorphism group materialized as a
-permutation group), the fcr/cr object lists, strong closure, and normality.
+centric, radical, the fcr/cr object lists, strong closure, and normality.
+P is radical when O_p(Out_F(P)) = 1, where Out_F(P) is the
+`groups.quotient_group` of Aut_F(P) by Inn(P); the cr and fcr lists read
+one memoised list of centric-radical classes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .groups import (
     is_normal,
     p_core,
     product_ids,
+    quotient_group,
 )
 
 
@@ -179,32 +182,16 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
 def _out_f(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     grp = aut_f_group(F, P)
     pos = P.positions
-    inn_ids = frozenset(
+    inn = Subgroup(grp, (
         grp.index[tuple(pos[v] for v in h.images)]
         for h in inner_automorphisms(P)
-    )
-    if len(inn_ids) == grp.order:
+    ))
+    if inn.order == grp.order:
         return FiniteGroup(1, [], name="trivial")
-    if len(inn_ids) == 1:
+    if inn.order == 1:
         return grp
-    # partition Aut_F into Inn-cosets, then act on the coset space
-    coset_of = {}
-    reps = []
-    for i in range(grp.order):
-        if i in coset_of:
-            continue
-        c = len(reps)
-        reps.append(i)
-        for j in inn_ids:
-            coset_of[grp.mul_ids(j, i)] = c
-    m = len(reps)
-    A = grp.full()
-    gen_ids = A.generator_ids()
-    qgens = [
-        tuple(coset_of[grp.mul_ids(r, g)] for r in reps) for g in gen_ids
-    ]
-    out = FiniteGroup(m, qgens, name=f"Out_F of order {m}")
-    assert out.order == m, "coset action degenerated"
+    out, _theta = quotient_group(grp.full(), inn)
+    out.name = f"Out_F of order {out.order}"
     return out
 
 
@@ -215,6 +202,15 @@ def is_radical(F: FusionSystem, P: Subgroup) -> bool:
     return p_core(out.full(), F.p).order == 1
 
 
+def _cr_classes(F: FusionSystem) -> tuple:
+    """The F-conjugacy classes that are centric and radical, tested on each
+    class's least member."""
+    return F.cached(("cr_classes",), lambda: tuple(
+        tuple(cls) for cls in F.conjugacy_classes()
+        if is_centric(F, cls[0]) and is_radical(F, cls[0])
+    ))
+
+
 def fcr_objects(F: FusionSystem) -> list[Subgroup]:
     """Objects that are simultaneously fully normalised, centric, radical."""
     return list(F.cached(("fcr_objects",), lambda: _fcr_objects(F)))
@@ -222,26 +218,16 @@ def fcr_objects(F: FusionSystem) -> list[Subgroup]:
 
 def _fcr_objects(F: FusionSystem) -> tuple:
     out = []
-    for cls in F.conjugacy_classes():
-        rep = cls[0]
-        if not is_centric(F, rep):
-            continue
-        if not is_radical(F, rep):
-            continue
-        nsizes = {Q.ids: F.normalizer_of(Q).order for Q in cls}
-        best = max(nsizes.values())
-        out.extend(Q for Q in cls if nsizes[Q.ids] == best)
+    for cls in _cr_classes(F):
+        best = max(F.normalizer_of(Q).order for Q in cls)
+        out.extend(Q for Q in cls if F.normalizer_of(Q).order == best)
     return tuple(sorted(out, key=lambda Q: (Q.order, Q.sorted_ids)))
 
 
 def cr_objects(F: FusionSystem) -> list[Subgroup]:
     """All objects in centric-radical classes."""
-    out = []
-    for cls in F.conjugacy_classes():
-        rep = cls[0]
-        if is_centric(F, rep) and is_radical(F, rep):
-            out.extend(cls)
-    return sorted(out, key=lambda Q: (Q.order, Q.sorted_ids))
+    return sorted((Q for cls in _cr_classes(F) for Q in cls),
+                  key=lambda Q: (Q.order, Q.sorted_ids))
 
 
 def is_saturated(F: FusionSystem) -> SaturationReport:

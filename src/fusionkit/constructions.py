@@ -19,7 +19,6 @@ from .groups import (
     centralizer,
     is_abelian,
     isomorphisms,
-    normalizer,
     product_ids,
     quotient_group,
 )
@@ -56,9 +55,7 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     S12 = Subgroup(amb, frozenset(
         i * n2 + j for i in F1.S.ids for j in F2.S.ids
     ))
-    F = FusionSystem(S12, F1.p, hom, "derived",
-                     descriptor={"kind": "product",
-                                 "factors": (F1.descriptor, F2.descriptor)})
+    F = FusionSystem(S12, F1.p, hom, "derived")
     e1, e2 = F1.ambient.identity_id, F2.ambient.identity_id
     F.factor_embeddings = (
         F.subgroup(i * n2 + e2 for i in F1.S.ids),
@@ -134,10 +131,7 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
         pushed.pop(None, None)
         return pushed
 
-    Fq = FusionSystem(Sq, F.p, hom, "derived",
-                      descriptor={"kind": "quotient",
-                                  "kernel_order": T.order,
-                                  "parent": F.descriptor})
+    Fq = FusionSystem(Sq, F.p, hom, "derived")
     return Fq, QuotientMap(F, Fq, T, theta)
 
 
@@ -175,15 +169,16 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
                          K="full") -> FusionSystem:
     """N_F^K(Q): the system over N_S^K(Q) of morphisms extending to maps
     that stabilize Q with restriction in K, read for each object P from
-    Hom_F(PQ, S) when P is first asked for."""
+    Hom_F(PQ, S) when P is first asked for. N_S^K(Q) is the union of the
+    cosets of C_S(Q) in N_S(Q) whose conjugation row lies in K."""
     Q = F.subgroup(Q.ids)
     K_tables = _coerce_aut_set(Q, K)
     qsorted = Q.sorted_ids
-    s_ids = {
-        g for g in normalizer(F.S, Q).ids
-        if F.ambient.conj_row(qsorted, g) in K_tables
-    }
-    Sp = F.subgroup(frozenset(s_ids))
+    s_ids = frozenset().union(*(
+        coset for _r, coset, row in F.centralizer_cosets(Q)
+        if row in K_tables
+    ))
+    Sp = F.subgroup(s_ids)
     assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
 
     def hom(_F, P: Subgroup):
@@ -199,11 +194,7 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
                 out[rest] = None
         return out
 
-    return FusionSystem(Sp, F.p, hom, "derived",
-                        descriptor={"kind": "normalizer",
-                                    "at_order": Q.order,
-                                    "k_order": len(K_tables),
-                                    "parent": F.descriptor})
+    return FusionSystem(Sp, F.p, hom, "derived")
 
 
 def centralizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:

@@ -15,8 +15,14 @@ O'Brien, Handbook of Computational Group Theory, 2005). The table has
 |S|^2 two-byte entries (11.8 MB at |S| = 2401); the subgroup lattice of
 the same S costs more. Every other operand takes the permutation-tuple
 path: the transporter sweep over G outside S, the Sylow ascent in a
-non-p-group, and the automizer permutation groups. The ambient itself is
-never tabled unless it is a p-group, as it may be far larger than S.
+non-p-group, and the automizer permutation groups that are not p-groups.
+The ambient itself is never tabled unless it is a p-group, as it may be
+far larger than S.
+
+`right_cosets` is the one routine that splits a group into cosets. The
+quotient S/T of a fusion system, Out_F(P) = Aut_F(P)/Inn(P) and the
+centralizer cosets of a fusion system all read it, the first two through
+`quotient_group`.
 """
 
 from __future__ import annotations
@@ -725,7 +731,7 @@ def _iso_candidates(domain: Subgroup, codomain: Subgroup):
     yield from extend([])
 
 
-def isomorphisms(domain: Subgroup, codomain: Subgroup, *, limit=None):
+def isomorphisms(domain: Subgroup, codomain: Subgroup):
     """Yield isomorphisms domain -> codomain as GroupHoms.
 
     Candidates are generator-image assignments pruned by element orders and
@@ -742,7 +748,6 @@ def isomorphisms(domain: Subgroup, codomain: Subgroup, *, limit=None):
     if dom_orders != cod_orders:
         return
     gens = domain.generator_ids()
-    count = 0
     for assignment in _iso_candidates(domain, codomain):
         h = hom_from_images(domain, codomain.ambient, gens, assignment)
         if h is None:
@@ -752,15 +757,10 @@ def isomorphisms(domain: Subgroup, codomain: Subgroup, *, limit=None):
         if not h.image_ids() <= codomain.ids:
             continue
         yield GroupHom(domain, codomain, h.images)
-        count += 1
-        if limit is not None and count >= limit:
-            return
 
 
 def group_isomorphic(domain: Subgroup, codomain: Subgroup) -> GroupHom | None:
-    for h in isomorphisms(domain, codomain, limit=1):
-        return h
-    return None
+    return next(isomorphisms(domain, codomain), None)
 
 
 def automorphisms(P: Subgroup) -> list[GroupHom]:
@@ -865,41 +865,48 @@ def _p_group_subgroups(S: Subgroup, p: int) -> list[Subgroup]:
 # quotients
 
 
-def quotient_group(S: Subgroup, T: Subgroup):
-    """The quotient S/T as a permutation group on the right cosets of T.
-
-    Returns (Q, theta) where theta maps ambient ids of S elements to Q ids.
-    Raises if T is not normal in S.
-    """
-    amb = S.ambient
-    if not T.ids <= S.ids:
-        raise ValueError("T is not contained in S")
-    _tabled(S)
-    if not is_normal(S, T):
-        raise ValueError("T is not normal in S")
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in S.sorted_ids:
-        if i in coset_of:
+def right_cosets(G: Subgroup, N: Subgroup) -> tuple:
+    """The right cosets of N in G as (r, frozenset N*r), by increasing r,
+    where r is the least id of its coset. This is the one routine that
+    splits a group into cosets."""
+    amb = G.ambient
+    covered = set()
+    out = []
+    for r in G.sorted_ids:
+        if r in covered:
             continue
-        c = len(reps)
-        reps.append(i)
-        for j in amb.mul_row(T.ids, i):
-            coset_of[j] = c
+        coset = frozenset(amb.mul_row(N.ids, r))
+        covered |= coset
+        out.append((r, coset))
+    return tuple(out)
+
+
+def quotient_group(G: Subgroup, N: Subgroup):
+    """The quotient G/N as a permutation group on the right cosets of N,
+    numbered as `right_cosets` lists them; its elements are the rows of
+    the coset representatives acting by right multiplication, and its
+    `generators` list is empty.
+
+    Returns (Q, theta) where theta maps ambient ids of G elements to Q ids.
+    Raises if N is not normal in G.
+    """
+    amb = G.ambient
+    if not N.ids <= G.ids:
+        raise ValueError("N is not contained in G")
+    _tabled(G)
+    cosets = right_cosets(G, N)
+    reps = [r for r, _ in cosets]
+    # every element of G is n*r, and n normalizes N, so conjugating N's
+    # generators by each representative tests normality
+    ngens = N.generator_ids()
+    if not all(y in N.ids for r in reps for y in amb.conj_row(ngens, r)):
+        raise ValueError("N is not normal in G")
+    coset_of = {j: c for c, (_, coset) in enumerate(cosets) for j in coset}
+    rows = [tuple([coset_of[j] for j in amb.mul_row(reps, r)]) for r in reps]
     m = len(reps)
-    qperms = set()
-    images: dict[int, tuple[int, ...]] = {}
-    for s in S.sorted_ids:
-        q = tuple(coset_of[j] for j in amb.mul_row(reps, s))
-        images[s] = q
-        qperms.add(q)
-    Q = FiniteGroup(
-        m,
-        [images[g] for g in S.generator_ids()],
-        name=f"quotient of order {m}",
-        elements=qperms,
-    )
-    theta = {s: Q.index[images[s]] for s in S.sorted_ids}
+    Q = FiniteGroup(m, [], name=f"quotient of order {m}", elements=rows)
+    theta = {j: Q.index[row] for row, (_, coset) in zip(rows, cosets)
+             for j in coset}
     return Q, theta
 
 

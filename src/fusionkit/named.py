@@ -147,6 +147,10 @@ def semidirect_product(
     verified to be well defined; pairs multiply by
     (n, h) * (m, k) = (n * alpha_h(m), h * k).
     """
+    nb, nh = base.order, actor.order
+    cap = max_group_order()
+    if nb * nh > cap:
+        raise GroupTooLarge(f"group exceeds FUSIONKIT_MAX_GROUP_ORDER={cap}")
     base_gen_ids = base.generator_ids()
     gen_autos = []
     for row in action:
@@ -180,10 +184,6 @@ def semidirect_product(
         frontier = new
     if len(alpha) != actor.order:
         raise ValueError("actor generators do not generate the actor")
-
-    nb, nh = base.order, actor.order
-    if nb * nh > 1_000_000:
-        raise GroupTooLarge("semidirect product domain too large")
 
     def point(n_id, h_id):
         return n_id * nh + h_id

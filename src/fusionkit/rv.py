@@ -346,10 +346,7 @@ def build_rv(name, *, certify: bool = False):
     seeds = [ext.lift(m) for m in mats]
     for orb, type_order in sorted(profile.items()):
         seeds.extend(ext.rank2_aut_seeds(min(orb), type_order))
-    F = generated_fusion(
-        ext.S, P, seeds,
-        descriptor={"kind": "rv", "name": name},
-    )
+    F = generated_fusion(ext.S, P, seeds)
     report = is_saturated(F)
     assert report.verdict, (
         f"the {name} closure is not saturated: counterexample of order "

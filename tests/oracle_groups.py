@@ -5,10 +5,11 @@ FiniteGroup answers products, conjugates, powers and inverses inside a
 tabled p-group S by integer lookups, and normalizers, centralizers,
 normality and quotients on top of them. These functions compute the same
 things from the permutations alone, the way fusionkit did before the
-table, so the two can be compared element for element.
+table, so the two can be compared element for element. `out_f` keeps the
+coset action that built Out_F(P) before it became a `quotient_group`.
 """
 
-from oracle_sweep import _conj, _generators, _mul
+from oracle_sweep import _closure, _conj, _generators, _mul
 
 
 def inverse(x):
@@ -48,3 +49,25 @@ def is_normal(G, X):
 def right_cosets(S, T):
     """The right cosets Ts of T in S, as frozensets of permutations."""
     return {frozenset(_mul(t, s) for t in T) for s in S}
+
+
+def out_f(aut, inn):
+    """(degree, sorted elements) of Out_F(P) = aut/inn, for the automizer
+    `aut` and the inner automorphisms `inn` of P given as sets of
+    permutations of P's positions: Inn-cosets in sorted order, the action
+    of a greedy generating set of aut on them, and its closure."""
+    if len(inn) == len(aut):
+        return 1, ((0,),)
+    if len(inn) == 1:
+        return len(next(iter(aut))), tuple(sorted(aut))
+    coset_of = {}
+    reps = []
+    for a in sorted(aut):
+        if a in coset_of:
+            continue
+        for j in inn:
+            coset_of[_mul(j, a)] = len(reps)
+        reps.append(a)
+    gens = [tuple(coset_of[_mul(r, g)] for r in reps)
+            for g in _generators(sorted(aut))]
+    return len(reps), tuple(sorted(_closure(gens, len(reps))))

@@ -24,7 +24,9 @@ from fusionkit import (
     transporter_fusion,
 )
 
+import oracle_groups
 import oracle_s4
+from oracle_sweep import _conj
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +162,50 @@ def test_whole_sylow_always_flagged(saturated_suite):
         assert is_receptive(F, S), name
         assert is_centric(F, S), name
         assert is_radical(F, S), name
+
+
+def _out_f_reference(F, Q):
+    """Out_F(Q) from the tuple coset action, fed with Aut_F(Q) and the
+    inner automorphisms as permutations of Q's positions."""
+    pos = Q.positions
+    aut = {tuple(pos[v] for v in t) for t in F.aut_f_tables(Q)}
+    q_perms = Q.perms()
+    at = {x: k for k, x in enumerate(q_perms)}
+    inn = {tuple(at[_conj(y, x)] for y in q_perms) for x in q_perms}
+    return oracle_groups.out_f(aut, inn)
+
+
+def _s6(p):
+    G = symmetric_group(6)
+    return transporter_fusion(G, sylow_p(G.full(), p), p)
+
+
+OUT_F_SYSTEMS = {
+    "S4@2": lambda request: request.getfixturevalue("f_s4"),
+    "S6@2": lambda request: _s6(2),
+    "S6@3": lambda request: _s6(3),
+    "SL(3,3)@3": lambda request: request.getfixturevalue("f_sl33"),
+    "3^(1+2):2@3": lambda request: request.getfixturevalue("f_es54"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_F_SYSTEMS))
+def test_out_f_matches_coset_action_reference(name, request):
+    F = OUT_F_SYSTEMS[name](request)
+    trivial = 0
+    for Q in F.objects():
+        out = out_F(F, Q)
+        assert (out.degree, out.elements) == _out_f_reference(F, Q), Q.order
+        if Q.order > 1 and len(F.aut_f_tables(Q)) == 1:
+            trivial += 1
+            assert out.degree == 1
+    # every subgroup of order 2 has a trivial automizer, and its Out_F is
+    # the degree-1 trivial group, not Aut_F(Q) on its two points
+    assert trivial > 0 or F.p != 2
+
+
+def test_out_f_of_rv1_matches_coset_action_reference(rv_systems):
+    F = rv_systems["rv1"]
+    out = out_F(F, F.S)
+    assert out.order == 72
+    assert (out.degree, out.elements) == _out_f_reference(F, F.S)

@@ -33,11 +33,13 @@ from fusionkit import (
     p_core,
     perms,
     quotient_group,
+    semidirect_product,
+    subgroup_from_perms,
     subgroup_generated,
     sylow_p,
     symmetric_group,
 )
-from fusionkit.groups import FiniteGroup, is_normal
+from fusionkit.groups import FiniteGroup, is_normal, right_cosets
 
 
 def test_named_orders():
@@ -167,6 +169,30 @@ def test_quotient_group():
         for j in G.generator_ids():
             assert theta[G.mul_ids(i, j)] == Q.mul_ids(theta[i], theta[j])
     assert {i for i in theta if theta[i] == Q.identity_id} == set(V.ids)
+
+
+def test_quotient_group_rejects_a_non_normal_subgroup():
+    G = symmetric_group(4)
+    H = subgroup_from_perms(G, [perms.from_cycles(4, [(0, 1)])])
+    with pytest.raises(ValueError, match="not normal"):
+        quotient_group(G.full(), H)
+
+
+@pytest.mark.parametrize("build", [lambda: symmetric_group(4),
+                                   lambda: extraspecial_plus(3)],
+                         ids=["S4", "3^(1+2)"])
+def test_right_cosets_match_tuple_reference(build):
+    G = build()
+    g_perms = set(G.elements)
+    for H in all_subgroups(G.full()):
+        cosets = right_cosets(G.full(), H)
+        reps = [r for r, _ in cosets]
+        assert reps == sorted(reps)
+        assert all(r == min(coset) for r, coset in cosets)
+        got = [frozenset(G.elements[i] for i in coset) for _, coset in cosets]
+        want = oracle_groups.right_cosets(g_perms, set(H.perms()))
+        assert len(got) == len(want) == G.order // H.order
+        assert set(got) == want
 
 
 def test_all_subgroups_counts():
@@ -355,6 +381,25 @@ def test_direct_product_respects_group_cap(monkeypatch):
     with pytest.raises(GroupTooLarge):
         direct_product(S4, symmetric_group(4))
     assert direct_product(S4, cyclic_group(4)).order == 96
+
+
+def test_semidirect_product_checks_group_cap_first(monkeypatch):
+    C7, C3 = cyclic_group(7), cyclic_group(3)
+    x = C7.generator_ids()[0]
+    action = [[C7.elements[C7.power_ids(x, 2)]]]
+    calls = Counter()
+
+    def counted(*args, _real=perms.mul):
+        calls["mul"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(perms, "mul", counted)
+    monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", "20")
+    with pytest.raises(GroupTooLarge, match="FUSIONKIT_MAX_GROUP_ORDER=20"):
+        semidirect_product(C7, C3, action)
+    assert calls == {}
+    monkeypatch.delenv("FUSIONKIT_MAX_GROUP_ORDER")
+    assert semidirect_product(C7, C3, action).order == 21
 
 
 def test_group_cap(monkeypatch):

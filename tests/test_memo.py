@@ -11,6 +11,7 @@ import pytest
 import fusionkit.alperin
 from fusionkit import (
     alperin_decompose,
+    cr_objects,
     fcr_objects,
     generated_fusion,
     hom_table_digest,
@@ -62,12 +63,13 @@ def test_conjugacy_classes(pair):
 
 def test_fcr_objects(pair):
     F, fresh = pair
-    first = fcr_objects(F)
-    want = [Q.ids for Q in first]
-    assert [Q.ids for Q in fcr_objects(F)] == want
-    assert [Q.ids for Q in fcr_objects(fresh)] == want
-    first.clear()
-    assert [Q.ids for Q in fcr_objects(F)] == want
+    for objects in (fcr_objects, cr_objects):
+        first = objects(F)
+        want = [Q.ids for Q in first]
+        assert [Q.ids for Q in objects(F)] == want
+        assert [Q.ids for Q in objects(fresh)] == want
+        first.clear()
+        assert [Q.ids for Q in objects(F)] == want
 
 
 def test_out_F(pair):
