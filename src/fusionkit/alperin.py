@@ -69,11 +69,11 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     images, and full tables are rebuilt only along the returned chain."""
     phi = as_hom(phi, F.S)
     P = F.subgroup(phi.domain.ids)
-    if phi.images not in F.hom_to_S_tables(P):
-        raise ValueError("morphism does not belong to the system")
     gens = P.generator_ids()
     target = tuple(phi.images[P.positions[g]] for g in gens)
-    maps, autos = F.cached(("alperin_moves",), lambda: _moves(F))
+    if target not in F.vector_set(P):
+        raise ValueError("morphism does not belong to the system")
+    maps, objects, _index = F.cached(("alperin_moves",), lambda: _moves(F))
     parents = word_search(gens, maps, target)
     if target not in parents:
         raise LookupError(
@@ -89,36 +89,58 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     steps = []
     cur = P.sorted_ids
     for k in reversed(word):
-        Q, t = autos[k]
-        cur = tuple(maps[k][1][x] for x in cur)
-        steps.append((F.subgroup(frozenset(cur)), Q, GroupHom(Q, Q, t)))
+        Q, psi = objects[k], maps[k][1]
+        cur = tuple(psi[x] for x in cur)
+        steps.append((F.subgroup(frozenset(cur)), Q,
+                      GroupHom(Q, Q, [psi[x] for x in Q.sorted_ids])))
+    # the composite is the morphism of F with phi's generator images, so a
+    # table that agrees with it only there is not a morphism
+    if cur != phi.images:
+        raise ValueError("morphism does not belong to the system")
     return AlperinDecomposition(P, F.subgroup(frozenset(phi.images)), steps,
                                 phi)
 
 
 def _moves(F: FusionSystem) -> tuple:
-    """The search moves as (maps, autos): maps[k] = (Q.ids, table as a
-    dict) and autos[k] = (Q, table) range over every automorphism of every
-    fcr object Q, larger objects first."""
+    """The search moves as (maps, objects, index): maps[k] =
+    (Q.ids, {x: psi(x)}) for the k-th automorphism psi of every fcr object
+    Q, larger objects first and each object's automorphisms by image
+    table, objects[k] = Q, and index maps (Q.ids, generator images of
+    psi) to k."""
     fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))
-    autos = tuple((Q, t) for Q in fcr for t in F.aut_f_tables(Q))
-    maps = tuple((Q.ids, dict(zip(Q.sorted_ids, t))) for Q, t in autos)
-    return maps, autos
+    maps, objects, index = [], [], {}
+    for Q in fcr:
+        for t in F.aut_f_tables(Q):
+            psi = dict(zip(Q.sorted_ids, t))
+            index[Q.ids, tuple([psi[g] for g in Q.generator_ids()])] = \
+                len(maps)
+            maps.append((Q.ids, psi))
+            objects.append(Q)
+    return tuple(maps), tuple(objects), index
 
 
 def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
                          phi=None) -> DecompositionCheck:
     """Recompute the three clauses: (a) every Q_i is fcr, (b) each psi_i
     is an F-automorphism of Q_i moving P_{i-1} onto P_i inside Q_i,
-    (c) the composite restricted to the source equals phi."""
+    (c) the composite restricted to the source equals phi. Raises
+    ValueError when (c) fails because phi is not a morphism of F; when
+    (c) holds, phi is a composite of morphisms of F."""
     phi = as_hom(d.phi if phi is None else phi, F.S)
     fcr = {Q.ids for Q in fcr_objects(F)}
     for _P, Q, _psi in d.chain:
         if Q.ids not in fcr:
             return DecompositionCheck("a")
+    maps, _objects, index = F.cached(("alperin_moves",), lambda: _moves(F))
     prev = d.source
     for P_i, Q, psi in d.chain:
-        if psi.images not in F.aut_f_tables(Q):
+        # psi must be one of Q's automorphisms in the moves: looked up by
+        # its generator images, then compared as a whole table
+        pos = Q.positions
+        k = index.get((Q.ids, tuple([psi.images[pos[g]]
+                                     for g in Q.generator_ids()])))
+        if k is None or tuple(map(maps[k][1].__getitem__,
+                                  Q.sorted_ids)) != psi.images:
             return DecompositionCheck("b")
         if not (prev.ids <= Q.ids and P_i.ids <= Q.ids):
             return DecompositionCheck("b")
@@ -126,7 +148,10 @@ def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
         if frozenset(psi.images[pos[x]] for x in prev.ids) != P_i.ids:
             return DecompositionCheck("b")
         prev = P_i
-    if d.composite_table() != phi.images:
+    if (phi.domain.ids != d.source.ids
+            or d.composite_table() != phi.images):
+        if not F.has_morphism(phi.domain, phi.images):
+            raise ValueError("morphism does not belong to the system")
         return DecompositionCheck("c")
     return DecompositionCheck(None)
 

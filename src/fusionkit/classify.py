@@ -16,6 +16,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _p_part,
+    cayley_tree,
     inner_automorphisms,
     is_normal,
     p_core,
@@ -61,9 +62,9 @@ class SaturationReport:
 
 
 def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
-    aut_s, _ = F.aut_s_tables(P)
-    aut_f = F.aut_f_tables(P)
-    if not set(aut_s) <= set(aut_f):
+    aut_s = _aut_s_generator_images(F, P)
+    aut_f = F.aut_f_vectors(P)
+    if not aut_s <= set(aut_f):
         raise AssertionError("Aut_S(P) escaped Aut_F(P)")
     return len(aut_s) == _p_part(len(aut_f), F.p)
 
@@ -78,25 +79,57 @@ def _aut_s_generator_images(F: FusionSystem, P: Subgroup) -> frozenset:
     return F.cached(("aut_s_generator_images", P.ids), compute)
 
 
-def _n_phi_ids(F: FusionSystem, Q: Subgroup, table: tuple) -> frozenset:
-    """N_phi = {g in N_S(Q) : phi c_g phi^-1 in Aut_S(P)} for the iso phi
-    given by `table` on Q, onto its image P.
+def _twist_plan(F: FusionSystem, Q: Subgroup):
+    """The walk down Q's Cayley tree to the conjugates of Q's generators by
+    each coset representative of C_S(Q) in N_S(Q), coset by coset."""
+    def compute():
+        pos = Q.positions
+        return cayley_tree(Q).plan([
+            row[pos[g]] for _r, _coset, row in F.centralizer_cosets(Q)
+            for g in Q.generator_ids()
+        ])
+    return F.cached(("twist_plan", Q.ids), compute)
 
-    The twist by g depends only on g's coset of C_S(Q) in N_S(Q), and as an
-    automorphism of P it is fixed by its images of P's generators: each
-    coset's twist is read off its memoised conjugation row on those
-    generators alone and looked up in Aut_S(P) by generator images.
+
+def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
+    """N_phi = {g in N_S(Q) : phi c_g phi^-1 in Aut_S(P)} for each iso phi
+    from Q onto P with generator images in `vectors`.
+
+    phi c_g phi^-1 = c_h on P exactly when phi c_g = c_h phi on Q, and two
+    homomorphisms on Q agree when they agree on Q's generators. The twist
+    by g depends only on g's coset of C_S(Q) in N_S(Q): phi c_g is phi at
+    the conjugates of the generators by the coset's representative, one
+    walk down Q's Cayley tree for all cosets, and c_h phi ranges over
+    Aut_S(P) applied to phi's vector.
     """
-    P = F.subgroup(frozenset(table))
-    aut_s_P = _aut_s_generator_images(F, P)
-    pos = Q.positions
-    # phi^-1 of P's generators, as positions in Q.sorted_ids
-    pre = [table.index(y) for y in P.generator_ids()]
-    ids = set()
-    for _r, coset, row in F.centralizer_cosets(Q):
-        if tuple(table[pos[row[k]]] for k in pre) in aut_s_P:
-            ids |= coset
-    return frozenset(ids)
+    cosets = F.centralizer_cosets(Q)
+    if len(cosets) == 1:
+        # N_S(Q) = C_S(Q), whose twists are all trivial
+        return [cosets[0][1]] * len(vectors)
+    ppos = P.positions
+    aut_s = F.aut_s_tables(P)[0]
+    k = len(Q.generator_ids())
+    out = []
+    for vec, twisted in zip(vectors, _twist_plan(F, Q).images_all(F.ambient,
+                                                                  vectors)):
+        targets = {tuple([a[ppos[y]] for y in vec]) for a in aut_s}
+        ids = set()
+        for j, (_r, coset, _row) in enumerate(cosets):
+            if twisted[j * k:(j + 1) * k] in targets:
+                ids |= coset
+        out.append(frozenset(ids))
+    return out
+
+
+def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup):
+    """(vec, N_phi, extends) for each isomorphism phi from Q onto P, with
+    generator images `vec`: whether phi extends to a morphism out of N_phi.
+    phi maps Q onto P when its generator images lie in P, and a morphism
+    restricts to phi when its images of Q's generators are `vec`."""
+    vectors = [v for v in F.hom_vectors(Q) if P.ids.issuperset(v)]
+    for vec, n_phi in zip(vectors, _n_phi_all(F, Q, P, vectors)):
+        N = F.subgroup(n_phi)
+        yield vec, N, vec in F.extension_index(N, Q)
 
 
 def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
@@ -104,7 +137,9 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
     """(verdict, witnesses) for receptivity of P.
 
     Quantifies over every Q in the F-class of P and every isomorphism
-    Q -> P in F; each witness records N_phi and the found extension.
+    Q -> P in F, by image table; each witness records N_phi and the least
+    extension over N_phi by image table. The tables are built here, for the
+    witnesses: `is_receptive` reads the same extensions on vectors alone.
     """
     P = F.subgroup(P.ids)
     witnesses = []
@@ -119,28 +154,46 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
                 break
         return True, witnesses
     for Q in F.f_conjugates(P):
-        gpos = [Q.positions[g] for g in Q.generator_ids()]
-        for t in F.hom_to_S_tables(Q):
-            if frozenset(t) != P.ids:
-                continue
-            n_phi = F.subgroup(_n_phi_ids(F, Q, t))
-            idx = F.extension_index(n_phi, Q)
-            full = idx.get(tuple(t[k] for k in gpos))
+        rows = sorted((F.table(Q, vec), vec, N, extends)
+                      for vec, N, extends in _extensions(F, Q, P))
+        for t, vec, N, extends in rows:
             phi = GroupHom(Q, P, t)
-            if full is None:
-                witnesses.append(NphiWitness(phi, n_phi, None))
+            if not extends:
+                witnesses.append(NphiWitness(phi, N, None))
                 verdict = False
                 if stop_early:
                     return verdict, witnesses
             else:
-                ext = GroupHom(n_phi, F.S, full)
-                witnesses.append(NphiWitness(phi, n_phi, ext))
+                least = _least_extension(F, N, Q, vec)
+                witnesses.append(NphiWitness(phi, N, GroupHom(N, F.S, least)))
     return verdict, witnesses
 
 
+def _least_extension(F: FusionSystem, N: Subgroup, Q: Subgroup,
+                     vec: tuple) -> tuple:
+    """The least table of the morphisms out of N that restrict to the map
+    on Q with generator images `vec`. The morphisms out of N are grouped by
+    restriction once per (N, Q), for witnesses only, and the candidates
+    compare as their images of N.sorted_ids up to its last generator do, so
+    only the winner is built in full."""
+    def group():
+        found: dict = {}
+        for key, v in zip(F.restrictions(N, Q), F.hom_vectors(N)):
+            found.setdefault(key, []).append(v)
+        return found
+    found = F.cached(("extension_candidates", N.ids, Q.ids), group)[vec]
+    heads = cayley_tree(N).prefix.images_all(F.ambient, found)
+    return F.table(N, min(zip(heads, found))[1])
+
+
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
-    verdict, _ = receptivity_witnesses(F, P, stop_early=True)
-    return verdict
+    """Every isomorphism onto P from a member of its F-class extends over
+    its N_phi; read on vectors, with no table built."""
+    P = F.subgroup(P.ids)
+    return P.ids == F.S.ids or all(
+        extends
+        for Q in F.f_conjugates(P) for _vec, _N, extends in _extensions(F, Q, P)
+    )
 
 
 def is_fully_centralised(F: FusionSystem, P: Subgroup) -> bool:
@@ -273,27 +326,31 @@ def is_strongly_closed(F: FusionSystem, P: Subgroup) -> bool:
 
 def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
     """P is normal in F: every morphism Q -> R extends to one on QP that
-    maps P onto itself. Quantified over the full hom table."""
+    maps P onto itself. Quantified over every morphism, on generator
+    images."""
     P = F.subgroup(P.ids)
     # the Q = S case of the definition forces P normal in S
     if not is_normal(F.S, P):
         return False
-    ppos_cache: dict = {}
+    amb = F.ambient
+    pids = P.ids
+    stable: dict = {}
     for Q in F.objects():
         QP = F.subgroup(product_ids(Q, P))
         key = (QP.ids, Q.ids)
-        idx = ppos_cache.get(key)
+        idx = stable.get(key)
         if idx is None:
-            qpos = [QP.positions[i] for i in Q.sorted_ids]
-            ppos = [QP.positions[i] for i in P.sorted_ids]
+            # restrictions to Q of the maps on QP that carry P's generators
+            # into P, so P onto itself
+            pg = P.generator_ids()
+            at = cayley_tree(QP).plan(pg + Q.generator_ids())
             idx = set()
-            for full in F.hom_to_S_tables(QP):
-                if frozenset(full[k] for k in ppos) == P.ids:
-                    idx.add(tuple(full[k] for k in qpos))
-            ppos_cache[key] = idx
-        for t in F.hom_to_S_tables(Q):
-            if t not in idx:
-                return False
+            for im in at.images_all(amb, F.hom_vectors(QP)):
+                if pids.issuperset(im[:len(pg)]):
+                    idx.add(im[len(pg):])
+            stable[key] = idx
+        if not idx.issuperset(F.hom_vectors(Q)):
+            return False
     return True
 
 

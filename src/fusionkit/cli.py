@@ -137,7 +137,7 @@ def _cmd_decompose(args, rep: Report):
             raise DescriptorError("decompose expects exactly one morphism")
         entry = entry[0]
     (phi,) = parse_fusion_generators(F.S, [entry])
-    if phi.images not in F.hom_to_S_tables(phi.domain):
+    if not F.has_morphism(phi.domain, phi.images):
         raise DescriptorError("not an F-isomorphism")
     d = alperin_decompose(F, phi)
     check = verify_decomposition(F, d, phi)

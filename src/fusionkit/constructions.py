@@ -16,6 +16,7 @@ from .groups import (
     Subgroup,
     as_hom,
     automorphisms,
+    cayley_tree,
     centralizer,
     is_abelian,
     isomorphisms,
@@ -33,24 +34,28 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     is the set of restrictions to Q of a1 x a2, with a_i in
     Hom_{F_i}(pi_i Q, S_i). The ambient is direct_product(G1, G2), whose
     element i*|G2| + j is (g_i, h_j), so an id projects by divmod. Each
-    object's tables are built from the factors' when it is first asked for;
-    `factor_embeddings` holds S1 x 1 and 1 x S2."""
+    object's vectors are a1 x a2 on its generators, from the factors'
+    vectors when it is first asked for; `factor_embeddings` holds S1 x 1
+    and 1 x S2."""
     if F1.p != F2.p:
         raise ValueError(f"prime mismatch: {F1.p} != {F2.p}")
     amb = direct_product(F1.ambient, F2.ambient)
     n2 = F2.ambient.order
 
     def hom(_F, Q: Subgroup):
-        pairs = [divmod(x, n2) for x in Q.sorted_ids]
-        Q1 = F1.subgroup(i for i, _ in pairs)
-        Q2 = F2.subgroup(j for _, j in pairs)
-        pos1 = [Q1.positions[i] for i, _ in pairs]
-        pos2 = [Q2.positions[j] for _, j in pairs]
-        left = [[t[k] * n2 for k in pos1] for t in F1.hom_to_S_tables(Q1)]
-        right = [[t[k] for k in pos2] for t in F2.hom_to_S_tables(Q2)]
-        return dict.fromkeys(
+        pairs = [divmod(x, n2) for x in Q.generator_ids()]
+        Q1 = F1.subgroup(x // n2 for x in Q.ids)
+        Q2 = F2.subgroup(x % n2 for x in Q.ids)
+        # each factor's maps at the projections of Q's generators
+        at1 = cayley_tree(Q1).plan([i for i, _ in pairs])
+        at2 = cayley_tree(Q2).plan([j for _, j in pairs])
+        amb1, amb2 = F1.ambient, F2.ambient
+        left = [[a * n2 for a in im]
+                for im in at1.images_all(amb1, F1.hom_vectors(Q1))]
+        right = at2.images_all(amb2, F2.hom_vectors(Q2))
+        return tuple(dict.fromkeys(
             tuple(map(add, a, b)) for a in left for b in right
-        )
+        )), None
 
     S12 = Subgroup(amb, frozenset(
         i * n2 + j for i in F1.S.ids for j in F2.S.ids
@@ -81,38 +86,30 @@ class QuotientMap:
         return self.Fq.subgroup(frozenset(self.theta[i] for i in P.ids))
 
     def morphism_map(self, alpha: GroupHom) -> GroupHom:
-        """alpha+ for alpha with domain containing T and alpha(T) = T."""
+        """alpha+ for an injective alpha with domain containing T and
+        alpha(T) = T, which holds when alpha maps T's generators into T."""
         dom = alpha.domain
         if not self.T.ids <= dom.ids:
             raise ValueError("domain does not contain the kernel")
         Pq = self.object_map(dom)
-        images = _push_forward(self.theta, self.T.ids, dom.sorted_ids,
-                               alpha.images, Pq.sorted_ids)
-        if images is None:
+        pos, images, theta = dom.positions, alpha.images, self.theta
+        if not self.T.ids.issuperset(
+                images[pos[t]] for t in self.T.generator_ids()):
             raise ValueError("morphism does not stabilize the kernel")
+        lift: dict = {}
+        for x in dom.sorted_ids:
+            lift.setdefault(theta[x], x)
+        images = [theta[images[pos[lift[c]]]] for c in Pq.sorted_ids]
         return GroupHom(Pq, self.Fq.subgroup(frozenset(images)), images)
-
-
-def _push_forward(theta: dict, kernel: frozenset, dom_sorted, table,
-                  target_sorted):
-    """The table over `target_sorted` (the quotient ids of the domain) of
-    the map theta(x) -> theta(phi(x)) induced by phi, given by `table` on
-    `dom_sorted`; None when phi does not map the kernel onto itself."""
-    d = dict(zip(dom_sorted, table))
-    if frozenset(d[x] for x in kernel) != kernel:
-        return None
-    vals: dict = {}
-    for x, y in d.items():
-        c, v = theta[x], theta[y]
-        if vals.setdefault(c, v) != v:
-            raise AssertionError("push-forward is not well defined")
-    return tuple(vals[c] for c in target_sorted)
 
 
 def quotient_fusion(F: FusionSystem, T: Subgroup):
     """(F/T, QuotientMap). T must be strongly closed. Hom(P/T, S/T) is the
     set of push-forwards of the kernel-stabilizing morphisms out of the
-    preimage P, computed when P/T is first asked for."""
+    preimage P, computed when P/T is first asked for. A morphism phi is
+    injective, so it maps T onto T when it maps T's generators into T, and
+    then theta(x) -> theta(phi(x)) is well defined: its vector is theta of
+    phi at one lift of each generator of P/T."""
     T = F.subgroup(T.ids)
     if not is_strongly_closed(F, T):
         raise ValueError("kernel is not strongly closed")
@@ -121,15 +118,19 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
     preimage: dict = {}
     for i in F.S.sorted_ids:
         preimage.setdefault(theta[i], []).append(i)
+    tgens = T.generator_ids()
 
     def hom(_F, Pq: Subgroup):
         Phat = F.subgroup(x for c in Pq.ids for x in preimage[c])
-        pushed = dict.fromkeys(
-            _push_forward(theta, T.ids, Phat.sorted_ids, t, Pq.sorted_ids)
-            for t in F.hom_to_S_tables(Phat)
-        )
-        pushed.pop(None, None)
-        return pushed
+        # phi at T's generators, then at one lift of each generator of P/T
+        at = cayley_tree(Phat).plan(
+            tgens + [preimage[c][0] for c in Pq.generator_ids()])
+        tids, k = T.ids, len(tgens)
+        pushed = {}
+        for im in at.images_all(F.ambient, F.hom_vectors(Phat)):
+            if tids.issuperset(im[:k]):
+                pushed[tuple([theta[y] for y in im[k:]])] = None
+        return tuple(pushed), None
 
     Fq = FusionSystem(Sq, F.p, hom, "derived")
     return Fq, QuotientMap(F, Fq, T, theta)
@@ -173,7 +174,6 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     cosets of C_S(Q) in N_S(Q) whose conjugation row lies in K."""
     Q = F.subgroup(Q.ids)
     K_tables = _coerce_aut_set(Q, K)
-    qsorted = Q.sorted_ids
     s_ids = frozenset().union(*(
         coset for _r, coset, row in F.centralizer_cosets(Q)
         if row in K_tables
@@ -181,18 +181,23 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     Sp = F.subgroup(s_ids)
     assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
 
+    qpos = Q.positions
+    qgens = Q.generator_ids()
+    K_vecs = {tuple(t[qpos[g]] for g in qgens) for t in K_tables}
+
     def hom(_F, P: Subgroup):
         PQ = F.subgroup(product_ids(P, Q))
-        qpos = [PQ.positions[x] for x in qsorted]
-        ppos = [PQ.positions[x] for x in P.sorted_ids]
+        # psi at Q's generators (its restriction to Q, which must lie in
+        # K), then at P's (its restriction to P)
+        at = cayley_tree(PQ).plan(qgens + P.generator_ids())
+        k = len(qgens)
         out = {}
-        for t in F.hom_to_S_tables(PQ):
-            if tuple(t[k] for k in qpos) not in K_tables:
-                continue
-            rest = tuple(t[k] for k in ppos)
-            if set(rest) <= s_ids:
-                out[rest] = None
-        return out
+        for im in at.images_all(F.ambient, F.hom_vectors(PQ)):
+            if im[:k] in K_vecs:
+                rest = im[k:]
+                if s_ids.issuperset(rest):
+                    out[rest] = None
+        return tuple(out), None
 
     return FusionSystem(Sp, F.p, hom, "derived")
 
@@ -207,13 +212,15 @@ def centralizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
 
 def _hom_fingerprint(F: FusionSystem):
     return sorted(
-        (Q.order, len(F.hom_to_S_tables(Q))) for Q in F.objects()
+        (Q.order, len(F.hom_vectors(Q))) for Q in F.objects()
     )
 
 
 def fusion_isomorphic(F: FusionSystem, Fp: FusionSystem):
-    """A group isomorphism S -> S' carrying hom tables onto hom tables,
-    or None. Exhaustive over group isomorphisms, cheapest domains first."""
+    """A group isomorphism S -> S' carrying hom sets onto hom sets, or
+    None. Exhaustive over group isomorphisms, cheapest domains first. The
+    image of phi on Q is sigma phi sigma^-1 on sigma(Q), whose vector is
+    sigma of phi at sigma^-1 of sigma(Q)'s generators."""
     if F.S.order != Fp.S.order or F.p != Fp.p:
         return None
     if F.S.order > MAX_ISO_SEARCH_ORDER:
@@ -221,27 +228,21 @@ def fusion_isomorphic(F: FusionSystem, Fp: FusionSystem):
     if _hom_fingerprint(F) != _hom_fingerprint(Fp):
         return None
     objs = sorted(F.objects(), key=lambda Q: (Q.order, Q.sorted_ids))
-    targets = {Q.ids: set(Fp.hom_to_S_tables(Q)) for Q in Fp.objects()}
+    amb = F.ambient
     for iso in isomorphisms(F.S, Fp.S):
         sigma = dict(zip(iso.domain.sorted_ids, iso.images))
-        ok = True
+        back = {y: x for x, y in sigma.items()}
         for Q in objs:
-            qimg = frozenset(sigma[i] for i in Q.ids)
-            want = targets.get(qimg)
-            if want is None or len(want) != len(F.hom_to_S_tables(Q)):
-                ok = False
+            Qp = Fp.subgroup(frozenset(sigma[i] for i in Q.ids))
+            want = Fp.vector_set(Qp)
+            vectors = F.hom_vectors(Q)
+            if len(want) != len(vectors):
                 break
-            Qp = Fp.subgroup(qimg)
-            back = sorted(range(Q.order),
-                          key=lambda k: Qp.positions[sigma[Q.sorted_ids[k]]])
-            pushed = {
-                tuple(sigma[t[k]] for k in back)
-                for t in F.hom_to_S_tables(Q)
-            }
-            if pushed != want:
-                ok = False
+            at = cayley_tree(Q).plan([back[y] for y in Qp.generator_ids()])
+            if any(tuple([sigma[y] for y in im]) not in want
+                   for im in at.images_all(amb, vectors)):
                 break
-        if ok:
+        else:
             return iso
     return None
 

@@ -1,19 +1,24 @@
 """Fusion systems over a finite p-group.
 
 A FusionSystem is fixed by the sets Hom(Q, S) of morphisms out of each
-subgroup Q of its top group S, stored as image tables; Hom(Q, P) is the
-subset whose image lies in P. One class holds every system, and a rule
-`hom(F, Q)` supplied by its constructor gives Hom(Q, S) as {image table:
-provenance} when Q is first asked for. `transporter_fusion` restricts the
+subgroup Q of its top group S; Hom(Q, P) is the subset whose image lies in
+P. A morphism is stored by its vector: its images of Q.generator_ids(),
+which fix it. One class holds every system, and a rule `hom(F, Q)`
+supplied by its constructor gives Hom(Q, S) as vectors with their
+provenance when Q is first asked for. `transporter_fusion` restricts the
 conjugations by an ambient group, `generated_fusion` closes a seed set of
 injective homomorphisms, and the constructions (products, quotients,
-normalizer and centralizer subsystems) read the tables of their parent
+normalizer and centralizer subsystems) read the vectors of their parent
 systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps; `alperin_decompose` runs the same
-search over fcr automorphisms. Morphisms are handed out as
-`groups.GroupHom`s with their provenance.
+search over fcr automorphisms.
 
-A system never changes once built, so its hom tables, its subgroup
+Full image tables are built only at the point of use, by
+`groups.CayleyTree`: morphisms handed out as `groups.GroupHom`s with their
+provenance, `hom_to_S_tables`, digests, audits and the other whole-table
+consumers. No memo entry keeps a table of a morphism.
+
+A system never changes once built, so its hom vectors, its subgroup
 instances and every invariant derived from them (automizers, classes,
 normalizers, fcr objects, ...) are computed once and kept in the system's
 single memo, `FusionSystem.cached`.
@@ -25,14 +30,18 @@ import functools
 import hashlib
 import pickle
 import random
+from array import array
+from itertools import islice
 
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
     _p_part,
+    _tabled,
     all_subgroups,
     as_hom,
+    cayley_tree,
     centralizer,
     is_p_group,
     normalizer,
@@ -50,25 +59,32 @@ def _memoised(method):
 
     @functools.wraps(method)
     def memoised(self, *subgroups):
-        key = (name, *(X.ids for X in subgroups))
-        return self.cached(key, lambda: method(self, *subgroups))
+        key = (name, *[X.ids for X in subgroups])
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = method(self, *subgroups)
+        return value
     return memoised
 
 
 class FusionSystem:
-    """Fusion system over a p-group S, queried through its hom tables.
+    """Fusion system over a p-group S, queried through its hom vectors.
 
-    `hom(F, Q)` returns Hom(Q, S) as {image table over Q.sorted_ids:
-    provenance} and runs once per object Q. It takes the system as an
-    argument rather than holding it, so a system is freed by reference
-    counting alone. `backend` names the rule ("transporter", "generated"
-    or "derived"). `generators(F)` lists morphisms that generate the
-    system; without it every morphism is listed."""
+    `hom(F, Q)` returns Hom(Q, S) as (vectors, provenance) and runs once
+    per object Q: the images of Q.generator_ids() under each morphism, and
+    a function from a vector's index to its provenance, or None. It takes
+    the system as an argument rather than holding it, so a system is freed
+    by reference counting alone. `backend` names the rule ("transporter",
+    "generated" or "derived"). `generators(F)` lists morphisms that
+    generate the system; without it every morphism is listed."""
 
     def __init__(self, S: Subgroup, p: int, hom, backend: str,
                  generators=None):
         if not is_p_group(S, p):
             raise ValueError(f"top group order {S.order} is not a power of {p}")
+        # every subgroup closure and every table rebuilt inside S reads
+        # S's multiplication table
+        _tabled(S)
         self.S = S
         self.p = p
         self.ambient = S.ambient
@@ -100,48 +116,84 @@ class FusionSystem:
         ])
 
     def _homs(self, Q: Subgroup) -> tuple:
-        """(sorted tables of Hom(Q, S), {table: provenance}), from the rule
-        the first time Q is asked for."""
+        """(vectors, provenance) of Hom(Q, S), from the rule the first time
+        Q is asked for."""
         if not Q.ids <= self.S.ids:
             raise ValueError("object is not a subgroup of S")
+        return self.cached(("hom", Q.ids),
+                           lambda: self._rule(self, self.subgroup(Q.ids)))
 
-        def compute():
-            prov = self._rule(self, self.subgroup(Q.ids))
-            return tuple(sorted(prov)), prov
-        return self.cached(("hom", Q.ids), compute)
-
-    def hom_to_S_tables(self, Q: Subgroup) -> tuple:
+    def hom_vectors(self, Q: Subgroup) -> tuple:
+        """Hom(Q, S) as the images of Q.generator_ids() under each morphism,
+        in the order the rule found them."""
         return self._homs(Q)[0]
 
+    def table(self, Q: Subgroup, vec) -> tuple:
+        """The image table over Q.sorted_ids of the morphism out of Q with
+        generator images `vec`."""
+        return cayley_tree(self.subgroup(Q.ids)).full.images(self.ambient,
+                                                              vec)
+
+    def _tables(self, Q: Subgroup, vectors) -> list:
+        full = cayley_tree(self.subgroup(Q.ids)).full
+        return full.images_all(self.ambient, vectors)
+
+    def hom_to_S_tables(self, Q: Subgroup) -> tuple:
+        """Hom(Q, S) as sorted image tables over Q.sorted_ids, built on
+        each call."""
+        return tuple(sorted(self._tables(Q, self.hom_vectors(Q))))
+
+    def has_morphism(self, Q: Subgroup, images) -> bool:
+        """Whether the table `images` over Q.sorted_ids is a morphism
+        Q -> S of the system: its generator images must name a stored
+        vector, and the table that vector fixes must be `images`, so a
+        table that agrees with a morphism on the generators alone is
+        rejected."""
+        lookup = self.vector_set(Q)
+        tree = cayley_tree(self.subgroup(Q.ids))
+        pos = Q.positions
+        vec = tuple([images[pos[g]] for g in tree.gens])
+        return (vec in lookup
+                and tree.full.images(self.ambient, vec) == tuple(images))
+
+    @_memoised
+    def vector_set(self, Q: Subgroup) -> frozenset:
+        """Hom(Q, S) as a set of vectors, for membership tests."""
+        return frozenset(self.hom_vectors(Q))
+
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
+        """The morphisms Q -> P, by image table. A morphism maps into P
+        exactly when its generator images lie in P."""
         if not P.ids <= self.S.ids:
             raise ValueError("codomain is not a subgroup of S")
         P = self.subgroup(P.ids)
         pids = P.ids
-        tables, prov = self._homs(Q)
+        vectors, prov = self._homs(Q)
         Q = self.subgroup(Q.ids)
+        picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
+        found = sorted(zip(self._tables(Q, [vectors[i] for i in picked]),
+                           picked))
         return [
-            GroupHom(Q, P, t, provenance=prov[t])
-            for t in tables if all(i in pids for i in t)
+            GroupHom(Q, P, t, provenance=None if prov is None else prov(i))
+            for t, i in found
         ]
 
     def hom_to_S(self, Q: Subgroup) -> list[GroupHom]:
         return self.hom_set(Q, self.S)
 
     @_memoised
+    def aut_f_vectors(self, P: Subgroup) -> tuple:
+        """Aut_F(P) as vectors: the morphisms out of P whose generator
+        images lie in P, since an injective map of P into P is onto."""
+        pids = P.ids
+        return tuple(v for v in self.hom_vectors(P) if pids.issuperset(v))
+
     def aut_f_tables(self, P: Subgroup) -> tuple:
-        """Aut_F(P): the tables of Hom(P, S) that map P onto itself."""
-        return tuple(
-            t for t in self.hom_to_S_tables(P) if frozenset(t) == P.ids
-        )
+        """Aut_F(P) as sorted image tables, built on each call."""
+        return tuple(sorted(self._tables(P, self.aut_f_vectors(P))))
 
     def aut_f(self, P: Subgroup) -> list[GroupHom]:
-        P = self.subgroup(P.ids)
-        tables = self.aut_f_tables(P)
-        prov = self._homs(P)[1]
-        return [
-            GroupHom(P, P, t, provenance=prov[t]) for t in tables
-        ]
+        return self.hom_set(P, P)
 
     @_memoised
     def normalizer_of(self, P: Subgroup) -> Subgroup:
@@ -187,8 +239,26 @@ class FusionSystem:
 
     @_memoised
     def image_sets(self, Q: Subgroup) -> frozenset:
-        """Images of all morphisms out of Q, as frozensets of ids."""
-        return frozenset(frozenset(t) for t in self.hom_to_S_tables(Q))
+        """Images of all morphisms out of Q, as the id sets of objects. A
+        morphism is injective, so its image is the one object of order |Q|
+        that contains its generator images."""
+        vectors = self.hom_vectors(Q)
+        if Q.order == 1:
+            return frozenset([Q.ids])
+
+        def objects_through():
+            # {x: id sets of the objects of order |Q| that contain x}
+            through: dict = {}
+            for R in self.objects():
+                if R.order == Q.order:
+                    for x in R.ids:
+                        through.setdefault(x, []).append(R.ids)
+            return through
+        through = self.cached(("objects_through", Q.order), objects_through)
+        return frozenset(
+            next(ids for ids in through[v[0]] if ids.issuperset(v))
+            for v in vectors
+        )
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
         """All subgroups F-isomorphic to P (isomorphic as objects, i.e.
@@ -225,24 +295,31 @@ class FusionSystem:
             x = amb.id_of(x)
         if x not in self.S.ids:
             raise ValueError("element is not in S")
-        Q = subgroup_generated(amb, [x])
-        pos = Q.positions[x]
-        return sorted({t[pos] for t in self.hom_to_S_tables(Q)})
+
+        def compute():
+            Q = self.subgroup(subgroup_generated(amb, [x]).ids)
+            at_x = cayley_tree(Q).plan([x])
+            return tuple(sorted(
+                {y for y, in at_x.images_all(amb, self.hom_vectors(Q))}))
+        return list(self.cached(("f_class", x), compute))
 
     # -- extension lookups (receptivity) ----------------------------------
 
-    @_memoised
-    def extension_index(self, N: Subgroup, Q: Subgroup) -> dict:
-        """Map (images of Q.generator_ids()) -> one full table over N, for
-        every morphism out of N; Q must be contained in N. A homomorphism
-        on Q is fixed by its generator images, so the key names the
-        restriction to Q."""
+    def restrictions(self, N: Subgroup, Q: Subgroup) -> list:
+        """The restriction to Q of each morphism out of N, in the order of
+        hom_vectors(N), as its images of Q.generator_ids(); Q must be
+        contained in N. A homomorphism on Q is fixed by those images."""
         N = self.subgroup(N.ids)
-        gpos = [N.positions[i] for i in self.subgroup(Q.ids).generator_ids()]
-        idx = {}
-        for t in self.hom_to_S_tables(N):
-            idx.setdefault(tuple(t[k] for k in gpos), t)
-        return idx
+        restrict = cayley_tree(N).plan(self.subgroup(Q.ids).generator_ids())
+        return restrict.images_all(self.ambient, self.hom_vectors(N))
+
+    @_memoised
+    def extension_index(self, N: Subgroup, Q: Subgroup) -> frozenset:
+        """The maps on Q that extend to morphisms out of N, each as its
+        images of Q.generator_ids()."""
+        # a set grown key by key keeps up to four slots per key; one built
+        # from a dict is sized once, at two
+        return frozenset(dict.fromkeys(self.restrictions(N, Q)))
 
     def generating_morphisms(self) -> list[GroupHom]:
         if self._generators is not None:
@@ -300,19 +377,13 @@ def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
 
     def hom(F, Q):
         qids = Q.ids
-        qsorted = Q.sorted_ids
         gens_q = Q.generator_ids()
-        seen_vec = set()
-        prov = {}
+        first = {}
         for D, table, g in _conjugation_pairs(F, G):
-            if not qids <= D.ids:
-                continue
-            vec = tuple(table[i] for i in gens_q)
-            if vec in seen_vec:
-                continue
-            seen_vec.add(vec)
-            prov[tuple(table[i] for i in qsorted)] = ("conjugation", g)
-        return prov
+            if qids <= D.ids:
+                first.setdefault(tuple(table[i] for i in gens_q), g)
+        least = array("i", first.values())
+        return tuple(first), lambda i: ("conjugation", least[i])
 
     def generators(F):
         return [
@@ -354,9 +425,10 @@ def word_search(gens, maps, target=None) -> dict:
 def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     """The smallest fusion system over S containing the seed maps `gens`.
     Hom(Q, S) is the `word_search` closure of Q's generators under the
-    seeds, their inverses and the conjugations by the generators of S;
-    each table is built from its parent's, with provenance ("word", seed
-    indices)."""
+    seeds, their inverses and the conjugations by the generators of S.
+    Each morphism keeps a (parent index, seed index) link in discovery
+    order, from which its provenance ("word", seed indices) is read back
+    when it is handed out."""
     amb = S.ambient
     morphisms = []
     seeds = []
@@ -384,20 +456,27 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
         seeds.append((S.ids, table))
 
     def hom(_F, Q):
-        full = {}
-        words = {}
-        for vec, parent in word_search(Q.generator_ids(), seeds).items():
-            if parent is None:
-                full[vec], words[vec] = Q.sorted_ids, ()
-                continue
-            prev, k = parent
-            table = seeds[k][1]
-            full[vec] = tuple(table[x] for x in full[prev])
-            words[vec] = words[prev] + (k,)
-        return {full[vec]: ("word", word) for vec, word in words.items()}
+        parents = word_search(Q.generator_ids(), seeds)
+        vectors = tuple(parents)
+        index = {v: i for i, v in enumerate(vectors)}
+        up, via = array("i", [0]), array("i", [0])
+        for prev, k in islice(parents.values(), 1, None):
+            up.append(index[prev])
+            via.append(k)
+        return vectors, functools.partial(_word, up, via)
 
     return FusionSystem(S, p, hom, "generated",
                         generators=lambda _F: list(morphisms))
+
+
+def _word(up, via, i: int) -> tuple:
+    """("word", seed indices) of the vector found i-th, read back along its
+    (parent index, seed index) links to the start."""
+    word = []
+    while i:
+        word.append(via[i])
+        i = up[i]
+    return ("word", tuple(reversed(word)))
 
 
 # perfbench/tracing.py times the building of generated systems under
@@ -453,10 +532,11 @@ def _raw_table(F: FusionSystem, Q: Subgroup):
 def equal_hom_tables(F1: FusionSystem, F2: FusionSystem) -> bool:
     """Extensional equality of the two systems' full hom tables."""
     if F1.ambient is F2.ambient:
+        # on one ambient a morphism is its vector on the same generators
         if F1.S.ids != F2.S.ids:
             return False
         for Q in F1.objects():
-            if F1.hom_to_S_tables(Q) != F2.hom_to_S_tables(Q):
+            if set(F1.hom_vectors(Q)) != set(F2.hom_vectors(Q)):
                 return False
         return True
     if F1.ambient.degree != F2.ambient.degree:
@@ -522,8 +602,17 @@ def audit_axioms(F: FusionSystem) -> list[str]:
     problems = []
     objects = F.objects()
     by_ids = {Q.ids: Q for Q in objects}
+    built: dict = {}
+
+    def hom_tables(Q):
+        # every table the audit reads, built once and dropped with it
+        tables = built.get(Q.ids)
+        if tables is None:
+            tables = built[Q.ids] = F.hom_to_S_tables(Q)
+        return tables
+
     for Q in objects:
-        tables = F.hom_to_S_tables(Q)
+        tables = hom_tables(Q)
         table_set = set(tables)
         aut_s_tabs, _ = F.aut_s_tables(Q)
         # Hom_S(Q, S): conjugation by every s in S with Q^s <= S (always)
@@ -563,8 +652,8 @@ def audit_axioms(F: FusionSystem) -> list[str]:
         pairs = random.Random(0).sample(pairs, AUDIT_SAMPLES)
     for Q, R in pairs:
         rpos = [Q.positions[i] for i in R.sorted_ids]
-        sub_tables = set(F.hom_to_S_tables(R))
-        for t in F.hom_to_S_tables(Q):
+        sub_tables = set(hom_tables(R))
+        for t in hom_tables(Q):
             if tuple(t[k] for k in rpos) not in sub_tables:
                 problems.append(
                     f"restriction of an order-{Q.order} map missing at "
@@ -574,7 +663,7 @@ def audit_axioms(F: FusionSystem) -> list[str]:
     # composition closure
     comps = []
     for Q in objects:
-        for t in F.hom_to_S_tables(Q):
+        for t in hom_tables(Q):
             comps.append((Q, t))
     if len(comps) > AUDIT_SAMPLES:
         comps = random.Random(1).sample(comps, AUDIT_SAMPLES)
@@ -583,8 +672,8 @@ def audit_axioms(F: FusionSystem) -> list[str]:
         R = by_ids.get(img)
         if R is None:
             R = F.subgroup(img)
-        second = F.hom_to_S_tables(R)
-        table_set = set(F.hom_to_S_tables(Q))
+        second = hom_tables(R)
+        table_set = set(hom_tables(Q))
         pos = R.positions
         for t2 in second[: AUDIT_SAMPLES // 10]:
             composite = tuple(t2[pos[i]] for i in t)

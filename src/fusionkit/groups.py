@@ -7,9 +7,10 @@ id-sets over a fixed ambient FiniteGroup and are cheap to hash and compare.
 
 Element arithmetic (`mul_ids`, `mul_row`, `conj_row`, `conj_col`,
 `power_ids`, `inverse_ids`) lives on FiniteGroup and has two paths. Inside
-a p-group S that has been scanned as a whole (by `all_subgroups`,
-`normalizer`, `centralizer`, `quotient_group`, `hom_from_images` or
-`GroupHom.is_homomorphism`), it reads one multiplication table and one
+a p-group S that is the top group of a fusion system or has been scanned
+as a whole (by `all_subgroups`, `normalizer`, `centralizer`,
+`quotient_group`, `hom_from_images` or `GroupHom.is_homomorphism`), it
+reads one multiplication table and one
 inverse table of S, numbered locally by `S.sorted_ids` (Holt, Eick &
 O'Brien, Handbook of Computational Group Theory, 2005). The table has
 |S|^2 two-byte entries (11.8 MB at |S| = 2401); the subgroup lattice of
@@ -18,6 +19,11 @@ path: the transporter sweep over G outside S, the Sylow ascent in a
 non-p-group, and the automizer permutation groups that are not p-groups.
 The ambient itself is never tabled unless it is a p-group, as it may be
 far larger than S.
+
+A homomorphism is fixed by its images of a generating set. `CayleyTree`
+is the one walk that extends such images to a whole table, or to the
+images of a few chosen elements: `hom_from_images` and the fusion systems,
+which store each morphism by its generator images, both run on it.
 
 `right_cosets` is the one routine that splits a group into cosets. The
 quotient S/T of a fusion system, Out_F(P) = Aut_F(P)/Inn(P) and the
@@ -196,32 +202,46 @@ class FiniteGroup:
         """The tables of S. The column x -> x*g of each generator g of S
         comes from the permutation kernel; every other column follows a
         Cayley breadth-first tree of S, col(y*g) = col(g) after col(y), by
-        lookups alone."""
+        lookups alone. The generators are S's greedy set, found on the way:
+        when the tree stops short of S, the least element it has not
+        reached is the next generator. So no closure runs on permutation
+        tuples, and the set is kept as S.generator_ids()."""
         sids, pos = S.sorted_ids, S.positions
         n = len(sids)
         els, index, mul = self.elements, self.index, perms.mul
-        gen_cols = []
-        for g in S.generator_ids():
-            gp = els[g]
-            gen_cols.append([pos[index[mul(els[x], gp)]] for x in sids])
         e = pos[self.identity_id]
         cols = [None] * n
         inv = [e] * n
         cols[e] = array("H", range(n))
-        frontier = [e]
-        while frontier:
-            new = []
-            for x in frontier:
-                col_x = cols[x]
-                for col_g in gen_cols:
-                    y = col_g[x]
-                    if cols[y] is not None:
-                        continue
-                    col = [col_g[a] for a in col_x]
-                    cols[y] = array("H", col)
-                    inv[y] = col.index(e)
-                    new.append(y)
-            frontier = new
+        gens, gen_cols = [], []
+        reached, frontier = [e], []
+        least = 0
+        while True:
+            while frontier:
+                new = []
+                for x in frontier:
+                    col_x = cols[x]
+                    for col_g in gen_cols:
+                        y = col_g[x]
+                        if cols[y] is not None:
+                            continue
+                        col = [col_g[a] for a in col_x]
+                        cols[y] = array("H", col)
+                        inv[y] = col.index(e)
+                        new.append(y)
+                reached += new
+                frontier = new
+            if len(reached) == n:
+                break
+            while cols[least] is not None:
+                least += 1
+            g = sids[least]
+            gp = els[g]
+            gens.append(g)
+            gen_cols.append([pos[index[mul(els[x], gp)]] for x in sids])
+            frontier = list(reached)
+        if S._gens is None:
+            S._gens = gens
         return _Table(S.ids, sids, pos, cols, inv)
 
     def element_order(self, i: int) -> int:
@@ -302,7 +322,8 @@ def _tabled(G: "Subgroup") -> None:
 class Subgroup:
     """A subgroup of a FiniteGroup, stored as a frozen set of element ids."""
 
-    __slots__ = ("ambient", "ids", "_sorted", "_positions", "_gens", "_hash")
+    __slots__ = ("ambient", "ids", "_sorted", "_positions", "_gens", "_tree",
+                 "_hash")
 
     def __init__(self, ambient: FiniteGroup, ids):
         self.ambient = ambient
@@ -310,6 +331,7 @@ class Subgroup:
         self._sorted: tuple[int, ...] | None = None
         self._positions: dict[int, int] | None = None
         self._gens: list[int] | None = None
+        self._tree: CayleyTree | None = None
         self._hash = None
 
     @property
@@ -368,7 +390,17 @@ class Subgroup:
                 if i in have:
                     continue
                 gens.append(i)
-                have = _closure_ids(amb, gens)
+                # <have, i>: everything so far times i, then each new
+                # element times every generator until nothing is new
+                frontier, step = list(have), [i]
+                while frontier:
+                    new = []
+                    for g in step:
+                        for j in amb.mul_row(frontier, g):
+                            if j not in have:
+                                have.add(j)
+                                new.append(j)
+                    frontier, step = new, gens
                 if len(have) == len(self.ids):
                     break
             self._gens = gens
@@ -556,11 +588,185 @@ def is_p_group(G: Subgroup, p: int) -> bool:
 # homomorphisms
 
 
+class CayleyTree:
+    """A breadth-first spanning tree of the Cayley graph of a subgroup Q on
+    the generators `gens`: each element other than the identity is reached
+    as parent * g from an element one step nearer the identity. A
+    homomorphism out of Q is fixed by its images of `gens`, and along the
+    tree phi(x) = phi(parent) * phi(g).
+
+    `plan(elems)` compiles the walk that evaluates a homomorphism at
+    `elems` alone, down the tree paths that reach them; `full` is the plan
+    for all of Q.sorted_ids, the one routine that rebuilds an image table
+    from generator images. `cols[j][k]` is the position in Q.sorted_ids of
+    Q.sorted_ids[k] * gens[j]: the edges that `respects` checks."""
+
+    __slots__ = ("gens", "cols", "_sids", "_pos", "_node", "_parent",
+                 "_gen", "_full", "_prefix")
+
+    def __init__(self, Q: "Subgroup", gens):
+        if not Q.ids.issuperset(gens):
+            raise ValueError("gen_ids do not generate the domain")
+        amb = Q.ambient
+        # the tree keeps Q's id list and position map, not Q itself: Q
+        # holds its tree, and a cycle would outlive its last reference
+        sids, pos = Q.sorted_ids, Q.positions
+        self.gens = tuple(gens)
+        self.cols = tuple(
+            tuple([pos[j] for j in amb.mul_row(sids, g)]) for g in gens
+        )
+        root = pos[amb.identity_id]
+        node = [-1] * len(sids)
+        node[root] = 0
+        order, parent, gen = [root], [0], [0]
+        for n, x in enumerate(order):
+            for j, col in enumerate(self.cols):
+                y = col[x]
+                if node[y] < 0:
+                    node[y] = len(order)
+                    order.append(y)
+                    parent.append(n)
+                    gen.append(j)
+        if len(order) != len(sids):
+            raise ValueError("gen_ids do not generate the domain")
+        self._sids, self._pos = sids, pos
+        self._node, self._parent, self._gen = tuple(node), parent, gen
+        self._full = self._prefix = None
+
+    def plan(self, elems) -> "TreePlan":
+        """The walk that evaluates a homomorphism at the elements `elems`
+        of Q, in order: the tree nodes on their paths from the identity,
+        in breadth-first order, so each parent comes before its child."""
+        pos, node, parent = self._pos, self._node, self._parent
+        targets = [node[pos[x]] for x in elems]
+        need = set()
+        for n in targets:
+            while n and n not in need:
+                need.add(n)
+                n = parent[n]
+        slot = {0: 0}
+        steps = []
+        for n in sorted(need):
+            slot[n] = len(slot)
+            steps.append((self._gen[n], slot[parent[n]]))
+        return TreePlan(tuple(steps), tuple([slot[n] for n in targets]))
+
+    @property
+    def full(self) -> "TreePlan":
+        """The plan for every element of Q, in sorted order."""
+        if self._full is None:
+            # every node is needed, so slots are the tree's own node order
+            self._full = TreePlan(
+                tuple(zip(self._gen[1:], self._parent[1:])), self._node)
+        return self._full
+
+    @property
+    def prefix(self) -> "TreePlan":
+        """The plan for the elements of Q.sorted_ids up to the last
+        generator. Two homomorphisms that agree there agree on every
+        generator, so image tables compare as their prefixes do."""
+        if self._prefix is None:
+            pos = self._pos
+            self._prefix = self.plan(
+                self._sids[:1 + max((pos[g] for g in self.gens), default=0)])
+        return self._prefix
+
+    def respects(self, cod: FiniteGroup, images, vec) -> bool:
+        """Whether the table `images` over Q.sorted_ids maps the generators
+        to `vec` and is multiplicative on every edge x -> x*g of the Cayley
+        graph, that is, is the homomorphism into `cod` they fix."""
+        pos = self._pos
+        for col, g, m in zip(self.cols, self.gens, vec):
+            if images[pos[g]] != m:
+                return False
+            if cod.mul_row(images, m) != tuple([images[k] for k in col]):
+                return False
+        return True
+
+
+class TreePlan:
+    """A compiled walk down a CayleyTree. Slot 0 holds the identity, and
+    step k, (generator index j, parent slot), fills slot k + 1 with the
+    parent's value times generator j; `outs` are the slots of the
+    requested elements."""
+
+    __slots__ = ("steps", "outs")
+
+    def __init__(self, steps, outs):
+        self.steps = steps
+        self.outs = outs
+
+    def images(self, cod: FiniteGroup, vec) -> tuple:
+        """The images of the plan's elements under the homomorphism that
+        maps the tree's generators to the ids `vec` of `cod`, with one
+        multiplication per step; `vec` must extend to a homomorphism,
+        which is not checked here."""
+        hit = cod._locate(cod.identity_id, vec)
+        if hit is not None:
+            t, e, locs = hit
+            cols = t.cols
+            gcols = [cols[b] for b in locs]
+            vals = [e]
+            for j, p in self.steps:
+                vals.append(gcols[j][vals[p]])
+            sids = t.sids
+            return tuple([sids[vals[s]] for s in self.outs])
+        mul = cod.mul_ids
+        vals = [cod.identity_id]
+        for j, p in self.steps:
+            vals.append(mul(vals[p], vec[j]))
+        return tuple([vals[s] for s in self.outs])
+
+    def images_all(self, cod: FiniteGroup, vectors) -> list:
+        """`images(cod, vec)` for every vector of `vectors`, in order. The
+        walk runs column by column over chunks of BATCH vectors, one list
+        comprehension per step, rather than one walk per vector."""
+        if len(vectors) < 3:
+            return [self.images(cod, v) for v in vectors]
+        out: list = []
+        for start in range(0, len(vectors), BATCH):
+            out += self._images_chunk(cod, vectors[start:start + BATCH])
+        return out
+
+    def _images_chunk(self, cod: FiniteGroup, vectors) -> list:
+        if not self.outs:
+            return [()] * len(vectors)
+        hit = cod._locate(cod.identity_id, vectors[0])
+        try:
+            t, e, _ = hit
+            pos = t.pos
+            gens = [[pos[v[j]] for v in vectors]
+                    for j in range(len(vectors[0]))]
+        except (TypeError, KeyError):
+            # no one table covers the chunk
+            return [self.images(cod, v) for v in vectors]
+        cols, sids = t.cols, t.sids
+        vals = [[e] * len(vectors)]
+        for j, p in self.steps:
+            vals.append([cols[b][a] for a, b in zip(vals[p], gens[j])])
+        return list(zip(*[[sids[x] for x in vals[s]] for s in self.outs]))
+
+
+# vectors per column of TreePlan.images_all: bounds the columns held at once
+BATCH = 256
+
+
+def cayley_tree(Q: "Subgroup", gens=None) -> CayleyTree:
+    """The CayleyTree of Q on `gens`, by default Q.generator_ids(). The
+    tree on Q's own generating set is built once per Subgroup instance."""
+    if gens is not None and (Q._gens is None or list(gens) != Q._gens):
+        return CayleyTree(Q, gens)
+    if Q._tree is None:
+        Q._tree = CayleyTree(Q, Q.generator_ids())
+    return Q._tree
+
+
 class GroupHom:
-    """A homomorphism domain -> codomain between subgroups, stored by its
+    """A homomorphism domain -> codomain between subgroups, with its full
     image table; this is the one morphism class, so a morphism of a fusion
     system (an injective homomorphism between subgroups of S) is a GroupHom
-    too.
+    too. A fusion system stores a morphism by its images of the domain's
+    generators and builds the table only when it hands a GroupHom out.
 
     images[k] is the codomain-ambient id of the image of the k-th element
     of domain.sorted_ids, and must cover the whole domain. `provenance`
@@ -611,15 +817,11 @@ class GroupHom:
         )
 
     def is_homomorphism(self) -> bool:
-        dom, cod = self.domain.ambient, self.codomain.ambient
         _tabled(self.domain)
+        tree = cayley_tree(self.domain)
         pos, images = self.domain.positions, self.images
-        ids = self.domain.sorted_ids
-        return all(
-            tuple([images[pos[j]] for j in dom.mul_row(ids, g)])
-            == cod.mul_row(images, images[pos[g]])
-            for g in self.domain.generator_ids()
-        )
+        return tree.respects(self.codomain.ambient, images,
+                             [images[pos[g]] for g in tree.gens])
 
     def __eq__(self, other):
         return (
@@ -666,31 +868,22 @@ def hom_from_images(
 ) -> GroupHom | None:
     """Extend gen |-> image to a homomorphism, or return None.
 
-    Walks the domain Cayley graph once, checking every edge, so a returned
-    map is verified multiplicative on all of domain x gens.
+    Builds the table along the Cayley tree of the domain on `gen_ids`, the
+    tree that fusion systems rebuild their morphisms on, then checks every
+    edge of the Cayley graph, so a returned map is verified multiplicative
+    on all of domain x gens.
     """
-    dom = domain.ambient
     cod = codomain_ambient
     gen_ids = list(gen_ids)
     image_ids = list(image_ids)
+    if len(gen_ids) != len(image_ids):
+        raise ValueError("gen_ids and image_ids differ in length")
     _tabled(domain)
-    table = {dom.identity_id: cod.identity_id}
-    frontier = [dom.identity_id]
-    while frontier:
-        new = []
-        images = [table[i] for i in frontier]
-        for g, m in zip(gen_ids, image_ids):
-            for j, fj in zip(dom.mul_row(frontier, g), cod.mul_row(images, m)):
-                known = table.get(j)
-                if known is None:
-                    table[j] = fj
-                    new.append(j)
-                elif known != fj:
-                    return None
-        frontier = new
-    if len(table) != domain.order:
-        raise ValueError("gen_ids do not generate the domain")
-    return GroupHom(domain, cod.full(), [table[i] for i in domain.sorted_ids])
+    tree = cayley_tree(domain, gen_ids)
+    images = tree.full.images(cod, image_ids)
+    if not tree.respects(cod, images, image_ids):
+        return None
+    return GroupHom(domain, cod.full(), images)
 
 
 def _iso_candidates(domain: Subgroup, codomain: Subgroup):

@@ -374,7 +374,7 @@ def certify_rv(F: FusionSystem) -> dict:
     counts = {HALF_TYPE_ORDER: 0, FULL_TYPE_ORDER: 0}
     for line in _lines():
         V = F.subgroup(ext.rank2_subgroup(line).ids)
-        counts[len(F.aut_f_tables(V))] += 1
+        counts[len(F.aut_f_vectors(V))] += 1
         assert is_centric(F, V) and is_radical(F, V), \
             "rank-2 subgroup not centric-radical"
     want = {HALF_TYPE_ORDER: 0, FULL_TYPE_ORDER: 0}

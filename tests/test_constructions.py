@@ -1,7 +1,14 @@
 """Products, quotients, normalizer subsystems, structure witnesses."""
 
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+
 import pytest
 
+import fusionkit
 from fusionkit import (
     GroupHom,
     Subgroup,
@@ -238,14 +245,38 @@ def test_witness_rejects_nonabelian_second_factor():
         main_theorem_witness(F1, D8)
 
 
+# address-space limit of the p = 7 witness child: its peak virtual size
+# measured 115 MB (5 s on a 2-vCPU VM), and the limit leaves about 4.5x
+# that; the same run peaked at 3.5 GB resident when every morphism was
+# stored as a full image table
+P7_ADDRESS_SPACE = 512 * 2 ** 20
+
+P7_SCRIPT = """
+from fusionkit import main_theorem_witness
+from fusionkit.cli import _witness_pairs_p7
+for n1, F1, n2, F2 in _witness_pairs_p7():
+    assert main_theorem_witness(F1, F2).all_pass, (n1, n2)
+"""
+
+
 @pytest.mark.slow
 def test_witness_p7_stretch():
     """The order-2401 product: one exotic factor, one Frobenius factor.
 
-    Closing hom tables over the product group takes hours on one core;
-    budget accordingly before selecting this test.
+    The witness runs in a child process whose address space is capped by
+    P7_ADDRESS_SPACE, so a memory regression fails the test rather than
+    exhausting the host. It takes about 5 s on one core.
     """
-    from fusionkit.cli import _witness_pairs_p7
-    for n1, F1, n2, F2 in _witness_pairs_p7():
-        rep = main_theorem_witness(F1, F2)
-        assert rep.all_pass, (n1, n2)
+    src = str(pathlib.Path(fusionkit.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (P7_ADDRESS_SPACE, P7_ADDRESS_SPACE))
+
+    run = subprocess.run([sys.executable, "-c", P7_SCRIPT], env=env,
+                         preexec_fn=cap, capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]

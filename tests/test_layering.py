@@ -9,13 +9,25 @@ permutation tuples is made in one place. The modules that never touch
 permutation tuples do not import `perms` at all.
 
 `groups.GroupHom` is the one class that holds a morphism's image table: no
-other module defines a class with an `images` slot.
+other module defines a class with an `images` slot. A fusion system stores
+a morphism by its images of the domain's generators: no memo entry that
+holds morphisms keeps an image table.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+from fusionkit import (
+    fcr_objects,
+    is_saturated,
+    product_fusion,
+    sylow_p,
+    symmetric_group,
+    transporter_fusion,
+)
+from fusionkit.cli import _witness_pairs_p3
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
 KERNELS = {"mul", "conjugate", "power", "inverse"}
@@ -114,3 +126,43 @@ def test_fusionsystem_has_no_subclass():
                 for b in node.bases)
     ]
     assert subclasses == []
+
+
+def _s6():
+    G = symmetric_group(6)
+    return transporter_fusion(G, sylow_p(G.full(), 2), 2)
+
+
+def _product():
+    _n1, F1, _n2, F2 = _witness_pairs_p3()[3]
+    return product_fusion(F1, F2)
+
+
+@pytest.mark.parametrize("name", ["rv1", "S6@2", "3^(1+2):2 x S3"])
+def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
+    F = {"rv1": lambda: rv_systems["rv1"], "S6@2": _s6,
+         "3^(1+2):2 x S3": _product}[name]()
+    assert is_saturated(F).verdict
+    fcr_objects(F)
+    for Q in F.objects():
+        F.aut_f_vectors(Q)
+        F.image_sets(Q)
+
+    def width(ids):
+        return len(F.subgroup(ids).generator_ids())
+
+    kinds = set()
+    for key, value in F._memo.items():
+        kinds.add(key[0])
+        if key[0] == "hom":
+            vectors, _provenance = value
+            assert {len(v) for v in vectors} <= {width(key[1])}
+        elif key[0] == "aut_f_vectors":
+            assert {len(v) for v in value} <= {width(key[1])}
+        elif key[0] == "extension_index":
+            assert {len(k) for k in value} <= {width(key[2])}
+        elif key[0] == "image_sets":
+            assert all(isinstance(ids, frozenset) for ids in value)
+    assert {"hom", "aut_f_vectors", "extension_index",
+            "image_sets"} <= kinds
+    assert "aut_f_tables" not in kinds
