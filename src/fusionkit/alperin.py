@@ -73,7 +73,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     target = tuple(phi.images[P.positions[g]] for g in gens)
     if target not in F.vector_set(P):
         raise ValueError("morphism does not belong to the system")
-    maps, objects, _index = F.cached(("alperin_moves",), lambda: _moves(F))
+    maps, objects = F.cached(("alperin_moves",), lambda: _moves(F))
     parents = word_search(gens, maps, target)
     if target not in parents:
         raise LookupError(
@@ -102,21 +102,15 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
 
 
 def _moves(F: FusionSystem) -> tuple:
-    """The search moves as (maps, objects, index): maps[k] =
-    (Q.ids, {x: psi(x)}) for the k-th automorphism psi of every fcr object
-    Q, larger objects first and each object's automorphisms by image
-    table, objects[k] = Q, and index maps (Q.ids, generator images of
-    psi) to k."""
+    """The search moves as (maps, objects): maps[k] = (Q.ids,
+    {x: psi(x)}) for the k-th automorphism psi of every fcr object Q,
+    larger objects first and each object's automorphisms by image table,
+    and objects[k] = Q. The search reads psi at any element of Q, so these
+    are whole tables, built once per system."""
     fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))
-    maps, objects, index = [], [], {}
-    for Q in fcr:
-        for t in F.aut_f_tables(Q):
-            psi = dict(zip(Q.sorted_ids, t))
-            index[Q.ids, tuple([psi[g] for g in Q.generator_ids()])] = \
-                len(maps)
-            maps.append((Q.ids, psi))
-            objects.append(Q)
-    return tuple(maps), tuple(objects), index
+    autos = [(Q, t) for Q in fcr for t in F.aut_f_tables(Q)]
+    maps = tuple((Q.ids, dict(zip(Q.sorted_ids, t))) for Q, t in autos)
+    return maps, tuple(Q for Q, _t in autos)
 
 
 def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
@@ -131,16 +125,12 @@ def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,
     for _P, Q, _psi in d.chain:
         if Q.ids not in fcr:
             return DecompositionCheck("a")
-    maps, _objects, index = F.cached(("alperin_moves",), lambda: _moves(F))
     prev = d.source
     for P_i, Q, psi in d.chain:
-        # psi must be one of Q's automorphisms in the moves: looked up by
-        # its generator images, then compared as a whole table
-        pos = Q.positions
-        k = index.get((Q.ids, tuple([psi.images[pos[g]]
-                                     for g in Q.generator_ids()])))
-        if k is None or tuple(map(maps[k][1].__getitem__,
-                                  Q.sorted_ids)) != psi.images:
+        # Q is fcr by clause (a), so psi is an automorphism of the moves
+        # exactly when it is a morphism of F onto Q
+        if not (F.has_morphism(Q, psi.images)
+                and frozenset(psi.images) == Q.ids):
             return DecompositionCheck("b")
         if not (prev.ids <= Q.ids and P_i.ids <= Q.ids):
             return DecompositionCheck("b")

@@ -173,17 +173,15 @@ def _least_extension(F: FusionSystem, N: Subgroup, Q: Subgroup,
                      vec: tuple) -> tuple:
     """The least table of the morphisms out of N that restrict to the map
     on Q with generator images `vec`. The morphisms out of N are grouped by
-    restriction once per (N, Q), for witnesses only, and the candidates
-    compare as their images of N.sorted_ids up to its last generator do, so
-    only the winner is built in full."""
+    restriction once per (N, Q), for witnesses only; the tables of the
+    candidates are built here."""
     def group():
         found: dict = {}
         for key, v in zip(F.restrictions(N, Q), F.hom_vectors(N)):
             found.setdefault(key, []).append(v)
         return found
     found = F.cached(("extension_candidates", N.ids, Q.ids), group)[vec]
-    heads = cayley_tree(N).prefix.images_all(F.ambient, found)
-    return F.table(N, min(zip(heads, found))[1])
+    return min(F.table(N, v) for v in found)
 
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:

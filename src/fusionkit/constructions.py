@@ -86,15 +86,13 @@ class QuotientMap:
         return self.Fq.subgroup(frozenset(self.theta[i] for i in P.ids))
 
     def morphism_map(self, alpha: GroupHom) -> GroupHom:
-        """alpha+ for an injective alpha with domain containing T and
-        alpha(T) = T, which holds when alpha maps T's generators into T."""
+        """alpha+ for alpha with domain containing T and alpha(T) = T."""
         dom = alpha.domain
         if not self.T.ids <= dom.ids:
             raise ValueError("domain does not contain the kernel")
         Pq = self.object_map(dom)
         pos, images, theta = dom.positions, alpha.images, self.theta
-        if not self.T.ids.issuperset(
-                images[pos[t]] for t in self.T.generator_ids()):
+        if frozenset(images[pos[t]] for t in self.T.ids) != self.T.ids:
             raise ValueError("morphism does not stabilize the kernel")
         lift: dict = {}
         for x in dom.sorted_ids:

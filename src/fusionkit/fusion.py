@@ -16,7 +16,10 @@ search over fcr automorphisms.
 Full image tables are built only at the point of use, by
 `groups.CayleyTree`: morphisms handed out as `groups.GroupHom`s with their
 provenance, `hom_to_S_tables`, digests, audits and the other whole-table
-consumers. No memo entry keeps a table of a morphism.
+consumers. The memo keeps no table of a morphism of Hom(Q, S). It does
+keep the conjugation rows of S (Aut_S(Q) and the transporter sweep),
+Out_F(P), which is Aut_F(P) on the points of P when P is abelian, and the
+fcr automorphisms that the Alperin search reads at any element.
 
 A system never changes once built, so its hom vectors, its subgroup
 instances and every invariant derived from them (automizers, classes,
@@ -59,11 +62,8 @@ def _memoised(method):
 
     @functools.wraps(method)
     def memoised(self, *subgroups):
-        key = (name, *[X.ids for X in subgroups])
-        value = self._memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = self._memo[key] = method(self, *subgroups)
-        return value
+        key = (name, *(X.ids for X in subgroups))
+        return self.cached(key, lambda: method(self, *subgroups))
     return memoised
 
 
@@ -149,6 +149,8 @@ class FusionSystem:
         vector, and the table that vector fixes must be `images`, so a
         table that agrees with a morphism on the generators alone is
         rejected."""
+        if len(images) != Q.order:
+            return False
         lookup = self.vector_set(Q)
         tree = cayley_tree(self.subgroup(Q.ids))
         pos = Q.positions

@@ -390,17 +390,7 @@ class Subgroup:
                 if i in have:
                     continue
                 gens.append(i)
-                # <have, i>: everything so far times i, then each new
-                # element times every generator until nothing is new
-                frontier, step = list(have), [i]
-                while frontier:
-                    new = []
-                    for g in step:
-                        for j in amb.mul_row(frontier, g):
-                            if j not in have:
-                                have.add(j)
-                                new.append(j)
-                    frontier, step = new, gens
+                have = _closure_ids(amb, gens)
                 if len(have) == len(self.ids):
                     break
             self._gens = gens
@@ -602,7 +592,7 @@ class CayleyTree:
     Q.sorted_ids[k] * gens[j]: the edges that `respects` checks."""
 
     __slots__ = ("gens", "cols", "_sids", "_pos", "_node", "_parent",
-                 "_gen", "_full", "_prefix")
+                 "_gen", "_full")
 
     def __init__(self, Q: "Subgroup", gens):
         if not Q.ids.issuperset(gens):
@@ -631,7 +621,7 @@ class CayleyTree:
             raise ValueError("gen_ids do not generate the domain")
         self._sids, self._pos = sids, pos
         self._node, self._parent, self._gen = tuple(node), parent, gen
-        self._full = self._prefix = None
+        self._full = None
 
     def plan(self, elems) -> "TreePlan":
         """The walk that evaluates a homomorphism at the elements `elems`
@@ -659,17 +649,6 @@ class CayleyTree:
             self._full = TreePlan(
                 tuple(zip(self._gen[1:], self._parent[1:])), self._node)
         return self._full
-
-    @property
-    def prefix(self) -> "TreePlan":
-        """The plan for the elements of Q.sorted_ids up to the last
-        generator. Two homomorphisms that agree there agree on every
-        generator, so image tables compare as their prefixes do."""
-        if self._prefix is None:
-            pos = self._pos
-            self._prefix = self.plan(
-                self._sids[:1 + max((pos[g] for g in self.gens), default=0)])
-        return self._prefix
 
     def respects(self, cod: FiniteGroup, images, vec) -> bool:
         """Whether the table `images` over Q.sorted_ids maps the generators
@@ -718,37 +697,8 @@ class TreePlan:
         return tuple([vals[s] for s in self.outs])
 
     def images_all(self, cod: FiniteGroup, vectors) -> list:
-        """`images(cod, vec)` for every vector of `vectors`, in order. The
-        walk runs column by column over chunks of BATCH vectors, one list
-        comprehension per step, rather than one walk per vector."""
-        if len(vectors) < 3:
-            return [self.images(cod, v) for v in vectors]
-        out: list = []
-        for start in range(0, len(vectors), BATCH):
-            out += self._images_chunk(cod, vectors[start:start + BATCH])
-        return out
-
-    def _images_chunk(self, cod: FiniteGroup, vectors) -> list:
-        if not self.outs:
-            return [()] * len(vectors)
-        hit = cod._locate(cod.identity_id, vectors[0])
-        try:
-            t, e, _ = hit
-            pos = t.pos
-            gens = [[pos[v[j]] for v in vectors]
-                    for j in range(len(vectors[0]))]
-        except (TypeError, KeyError):
-            # no one table covers the chunk
-            return [self.images(cod, v) for v in vectors]
-        cols, sids = t.cols, t.sids
-        vals = [[e] * len(vectors)]
-        for j, p in self.steps:
-            vals.append([cols[b][a] for a, b in zip(vals[p], gens[j])])
-        return list(zip(*[[sids[x] for x in vals[s]] for s in self.outs]))
-
-
-# vectors per column of TreePlan.images_all: bounds the columns held at once
-BATCH = 256
+        """`images(cod, vec)` for every vector of `vectors`, in order."""
+        return [self.images(cod, v) for v in vectors]
 
 
 def cayley_tree(Q: "Subgroup", gens=None) -> CayleyTree:

@@ -125,6 +125,31 @@ def test_quotient_map_is_functorial(f_s4):
         assert mq.images in Fq.hom_to_S_tables(mq.domain)
 
 
+def test_quotient_map_rejects_map_shrinking_the_kernel(f_s4):
+    """A non-injective alpha that maps T's generators into T but T onto a
+    proper subgroup of T has no push-forward alpha+."""
+    F = f_s4
+    G = F.ambient
+    V1 = next(Q for Q in fcr_objects(F) if Q.order == 4)
+    _Fq, qm = quotient_fusion(F, V1)
+    # D8 -> <z> with kernel the cyclic subgroup C4 of D8, z central in V1
+    c4 = next(Q for Q in F.objects()
+              if Q.order == 4 and Q.ids != V1.ids
+              and any(G.element_order(x) == 4 for x in Q.ids))
+    z = next(x for x in c4.ids if G.element_order(x) == 2)
+    assert z in V1.ids
+    alpha = GroupHom(F.S, F.S, [G.identity_id if x in c4.ids else z
+                                for x in F.S.sorted_ids])
+    assert alpha.is_homomorphism() and not alpha.is_injective()
+    assert V1.ids.issuperset(alpha.images[F.S.positions[t]]
+                             for t in V1.generator_ids())
+    with pytest.raises(ValueError, match="stabilize the kernel"):
+        qm.morphism_map(alpha)
+    trivial = GroupHom(F.S, F.S, [G.identity_id] * F.S.order)
+    with pytest.raises(ValueError, match="stabilize the kernel"):
+        qm.morphism_map(trivial)
+
+
 def test_quotient_of_product_recovers_factors():
     F1 = inner_fusion(dihedral_group(8), 2)
     F2 = _tr(symmetric_group(3), 2)
@@ -246,7 +271,7 @@ def test_witness_rejects_nonabelian_second_factor():
 
 
 # address-space limit of the p = 7 witness child: its peak virtual size
-# measured 115 MB (5 s on a 2-vCPU VM), and the limit leaves about 4.5x
+# measured 111 MB (4-7 s on a 2-vCPU VM), and the limit leaves about 4.8x
 # that; the same run peaked at 3.5 GB resident when every morphism was
 # stored as a full image table
 P7_ADDRESS_SPACE = 512 * 2 ** 20

@@ -10,8 +10,10 @@ permutation tuples do not import `perms` at all.
 
 `groups.GroupHom` is the one class that holds a morphism's image table: no
 other module defines a class with an `images` slot. A fusion system stores
-a morphism by its images of the domain's generators: no memo entry that
-holds morphisms keeps an image table.
+a morphism by its images of the domain's generators. Every kind of memo
+entry is named below: those that hold morphisms as such vectors, those
+that hold no morphism, and the few stated exceptions that keep whole
+tables.
 """
 
 import ast
@@ -20,12 +22,15 @@ import pathlib
 import pytest
 
 from fusionkit import (
+    alperin_decompose,
     fcr_objects,
     is_saturated,
+    receptivity_witnesses,
     product_fusion,
     sylow_p,
     symmetric_group,
     transporter_fusion,
+    verify_decomposition,
 )
 from fusionkit.cli import _witness_pairs_p3
 
@@ -138,6 +143,32 @@ def _product():
     return product_fusion(F1, F2)
 
 
+# memo kinds that hold morphisms as vectors, keyed by the domain last:
+# each vector has one entry per generator of the domain
+VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors", "aut_s_generator_images",
+                "extension_index"}
+# memo kinds that hold no morphism: subgroups, id sets, element classes,
+# compiled tree walks
+PLAIN_KINDS = {"subgroup", "objects", "normalizer_of", "centralizer_of",
+               "image_sets", "objects_through", "f_conjugates",
+               "conjugacy_classes", "f_class", "cr_classes", "fcr_objects",
+               "twist_plan"}
+# the stated exceptions, which keep whole tables
+TABLE_KINDS = {
+    # the transporter rule's input: c_g on D_g, one dict per distinct pair
+    "conjugation_pairs",
+    # Aut_S(Q): one conjugation row of Q per coset of C_S(Q) in N_S(Q),
+    # and the same rows sorted
+    "centralizer_cosets", "aut_s_tables",
+    # Out_F(P) as a permutation group; for abelian P it is Aut_F(P) on the
+    # |P| points of P
+    "out_F",
+    # every fcr automorphism as a dict: the Alperin search reads it at any
+    # element of its object
+    "alperin_moves",
+}
+
+
 @pytest.mark.parametrize("name", ["rv1", "S6@2", "3^(1+2):2 x S3"])
 def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
     F = {"rv1": lambda: rv_systems["rv1"], "S6@2": _s6,
@@ -147,6 +178,11 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
     for Q in F.objects():
         F.aut_f_vectors(Q)
         F.image_sets(Q)
+    Q = max(F.objects(), key=lambda Q: (Q.order < F.S.order, Q.order))
+    F.f_class_of_element(max(Q.ids))
+    receptivity_witnesses(F, Q)
+    phi = F.hom_to_S(Q)[-1]
+    verify_decomposition(F, alperin_decompose(F, phi), phi)
 
     def width(ids):
         return len(F.subgroup(ids).generator_ids())
@@ -157,12 +193,16 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
         if key[0] == "hom":
             vectors, _provenance = value
             assert {len(v) for v in vectors} <= {width(key[1])}
-        elif key[0] == "aut_f_vectors":
-            assert {len(v) for v in value} <= {width(key[1])}
-        elif key[0] == "extension_index":
+        elif key[0] in VECTOR_KINDS:
+            assert {len(v) for v in value} <= {width(key[-1])}, key[0]
+        elif key[0] == "extension_candidates":
+            # {restriction to Q: vectors of the morphisms out of N}
             assert {len(k) for k in value} <= {width(key[2])}
+            assert {len(v) for vs in value.values() for v in vs} <= {
+                width(key[1])}
         elif key[0] == "image_sets":
-            assert all(isinstance(ids, frozenset) for ids in value)
-    assert {"hom", "aut_f_vectors", "extension_index",
-            "image_sets"} <= kinds
-    assert "aut_f_tables" not in kinds
+            assert value <= {R.ids for R in F.objects()}
+        else:
+            assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
+    assert VECTOR_KINDS | {"extension_candidates"} <= kinds
+    assert {"centralizer_cosets", "out_F", "alperin_moves"} <= kinds

@@ -169,6 +169,12 @@ def test_bogus_chain_step_is_rejected(f_es54):
                 bad = AlperinDecomposition(d.source, d.target, chain, phi)
                 assert verify_decomposition(F, d)
                 assert verify_decomposition(F, bad).violated == "b"
+                # a step whose table is not over R at all
+                e = F.ambient.identity_id
+                E = F.subgroup(frozenset([e]))
+                chain[k] = (P_k, R, GroupHom(E, E, [e]))
+                short = AlperinDecomposition(d.source, d.target, chain, phi)
+                assert verify_decomposition(F, short).violated == "b"
                 return
     raise AssertionError("no chain step with two non-generators")
 
