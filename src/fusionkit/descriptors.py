@@ -38,10 +38,21 @@ def _require(mapping, key, kind):
     return mapping[key]
 
 
+def _require_list(mapping, key, kind):
+    value = _require(mapping, key, kind)
+    if not isinstance(value, list):
+        raise DescriptorError(f"malformed {kind} descriptor: {key!r} is not "
+                              f"a list: {value!r}")
+    return value
+
+
+def _is_int(v) -> bool:
+    """An id, point or order: JSON true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _perm_from_json(row, degree=None):
-    if not isinstance(row, (list, tuple)) or not all(
-        isinstance(v, int) for v in row
-    ):
+    if not isinstance(row, (list, tuple)) or not all(map(_is_int, row)):
         raise DescriptorError(f"generator is not a permutation list: {row!r}")
     p = tuple(row)
     if (degree is not None and len(p) != degree) or not perms.is_perm(p):
@@ -56,31 +67,31 @@ def parse_group_spec(spec) -> FiniteGroup:
     kind = _require(spec, "type", "group")
     if kind == "permutation":
         degree = _require(spec, "degree", "group")
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise DescriptorError(f"bad permutation degree {degree!r}")
         gens = [
             _perm_from_json(row, degree)
-            for row in _require(spec, "generators", "group")
+            for row in _require_list(spec, "generators", "group")
         ]
         return FiniteGroup(degree, gens, name="perm")
     if kind == "named":
         return _parse_named(spec)
     if kind == "direct_product":
-        factors = _require(spec, "factors", "group")
+        factors = _require_list(spec, "factors", "group")
         if not factors:
             raise DescriptorError("direct_product needs at least one factor")
         return named.direct_product(*[parse_group_spec(f) for f in factors])
     if kind == "semidirect":
         base = parse_group_spec(_require(spec, "base", "group"))
         actor = parse_group_spec(_require(spec, "actor", "group"))
-        action = _require(spec, "action", "group")
+        action = _require_list(spec, "action", "group")
         if len(action) != len(actor.generators):
             raise DescriptorError(
                 "semidirect action needs one row per actor generator"
             )
         rows = []
         for row in action:
-            if len(row) != len(base.generators):
+            if not isinstance(row, list) or len(row) != len(base.generators):
                 raise DescriptorError(
                     "semidirect action row needs one image per base generator"
                 )
@@ -108,11 +119,18 @@ _NAMED_BUILDERS = {
 
 def _parse_named(spec) -> FiniteGroup:
     name = _require(spec, "name", "group")
-    entry = _NAMED_BUILDERS.get(name)
-    if entry is None:
+    if not isinstance(name, str) or name not in _NAMED_BUILDERS:
         raise DescriptorError(f"unknown named group {name!r}")
-    builder, keys = entry
-    return builder(*[_require(spec, k, "group") for k in keys])
+    builder, keys = _NAMED_BUILDERS[name]
+    args = [_require(spec, k, "group") for k in keys]
+    for k, v in zip(keys, args):
+        if k == "invariants":  # a list of cyclic orders
+            ok = isinstance(v, list) and all(map(_is_int, v))
+        else:
+            ok = _is_int(v)
+        if not ok:
+            raise DescriptorError(f"bad named group argument {k!r}: {v!r}")
+    return builder(*args)
 
 
 def serialize_group(G: FiniteGroup) -> dict:
@@ -136,14 +154,14 @@ def parse_fusion_generators(S: Subgroup, data) -> list[GroupHom]:
     amb = S.ambient
     out = []
     for entry in data:
-        gen_ids = list(_require(entry, "domain_gens", "fusion"))
-        image_ids = list(_require(entry, "images", "fusion"))
+        gen_ids = _require_list(entry, "domain_gens", "fusion")
+        image_ids = _require_list(entry, "images", "fusion")
         if len(gen_ids) != len(image_ids):
             raise DescriptorError(
                 "fusion generator has mismatched domain_gens/images lengths"
             )
         for i in gen_ids + image_ids:
-            if not isinstance(i, int) or not 0 <= i < amb.order:
+            if not _is_int(i) or not 0 <= i < amb.order:
                 raise DescriptorError(f"element index {i!r} out of range")
             if i not in S.ids:
                 raise DescriptorError(

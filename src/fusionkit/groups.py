@@ -20,10 +20,15 @@ non-p-group, and the automizer permutation groups that are not p-groups.
 The ambient itself is never tabled unless it is a p-group, as it may be
 far larger than S.
 
-A homomorphism is fixed by its images of a generating set. `CayleyTree`
-is the one walk that extends such images to a whole table, or to the
-images of a few chosen elements: `hom_from_images` and the fusion systems,
-which store each morphism by its generator images, both run on it.
+`CayleyTree` is the one breadth-first walk over a subgroup's Cayley graph.
+On its way it finds the subgroup's greedy generators
+(`Subgroup.generator_ids`) and decides whether an id set is a subgroup at
+all (`Subgroup.is_subgroup_closed`); the multiplication table of S is
+composed along it. A homomorphism is fixed by its images of a generating
+set, and the tree extends such images to a whole table, or to the images
+of a few chosen elements: `hom_from_images`, `named.semidirect_product`
+and the fusion systems, which store each morphism by its generator
+images, all run on it.
 
 `right_cosets` is the one routine that splits a group into cosets. The
 quotient S/T of a fusion system, Out_F(P) = Aut_F(P)/Inn(P) and the
@@ -199,50 +204,21 @@ class FiniteGroup:
         return None
 
     def _tabulate(self, S: "Subgroup") -> "_Table":
-        """The tables of S. The column x -> x*g of each generator g of S
-        comes from the permutation kernel; every other column follows a
-        Cayley breadth-first tree of S, col(y*g) = col(g) after col(y), by
-        lookups alone. The generators are S's greedy set, found on the way:
-        when the tree stops short of S, the least element it has not
-        reached is the next generator. So no closure runs on permutation
-        tuples, and the set is kept as S.generator_ids()."""
-        sids, pos = S.sorted_ids, S.positions
-        n = len(sids)
-        els, index, mul = self.elements, self.index, perms.mul
-        e = pos[self.identity_id]
+        """The tables of S, composed along `cayley_tree(S)`: the column of
+        y = x*g is col(g) applied after col(x), by lookups alone, so the
+        only kernel calls are the tree's generator columns."""
+        tree = cayley_tree(S)
+        order, n = tree.order, S.order
+        e = order[0]
         cols = [None] * n
         inv = [e] * n
         cols[e] = array("H", range(n))
-        gens, gen_cols = [], []
-        reached, frontier = [e], []
-        least = 0
-        while True:
-            while frontier:
-                new = []
-                for x in frontier:
-                    col_x = cols[x]
-                    for col_g in gen_cols:
-                        y = col_g[x]
-                        if cols[y] is not None:
-                            continue
-                        col = [col_g[a] for a in col_x]
-                        cols[y] = array("H", col)
-                        inv[y] = col.index(e)
-                        new.append(y)
-                reached += new
-                frontier = new
-            if len(reached) == n:
-                break
-            while cols[least] is not None:
-                least += 1
-            g = sids[least]
-            gp = els[g]
-            gens.append(g)
-            gen_cols.append([pos[index[mul(els[x], gp)]] for x in sids])
-            frontier = list(reached)
-        if S._gens is None:
-            S._gens = gens
-        return _Table(S.ids, sids, pos, cols, inv)
+        for y, (j, p) in zip(order[1:], tree.full.steps):
+            col_g = tree.cols[j]
+            col = [col_g[a] for a in cols[order[p]]]
+            cols[y] = array("H", col)
+            inv[y] = col.index(e)
+        return _Table(S.ids, S.sorted_ids, S.positions, cols, inv)
 
     def element_order(self, i: int) -> int:
         o = self._order_cache.get(i)
@@ -322,15 +298,13 @@ def _tabled(G: "Subgroup") -> None:
 class Subgroup:
     """A subgroup of a FiniteGroup, stored as a frozen set of element ids."""
 
-    __slots__ = ("ambient", "ids", "_sorted", "_positions", "_gens", "_tree",
-                 "_hash")
+    __slots__ = ("ambient", "ids", "_sorted", "_positions", "_tree", "_hash")
 
     def __init__(self, ambient: FiniteGroup, ids):
         self.ambient = ambient
         self.ids = ids if isinstance(ids, frozenset) else frozenset(ids)
         self._sorted: tuple[int, ...] | None = None
         self._positions: dict[int, int] | None = None
-        self._gens: list[int] | None = None
         self._tree: CayleyTree | None = None
         self._hash = None
 
@@ -381,29 +355,16 @@ class Subgroup:
         return self.ambient is other.ambient and self.ids < other.ids
 
     def generator_ids(self) -> list[int]:
-        """A small deterministic generating set (greedy over sorted ids)."""
-        if self._gens is None:
-            amb = self.ambient
-            gens: list[int] = []
-            have = {amb.identity_id}
-            for i in self.sorted_ids:
-                if i in have:
-                    continue
-                gens.append(i)
-                have = _closure_ids(amb, gens)
-                if len(have) == len(self.ids):
-                    break
-            self._gens = gens
-        return self._gens
+        """A small deterministic generating set, greedy over sorted ids,
+        found by the walk of `cayley_tree(self)`; shared, so callers must
+        not mutate it."""
+        return cayley_tree(self).gens
 
     def is_subgroup_closed(self) -> bool:
-        amb = self.ambient
-        if amb.identity_id not in self.ids:
+        try:
+            cayley_tree(self)
+        except ValueError:
             return False
-        for i in self.ids:
-            for j in self.generator_ids():
-                if amb.mul_ids(i, j) not in self.ids:
-                    return False
         return True
 
     def __repr__(self):
@@ -579,47 +540,67 @@ def is_p_group(G: Subgroup, p: int) -> bool:
 
 
 class CayleyTree:
-    """A breadth-first spanning tree of the Cayley graph of a subgroup Q on
+    """A breadth-first spanning tree of the Cayley graph of an id set Q on
     the generators `gens`: each element other than the identity is reached
-    as parent * g from an element one step nearer the identity. A
-    homomorphism out of Q is fixed by its images of `gens`, and along the
-    tree phi(x) = phi(parent) * phi(g).
+    as parent * g from an element reached before it. A homomorphism out of
+    Q is fixed by its images of `gens`, and along the tree
+    phi(x) = phi(parent) * phi(g).
 
-    `plan(elems)` compiles the walk that evaluates a homomorphism at
-    `elems` alone, down the tree paths that reach them; `full` is the plan
-    for all of Q.sorted_ids, the one routine that rebuilds an image table
-    from generator images. `cols[j][k]` is the position in Q.sorted_ids of
-    Q.sorted_ids[k] * gens[j]: the edges that `respects` checks."""
+    With no `gens` the walk finds Q's greedy generators on its way: when it
+    stops short of Q, the least element it has not reached becomes the
+    next generator, and the walk resumes from every element reached. Each
+    generator's column costs one `mul_row` over Q; every other step is a
+    lookup. The walk raises ValueError when Q lacks the identity, when a
+    product leaves Q or when `gens` do not generate Q, so it succeeds
+    exactly when Q is a subgroup.
 
-    __slots__ = ("gens", "cols", "_sids", "_pos", "_node", "_parent",
+    `order` lists the positions in Q.sorted_ids in walk order, each parent
+    before its child. `plan(elems)` compiles the walk that evaluates a
+    homomorphism at `elems` alone, down the tree paths that reach them;
+    `full` is the plan for all of Q.sorted_ids, the one routine that
+    rebuilds an image table from generator images. `cols[j][k]` is the
+    position in Q.sorted_ids of Q.sorted_ids[k] * gens[j]: the edges that
+    `respects` checks."""
+
+    __slots__ = ("gens", "cols", "order", "_pos", "_node", "_parent",
                  "_gen", "_full")
 
-    def __init__(self, Q: "Subgroup", gens):
-        if not Q.ids.issuperset(gens):
-            raise ValueError("gen_ids do not generate the domain")
+    def __init__(self, Q: "Subgroup", gens=None):
         amb = Q.ambient
-        # the tree keeps Q's id list and position map, not Q itself: Q
-        # holds its tree, and a cycle would outlive its last reference
+        # the tree keeps Q's position map, not Q itself: Q holds its tree,
+        # and a cycle would outlive its last reference
         sids, pos = Q.sorted_ids, Q.positions
-        self.gens = tuple(gens)
-        self.cols = tuple(
-            tuple([pos[j] for j in amb.mul_row(sids, g)]) for g in gens
-        )
-        root = pos[amb.identity_id]
+        root = pos.get(amb.identity_id)
+        if root is None:
+            raise ValueError("the set does not contain the identity")
+        self.gens, self.cols = [], []
         node = [-1] * len(sids)
         node[root] = 0
         order, parent, gen = [root], [0], [0]
-        for n, x in enumerate(order):
-            for j, col in enumerate(self.cols):
-                y = col[x]
-                if node[y] < 0:
-                    node[y] = len(order)
-                    order.append(y)
-                    parent.append(n)
-                    gen.append(j)
+        new, least = ([] if gens is None else list(gens)), 0
+        while True:
+            for g in new:
+                col = tuple(map(pos.get, amb.mul_row(sids, g)))
+                if None in col:
+                    raise ValueError("a product x * g leaves the set")
+                self.gens.append(g)
+                self.cols.append(col)
+            for n, x in enumerate(order):
+                for j, col in enumerate(self.cols):
+                    y = col[x]
+                    if node[y] < 0:
+                        node[y] = len(order)
+                        order.append(y)
+                        parent.append(n)
+                        gen.append(j)
+            if len(order) == len(sids) or gens is not None:
+                break
+            while node[least] >= 0:
+                least += 1
+            new = [sids[least]]
         if len(order) != len(sids):
             raise ValueError("gen_ids do not generate the domain")
-        self._sids, self._pos = sids, pos
+        self.order, self._pos = order, pos
         self._node, self._parent, self._gen = tuple(node), parent, gen
         self._full = None
 
@@ -702,13 +683,15 @@ class TreePlan:
 
 
 def cayley_tree(Q: "Subgroup", gens=None) -> CayleyTree:
-    """The CayleyTree of Q on `gens`, by default Q.generator_ids(). The
-    tree on Q's own generating set is built once per Subgroup instance."""
-    if gens is not None and (Q._gens is None or list(gens) != Q._gens):
-        return CayleyTree(Q, gens)
-    if Q._tree is None:
-        Q._tree = CayleyTree(Q, Q.generator_ids())
-    return Q._tree
+    """The CayleyTree of Q on `gens`, by default the greedy walk that
+    finds Q.generator_ids(), built once per Subgroup instance."""
+    tree = Q._tree
+    if gens is None:
+        if tree is None:
+            tree = Q._tree = CayleyTree(Q)
+    elif tree is None or list(gens) != tree.gens:
+        tree = CayleyTree(Q, gens)
+    return tree
 
 
 class GroupHom:

@@ -6,7 +6,7 @@ import itertools
 from math import prod
 
 from . import perms
-from .groups import FiniteGroup, GroupTooLarge, hom_from_images, max_group_order
+from .groups import FiniteGroup, GroupTooLarge, cayley_tree, hom_from_images, max_group_order
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -152,6 +152,9 @@ def semidirect_product(
     if nb * nh > cap:
         raise GroupTooLarge(f"group exceeds FUSIONKIT_MAX_GROUP_ORDER={cap}")
     base_gen_ids = base.generator_ids()
+    actor_gen_ids = actor.generator_ids()
+    if len(action) != len(actor_gen_ids):
+        raise ValueError("action needs one row per actor generator")
     gen_autos = []
     for row in action:
         images = [base.id_of(p) for p in row]
@@ -160,51 +163,31 @@ def semidirect_product(
             raise ValueError("action row is not an automorphism of the base")
         gen_autos.append(h.images)  # total table over base ids (sorted = all)
 
-    ident = tuple(range(base.order))
-    alpha: dict[int, tuple[int, ...]] = {actor.identity_id: ident}
-    frontier = [actor.identity_id]
-    actor_gen_ids = actor.generator_ids()
-    while frontier:
-        new = []
-        for h in frontier:
-            ah = alpha[h]
-            for g, ag in zip(actor_gen_ids, gen_autos):
-                hg = actor.mul_ids(h, g)
-                # alpha_(h*g)(m) = alpha_h(alpha_g(m))
-                comp = tuple(ah[m] for m in ag)
-                known = alpha.get(hg)
-                if known is None:
-                    alpha[hg] = comp
-                    new.append(hg)
-                elif known != comp:
-                    raise ValueError(
-                        "action does not extend to a homomorphism "
-                        "actor -> Aut(base)"
-                    )
-        frontier = new
-    if len(alpha) != actor.order:
-        raise ValueError("actor generators do not generate the actor")
+    # alpha_(h*g)(m) = alpha_h(alpha_g(m)): built down the actor's tree,
+    # then checked on every edge of its Cayley graph
+    tree = cayley_tree(actor.full(), actor_gen_ids)
+    alpha = [None] * nh
+    alpha[actor.identity_id] = tuple(range(nb))
+    for y, (j, p) in zip(tree.order[1:], tree.full.steps):
+        ah = alpha[tree.order[p]]
+        alpha[y] = tuple([ah[m] for m in gen_autos[j]])
+    for col, ag in zip(tree.cols, gen_autos):
+        for h, ah in enumerate(alpha):
+            if alpha[col[h]] != tuple([ah[m] for m in ag]):
+                raise ValueError(
+                    "action does not extend to a homomorphism "
+                    "actor -> Aut(base)"
+                )
 
-    def point(n_id, h_id):
-        return n_id * nh + h_id
-
-    gens = []
-    for m in base_gen_ids:  # (m, 1): (n, h) -> (n * alpha_h(m), h)
-        gens.append(
-            tuple(
-                point(base.mul_ids(n, alpha[h][m]), h)
-                for n in range(nb)
-                for h in range(nh)
-            )
-        )
-    for k in actor_gen_ids:  # (1, k): (n, h) -> (n, h * k)
-        gens.append(
-            tuple(
-                point(n, actor.mul_ids(h, k))
-                for n in range(nb)
-                for h in range(nh)
-            )
-        )
+    # point n * nh + h stands for the pair (n, h)
+    gens = [  # (m, 1): (n, h) -> (n * alpha_h(m), h)
+        tuple(base.mul_ids(n, alpha[h][m]) * nh + h
+              for n in range(nb) for h in range(nh))
+        for m in base_gen_ids
+    ] + [  # (1, k): (n, h) -> (n, h * k)
+        tuple(n * nh + col[h] for n in range(nb) for h in range(nh))
+        for col in tree.cols
+    ]
     name = f"({base.name or '?'}):({actor.name or '?'})"
     g = FiniteGroup(nb * nh, gens, name=name)
     assert g.order == nb * nh

@@ -1,0 +1,122 @@
+"""The one Cayley walk: greedy generators, tree and columns in one pass.
+
+`groups.CayleyTree` finds a subgroup's greedy generating set on its walk.
+These tests check that set against the greedy closure on raw permutation
+tuples that it replaced (`oracle_sweep._generators`), check the tree
+itself, and check the rejection paths the walk owns: id sets that are not
+subgroups and actions that do not extend to homomorphisms.
+"""
+
+import random
+
+import pytest
+
+from conftest import extraspecial27_c2
+from oracle_sweep import _generators
+from test_sweep import relabelled
+from fusionkit import (
+    all_subgroups,
+    alternating_group,
+    cyclic_group,
+    direct_product,
+    extraspecial_plus,
+    hom_from_images,
+    p_core,
+    quotient_group,
+    semidirect_product,
+    sylow_p,
+    symmetric_group,
+    transporter_fusion,
+)
+from fusionkit.groups import CayleyTree, Subgroup, cayley_tree
+
+LATTICES = {
+    "S4": lambda: symmetric_group(4).full(),
+    "A5": lambda: alternating_group(5).full(),
+    "Syl2(S6 relabelled)": lambda: sylow_p(
+        relabelled(symmetric_group(6), random.Random("S6")).full(), 2),
+    "Syl3(3^(1+2):2 x S3)": lambda: sylow_p(
+        direct_product(extraspecial27_c2(), symmetric_group(3)).full(), 3),
+    "7^(1+2)": lambda: extraspecial_plus(7).full(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_walk_matches_greedy_closure_oracle(name):
+    top = LATTICES[name]()
+    amb = top.ambient
+    els = amb.elements
+    for H in all_subgroups(top):
+        assert ([els[g] for g in H.generator_ids()]
+                == _generators(sorted(H.perms())))
+        tree = cayley_tree(H)
+        assert tree.gens is H.generator_ids()
+        sids = H.sorted_ids
+        assert sorted(tree.order) == list(range(H.order))
+        # step k fills node k + 1 from a parent node reached before it
+        for k, (j, p) in enumerate(tree.full.steps):
+            assert p <= k
+            child, parent = sids[tree.order[k + 1]], sids[tree.order[p]]
+            assert child == amb.mul_ids(parent, tree.gens[j])
+        assert tree.full.images(amb, tree.gens) == sids
+        for g, col in zip(tree.gens, tree.cols):
+            assert tuple(sids[k] for k in col) == amb.mul_row(sids, g)
+        # with its generators given, the walk builds the same maps
+        given = cayley_tree(H, list(reversed(tree.gens)))
+        assert given.full.images(amb, given.gens) == sids
+
+
+def test_transporter_fusion_rejects_a_non_closed_s():
+    G = symmetric_group(4)
+    S = sylow_p(G.full(), 2)
+    broken = Subgroup(G, S.sorted_ids[:5])
+    with pytest.raises(ValueError,
+                       match="S is not closed under the group operation"):
+        transporter_fusion(G, broken, 2)
+
+
+def test_non_subgroups_are_rejected_by_the_walk():
+    G = symmetric_group(4)
+    e = G.identity_id
+    no_identity = Subgroup(G, [1])
+    assert not no_identity.is_subgroup_closed()
+    with pytest.raises(ValueError, match="identity"):
+        CayleyTree(no_identity)
+    # {e, a, b, b*a} is closed under its first greedy generator a, the
+    # least id after e, but not under its second, b
+    a = 1
+    for b in range(2, G.order):
+        X = Subgroup(G, {e, a, b, G.mul_ids(b, a)})
+        if G.mul_ids(a, a) == e and G.mul_ids(a, b) not in X:
+            break
+    assert G.mul_ids(a, b) not in X and min(X.ids - {e}) == a
+    assert set(G.mul_row(X.ids, a)) == X.ids
+    assert not X.is_subgroup_closed()
+    with pytest.raises(ValueError, match="leaves the set"):
+        CayleyTree(X)
+    V = p_core(G.full(), 2)
+    assert V.is_subgroup_closed()
+    outside = next(i for i in range(G.order) if i not in V)
+    with pytest.raises(ValueError):
+        hom_from_images(V, G, [outside], [e])
+
+
+def test_semidirect_product_rejects_an_action_of_the_wrong_order():
+    C7, C3 = cyclic_group(7), cyclic_group(3)
+    x = C7.generator_ids()[0]
+    # x -> x^3 has order 6 in Aut(C7), so no map C3 -> Aut(C7) sends the
+    # generator of C3 to it
+    action = [[C7.elements[C7.power_ids(x, 3)]]]
+    with pytest.raises(ValueError,
+                       match="action does not extend to a homomorphism"):
+        semidirect_product(C7, C3, action)
+    with pytest.raises(ValueError):
+        semidirect_product(C7, C3, action * 2)
+
+
+def test_semidirect_product_rejects_an_actor_without_generators():
+    G = symmetric_group(4)
+    Q, _theta = quotient_group(G.full(), p_core(G.full(), 2))
+    assert Q.generators == [] and Q.order == 6
+    with pytest.raises(ValueError):
+        semidirect_product(cyclic_group(7), Q, [])

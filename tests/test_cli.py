@@ -304,6 +304,62 @@ def test_malformed_group_json(files, capsys):
     assert "malformed JSON" in json.loads(err)["error"]
 
 
+_C2 = {"type": "named", "name": "cyclic", "n": 2}
+_C3 = {"type": "named", "name": "cyclic", "n": 3}
+
+
+def _bad(id_, command, flag, descriptor):
+    return pytest.param(command, flag, descriptor, id=id_)
+
+
+@pytest.mark.parametrize("command,flag,bad", [
+    _bad("generators-not-list", "build", "--group",
+         {"type": "permutation", "degree": 2, "generators": 5}),
+    _bad("bool-point", "build", "--group",
+         {"type": "permutation", "degree": 2, "generators": [[True, False]]}),
+    _bad("bool-degree", "build", "--group",
+         {"type": "permutation", "degree": True, "generators": []}),
+    _bad("factors-not-list", "build", "--group",
+         {"type": "direct_product", "factors": 5}),
+    _bad("action-not-list", "build", "--group",
+         {"type": "semidirect", "base": _C3, "actor": _C2, "action": 5}),
+    _bad("action-row-not-list", "build", "--group",
+         {"type": "semidirect", "base": _C3, "actor": _C2, "action": [5]}),
+    _bad("invariants-not-list", "build", "--group",
+         {"type": "named", "name": "abelian", "invariants": 5}),
+    _bad("bool-invariant", "build", "--group",
+         {"type": "named", "name": "abelian", "invariants": [2, True]}),
+    _bad("string-n", "build", "--group",
+         {"type": "named", "name": "cyclic", "n": "4"}),
+    _bad("bool-n", "build", "--group",
+         {"type": "named", "name": "cyclic", "n": True}),
+    _bad("float-order", "build", "--group",
+         {"type": "named", "name": "dihedral", "order": 8.0}),
+    _bad("list-name", "build", "--group",
+         {"type": "named", "name": ["cyclic"], "n": 4}),
+    _bad("domain-gens-not-list", "saturation", "--fusion",
+         [{"domain_gens": 1, "images": [2]}]),
+    _bad("images-not-list", "saturation", "--fusion",
+         [{"domain_gens": [1], "images": "2"}]),
+    _bad("bool-id", "saturation", "--fusion",
+         [{"domain_gens": [True], "images": [2]}]),
+    _bad("morphism-not-lists", "decompose", "--morphism",
+         {"domain_gens": 1, "images": 2}),
+])
+def test_malformed_descriptor_exits_2(files, capsys, command, flag, bad):
+    path = files["tmp"] / "bad.json"
+    path.write_text(json.dumps(bad))
+    argv = [command, "--group", str(path) if flag == "--group" else files["v4"]]
+    if command != "build":
+        argv += ["--sylow", "2", flag, str(path)]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    msg = json.loads(err)
+    assert msg["command"] == command
+    assert "error" in msg
+
+
 def test_group_cap_respected(files, capsys, monkeypatch):
     monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", "10")
     code, _, err = _run(

@@ -284,13 +284,12 @@ for n1, F1, n2, F2 in _witness_pairs_p7():
 """
 
 
-@pytest.mark.slow
 def test_witness_p7_stretch():
     """The order-2401 product: one exotic factor, one Frobenius factor.
 
     The witness runs in a child process whose address space is capped by
     P7_ADDRESS_SPACE, so a memory regression fails the test rather than
-    exhausting the host. It takes about 5 s on one core.
+    exhausting the host. It takes 5-8 s on one core.
     """
     src = str(pathlib.Path(fusionkit.__file__).resolve().parent.parent)
     env = dict(os.environ,

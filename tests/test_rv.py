@@ -102,6 +102,5 @@ def test_rv_outer_group_shapes(rv_systems):
         assert group_isomorphic(out.full(), want.full()) is not None, name
 
 
-@pytest.mark.slow
 def test_rv_axiom_audit(rv_systems):
     assert audit_axioms(rv_systems["rv1"]) == []
