@@ -17,7 +17,6 @@ from .groups import (
     Subgroup,
     _p_part,
     cayley_tree,
-    inner_automorphisms,
     is_normal,
     p_core,
     product_ids,
@@ -62,33 +61,21 @@ class SaturationReport:
 
 
 def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
-    aut_s = _aut_s_generator_images(F, P)
-    aut_f = F.aut_f_vectors(P)
-    if not aut_s <= set(aut_f):
+    """|Aut_S(P)|, one automorphism per coset of C_S(P) in N_S(P), is the
+    p-part of |Aut_F(P)|."""
+    cosets = F.centralizer_cosets(P)
+    homs = F.vector_set(P)
+    if any(vec not in homs for _r, _coset, vec in cosets):
         raise AssertionError("Aut_S(P) escaped Aut_F(P)")
-    return len(aut_s) == _p_part(len(aut_f), F.p)
-
-
-def _aut_s_generator_images(F: FusionSystem, P: Subgroup) -> frozenset:
-    """Aut_S(P) keyed by each automorphism's images of P.generator_ids()."""
-    def compute():
-        gpos = [P.positions[g] for g in P.generator_ids()]
-        return frozenset(
-            tuple(a[k] for k in gpos) for a in F.aut_s_tables(P)[0]
-        )
-    return F.cached(("aut_s_generator_images", P.ids), compute)
+    return len(cosets) == _p_part(len(F.aut_f_vectors(P)), F.p)
 
 
 def _twist_plan(F: FusionSystem, Q: Subgroup):
     """The walk down Q's Cayley tree to the conjugates of Q's generators by
     each coset representative of C_S(Q) in N_S(Q), coset by coset."""
-    def compute():
-        pos = Q.positions
-        return cayley_tree(Q).plan([
-            row[pos[g]] for _r, _coset, row in F.centralizer_cosets(Q)
-            for g in Q.generator_ids()
-        ])
-    return F.cached(("twist_plan", Q.ids), compute)
+    return F.cached(("twist_plan", Q.ids), lambda: cayley_tree(Q).plan([
+        x for _r, _coset, vec in F.centralizer_cosets(Q) for x in vec
+    ]))
 
 
 def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
@@ -99,22 +86,31 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
     homomorphisms on Q agree when they agree on Q's generators. The twist
     by g depends only on g's coset of C_S(Q) in N_S(Q): phi c_g is phi at
     the conjugates of the generators by the coset's representative, one
-    walk down Q's Cayley tree for all cosets, and c_h phi ranges over
-    Aut_S(P) applied to phi's vector.
+    walk down Q's Cayley tree for all cosets. c_h phi conjugates phi's
+    generator images by each coset representative h of C_S(P) in N_S(P).
     """
     cosets = F.centralizer_cosets(Q)
     if len(cosets) == 1:
         # N_S(Q) = C_S(Q), whose twists are all trivial
         return [cosets[0][1]] * len(vectors)
-    ppos = P.positions
-    aut_s = F.aut_s_tables(P)[0]
+    amb = F.ambient
+    reps = [r for r, _coset, _vec in F.centralizer_cosets(P)]
+    # {y: y^h for each representative h}, for the elements of P that
+    # phi's vectors name
+    conj: dict = {}
     k = len(Q.generator_ids())
     out = []
-    for vec, twisted in zip(vectors, _twist_plan(F, Q).images_all(F.ambient,
+    for vec, twisted in zip(vectors, _twist_plan(F, Q).images_all(amb,
                                                                   vectors)):
-        targets = {tuple([a[ppos[y]] for y in vec]) for a in aut_s}
+        cols = []
+        for y in vec:
+            col = conj.get(y)
+            if col is None:
+                col = conj[y] = amb.conj_col(y, reps)
+            cols.append(col)
+        targets = set(zip(*cols))
         ids = set()
-        for j, (_r, coset, _row) in enumerate(cosets):
+        for j, (_r, coset, _vec) in enumerate(cosets):
             if twisted[j * k:(j + 1) * k] in targets:
                 ids |= coset
         out.append(frozenset(ids))
@@ -233,9 +229,12 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
 def _out_f(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     grp = aut_f_group(F, P)
     pos = P.positions
+    # Inn(P): c_x for x in P, the automorphisms of the cosets of C_S(P) in
+    # N_S(P) that meet P
     inn = Subgroup(grp, (
-        grp.index[tuple(pos[v] for v in h.images)]
-        for h in inner_automorphisms(P)
+        grp.index[tuple(pos[v] for v in F.table(P, vec))]
+        for _r, coset, vec in F.centralizer_cosets(P)
+        if not coset.isdisjoint(P.ids)
     ))
     if inn.order == grp.order:
         return FiniteGroup(1, [], name="trivial")

@@ -135,8 +135,9 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
 
 
 def _coerce_aut_set(Q: Subgroup, K):
-    """K as a set of automorphism tables over Q.sorted_ids; validates
-    closure under composition (with identity, a finite group)."""
+    """K as a set of automorphism tables over Q.sorted_ids; validates that
+    each is a homomorphism and that K is closed under composition (with
+    identity, a finite group)."""
     qsorted = Q.sorted_ids
     if K == "full" or K is None:
         return {a.images for a in automorphisms(Q)}
@@ -151,7 +152,8 @@ def _coerce_aut_set(Q: Subgroup, K):
             k = h.images
         tables.add(tuple(k))
     for t in tables:
-        if frozenset(t) != Q.ids:
+        if (frozenset(t) != Q.ids or len(t) != Q.order
+                or not GroupHom(Q, Q, t).is_homomorphism()):
             raise ValueError("K contains a non-automorphism of Q")
     if qsorted not in tables:
         raise ValueError("K not closed under composition")
@@ -169,19 +171,19 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     """N_F^K(Q): the system over N_S^K(Q) of morphisms extending to maps
     that stabilize Q with restriction in K, read for each object P from
     Hom_F(PQ, S) when P is first asked for. N_S^K(Q) is the union of the
-    cosets of C_S(Q) in N_S(Q) whose conjugation row lies in K."""
+    cosets of C_S(Q) in N_S(Q) whose conjugation lies in K; automorphisms
+    of Q are compared by their images of Q's generators."""
     Q = F.subgroup(Q.ids)
-    K_tables = _coerce_aut_set(Q, K)
+    qpos = Q.positions
+    qgens = Q.generator_ids()
+    K_vecs = {tuple(t[qpos[g]] for g in qgens)
+              for t in _coerce_aut_set(Q, K)}
     s_ids = frozenset().union(*(
-        coset for _r, coset, row in F.centralizer_cosets(Q)
-        if row in K_tables
+        coset for _r, coset, vec in F.centralizer_cosets(Q)
+        if vec in K_vecs
     ))
     Sp = F.subgroup(s_ids)
     assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
-
-    qpos = Q.positions
-    qgens = Q.generator_ids()
-    K_vecs = {tuple(t[qpos[g]] for g in qgens) for t in K_tables}
 
     def hom(_F, P: Subgroup):
         PQ = F.subgroup(product_ids(P, Q))

@@ -16,10 +16,12 @@ search over fcr automorphisms.
 Full image tables are built only at the point of use, by
 `groups.CayleyTree`: morphisms handed out as `groups.GroupHom`s with their
 provenance, `hom_to_S_tables`, digests, audits and the other whole-table
-consumers. The memo keeps no table of a morphism of Hom(Q, S). It does
-keep the conjugation rows of S (Aut_S(Q) and the transporter sweep),
-Out_F(P), which is Aut_F(P) on the points of P when P is abelian, and the
-fcr automorphisms that the Alperin search reads at any element.
+consumers. The memo keeps no table of a morphism of Hom(Q, S), and
+Aut_S(Q) is kept the same way: one generator-image vector per coset of
+C_S(Q) in N_S(Q), in `centralizer_cosets`. It does keep three kinds of
+whole table: the conjugation pairs of the transporter sweep, Out_F(P),
+which is Aut_F(P) on the points of P when P is abelian, and the fcr
+automorphisms that the Alperin search reads at any element.
 
 A system never changes once built, so its hom vectors, its subgroup
 instances and every invariant derived from them (automizers, classes,
@@ -209,34 +211,29 @@ class FusionSystem:
 
     @_memoised
     def centralizer_cosets(self, Q: Subgroup) -> tuple:
-        """Cosets of C_S(Q) in N_S(Q) as (r, member ids, row), by increasing
-        r: r is the least element of its coset and row is Q.sorted_ids
-        conjugated by r, the table of the automorphism that every member of
-        the coset induces on Q. These rows are the only conjugations of Q
-        the system keeps; Aut_S(Q), the N_phi twists and N_S^K(Q) read
-        them."""
-        amb = self.ambient
-        qsorted = self.subgroup(Q.ids).sorted_ids
+        """Aut_S(Q): the cosets of C_S(Q) in N_S(Q) as (r, member ids, vec),
+        by increasing r. r is the least element of its coset and vec is
+        the images of Q.generator_ids() under conjugation by r, the
+        automorphism that every member of the coset induces on Q, stored
+        like a morphism of Hom(Q, S). Aut_S(Q), the N_phi twists, N_S^K(Q),
+        Inn(Q) and the audit read these vectors."""
+        Q = self.subgroup(Q.ids)
+        gens = Q.generator_ids()
         return tuple(
-            (r, coset, amb.conj_row(qsorted, r))
+            (r, coset, self.ambient.conj_row(gens, r))
             for r, coset in right_cosets(self.normalizer_of(Q),
                                          self.centralizer_of(Q))
         )
 
-    @_memoised
-    def aut_s_tables(self, P: Subgroup) -> tuple:
-        """Aut_S(P) as (sorted tables, {table: least s in N_S(P) inducing
-        it}), one table per centralizer coset of P, witnessed by the coset's
-        representative."""
-        witnesses = {row: r for r, _, row in self.centralizer_cosets(P)}
-        return tuple(sorted(witnesses)), witnesses
-
     def aut_s(self, P: Subgroup) -> list[GroupHom]:
+        """Aut_S(P) by image table, each witnessed by the least s in N_S(P)
+        that induces it."""
         P = self.subgroup(P.ids)
-        tables, witnesses = self.aut_s_tables(P)
+        cosets = self.centralizer_cosets(P)
+        tables = self._tables(P, [vec for _r, _coset, vec in cosets])
         return [
-            GroupHom(P, P, t, provenance=("conjugation", witnesses[t]))
-            for t in tables
+            GroupHom(P, P, t, provenance=("conjugation", r))
+            for t, r in sorted(zip(tables, [r for r, _c, _v in cosets]))
         ]
 
     @_memoised
@@ -616,34 +613,26 @@ def audit_axioms(F: FusionSystem) -> list[str]:
     for Q in objects:
         tables = hom_tables(Q)
         table_set = set(tables)
-        aut_s_tabs, _ = F.aut_s_tables(Q)
         # Hom_S(Q, S): conjugation by every s in S with Q^s <= S (always)
         for s in F.S.generator_ids():
             if amb.conj_row(Q.sorted_ids, s) not in table_set:
                 problems.append(
                     f"missing inner map on subgroup of order {Q.order}"
                 )
-        for t in aut_s_tabs:
-            if t not in table_set:
+        for _r, _coset, vec in F.centralizer_cosets(Q):
+            if F.table(Q, vec) not in table_set:
                 problems.append(
                     f"Aut_S not inside Aut_F at order {Q.order}"
                 )
-        # t is multiplicative when t[i*g] = t[i]*t[g] for each generator g
+        tree = cayley_tree(Q)
         pos = Q.positions
-        products = [
-            (pos[g], [pos[x] for x in amb.mul_row(Q.sorted_ids, g)])
-            for g in Q.generator_ids()
-        ]
         for t in tables:
             if len(set(t)) != Q.order:
                 problems.append(f"non-injective map on order {Q.order}")
-                continue
-            for gk, ig in products:
-                if amb.mul_row(t, t[gk]) != tuple(t[k] for k in ig):
-                    problems.append(
-                        f"non-multiplicative map on order {Q.order}"
-                    )
-                    break
+            elif not tree.respects(amb, t, [t[pos[g]] for g in tree.gens]):
+                problems.append(
+                    f"non-multiplicative map on order {Q.order}"
+                )
     # restriction closure
     pairs = []
     for Q in objects:

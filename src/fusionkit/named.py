@@ -19,6 +19,8 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError("n must be positive")
     if n < 3:
         return FiniteGroup(max(n, 1), [], name=f"A{n}")
     gens = [perms.from_cycles(n, [(0, 1, 2)])]
@@ -57,6 +59,10 @@ def dihedral_group(order: int) -> FiniteGroup:
 
 
 def elementary_abelian_group(p: int, rank: int) -> FiniteGroup:
+    if p < 2 or _smallest_factor(p) != p:
+        raise ValueError("p must be a prime")
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
     return abelian_group([p] * rank)
 
 

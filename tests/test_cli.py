@@ -337,6 +337,12 @@ def _bad(id_, command, flag, descriptor):
          {"type": "named", "name": "dihedral", "order": 8.0}),
     _bad("list-name", "build", "--group",
          {"type": "named", "name": ["cyclic"], "n": 4}),
+    _bad("negative-rank", "build", "--group",
+         {"type": "named", "name": "elementary_abelian", "p": 2, "rank": -3}),
+    _bad("non-prime-p", "build", "--group",
+         {"type": "named", "name": "elementary_abelian", "p": 4, "rank": 2}),
+    _bad("negative-degree", "build", "--group",
+         {"type": "named", "name": "alternating", "n": -5}),
     _bad("domain-gens-not-list", "saturation", "--fusion",
          [{"domain_gens": 1, "images": [2]}]),
     _bad("images-not-list", "saturation", "--fusion",

@@ -209,6 +209,25 @@ def _aut_order(Q, a):
             return n
 
 
+def test_normalizer_rejects_non_homomorphism_in_k():
+    # on D8@2 with Q = C4 = <a>, t: a -> a^3 -> a^2 -> a is a bijection of
+    # Q of order 3, so {id, t, t^2} is closed under composition, but t is
+    # not a homomorphism; its image of a is that of inversion, which K does
+    # not hold
+    F = inner_fusion(dihedral_group(8), 2)
+    G = F.ambient
+    C4 = next(Q for Q in F.objects()
+              if Q.order == 4 and any(G.element_order(x) == 4 for x in Q.ids))
+    a = next(x for x in C4.ids if G.element_order(x) == 4)
+    a2, a3 = G.power_ids(a, 2), G.power_ids(a, 3)
+    t = {G.identity_id: G.identity_id, a: a3, a3: a2, a2: a}
+    t2 = {x: t[t[x]] for x in t}
+    K = [C4.sorted_ids] + [tuple(m[x] for x in C4.sorted_ids) for m in (t, t2)]
+    assert not GroupHom(C4, C4, K[1]).is_homomorphism()
+    with pytest.raises(ValueError, match="non-automorphism"):
+        normalizer_subsystem(F, C4, K)
+
+
 def test_normalizer_rejects_foreign_domain(f_s4):
     F = f_s4
     G = F.ambient

@@ -145,8 +145,7 @@ def _product():
 
 # memo kinds that hold morphisms as vectors, keyed by the domain last:
 # each vector has one entry per generator of the domain
-VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors", "aut_s_generator_images",
-                "extension_index"}
+VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors", "extension_index"}
 # memo kinds that hold no morphism: subgroups, id sets, element classes,
 # compiled tree walks
 PLAIN_KINDS = {"subgroup", "objects", "normalizer_of", "centralizer_of",
@@ -157,9 +156,6 @@ PLAIN_KINDS = {"subgroup", "objects", "normalizer_of", "centralizer_of",
 TABLE_KINDS = {
     # the transporter rule's input: c_g on D_g, one dict per distinct pair
     "conjugation_pairs",
-    # Aut_S(Q): one conjugation row of Q per coset of C_S(Q) in N_S(Q),
-    # and the same rows sorted
-    "centralizer_cosets", "aut_s_tables",
     # Out_F(P) as a permutation group; for abelian P it is Aut_F(P) on the
     # |P| points of P
     "out_F",
@@ -195,6 +191,10 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
             assert {len(v) for v in vectors} <= {width(key[1])}
         elif key[0] in VECTOR_KINDS:
             assert {len(v) for v in value} <= {width(key[-1])}, key[0]
+        elif key[0] == "centralizer_cosets":
+            # Aut_S(Q): (r, coset, conjugation by r on Q's generators)
+            assert {len(vec) for _r, _coset, vec in value} == {
+                width(key[1])}
         elif key[0] == "extension_candidates":
             # {restriction to Q: vectors of the morphisms out of N}
             assert {len(k) for k in value} <= {width(key[2])}
@@ -204,5 +204,5 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
             assert value <= {R.ids for R in F.objects()}
         else:
             assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
-    assert VECTOR_KINDS | {"extension_candidates"} <= kinds
-    assert {"centralizer_cosets", "out_F", "alperin_moves"} <= kinds
+    assert VECTOR_KINDS | {"extension_candidates", "centralizer_cosets"} <= kinds
+    assert {"out_F", "alperin_moves"} <= kinds

@@ -1,6 +1,6 @@
 """Receptivity by generator images against the full-table oracle.
 
-For every object P the library's Aut_S(P) tables and least-s witnesses,
+For every object P the library's Aut_S(P) tables and least-s provenance,
 and for every isomorphism phi: Q -> P with Q in the F-class of P, its
 N_phi and the extension it finds over N_phi, must equal those of
 `oracle_receptivity`. Each transporter case also runs on a copy of G with
@@ -31,9 +31,10 @@ def _check_against_oracle(F, objects):
     ref = oracle_receptivity.Reference(F)
     for P in objects:
         want = ref.aut_s(P)
-        tables, witnesses = F.aut_s_tables(P)
-        assert tables == tuple(sorted(want))
-        assert witnesses == want
+        aut_s = F.aut_s(P)
+        assert [a.images for a in aut_s] == sorted(want)
+        assert [a.provenance for a in aut_s] == [
+            ("conjugation", want[t]) for t in sorted(want)]
         verdict, got = receptivity_witnesses(F, P)
         expected = []
         for Q in F.f_conjugates(P):
@@ -73,7 +74,6 @@ def test_receptivity_makes_no_kernel_calls(monkeypatch):
     for Q in F.objects():
         F.hom_to_S_tables(Q)
         F.centralizer_cosets(Q)
-        F.aut_s_tables(Q)
     calls = Counter()
     for name in ("conjugate", "mul"):
         def counted(*args, _real=getattr(perms, name), _name=name):
