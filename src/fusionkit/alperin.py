@@ -68,7 +68,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     reports a theorem-hypothesis violation. The search runs on generator
     images, and full tables are rebuilt only along the returned chain."""
     phi = as_hom(phi, F.S)
-    P = F.subgroup(phi.domain.ids)
+    P = phi.domain
     gens = P.generator_ids()
     target = tuple(phi.images[P.positions[g]] for g in gens)
     if target not in F.vector_set(P):
@@ -97,8 +97,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     # table that agrees with it only there is not a morphism
     if cur != phi.images:
         raise ValueError("morphism does not belong to the system")
-    return AlperinDecomposition(P, F.subgroup(frozenset(phi.images)), steps,
-                                phi)
+    return AlperinDecomposition(P, F.subgroup(phi.images), steps, phi)
 
 
 def _moves(F: FusionSystem) -> tuple:

@@ -17,7 +17,6 @@ from .groups import (
     Subgroup,
     _p_part,
     cayley_tree,
-    is_normal,
     p_core,
     product_ids,
     quotient_group,
@@ -137,7 +136,6 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
     extension over N_phi by image table. The tables are built here, for the
     witnesses: `is_receptive` reads the same extensions on vectors alone.
     """
-    P = F.subgroup(P.ids)
     witnesses = []
     verdict = True
     if P.ids == F.S.ids:
@@ -183,7 +181,6 @@ def _least_extension(F: FusionSystem, N: Subgroup, Q: Subgroup,
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     """Every isomorphism onto P from a member of its F-class extends over
     its N_phi; read on vectors, with no table built."""
-    P = F.subgroup(P.ids)
     return P.ids == F.S.ids or all(
         extends
         for Q in F.f_conjugates(P) for _vec, _N, extends in _extensions(F, Q, P)
@@ -212,7 +209,6 @@ def is_centric(F: FusionSystem, P: Subgroup) -> bool:
 
 def aut_f_group(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     """Aut_F(P) as a permutation group on the positions of P.sorted_ids."""
-    P = F.subgroup(P.ids)
     pos = P.positions
     return FiniteGroup(
         P.order, [], name=f"Aut_F on {P.order} points",
@@ -222,7 +218,6 @@ def aut_f_group(F: FusionSystem, P: Subgroup) -> FiniteGroup:
 
 def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     """Out_F(P) = Aut_F(P)/Inn(P), as a permutation group on Inn-cosets."""
-    P = F.subgroup(P.ids)
     return F.cached(("out_F", P.ids), lambda: _out_f(F, P))
 
 
@@ -325,9 +320,8 @@ def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
     """P is normal in F: every morphism Q -> R extends to one on QP that
     maps P onto itself. Quantified over every morphism, on generator
     images."""
-    P = F.subgroup(P.ids)
     # the Q = S case of the definition forces P normal in S
-    if not is_normal(F.S, P):
+    if F.normalizer_of(P).ids != F.S.ids:
         return False
     amb = F.ambient
     pids = P.ids

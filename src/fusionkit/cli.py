@@ -60,24 +60,16 @@ def _load_system(args, *, need_fusion: bool = True):
         if need_fusion:
             raise DescriptorError("--sylow P is required for this command")
         return G, None
+    return G, _system(G, p, getattr(args, "fusion", None))
+
+
+def _system(G: FiniteGroup, p: int, fusion_path):
+    """Generated by the maps in `fusion_path`, else the transporter system."""
     S = sylow_p(G.full(), p)
-    if getattr(args, "fusion", None):
-        gens = parse_fusion_generators(S, load_json(_read(args.fusion)))
-        F = generated_fusion(S, p, gens)
-    else:
-        F = transporter_fusion(G, S, p)
-    return G, F
-
-
-def _load_second_system(args):
-    if not getattr(args, "group2", None) or getattr(args, "sylow2", None) is None:
-        raise DescriptorError("product needs --group2 FILE and --sylow2 P")
-    G = parse_group_spec(_read(args.group2))
-    S = sylow_p(G.full(), args.sylow2)
-    if getattr(args, "fusion2", None):
-        gens = parse_fusion_generators(S, load_json(_read(args.fusion2)))
-        return G, generated_fusion(S, args.sylow2, gens)
-    return G, transporter_fusion(G, S, args.sylow2)
+    if fusion_path:
+        gens = parse_fusion_generators(S, load_json(_read(fusion_path)))
+        return generated_fusion(S, p, gens)
+    return transporter_fusion(G, S, p)
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +150,10 @@ def _cmd_decompose(args, rep: Report):
 
 def _cmd_product(args, rep: Report):
     _, F1 = _load_system(args)
-    _, F2 = _load_second_system(args)
+    if not getattr(args, "group2", None) or getattr(args, "sylow2", None) is None:
+        raise DescriptorError("product needs --group2 FILE and --sylow2 P")
+    F2 = _system(parse_group_spec(_read(args.group2)), args.sylow2,
+                 getattr(args, "fusion2", None))
     F = product_fusion(F1, F2)
     rep.data["factor_orders"] = [F1.S.order, F2.S.order]
     rep.data["product_order"] = F.S.order

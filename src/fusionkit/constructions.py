@@ -15,7 +15,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     as_hom,
-    automorphisms,
     cayley_tree,
     centralizer,
     is_abelian,
@@ -108,7 +107,6 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
     injective, so it maps T onto T when it maps T's generators into T, and
     then theta(x) -> theta(phi(x)) is well defined: its vector is theta of
     phi at one lift of each generator of P/T."""
-    T = F.subgroup(T.ids)
     if not is_strongly_closed(F, T):
         raise ValueError("kernel is not strongly closed")
     Sq_group, theta = quotient_group(F.S, T)
@@ -135,12 +133,10 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
 
 
 def _coerce_aut_set(Q: Subgroup, K):
-    """K as a set of automorphism tables over Q.sorted_ids; validates that
-    each is a homomorphism and that K is closed under composition (with
-    identity, a finite group)."""
+    """K, other than "full", as a set of automorphism tables over
+    Q.sorted_ids; validates that each is a homomorphism and that K is
+    closed under composition (with identity, a finite group)."""
     qsorted = Q.sorted_ids
-    if K == "full" or K is None:
-        return {a.images for a in automorphisms(Q)}
     if K == "trivial":
         return {qsorted}
     tables = set()
@@ -172,18 +168,21 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     that stabilize Q with restriction in K, read for each object P from
     Hom_F(PQ, S) when P is first asked for. N_S^K(Q) is the union of the
     cosets of C_S(Q) in N_S(Q) whose conjugation lies in K; automorphisms
-    of Q are compared by their images of Q's generators."""
-    Q = F.subgroup(Q.ids)
-    qpos = Q.positions
+    of Q are compared by their images of Q's generators. K = Aut(Q)
+    ("full" or None) is not listed: a restriction lies in it when it maps
+    Q's generators into Q, and N_S^K(Q) = N_S(Q)."""
     qgens = Q.generator_ids()
-    K_vecs = {tuple(t[qpos[g]] for g in qgens)
-              for t in _coerce_aut_set(Q, K)}
-    s_ids = frozenset().union(*(
-        coset for _r, coset, vec in F.centralizer_cosets(Q)
-        if vec in K_vecs
-    ))
-    Sp = F.subgroup(s_ids)
-    assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
+    if K == "full" or K is None:
+        in_k, Sp = Q.ids.issuperset, F.normalizer_of(Q)
+    else:
+        qpos = Q.positions
+        in_k = {tuple(t[qpos[g]] for g in qgens)
+                for t in _coerce_aut_set(Q, K)}.__contains__
+        Sp = F.subgroup(frozenset().union(*(
+            coset for _r, coset, vec in F.centralizer_cosets(Q) if in_k(vec)
+        )))
+        assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
+    s_ids = Sp.ids
 
     def hom(_F, P: Subgroup):
         PQ = F.subgroup(product_ids(P, Q))
@@ -193,7 +192,7 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
         k = len(qgens)
         out = {}
         for im in at.images_all(F.ambient, F.hom_vectors(PQ)):
-            if im[:k] in K_vecs:
+            if in_k(im[:k]):
                 rest = im[k:]
                 if s_ids.issuperset(rest):
                     out[rest] = None
@@ -205,7 +204,7 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
 def centralizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     """C_F(Q) = N_F^{1}(Q), over C_S(Q)."""
     sub = normalizer_subsystem(F, Q, "trivial")
-    C = centralizer(F.S, F.subgroup(Q.ids))
+    C = centralizer(F.S, Q)
     assert sub.S.ids == C.ids, "N_S^1(Q) differs from C_S(Q)"
     return sub
 

@@ -23,10 +23,10 @@ whole table: the conjugation pairs of the transporter sweep, Out_F(P),
 which is Aut_F(P) on the points of P when P is abelian, and the fcr
 automorphisms that the Alperin search reads at any element.
 
-A system never changes once built, so its hom vectors, its subgroup
-instances and every invariant derived from them (automizers, classes,
-normalizers, fcr objects, ...) are computed once and kept in the system's
-single memo, `FusionSystem.cached`.
+A system never changes once built, so its hom vectors and every invariant
+derived from them (automizers, classes, normalizers, fcr objects, ...) are
+computed once and kept in the system's single memo, `FusionSystem.cached`,
+keyed by id sets; a subgroup of another ambient group raises ValueError.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ from .groups import (
 _MISSING = object()
 
 
+def _own(F: "FusionSystem", X: Subgroup) -> None:
+    """The memo's id sets name elements of F's ambient group alone."""
+    if X.ambient is not F.ambient:
+        raise ValueError("subgroup lives in a different ambient group")
+
+
 def _memoised(method):
     """Memoise a FusionSystem method of subgroup arguments in the system's
     memo, keyed by the method name and the subgroups' id sets."""
@@ -64,6 +70,8 @@ def _memoised(method):
 
     @functools.wraps(method)
     def memoised(self, *subgroups):
+        for X in subgroups:
+            _own(self, X)
         key = (name, *(X.ids for X in subgroups))
         return self.cached(key, lambda: method(self, *subgroups))
     return memoised
@@ -105,25 +113,21 @@ class FusionSystem:
         return value
 
     def subgroup(self, ids) -> Subgroup:
-        """The system's one Subgroup instance on the id set `ids`."""
-        ids = ids if isinstance(ids, frozenset) else frozenset(ids)
-        return self.cached(("subgroup", ids),
-                           lambda: Subgroup(self.ambient, ids))
+        """The one Subgroup of the system's ambient group on `ids`."""
+        return Subgroup(self.ambient, ids)
 
     # -- object and hom-set queries ---------------------------------------
 
     def objects(self) -> list[Subgroup]:
-        return self.cached(("objects",), lambda: [
-            self.subgroup(H.ids) for H in all_subgroups(self.S)
-        ])
+        return self.cached(("objects",), lambda: all_subgroups(self.S))
 
     def _homs(self, Q: Subgroup) -> tuple:
         """(vectors, provenance) of Hom(Q, S), from the rule the first time
         Q is asked for."""
+        _own(self, Q)
         if not Q.ids <= self.S.ids:
             raise ValueError("object is not a subgroup of S")
-        return self.cached(("hom", Q.ids),
-                           lambda: self._rule(self, self.subgroup(Q.ids)))
+        return self.cached(("hom", Q.ids), lambda: self._rule(self, Q))
 
     def hom_vectors(self, Q: Subgroup) -> tuple:
         """Hom(Q, S) as the images of Q.generator_ids() under each morphism,
@@ -133,12 +137,11 @@ class FusionSystem:
     def table(self, Q: Subgroup, vec) -> tuple:
         """The image table over Q.sorted_ids of the morphism out of Q with
         generator images `vec`."""
-        return cayley_tree(self.subgroup(Q.ids)).full.images(self.ambient,
-                                                              vec)
+        _own(self, Q)
+        return cayley_tree(Q).full.images(self.ambient, vec)
 
     def _tables(self, Q: Subgroup, vectors) -> list:
-        full = cayley_tree(self.subgroup(Q.ids)).full
-        return full.images_all(self.ambient, vectors)
+        return cayley_tree(Q).full.images_all(self.ambient, vectors)
 
     def hom_to_S_tables(self, Q: Subgroup) -> tuple:
         """Hom(Q, S) as sorted image tables over Q.sorted_ids, built on
@@ -154,7 +157,7 @@ class FusionSystem:
         if len(images) != Q.order:
             return False
         lookup = self.vector_set(Q)
-        tree = cayley_tree(self.subgroup(Q.ids))
+        tree = cayley_tree(Q)
         pos = Q.positions
         vec = tuple([images[pos[g]] for g in tree.gens])
         return (vec in lookup
@@ -168,12 +171,11 @@ class FusionSystem:
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
         """The morphisms Q -> P, by image table. A morphism maps into P
         exactly when its generator images lie in P."""
+        _own(self, P)
         if not P.ids <= self.S.ids:
             raise ValueError("codomain is not a subgroup of S")
-        P = self.subgroup(P.ids)
         pids = P.ids
         vectors, prov = self._homs(Q)
-        Q = self.subgroup(Q.ids)
         picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
         found = sorted(zip(self._tables(Q, [vectors[i] for i in picked]),
                            picked))
@@ -202,12 +204,12 @@ class FusionSystem:
     @_memoised
     def normalizer_of(self, P: Subgroup) -> Subgroup:
         """N_S(P)."""
-        return normalizer(self.S, self.subgroup(P.ids))
+        return normalizer(self.S, P)
 
     @_memoised
     def centralizer_of(self, P: Subgroup) -> Subgroup:
         """C_S(P)."""
-        return centralizer(self.S, self.subgroup(P.ids))
+        return centralizer(self.S, P)
 
     @_memoised
     def centralizer_cosets(self, Q: Subgroup) -> tuple:
@@ -217,7 +219,6 @@ class FusionSystem:
         automorphism that every member of the coset induces on Q, stored
         like a morphism of Hom(Q, S). Aut_S(Q), the N_phi twists, N_S^K(Q),
         Inn(Q) and the audit read these vectors."""
-        Q = self.subgroup(Q.ids)
         gens = Q.generator_ids()
         return tuple(
             (r, coset, self.ambient.conj_row(gens, r))
@@ -228,7 +229,6 @@ class FusionSystem:
     def aut_s(self, P: Subgroup) -> list[GroupHom]:
         """Aut_S(P) by image table, each witnessed by the least s in N_S(P)
         that induces it."""
-        P = self.subgroup(P.ids)
         cosets = self.centralizer_cosets(P)
         tables = self._tables(P, [vec for _r, _coset, vec in cosets])
         return [
@@ -296,7 +296,7 @@ class FusionSystem:
             raise ValueError("element is not in S")
 
         def compute():
-            Q = self.subgroup(subgroup_generated(amb, [x]).ids)
+            Q = subgroup_generated(amb, [x])
             at_x = cayley_tree(Q).plan([x])
             return tuple(sorted(
                 {y for y, in at_x.images_all(amb, self.hom_vectors(Q))}))
@@ -308,8 +308,7 @@ class FusionSystem:
         """The restriction to Q of each morphism out of N, in the order of
         hom_vectors(N), as its images of Q.generator_ids(); Q must be
         contained in N. A homomorphism on Q is fixed by those images."""
-        N = self.subgroup(N.ids)
-        restrict = cayley_tree(N).plan(self.subgroup(Q.ids).generator_ids())
+        restrict = cayley_tree(N).plan(Q.generator_ids())
         return restrict.images_all(self.ambient, self.hom_vectors(N))
 
     @_memoised
@@ -600,7 +599,6 @@ def audit_axioms(F: FusionSystem) -> list[str]:
     amb = F.ambient
     problems = []
     objects = F.objects()
-    by_ids = {Q.ids: Q for Q in objects}
     built: dict = {}
 
     def hom_tables(Q):
@@ -659,10 +657,7 @@ def audit_axioms(F: FusionSystem) -> list[str]:
     if len(comps) > AUDIT_SAMPLES:
         comps = random.Random(1).sample(comps, AUDIT_SAMPLES)
     for Q, t in comps:
-        img = frozenset(t)
-        R = by_ids.get(img)
-        if R is None:
-            R = F.subgroup(img)
+        R = F.subgroup(t)
         second = hom_tables(R)
         table_set = set(hom_tables(Q))
         pos = R.positions

@@ -3,7 +3,8 @@
 A FiniteGroup stores the fully enumerated, sorted element list of a
 permutation group; everything downstream (subgroups, homomorphisms, fusion
 data) refers to elements by their index into that list. Subgroups are
-id-sets over a fixed ambient FiniteGroup and are cheap to hash and compare.
+id-sets over a fixed ambient FiniteGroup and are cheap to hash and compare;
+there is one live Subgroup instance per id set of an ambient group.
 
 Element arithmetic (`mul_ids`, `mul_row`, `conj_row`, `conj_col`,
 `power_ids`, `inverse_ids`) lives on FiniteGroup and has two paths. Inside
@@ -41,6 +42,7 @@ from __future__ import annotations
 import os
 from array import array
 from math import lcm
+from weakref import WeakValueDictionary
 
 from . import perms
 
@@ -90,6 +92,7 @@ class FiniteGroup:
         self._order_cache: dict[int, int] = {}
         self._tables: list[_Table] = []
         self._all_ids: frozenset[int] | None = None
+        self._subgroups: WeakValueDictionary = WeakValueDictionary()
 
     def _close(self, gens):
         cap = max_group_order()
@@ -230,6 +233,13 @@ class FiniteGroup:
     def generator_ids(self) -> list[int]:
         return [self.index[g] for g in self.generators]
 
+    def __getstate__(self):
+        # a copied or unpickled group interns its own subgroups
+        return {k: v for k, v in vars(self).items() if k != "_subgroups"}
+
+    def __setstate__(self, state):
+        vars(self).update(state, _subgroups=WeakValueDictionary())
+
     def full(self) -> "Subgroup":
         # the id set is kept, not the Subgroup: a Subgroup refers back to
         # its ambient, and that cycle would keep a dropped group alive
@@ -296,17 +306,27 @@ def _tabled(G: "Subgroup") -> None:
 
 
 class Subgroup:
-    """A subgroup of a FiniteGroup, stored as a frozen set of element ids."""
+    """A subgroup of a FiniteGroup, stored as a frozen set of element ids:
+    the one live instance on that id set, which the ambient holds weakly,
+    so its sorted ids, position map and Cayley tree are built once."""
 
-    __slots__ = ("ambient", "ids", "_sorted", "_positions", "_tree", "_hash")
+    __slots__ = ("ambient", "ids", "_sorted", "_positions", "_tree", "_hash",
+                 "__weakref__")
 
-    def __init__(self, ambient: FiniteGroup, ids):
-        self.ambient = ambient
-        self.ids = ids if isinstance(ids, frozenset) else frozenset(ids)
-        self._sorted: tuple[int, ...] | None = None
-        self._positions: dict[int, int] | None = None
-        self._tree: CayleyTree | None = None
-        self._hash = None
+    def __new__(cls, ambient: FiniteGroup, ids):
+        ids = ids if isinstance(ids, frozenset) else frozenset(ids)
+        live = ambient._subgroups
+        self = live.get(ids)
+        if self is None:
+            self = live[ids] = object.__new__(cls)
+            self.ambient = ambient
+            self.ids = ids
+            self._sorted = self._positions = self._tree = self._hash = None
+        return self
+
+    def __reduce__(self):
+        # a copy is the instance on the same id set of the copied ambient
+        return Subgroup, (self.ambient, self.ids)
 
     @property
     def order(self) -> int:
@@ -981,10 +1001,7 @@ def _p_group_subgroups(S: Subgroup, p: int) -> list[Subgroup]:
                 covered |= grown.ids
         level = nxt
         out.extend(Subgroup(amb, ids) for ids in sorted(level, key=sorted))
-    uniq = {H.ids: H for H in out}
-    return sorted(
-        uniq.values(), key=lambda H: (H.order, H.sorted_ids)
-    )
+    return sorted(out, key=lambda H: (H.order, H.sorted_ids))
 
 
 # --------------------------------------------------------------------------

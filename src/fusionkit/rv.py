@@ -373,7 +373,7 @@ def certify_rv(F: FusionSystem) -> dict:
         "outer group shape mismatch"
     counts = {HALF_TYPE_ORDER: 0, FULL_TYPE_ORDER: 0}
     for line in _lines():
-        V = F.subgroup(ext.rank2_subgroup(line).ids)
+        V = ext.rank2_subgroup(line)
         counts[len(F.aut_f_vectors(V))] += 1
         assert is_centric(F, V) and is_radical(F, V), \
             "rank-2 subgroup not centric-radical"
@@ -386,7 +386,7 @@ def certify_rv(F: FusionSystem) -> dict:
     for line in _lines():
         if line in seen:
             continue
-        V = F.subgroup(ext.rank2_subgroup(line).ids)
+        V = ext.rank2_subgroup(line)
         mates = {Q.ids for Q in F.f_conjugates(V)}
         cls = [ln for ln in _lines() if ext.rank2_subgroup(ln).ids in mates]
         seen.update(cls)
@@ -398,7 +398,7 @@ def certify_rv(F: FusionSystem) -> dict:
     assert len(cr_rank2) == 8, "rank-2 centric-radical count is not eight"
     for orb, type_order in F.rv_profile.items():
         rep = min(orb)
-        V = F.subgroup(ext.rank2_subgroup(rep).ids)
+        V = ext.rank2_subgroup(rep)
         mine = set(F.aut_f_tables(V))
         want = ext.aut_group_tables(rep, type_order)
         assert mine == want, "rank-2 automorphism group differs from seed"

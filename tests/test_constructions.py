@@ -9,11 +9,13 @@ import sys
 import pytest
 
 import fusionkit
+from conftest import extraspecial27_c2
 from fusionkit import (
     GroupHom,
     Subgroup,
     audit_axioms,
     aut_F,
+    automorphisms,
     centralizer_subsystem,
     cyclic_group,
     dihedral_group,
@@ -22,6 +24,7 @@ from fusionkit import (
     fcr_objects,
     fusion_isomorphic,
     hom_set,
+    hom_table_digest,
     inner_fusion,
     is_saturated,
     is_strongly_closed,
@@ -35,6 +38,7 @@ from fusionkit import (
     transporter_fusion,
 )
 import fusionkit.constructions as constructions
+import fusionkit.groups as groups
 
 
 def _tr(G, p):
@@ -174,6 +178,35 @@ def test_normalizer_full_at_center(f_s4):
         got = set(N.hom_to_S_tables(Q))
         sup = set(F.hom_to_S_tables(F.subgroup(Q.ids)))
         assert got <= sup
+
+
+@pytest.mark.parametrize("name,mk", [
+    ("S4@2", lambda: _tr(symmetric_group(4), 2)),
+    ("S6@2", lambda: _tr(symmetric_group(6), 2)),
+    ("3^(1+2):2@3", lambda: _tr(extraspecial27_c2(), 3)),
+])
+def test_normalizer_full_matches_explicit_aut_q(name, mk):
+    F = mk()
+    for Q in F.objects():
+        want = normalizer_subsystem(
+            F, Q, [a.images for a in automorphisms(Q)])
+        digest = hom_table_digest(want)
+        for K in ("full", None):
+            N = normalizer_subsystem(F, Q, K)
+            assert N.S is want.S
+            assert hom_table_digest(N) == digest
+
+
+def test_normalizer_full_lists_no_automorphism(rv_systems, monkeypatch):
+    """|Aut(7^(1+2))| = 98,784: N_F(S) on rv1 must not enumerate it."""
+    F = rv_systems["rv1"]
+
+    def refuse(*_args):
+        raise AssertionError("Aut(Q) was enumerated")
+    monkeypatch.setattr(groups, "isomorphisms", refuse)
+    N = normalizer_subsystem(F, F.S)
+    assert N.S is F.S
+    assert N.hom_vectors(N.S) == F.hom_vectors(F.S)
 
 
 def test_centralizer_subsystem_matches_trivial_k(f_s4):

@@ -21,6 +21,8 @@ from fusionkit import (
     hom_set,
     hom_table_digest,
     inner_fusion,
+    is_normal_in_F,
+    normalizer,
     normalizer_subsystem,
     subgroup_generated,
     sylow_p,
@@ -28,6 +30,7 @@ from fusionkit import (
     transporter_fusion,
     verify_decomposition,
 )
+import fusionkit.groups as groups
 
 
 def test_transporter_requires_sylow():
@@ -278,3 +281,38 @@ def test_restrict_outside_the_domain_raises(f_s4):
     V = next(Q for Q in fcr_objects(F) if Q.order == 4)
     with pytest.raises(ValueError, match="not inside the domain"):
         F.aut_f(V)[0].restrict(F.S)
+
+
+def test_subgroups_of_another_ambient_are_rejected(f_s4):
+    """A subgroup of a separately built S4 is not a subgroup of F's S4,
+    even on the ids of one of F's objects."""
+    F = f_s4
+    V = next(Q for Q in fcr_objects(F) if Q.order == 4)
+    V2 = Subgroup(symmetric_group(4), V.ids)
+    foreign = "subgroup lives in a different ambient group"
+    for query in (F.hom_vectors, F.aut_f, F.normalizer_of,
+                  F.centralizer_cosets):
+        with pytest.raises(ValueError, match=foreign):
+            query(V2)
+    with pytest.raises(ValueError, match=foreign):
+        F.table(V2, V2.generator_ids())
+    with pytest.raises(ValueError, match=foreign):
+        is_normal_in_F(F, V2)
+
+
+def test_a_warm_lattice_builds_no_tree_again(monkeypatch):
+    """Once the lattice is built, the subgroup on an object's id set is
+    that object, with the Cayley tree the enumeration walked."""
+    G = symmetric_group(6)
+    F = transporter_fusion(G, sylow_p(G.full(), 2), 2)
+    objects = F.objects()
+    built = []
+    walk = groups.CayleyTree.__init__
+
+    def counted(self, Q, gens=None):
+        built.append(Q.order)
+        walk(self, Q, gens)
+    monkeypatch.setattr(groups.CayleyTree, "__init__", counted)
+    for Q in objects:
+        normalizer(F.S, Subgroup(F.ambient, Q.ids))
+    assert built == []

@@ -1,6 +1,10 @@
 """Group kernel: named constructions, Sylow machinery, automorphisms."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -39,7 +43,7 @@ from fusionkit import (
     sylow_p,
     symmetric_group,
 )
-from fusionkit.groups import FiniteGroup, is_normal, right_cosets
+from fusionkit.groups import FiniteGroup, Subgroup, is_normal, right_cosets
 
 
 def test_named_orders():
@@ -441,3 +445,38 @@ def test_abelian_and_exponent(p):
     assert is_abelian(G.full())
     assert exponent(G.full()) == 6
     assert not is_abelian(symmetric_group(3).full())
+
+
+def test_subgroup_is_one_instance_per_id_set():
+    G = symmetric_group(4)
+    S = sylow_p(G.full(), 2)
+    assert Subgroup(G, S.ids) is S
+    assert Subgroup(G, list(S.ids)) is Subgroup(G, S.ids)
+    assert G.full() is G.full()
+    assert copy.copy(S) is S
+    # a copied or unpickled group interns its own subgroups
+    for T in (copy.deepcopy(S), pickle.loads(pickle.dumps(S))):
+        assert T.ambient is not G and T is Subgroup(T.ambient, S.ids)
+    # the same ids in a separately built S4 name a subgroup of another group
+    other = Subgroup(symmetric_group(4), S.ids)
+    assert other is not S and other != S
+
+
+def test_dropped_subgroups_and_their_ambient_are_freed_without_gc():
+    gc.disable()
+    try:
+        G = symmetric_group(4)
+        ids = frozenset(sylow_p(G.full(), 2).ids)
+        H = Subgroup(G, ids)
+        H.generator_ids()
+        dropped = weakref.ref(H)
+        del H
+        assert dropped() is None
+        assert ids not in G._subgroups
+        H = Subgroup(G, ids)
+        H.generator_ids()
+        ambient = weakref.ref(G)
+        del G, H
+        assert ambient() is None
+    finally:
+        gc.enable()

@@ -133,6 +133,22 @@ def test_fusionsystem_has_no_subclass():
     assert subclasses == []
 
 
+def test_no_subgroup_is_looked_up_again_by_its_ids():
+    """`Subgroup(G, ids)` is the one instance on an id set, so no module
+    swaps a subgroup for the instance on its own ids."""
+    lookups = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == "subgroup"
+             or getattr(node.func, "id", None) == "Subgroup")
+        and node.args and isinstance(node.args[-1], ast.Attribute)
+        and node.args[-1].attr == "ids"
+    ]
+    assert lookups == []
+
+
 def _s6():
     G = symmetric_group(6)
     return transporter_fusion(G, sylow_p(G.full(), 2), 2)
@@ -148,10 +164,9 @@ def _product():
 VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors", "extension_index"}
 # memo kinds that hold no morphism: subgroups, id sets, element classes,
 # compiled tree walks
-PLAIN_KINDS = {"subgroup", "objects", "normalizer_of", "centralizer_of",
-               "image_sets", "objects_through", "f_conjugates",
-               "conjugacy_classes", "f_class", "cr_classes", "fcr_objects",
-               "twist_plan"}
+PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
+               "objects_through", "f_conjugates", "conjugacy_classes",
+               "f_class", "cr_classes", "fcr_objects", "twist_plan"}
 # the stated exceptions, which keep whole tables
 TABLE_KINDS = {
     # the transporter rule's input: c_g on D_g, one dict per distinct pair
