@@ -2,23 +2,25 @@
 
 Implements the full battery over a FusionSystem F: fully automised,
 receptive (with N_phi witnesses), saturated, fully centralised/normalised,
-centric, radical, the fcr/cr object lists, strong closure, and normality.
-P is radical when O_p(Out_F(P)) = 1, where Out_F(P) is the
-`groups.quotient_group` of Aut_F(P) by Inn(P); the cr and fcr lists read
-one memoised list of centric-radical classes.
+centric, radical, the fcr/cr object lists and strong closure (normality
+is read from the normalizer subsystem, in `constructions`). P is radical
+when O_p(Out_F(P)) = 1, where Out_F(P) is the `groups.quotient_group` of
+Aut_F(P) by Inn(P); the cr and fcr lists read one memoised list of
+centric-radical classes. Every invariant of a subgroup is memoised through
+`fusion._memoised`, which rejects a subgroup of another ambient group.
 """
 
 from __future__ import annotations
 
-from .fusion import FusionSystem
+from .fusion import FusionSystem, _memoised
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
     _p_part,
+    _same_ambient,
     cayley_tree,
     p_core,
-    product_ids,
     quotient_group,
 )
 
@@ -69,12 +71,13 @@ def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
     return len(cosets) == _p_part(len(F.aut_f_vectors(P)), F.p)
 
 
+@_memoised
 def _twist_plan(F: FusionSystem, Q: Subgroup):
     """The walk down Q's Cayley tree to the conjugates of Q's generators by
     each coset representative of C_S(Q) in N_S(Q), coset by coset."""
-    return F.cached(("twist_plan", Q.ids), lambda: cayley_tree(Q).plan([
+    return cayley_tree(Q).plan([
         x for _r, _coset, vec in F.centralizer_cosets(Q) for x in vec
-    ]))
+    ])
 
 
 def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
@@ -138,7 +141,7 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
     """
     witnesses = []
     verdict = True
-    if P.ids == F.S.ids:
+    if P == F.S:
         # N_phi = S for every automorphism of S (twists stay inner), and
         # each map is its own extension
         for t in F.aut_f_tables(P):
@@ -166,22 +169,25 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
 def _least_extension(F: FusionSystem, N: Subgroup, Q: Subgroup,
                      vec: tuple) -> tuple:
     """The least table of the morphisms out of N that restrict to the map
-    on Q with generator images `vec`. The morphisms out of N are grouped by
-    restriction once per (N, Q), for witnesses only; the tables of the
-    candidates are built here."""
-    def group():
-        found: dict = {}
-        for key, v in zip(F.restrictions(N, Q), F.hom_vectors(N)):
-            found.setdefault(key, []).append(v)
-        return found
-    found = F.cached(("extension_candidates", N.ids, Q.ids), group)[vec]
-    return min(F.table(N, v) for v in found)
+    on Q with generator images `vec`; the tables of the candidates are
+    built here."""
+    return min(F.table(N, v) for v in _extension_candidates(F, N, Q)[vec])
+
+
+@_memoised
+def _extension_candidates(F: FusionSystem, N: Subgroup, Q: Subgroup) -> dict:
+    """The vectors of the morphisms out of N, grouped by their restriction
+    to Q, for witnesses only."""
+    found: dict = {}
+    for key, v in zip(F.restrictions(N, Q), F.hom_vectors(N)):
+        found.setdefault(key, []).append(v)
+    return found
 
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     """Every isomorphism onto P from a member of its F-class extends over
     its N_phi; read on vectors, with no table built."""
-    return P.ids == F.S.ids or all(
+    return P == F.S or all(
         extends
         for Q in F.f_conjugates(P) for _vec, _N, extends in _extensions(F, Q, P)
     )
@@ -216,12 +222,9 @@ def aut_f_group(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     )
 
 
+@_memoised
 def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     """Out_F(P) = Aut_F(P)/Inn(P), as a permutation group on Inn-cosets."""
-    return F.cached(("out_F", P.ids), lambda: _out_f(F, P))
-
-
-def _out_f(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     grp = aut_f_group(F, P)
     pos = P.positions
     # Inn(P): c_x for x in P, the automorphisms of the cosets of C_S(P) in
@@ -310,39 +313,12 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
 
 
 def is_strongly_closed(F: FusionSystem, P: Subgroup) -> bool:
+    """Every element of P has its whole F-class in P."""
+    _same_ambient(F.S, P)
     pids = P.ids
     return all(
         set(F.f_class_of_element(x)) <= pids for x in P.sorted_ids
     )
-
-
-def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
-    """P is normal in F: every morphism Q -> R extends to one on QP that
-    maps P onto itself. Quantified over every morphism, on generator
-    images."""
-    # the Q = S case of the definition forces P normal in S
-    if F.normalizer_of(P).ids != F.S.ids:
-        return False
-    amb = F.ambient
-    pids = P.ids
-    stable: dict = {}
-    for Q in F.objects():
-        QP = F.subgroup(product_ids(Q, P))
-        key = (QP.ids, Q.ids)
-        idx = stable.get(key)
-        if idx is None:
-            # restrictions to Q of the maps on QP that carry P's generators
-            # into P, so P onto itself
-            pg = P.generator_ids()
-            at = cayley_tree(QP).plan(pg + Q.generator_ids())
-            idx = set()
-            for im in at.images_all(amb, F.hom_vectors(QP)):
-                if pids.issuperset(im[:len(pg)]):
-                    idx.add(im[len(pg):])
-            stable[key] = idx
-        if not idx.issuperset(F.hom_vectors(Q)):
-            return False
-    return True
 
 
 def classifier_rows(F: FusionSystem) -> list[dict]:

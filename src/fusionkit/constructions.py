@@ -1,8 +1,9 @@
 """Constructions that produce new fusion systems from old ones.
 
 Products over S1 x S2, quotients by strongly closed subgroups, normalizer
-and centralizer subsystems, a fusion-system isomorphism search, and the
-structural witness report combining all of them.
+and centralizer subsystems (and normality, read from the normalizer
+subsystem), a fusion-system isomorphism search, and the structural witness
+report combining all of them.
 """
 
 from __future__ import annotations
@@ -199,6 +200,16 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
         return tuple(out), None
 
     return FusionSystem(Sp, F.p, hom, "derived")
+
+
+def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
+    """P is normal in F when F = N_F(P) (Aschbacher, Kessar & Oliver,
+    I.4): N_S(P) = S, and at every object N_F(P) has every morphism of F."""
+    if F.normalizer_of(P) != F.S:
+        return False
+    N = normalizer_subsystem(F, P)
+    return all(N.vector_set(Q).issuperset(F.hom_vectors(Q))
+               for Q in F.objects())
 
 
 def centralizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:

@@ -25,8 +25,11 @@ automorphisms that the Alperin search reads at any element.
 
 A system never changes once built, so its hom vectors and every invariant
 derived from them (automizers, classes, normalizers, fcr objects, ...) are
-computed once and kept in the system's single memo, `FusionSystem.cached`,
-keyed by id sets; a subgroup of another ambient group raises ValueError.
+computed once and kept in the system's single memo, `FusionSystem.cached`.
+An entry of a subgroup is made only by `_memoised`, which keys it by the
+function's name and the subgroups' id sets and checks on every call that
+each subgroup lives in the system's ambient group, raising ValueError
+otherwise; the other entries are keyed by order, element or nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _p_part,
+    _same_ambient,
     _tabled,
     all_subgroups,
     as_hom,
@@ -57,23 +61,20 @@ from .groups import (
 _MISSING = object()
 
 
-def _own(F: "FusionSystem", X: Subgroup) -> None:
-    """The memo's id sets name elements of F's ambient group alone."""
-    if X.ambient is not F.ambient:
-        raise ValueError("subgroup lives in a different ambient group")
+def _memoised(fn):
+    """Memoise `fn(F, *subgroups)`, a FusionSystem method or a module
+    function, in F's memo under the kind `fn`'s name without its leading
+    underscores, keyed by the subgroups' id sets. Ids name elements of F's
+    ambient group alone, so every call, hit or miss, checks that each
+    subgroup lives there."""
+    kind = fn.__name__.lstrip("_")
 
-
-def _memoised(method):
-    """Memoise a FusionSystem method of subgroup arguments in the system's
-    memo, keyed by the method name and the subgroups' id sets."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def memoised(self, *subgroups):
+    @functools.wraps(fn)
+    def memoised(F, *subgroups):
         for X in subgroups:
-            _own(self, X)
-        key = (name, *(X.ids for X in subgroups))
-        return self.cached(key, lambda: method(self, *subgroups))
+            _same_ambient(F.S, X)
+        return F.cached((kind, *[X.ids for X in subgroups]),
+                        lambda: fn(F, *subgroups))
     return memoised
 
 
@@ -106,7 +107,10 @@ class FusionSystem:
     def cached(self, key, compute):
         """The derived invariant stored under `key`, from `compute()` on
         first use. A system never changes once built, so each invariant is
-        computed once; callers store immutable values or hand out copies."""
+        computed once; callers store immutable values or hand out copies.
+        A key that names a subgroup is made by `_memoised` alone, which
+        checks the subgroup's ambient group; this is the one place that
+        reads or writes the memo."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()
@@ -121,23 +125,23 @@ class FusionSystem:
     def objects(self) -> list[Subgroup]:
         return self.cached(("objects",), lambda: all_subgroups(self.S))
 
-    def _homs(self, Q: Subgroup) -> tuple:
+    @_memoised
+    def _hom(self, Q: Subgroup) -> tuple:
         """(vectors, provenance) of Hom(Q, S), from the rule the first time
         Q is asked for."""
-        _own(self, Q)
         if not Q.ids <= self.S.ids:
             raise ValueError("object is not a subgroup of S")
-        return self.cached(("hom", Q.ids), lambda: self._rule(self, Q))
+        return self._rule(self, Q)
 
     def hom_vectors(self, Q: Subgroup) -> tuple:
         """Hom(Q, S) as the images of Q.generator_ids() under each morphism,
         in the order the rule found them."""
-        return self._homs(Q)[0]
+        return self._hom(Q)[0]
 
     def table(self, Q: Subgroup, vec) -> tuple:
         """The image table over Q.sorted_ids of the morphism out of Q with
         generator images `vec`."""
-        _own(self, Q)
+        _same_ambient(self.S, Q)
         return cayley_tree(Q).full.images(self.ambient, vec)
 
     def _tables(self, Q: Subgroup, vectors) -> list:
@@ -171,11 +175,11 @@ class FusionSystem:
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
         """The morphisms Q -> P, by image table. A morphism maps into P
         exactly when its generator images lie in P."""
-        _own(self, P)
+        _same_ambient(self.S, P)
         if not P.ids <= self.S.ids:
             raise ValueError("codomain is not a subgroup of S")
         pids = P.ids
-        vectors, prov = self._homs(Q)
+        vectors, prov = self._hom(Q)
         picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
         found = sorted(zip(self._tables(Q, [vectors[i] for i in picked]),
                            picked))
@@ -261,18 +265,15 @@ class FusionSystem:
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
         """All subgroups F-isomorphic to P (isomorphic as objects, i.e.
-        with invertible morphisms both ways)."""
-        key = ("f_conjugates", P.ids)
-        if key not in self._memo:
-            members = [
-                img for img in self.image_sets(P)
-                if len(img) == P.order
-                and P.ids in self.image_sets(self.subgroup(img))
-            ]
-            cls = tuple(sorted(members, key=lambda ids: tuple(sorted(ids))))
-            for ids in cls:
-                self._memo["f_conjugates", ids] = cls
-        return [self.subgroup(ids) for ids in self._memo[key]]
+        with invertible morphisms both ways), by sorted ids."""
+        return list(self._f_conjugates(P))
+
+    @_memoised
+    def _f_conjugates(self, P: Subgroup) -> tuple:
+        members = [self.subgroup(img) for img in self.image_sets(P)]
+        return tuple(sorted(
+            (R for R in members if P.ids in self.image_sets(R)),
+            key=lambda R: R.sorted_ids))
 
     def conjugacy_classes(self) -> list[list[Subgroup]]:
         def compute():

@@ -415,9 +415,17 @@ def subgroup_from_perms(amb: FiniteGroup, gen_perms) -> Subgroup:
     return subgroup_generated(amb, [amb.id_of(p) for p in gen_perms])
 
 
+def _same_ambient(G: Subgroup, X: Subgroup) -> FiniteGroup:
+    """G's ambient group, which X must share: an id names an element of one
+    ambient group alone."""
+    if X.ambient is not G.ambient:
+        raise ValueError("subgroup lives in a different ambient group")
+    return G.ambient
+
+
 def centralizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """C_G(X) for X a subgroup of the same ambient group."""
-    amb = G.ambient
+    amb = _same_ambient(G, X)
     _tabled(G)
     cand = G.sorted_ids
     for x in X.generator_ids():
@@ -427,7 +435,7 @@ def centralizer(G: Subgroup, X: Subgroup) -> Subgroup:
 
 def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """N_G(X) for X a subgroup of the same ambient group."""
-    amb = G.ambient
+    amb = _same_ambient(G, X)
     _tabled(G)
     xids = X.ids
     cand = G.sorted_ids
@@ -443,9 +451,7 @@ def center(G: Subgroup) -> Subgroup:
 
 
 def intersect(A: Subgroup, B: Subgroup) -> Subgroup:
-    if A.ambient is not B.ambient:
-        raise ValueError("subgroups live in different ambient groups")
-    return Subgroup(A.ambient, A.ids & B.ids)
+    return Subgroup(_same_ambient(A, B), A.ids & B.ids)
 
 
 def _p_part(n: int, p: int) -> int:
@@ -531,7 +537,7 @@ def p_core(G: Subgroup, p: int) -> Subgroup:
 
 def product_ids(A: Subgroup, B: Subgroup) -> frozenset:
     """Element ids of the set product AB, a subgroup when AB = BA."""
-    amb = A.ambient
+    amb = _same_ambient(A, B)
     out = set()
     for b in B.ids:
         out.update(amb.mul_row(A.ids, b))
@@ -1012,7 +1018,7 @@ def right_cosets(G: Subgroup, N: Subgroup) -> tuple:
     """The right cosets of N in G as (r, frozenset N*r), by increasing r,
     where r is the least id of its coset. This is the one routine that
     splits a group into cosets."""
-    amb = G.ambient
+    amb = _same_ambient(G, N)
     covered = set()
     out = []
     for r in G.sorted_ids:
@@ -1033,7 +1039,7 @@ def quotient_group(G: Subgroup, N: Subgroup):
     Returns (Q, theta) where theta maps ambient ids of G elements to Q ids.
     Raises if N is not normal in G.
     """
-    amb = G.ambient
+    amb = _same_ambient(G, N)
     if not N.ids <= G.ids:
         raise ValueError("N is not contained in G")
     _tabled(G)

@@ -136,6 +136,26 @@ def test_normal_implies_strongly_closed(saturated_suite):
                 assert is_strongly_closed(F, Q), name
 
 
+# orders of the normal subgroups, frozen from the definition quantified
+# over every morphism Q -> R and its extensions to QP
+NORMAL_ORDERS = {
+    "s3_c3": [1, 3],
+    "s4_d8": [1, 4],
+    "a4_v4": [1, 4],
+    "sl33": [1],
+    "a4s3_p2": [1, 2, 4, 8],
+    "a4s3_p3": [1, 3, 3, 9],
+    "es27_c2": [1, 3, 9, 9, 9, 9, 27],
+    "rv1": [1],
+}
+
+
+def test_normal_subgroup_orders(saturated_suite, rv_systems):
+    for name, F in saturated_suite + [("rv1", rv_systems["rv1"])]:
+        normal = [Q.order for Q in F.objects() if is_normal_in_F(F, Q)]
+        assert sorted(normal) == NORMAL_ORDERS[name], name
+
+
 def test_cr_superset_of_fcr(saturated_suite):
     for name, F in saturated_suite:
         fcr = {Q.ids for Q in fcr_objects(F)}

@@ -1,11 +1,14 @@
 """End-to-end CLI jobs run in process, plus one subprocess smoke test."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import fusionkit
 from fusionkit.cli import main
 from fusionkit.report import strip_timing
 
@@ -375,10 +378,14 @@ def test_group_cap_respected(files, capsys, monkeypatch):
 
 
 def test_subprocess_entry_point(files):
+    # the child finds fusionkit where this process imported it from
+    src = str(pathlib.Path(fusionkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "fusionkit.cli", "saturation",
          "--group", files["s4"], "--sylow", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["verdict"] is True

@@ -9,6 +9,7 @@ from fusionkit import (
     audit_axioms,
     aut_F,
     aut_S,
+    centralizer,
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
@@ -21,9 +22,18 @@ from fusionkit import (
     hom_set,
     hom_table_digest,
     inner_fusion,
+    is_centric,
+    is_fully_centralised,
+    is_fully_normalised,
     is_normal_in_F,
+    is_radical,
+    is_receptive,
+    is_strongly_closed,
     normalizer,
     normalizer_subsystem,
+    out_F,
+    quotient_fusion,
+    quotient_group,
     subgroup_generated,
     sylow_p,
     symmetric_group,
@@ -285,19 +295,31 @@ def test_restrict_outside_the_domain_raises(f_s4):
 
 def test_subgroups_of_another_ambient_are_rejected(f_s4):
     """A subgroup of a separately built S4 is not a subgroup of F's S4,
-    even on the ids of one of F's objects."""
+    even on the ids of one of F's objects, also once the memo holds an
+    answer for F's own subgroup on those ids."""
     F = f_s4
     V = next(Q for Q in fcr_objects(F) if Q.order == 4)
-    V2 = Subgroup(symmetric_group(4), V.ids)
+    G2 = symmetric_group(4)
+    V2, S2 = Subgroup(G2, V.ids), Subgroup(G2, F.S.ids)
     foreign = "subgroup lives in a different ambient group"
+    out_F(F, V)
+    F.f_conjugates(V)
     for query in (F.hom_vectors, F.aut_f, F.normalizer_of,
-                  F.centralizer_cosets):
+                  F.centralizer_cosets, F.f_conjugates):
         with pytest.raises(ValueError, match=foreign):
             query(V2)
     with pytest.raises(ValueError, match=foreign):
         F.table(V2, V2.generator_ids())
-    with pytest.raises(ValueError, match=foreign):
-        is_normal_in_F(F, V2)
+    for predicate in (is_normal_in_F, is_receptive, out_F, is_radical,
+                      is_centric, is_fully_centralised, is_fully_normalised,
+                      is_strongly_closed, quotient_fusion):
+        for X in (V2, S2):
+            with pytest.raises(ValueError, match=foreign):
+                predicate(F, X)
+    for op in (normalizer, centralizer, quotient_group, groups.product_ids,
+               groups.right_cosets):
+        with pytest.raises(ValueError, match=foreign):
+            op(F.S, V2)
 
 
 def test_a_warm_lattice_builds_no_tree_again(monkeypatch):

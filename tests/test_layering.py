@@ -13,7 +13,9 @@ other module defines a class with an `images` slot. A fusion system stores
 a morphism by its images of the domain's generators. Every kind of memo
 entry is named below: those that hold morphisms as such vectors, those
 that hold no morphism, and the few stated exceptions that keep whole
-tables.
+tables. Only `fusion._memoised`, which checks the subgroup's ambient group,
+keys an entry by a subgroup, and only `FusionSystem.cached` touches the
+memo.
 """
 
 import ast
@@ -147,6 +149,60 @@ def test_no_subgroup_is_looked_up_again_by_its_ids():
         and node.args[-1].attr == "ids"
     ]
     assert lookups == []
+
+
+def _inside(tree, name):
+    """The nodes of every function called `name` in `tree`."""
+    return {id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == name
+            for node in ast.walk(fn)}
+
+
+def test_only_memoised_keys_memo_entries_by_subgroup():
+    """`fusion._memoised` is the one maker of memo keys that name a
+    subgroup, and it checks the subgroup's ambient group on every call,
+    hit or miss. Every other `.cached(` key is a tuple written out at the
+    call that names no subgroup's ids: it names an order, an element or
+    nothing."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        exempt = _inside(tree, "_memoised")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in exempt
+                    and getattr(node.func, "attr", None) == "cached"):
+                key = node.args[0]
+                if not isinstance(key, ast.Tuple) or any(
+                        isinstance(n, ast.Attribute)
+                        and n.attr in ("ids", "sorted_ids")
+                        for n in ast.walk(key)):
+                    bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
+
+
+def test_only_cached_touches_the_memo():
+    """`FusionSystem.cached` is the one reader and writer of the memo,
+    which `FusionSystem.__init__` creates empty."""
+    touches = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        allowed = _inside(tree, "cached")
+        for init in ast.walk(tree):
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                allowed |= {
+                    id(node.target) for node in init.body
+                    if isinstance(node, ast.AnnAssign)
+                    and isinstance(node.value, ast.Dict)
+                    and not node.value.keys
+                }
+        touches += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_memo"
+            and id(node) not in allowed
+        ]
+    assert touches == []
 
 
 def _s6():
