@@ -19,7 +19,6 @@ from .groups import (
     Subgroup,
     _p_part,
     _same_ambient,
-    cayley_tree,
     p_core,
     quotient_group,
 )
@@ -71,15 +70,6 @@ def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
     return len(cosets) == _p_part(len(F.aut_f_vectors(P)), F.p)
 
 
-@_memoised
-def _twist_plan(F: FusionSystem, Q: Subgroup):
-    """The walk down Q's Cayley tree to the conjugates of Q's generators by
-    each coset representative of C_S(Q) in N_S(Q), coset by coset."""
-    return cayley_tree(Q).plan([
-        x for _r, _coset, vec in F.centralizer_cosets(Q) for x in vec
-    ])
-
-
 def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
     """N_phi = {g in N_S(Q) : phi c_g phi^-1 in Aut_S(P)} for each iso phi
     from Q onto P with generator images in `vectors`.
@@ -102,8 +92,8 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
     conj: dict = {}
     k = len(Q.generator_ids())
     out = []
-    for vec, twisted in zip(vectors, _twist_plan(F, Q).images_all(amb,
-                                                                  vectors)):
+    at = [x for _r, _coset, vec in cosets for x in vec]
+    for vec, twisted in zip(vectors, F.images_at(Q, at, vectors)):
         cols = []
         for y in vec:
             col = conj.get(y)
@@ -130,8 +120,7 @@ def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup):
         yield vec, N, vec in F.extension_index(N, Q)
 
 
-def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
-                          stop_early: bool = False):
+def receptivity_witnesses(F: FusionSystem, P: Subgroup):
     """(verdict, witnesses) for receptivity of P.
 
     Quantifies over every Q in the F-class of P and every isomorphism
@@ -147,8 +136,6 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
         for t in F.aut_f_tables(P):
             phi = GroupHom(P, P, t)
             witnesses.append(NphiWitness(phi, P, GroupHom(P, F.S, t)))
-            if stop_early:
-                break
         return True, witnesses
     for Q in F.f_conjugates(P):
         rows = sorted((F.table(Q, vec), vec, N, extends)
@@ -158,8 +145,6 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup, *,
             if not extends:
                 witnesses.append(NphiWitness(phi, N, None))
                 verdict = False
-                if stop_early:
-                    return verdict, witnesses
             else:
                 least = _least_extension(F, N, Q, vec)
                 witnesses.append(NphiWitness(phi, N, GroupHom(N, F.S, least)))
@@ -171,7 +156,7 @@ def _least_extension(F: FusionSystem, N: Subgroup, Q: Subgroup,
     """The least table of the morphisms out of N that restrict to the map
     on Q with generator images `vec`; the tables of the candidates are
     built here."""
-    return min(F.table(N, v) for v in _extension_candidates(F, N, Q)[vec])
+    return min(F.images_at(N, vectors=_extension_candidates(F, N, Q)[vec]))
 
 
 @_memoised
@@ -179,7 +164,7 @@ def _extension_candidates(F: FusionSystem, N: Subgroup, Q: Subgroup) -> dict:
     """The vectors of the morphisms out of N, grouped by their restriction
     to Q, for witnesses only."""
     found: dict = {}
-    for key, v in zip(F.restrictions(N, Q), F.hom_vectors(N)):
+    for key, v in zip(F.images_at(N, Q.generator_ids()), F.hom_vectors(N)):
         found.setdefault(key, []).append(v)
     return found
 

@@ -16,7 +16,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     as_hom,
-    cayley_tree,
     centralizer,
     is_abelian,
     isomorphisms,
@@ -47,12 +46,9 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
         Q1 = F1.subgroup(x // n2 for x in Q.ids)
         Q2 = F2.subgroup(x % n2 for x in Q.ids)
         # each factor's maps at the projections of Q's generators
-        at1 = cayley_tree(Q1).plan([i for i, _ in pairs])
-        at2 = cayley_tree(Q2).plan([j for _, j in pairs])
-        amb1, amb2 = F1.ambient, F2.ambient
         left = [[a * n2 for a in im]
-                for im in at1.images_all(amb1, F1.hom_vectors(Q1))]
-        right = at2.images_all(amb2, F2.hom_vectors(Q2))
+                for im in F1.images_at(Q1, [i for i, _ in pairs])]
+        right = F2.images_at(Q2, [j for _, j in pairs])
         return tuple(dict.fromkeys(
             tuple(map(add, a, b)) for a in left for b in right
         )), None
@@ -120,11 +116,10 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
     def hom(_F, Pq: Subgroup):
         Phat = F.subgroup(x for c in Pq.ids for x in preimage[c])
         # phi at T's generators, then at one lift of each generator of P/T
-        at = cayley_tree(Phat).plan(
-            tgens + [preimage[c][0] for c in Pq.generator_ids()])
+        at = tgens + [preimage[c][0] for c in Pq.generator_ids()]
         tids, k = T.ids, len(tgens)
         pushed = {}
-        for im in at.images_all(F.ambient, F.hom_vectors(Phat)):
+        for im in F.images_at(Phat, at):
             if tids.issuperset(im[:k]):
                 pushed[tuple([theta[y] for y in im[k:]])] = None
         return tuple(pushed), None
@@ -189,10 +184,9 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
         PQ = F.subgroup(product_ids(P, Q))
         # psi at Q's generators (its restriction to Q, which must lie in
         # K), then at P's (its restriction to P)
-        at = cayley_tree(PQ).plan(qgens + P.generator_ids())
         k = len(qgens)
         out = {}
-        for im in at.images_all(F.ambient, F.hom_vectors(PQ)):
+        for im in F.images_at(PQ, qgens + P.generator_ids()):
             if in_k(im[:k]):
                 rest = im[k:]
                 if s_ids.issuperset(rest):
@@ -238,7 +232,6 @@ def fusion_isomorphic(F: FusionSystem, Fp: FusionSystem):
     if _hom_fingerprint(F) != _hom_fingerprint(Fp):
         return None
     objs = sorted(F.objects(), key=lambda Q: (Q.order, Q.sorted_ids))
-    amb = F.ambient
     for iso in isomorphisms(F.S, Fp.S):
         sigma = dict(zip(iso.domain.sorted_ids, iso.images))
         back = {y: x for x, y in sigma.items()}
@@ -248,9 +241,9 @@ def fusion_isomorphic(F: FusionSystem, Fp: FusionSystem):
             vectors = F.hom_vectors(Q)
             if len(want) != len(vectors):
                 break
-            at = cayley_tree(Q).plan([back[y] for y in Qp.generator_ids()])
+            at = [back[y] for y in Qp.generator_ids()]
             if any(tuple([sigma[y] for y in im]) not in want
-                   for im in at.images_all(amb, vectors)):
+                   for im in F.images_at(Q, at, vectors)):
                 break
         else:
             return iso

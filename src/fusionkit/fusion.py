@@ -13,15 +13,19 @@ systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps; `alperin_decompose` runs the same
 search over fcr automorphisms.
 
-Full image tables are built only at the point of use, by
-`groups.CayleyTree`: morphisms handed out as `groups.GroupHom`s with their
-provenance, `hom_to_S_tables`, digests, audits and the other whole-table
-consumers. The memo keeps no table of a morphism of Hom(Q, S), and
-Aut_S(Q) is kept the same way: one generator-image vector per coset of
-C_S(Q) in N_S(Q), in `centralizer_cosets`. It does keep three kinds of
-whole table: the conjugation pairs of the transporter sweep, Out_F(P),
-which is Aut_F(P) on the points of P when P is abelian, and the fcr
-automorphisms that the Alperin search reads at any element.
+`FusionSystem.images_at` is the one reader of these vectors: it walks
+`groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
+X, or at all of them. Whole tables (morphisms handed out as
+`groups.GroupHom`s with their provenance, `hom_to_S_tables`, digests and
+audits), restrictions to a subgroup (`extension_index`), the N_phi twists
+of `classify` and the rules of the constructions all read it; outside
+`groups`, `named` and this module no code names the tree. The memo keeps
+no table of a morphism of Hom(Q, S), and Aut_S(Q) is kept the same way:
+one generator-image vector per coset of C_S(Q) in N_S(Q), in
+`centralizer_cosets`. It does keep three kinds of whole table: the
+conjugation pairs of the transporter sweep, Out_F(P), which is Aut_F(P)
+on the points of P when P is abelian, and the fcr automorphisms that the
+Alperin search reads at any element.
 
 A system never changes once built, so its hom vectors and every invariant
 derived from them (automizers, classes, normalizers, fcr objects, ...) are
@@ -87,7 +91,9 @@ class FusionSystem:
     the system as an argument rather than holding it, so a system is freed
     by reference counting alone. `backend` names the rule ("transporter",
     "generated" or "derived"). `generators(F)` lists morphisms that
-    generate the system; without it every morphism is listed."""
+    generate the system; without it every morphism is listed.
+    `images_at(X, elems, vectors)` evaluates stored morphisms at chosen
+    elements, and every table or restriction is read through it."""
 
     def __init__(self, S: Subgroup, p: int, hom, backend: str,
                  generators=None):
@@ -138,19 +144,29 @@ class FusionSystem:
         in the order the rule found them."""
         return self._hom(Q)[0]
 
+    def images_at(self, X: Subgroup, elems=None, vectors=None) -> list:
+        """The images of `elems` (all of X.sorted_ids when None) under each
+        morphism out of X whose generator images are in `vectors` (Hom(X, S)
+        when None), in order. This is the one reader of morphisms stored by
+        their vectors: one walk down X's Cayley tree per vector, and no
+        table is kept."""
+        _same_ambient(self.S, X)
+        tree = cayley_tree(X)
+        plan = tree.full if elems is None else tree.plan(elems)
+        if vectors is None:
+            vectors = self.hom_vectors(X)
+        amb = self.ambient
+        return [plan.images(amb, v) for v in vectors]
+
     def table(self, Q: Subgroup, vec) -> tuple:
         """The image table over Q.sorted_ids of the morphism out of Q with
         generator images `vec`."""
-        _same_ambient(self.S, Q)
-        return cayley_tree(Q).full.images(self.ambient, vec)
-
-    def _tables(self, Q: Subgroup, vectors) -> list:
-        return cayley_tree(Q).full.images_all(self.ambient, vectors)
+        return self.images_at(Q, vectors=[vec])[0]
 
     def hom_to_S_tables(self, Q: Subgroup) -> tuple:
         """Hom(Q, S) as sorted image tables over Q.sorted_ids, built on
         each call."""
-        return tuple(sorted(self._tables(Q, self.hom_vectors(Q))))
+        return tuple(sorted(self.images_at(Q)))
 
     def has_morphism(self, Q: Subgroup, images) -> bool:
         """Whether the table `images` over Q.sorted_ids is a morphism
@@ -160,12 +176,10 @@ class FusionSystem:
         rejected."""
         if len(images) != Q.order:
             return False
-        lookup = self.vector_set(Q)
-        tree = cayley_tree(Q)
         pos = Q.positions
-        vec = tuple([images[pos[g]] for g in tree.gens])
-        return (vec in lookup
-                and tree.full.images(self.ambient, vec) == tuple(images))
+        vec = tuple([images[pos[g]] for g in Q.generator_ids()])
+        return (vec in self.vector_set(Q)
+                and self.table(Q, vec) == tuple(images))
 
     @_memoised
     def vector_set(self, Q: Subgroup) -> frozenset:
@@ -181,8 +195,8 @@ class FusionSystem:
         pids = P.ids
         vectors, prov = self._hom(Q)
         picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
-        found = sorted(zip(self._tables(Q, [vectors[i] for i in picked]),
-                           picked))
+        found = sorted(zip(
+            self.images_at(Q, vectors=[vectors[i] for i in picked]), picked))
         return [
             GroupHom(Q, P, t, provenance=None if prov is None else prov(i))
             for t, i in found
@@ -200,7 +214,7 @@ class FusionSystem:
 
     def aut_f_tables(self, P: Subgroup) -> tuple:
         """Aut_F(P) as sorted image tables, built on each call."""
-        return tuple(sorted(self._tables(P, self.aut_f_vectors(P))))
+        return tuple(sorted(self.images_at(P, vectors=self.aut_f_vectors(P))))
 
     def aut_f(self, P: Subgroup) -> list[GroupHom]:
         return self.hom_set(P, P)
@@ -234,7 +248,7 @@ class FusionSystem:
         """Aut_S(P) by image table, each witnessed by the least s in N_S(P)
         that induces it."""
         cosets = self.centralizer_cosets(P)
-        tables = self._tables(P, [vec for _r, _coset, vec in cosets])
+        tables = self.images_at(P, vectors=[vec for _r, _c, vec in cosets])
         return [
             GroupHom(P, P, t, provenance=("conjugation", r))
             for t, r in sorted(zip(tables, [r for r, _c, _v in cosets]))
@@ -295,30 +309,18 @@ class FusionSystem:
             x = amb.id_of(x)
         if x not in self.S.ids:
             raise ValueError("element is not in S")
-
-        def compute():
-            Q = subgroup_generated(amb, [x])
-            at_x = cayley_tree(Q).plan([x])
-            return tuple(sorted(
-                {y for y, in at_x.images_all(amb, self.hom_vectors(Q))}))
-        return list(self.cached(("f_class", x), compute))
+        return list(self.cached(("f_class", x), lambda: tuple(sorted({
+            y for y, in self.images_at(subgroup_generated(amb, [x]), [x])}))))
 
     # -- extension lookups (receptivity) ----------------------------------
-
-    def restrictions(self, N: Subgroup, Q: Subgroup) -> list:
-        """The restriction to Q of each morphism out of N, in the order of
-        hom_vectors(N), as its images of Q.generator_ids(); Q must be
-        contained in N. A homomorphism on Q is fixed by those images."""
-        restrict = cayley_tree(N).plan(Q.generator_ids())
-        return restrict.images_all(self.ambient, self.hom_vectors(N))
 
     @_memoised
     def extension_index(self, N: Subgroup, Q: Subgroup) -> frozenset:
         """The maps on Q that extend to morphisms out of N, each as its
-        images of Q.generator_ids()."""
+        images of Q.generator_ids(); Q must be contained in N."""
         # a set grown key by key keeps up to four slots per key; one built
         # from a dict is sized once, at two
-        return frozenset(dict.fromkeys(self.restrictions(N, Q)))
+        return frozenset(dict.fromkeys(self.images_at(N, Q.generator_ids())))
 
     def generating_morphisms(self) -> list[GroupHom]:
         if self._generators is not None:

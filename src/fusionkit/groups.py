@@ -27,9 +27,10 @@ On its way it finds the subgroup's greedy generators
 all (`Subgroup.is_subgroup_closed`); the multiplication table of S is
 composed along it. A homomorphism is fixed by its images of a generating
 set, and the tree extends such images to a whole table, or to the images
-of a few chosen elements: `hom_from_images`, `named.semidirect_product`
-and the fusion systems, which store each morphism by its generator
-images, all run on it.
+of a few chosen elements: `hom_from_images` and `named.semidirect_product`
+run on it, and a fusion system, which stores each morphism by its
+generator images, reads them through its one method
+`FusionSystem.images_at`.
 
 `right_cosets` is the one routine that splits a group into cosets. The
 quotient S/T of a fusion system, Out_F(P) = Aut_F(P)/Inn(P) and the
@@ -352,10 +353,6 @@ class Subgroup:
     def __contains__(self, i: int) -> bool:
         return i in self.ids
 
-    def has_perm(self, p) -> bool:
-        i = self.ambient.index.get(tuple(p))
-        return i is not None and i in self.ids
-
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
@@ -544,16 +541,6 @@ def product_ids(A: Subgroup, B: Subgroup) -> frozenset:
     return frozenset(out)
 
 
-def is_normal(G: Subgroup, X: Subgroup) -> bool:
-    amb = G.ambient
-    xgens = X.generator_ids()
-    return all(
-        y in X.ids
-        for g in G.generator_ids()
-        for y in amb.conj_row(xgens, g)
-    )
-
-
 def is_p_group(G: Subgroup, p: int) -> bool:
     n = G.order
     while n % p == 0:
@@ -703,10 +690,6 @@ class TreePlan:
             vals.append(mul(vals[p], vec[j]))
         return tuple([vals[s] for s in self.outs])
 
-    def images_all(self, cod: FiniteGroup, vectors) -> list:
-        """`images(cod, vec)` for every vector of `vectors`, in order."""
-        return [self.images(cod, v) for v in vectors]
-
 
 def cayley_tree(Q: "Subgroup", gens=None) -> CayleyTree:
     """The CayleyTree of Q on `gens`, by default the greedy walk that
@@ -754,10 +737,6 @@ class GroupHom:
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
-
-    def is_isomorphism(self) -> bool:
-        """Whether the map is onto its codomain."""
-        return self.image_ids() == self.codomain.ids
 
     def restrict(self, sub: Subgroup) -> "GroupHom":
         if not sub.ids <= self.domain.ids:

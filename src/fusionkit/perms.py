@@ -76,23 +76,6 @@ def from_cycles(degree: int, cycles) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cycle_string(p: tuple[int, ...]) -> str:
-    parts = []
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
-
-
 def direct_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Act with a on the first len(a) points and b on the rest."""
     d = len(a)

@@ -2,8 +2,8 @@
 reference for the S-local multiplication table.
 
 FiniteGroup answers products, conjugates, powers and inverses inside a
-tabled p-group S by integer lookups, and normalizers, centralizers,
-normality and quotients on top of them. These functions compute the same
+tabled p-group S by integer lookups, and normalizers, centralizers
+and quotients on top of them. These functions compute the same
 things from the permutations alone, the way fusionkit did before the
 table, so the two can be compared element for element. `out_f` keeps the
 coset action that built Out_F(P) before it became a `quotient_group`.
@@ -38,12 +38,6 @@ def normalizer(G, X):
 def centralizer(G, X):
     gens = _generators(sorted(X))
     return {g for g in G if all(_mul(g, x) == _mul(x, g) for x in gens)}
-
-
-def is_normal(G, X):
-    """Whether the group G, given by generating permutations, normalizes
-    the subgroup X (a set of permutations)."""
-    return all(_conj(x, g) in X for g in G for x in X)
 
 
 def right_cosets(S, T):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracle_groups
 from conftest import extraspecial27_c2
-from oracle_sweep import _conj, _generators, _mul
+from oracle_sweep import _conj, _mul
 from test_sweep import relabelled
 from fusionkit import (
     GroupTooLarge,
@@ -43,7 +43,7 @@ from fusionkit import (
     sylow_p,
     symmetric_group,
 )
-from fusionkit.groups import FiniteGroup, Subgroup, is_normal, right_cosets
+from fusionkit.groups import FiniteGroup, Subgroup, right_cosets
 
 
 def test_named_orders():
@@ -116,7 +116,7 @@ def test_automorphisms_of_a_subgroup_are_onto_it():
     S = sylow_p(G.full(), 2)
     auts = automorphisms(S)
     assert len(auts) == 8
-    assert all(a.codomain == S and a.is_isomorphism() for a in auts)
+    assert all(a.codomain == S and a.image_ids() == S.ids for a in auts)
     assert set(inner_automorphisms(S)) <= set(auts)
 
 
@@ -157,7 +157,7 @@ def test_p_core():
     G = symmetric_group(4)
     O2 = p_core(G.full(), 2)
     assert O2.order == 4
-    assert is_normal(G.full(), O2)
+    assert normalizer(G.full(), O2) == G.full()
     S = sylow_p(G.full(), 2)
     assert O2.ids <= S.ids
     assert p_core(G.full(), 3).order == 1
@@ -281,14 +281,12 @@ def test_s_table_matches_tuple_arithmetic(name, relabel):
             G.index[_conj(els[x], els[g])] for x in S.sorted_ids)
 
     s_perms = set(S.perms())
-    s_gens = _generators(sorted(s_perms))
     for H in subgroups:
         h_perms = set(H.perms())
         assert (set(normalizer(S, H).perms())
                 == oracle_groups.normalizer(s_perms, h_perms))
         assert (set(centralizer(S, H).perms())
                 == oracle_groups.centralizer(s_perms, h_perms))
-        assert is_normal(S, H) == oracle_groups.is_normal(s_gens, h_perms)
     Z = center(S)
     if outside:
         assert (set(normalizer(G.full(), Z).perms())

@@ -16,6 +16,11 @@ that hold no morphism, and the few stated exceptions that keep whole
 tables. Only `fusion._memoised`, which checks the subgroup's ambient group,
 keys an entry by a subgroup, and only `FusionSystem.cached` touches the
 memo.
+
+`groups.CayleyTree` and its compiled walks are read through
+`FusionSystem.images_at` alone: outside `groups`, `named` and `fusion` no
+module names the tree. No module of the package imports a name it never
+uses.
 """
 
 import ast
@@ -205,6 +210,56 @@ def test_only_cached_touches_the_memo():
     assert touches == []
 
 
+TREE_NAMES = {"cayley_tree", "CayleyTree", "TreePlan"}
+TREE_USERS = {"groups.py", "named.py", "fusion.py"}
+
+
+def _names(tree):
+    """(line, name) of every name a module reads, sets or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in SRC.glob("*.py") if p.name not in TREE_USERS),
+)
+def test_morphisms_are_read_through_images_at(name):
+    """Only `groups`, which owns the Cayley tree, `named`, which builds
+    semidirect products on it, and `fusion`, whose `images_at` reads every
+    stored morphism, name the tree or its plans."""
+    assert [f"{line}:{n}" for line, n in _names(_tree(name))
+            if n in TREE_NAMES] == []
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{line}:{n}" for n, line in imported.items()
+                  if n not in used)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"),
+)
+def test_no_module_imports_a_name_it_never_uses(name):
+    assert _unused_imports(_tree(name)) == []
+
+
 def _s6():
     G = symmetric_group(6)
     return transporter_fusion(G, sylow_p(G.full(), 2), 2)
@@ -218,11 +273,10 @@ def _product():
 # memo kinds that hold morphisms as vectors, keyed by the domain last:
 # each vector has one entry per generator of the domain
 VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors", "extension_index"}
-# memo kinds that hold no morphism: subgroups, id sets, element classes,
-# compiled tree walks
+# memo kinds that hold no morphism: subgroups, id sets, element classes
 PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
                "objects_through", "f_conjugates", "conjugacy_classes",
-               "f_class", "cr_classes", "fcr_objects", "twist_plan"}
+               "f_class", "cr_classes", "fcr_objects"}
 # the stated exceptions, which keep whole tables
 TABLE_KINDS = {
     # the transporter rule's input: c_g on D_g, one dict per distinct pair

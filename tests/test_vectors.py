@@ -10,15 +10,19 @@ digests must equal the ones the full-table rules gave.
 
 The materialiser is checked against `hom_from_images`, and a table that
 agrees with a morphism on the generators but not elsewhere must be
-rejected wherever a morphism is taken as input.
+rejected wherever a morphism is taken as input. `FusionSystem.images_at`,
+the one reader of stored morphisms, must give at chosen elements what the
+whole tables give there.
 """
 
 import json
+import random
 
 import pytest
 
 import oracle_tables
 from conftest import extraspecial27_c2
+from test_layering import _product, _s6
 from fusionkit import (
     AlperinDecomposition,
     GroupHom,
@@ -119,6 +123,32 @@ def test_materialised_tables_match_hom_from_images(name):
             h = hom_from_images(Q, F.ambient, gens, vec)
             assert h is not None
             assert F.table(Q, vec) == h.images
+
+
+@pytest.mark.parametrize("name", ["S6@2", "rv1", "3^(1+2):2 x S3"])
+def test_images_at_reads_the_tables_at_the_chosen_elements(name, rv_systems):
+    """Entry i of `images_at(X, elems, vectors)` is the table of vectors[i]
+    read at `elems`, for every object X and a seeded sample of element
+    lists (repeats and the empty list among them); without
+    `vectors` it reads Hom(X, S) in the order of `hom_vectors`, and without
+    `elems` it gives the whole tables."""
+    F = {"rv1": lambda: rv_systems["rv1"], "S6@2": _s6,
+         "3^(1+2):2 x S3": _product}[name]()
+    rng = random.Random(name)
+    for X in F.objects():
+        vectors = F.hom_vectors(X)
+        tables = [F.table(X, v) for v in vectors]
+        assert F.images_at(X) == tables
+        pos = X.positions
+        picked = rng.sample(range(len(vectors)), min(5, len(vectors)))
+        some = [vectors[i] for i in picked]
+        for _ in range(3):
+            elems = rng.choices(X.sorted_ids, k=rng.randrange(5))
+            at = [pos[x] for x in elems]
+            want = [tuple(t[k] for k in at) for t in tables]
+            assert F.images_at(X, elems) == want
+            assert F.images_at(X, elems, some) == [want[i] for i in picked]
+        assert F.images_at(X, [], some) == [()] * len(some)
 
 
 def _bogus(F):
