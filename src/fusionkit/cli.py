@@ -210,7 +210,7 @@ def _cmd_rv(args, rep: Report):
     rep.data["out_order"] = out.order
     rep.data["rank2_centric_radical"] = len(rank2)
     rep.data["profile"] = sorted(
-        [len(orb), t] for orb, t in F.rv_profile.items()
+        [len(orb), t] for orb, t in F.rv.profile.items()
     )
     rep.data["expected_profile"] = sorted(list(e) for e in RV_PROFILES[name])
     if getattr(F, "certificate", None):

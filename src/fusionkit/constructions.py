@@ -231,11 +231,10 @@ def fusion_isomorphic(F: FusionSystem, Fp: FusionSystem):
         raise ValueError("size bound exceeded for isomorphism search")
     if _hom_fingerprint(F) != _hom_fingerprint(Fp):
         return None
-    objs = sorted(F.objects(), key=lambda Q: (Q.order, Q.sorted_ids))
     for iso in isomorphisms(F.S, Fp.S):
         sigma = dict(zip(iso.domain.sorted_ids, iso.images))
         back = {y: x for x, y in sigma.items()}
-        for Q in objs:
+        for Q in F.objects():
             Qp = Fp.subgroup(frozenset(sigma[i] for i in Q.ids))
             want = Fp.vector_set(Qp)
             vectors = F.hom_vectors(Q)

@@ -129,6 +129,7 @@ class FusionSystem:
     # -- object and hom-set queries ---------------------------------------
 
     def objects(self) -> list[Subgroup]:
+        """Every subgroup of S, by (order, sorted ids)."""
         return self.cached(("objects",), lambda: all_subgroups(self.S))
 
     @_memoised
@@ -326,8 +327,7 @@ class FusionSystem:
         if self._generators is not None:
             return self._generators(self)
         out = []
-        for Q in sorted(self.objects(),
-                        key=lambda Q: (Q.order, Q.sorted_ids)):
+        for Q in self.objects():
             out.extend(self.hom_set(Q, self.S))
         return out
 

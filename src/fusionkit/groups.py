@@ -7,15 +7,17 @@ id-sets over a fixed ambient FiniteGroup and are cheap to hash and compare;
 there is one live Subgroup instance per id set of an ambient group.
 
 Element arithmetic (`mul_ids`, `mul_row`, `conj_row`, `conj_col`,
-`power_ids`, `inverse_ids`) lives on FiniteGroup and has two paths. Inside
-a p-group S that is the top group of a fusion system or has been scanned
-as a whole (by `all_subgroups`, `normalizer`, `centralizer`,
-`quotient_group`, `hom_from_images` or `GroupHom.is_homomorphism`), it
-reads one multiplication table and one
-inverse table of S, numbered locally by `S.sorted_ids` (Holt, Eick &
-O'Brien, Handbook of Computational Group Theory, 2005). The table has
-|S|^2 two-byte entries (11.8 MB at |S| = 2401); the subgroup lattice of
-the same S costs more. Every other operand takes the permutation-tuple
+`power_ids`, `inverse_ids`) lives on FiniteGroup and has two paths. Each
+ambient group holds at most one table: the multiplication and inverse
+tables of a p-group S that is the top group of a fusion system or has
+been scanned as a whole (by `all_subgroups`, `normalizer`, `centralizer`,
+`quotient_group`, `hom_from_images` or `GroupHom.is_homomorphism`),
+numbered locally by `S.sorted_ids` (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 2005). A p-group that contains S replaces its
+table; one that neither contains nor lies in S keeps the tuple path.
+Operands inside S read the table, which has |S|^2 two-byte entries
+(11.8 MB at |S| = 2401); the subgroup lattice of the same S costs more.
+Every other operand takes the permutation-tuple
 path: the transporter sweep over G outside S, the Sylow ascent in a
 non-p-group, and the automizer permutation groups that are not p-groups.
 The ambient itself is never tabled unless it is a p-group, as it may be
@@ -91,7 +93,7 @@ class FiniteGroup:
         }
         self.identity_id = self.index[perms.identity(degree)]
         self._order_cache: dict[int, int] = {}
-        self._tables: list[_Table] = []
+        self._table: _Table | None = None
         self._all_ids: frozenset[int] | None = None
         self._subgroups: WeakValueDictionary = WeakValueDictionary()
 
@@ -126,10 +128,9 @@ class FiniteGroup:
         return self.index[tuple(p)]
 
     def mul_ids(self, i: int, j: int) -> int:
-        for t in self._tables:
-            pos = t.pos
-            if i in pos and j in pos:
-                return t.sids[t.cols[pos[j]][pos[i]]]
+        t = self._table
+        if t is not None and i in t.pos and j in t.pos:
+            return t.sids[t.cols[t.pos[j]][t.pos[i]]]
         return self.index[perms.mul(self.elements[i], self.elements[j])]
 
     def mul_row(self, ids, g: int) -> tuple[int, ...]:
@@ -166,19 +167,18 @@ class FiniteGroup:
         return tuple(index[conjugate(xp, els[g])] for g in gs)
 
     def power_ids(self, i: int, k: int) -> int:
-        for t in self._tables:
-            a = t.pos.get(i)
-            if a is not None:
-                cols = t.cols
-                if k < 0:
-                    a, k = t.inv[a], -k
-                r = t.pos[self.identity_id]
-                while k:
-                    if k & 1:
-                        r = cols[a][r]
-                    a = cols[a][a]
-                    k >>= 1
-                return t.sids[r]
+        t = self._table
+        if t is not None and i in t.pos:
+            a, cols = t.pos[i], t.cols
+            if k < 0:
+                a, k = t.inv[a], -k
+            r = t.pos[self.identity_id]
+            while k:
+                if k & 1:
+                    r = cols[a][r]
+                a = cols[a][a]
+                k >>= 1
+            return t.sids[r]
         return self.index[perms.power(self.elements[i], k)]
 
     @property
@@ -187,24 +187,21 @@ class FiniteGroup:
         return _Inverses(self)
 
     def _inverse(self, i: int) -> int:
-        for t in self._tables:
-            a = t.pos.get(i)
-            if a is not None:
-                return t.sids[t.inv[a]]
+        t = self._table
+        if t is not None and i in t.pos:
+            return t.sids[t.inv[t.pos[i]]]
         return self.index[perms.inverse(self.elements[i])]
 
     def _locate(self, g: int, ids):
-        """(table, local g, local ids of `ids`) from the first table that
-        holds g and all of `ids`, or None. `ids` is a collection, not an
-        iterator: a table that misses one of them has read it already."""
-        for t in self._tables:
-            pos = t.pos
-            b = pos.get(g)
-            if b is not None:
-                try:
-                    return t, b, list(map(pos.__getitem__, ids))
-                except KeyError:
-                    continue
+        """(table, local g, local ids of `ids`) when the table holds g and
+        all of `ids`, or None. `ids` is a collection, not an iterator: the
+        tuple path reads it again when the table misses one of them."""
+        t = self._table
+        if t is not None and g in t.pos:
+            try:
+                return t, t.pos[g], list(map(t.pos.__getitem__, ids))
+            except KeyError:
+                pass
         return None
 
     def _tabulate(self, S: "Subgroup") -> "_Table":
@@ -293,17 +290,15 @@ _MAX_TABLED_ORDER = 1 << 16
 
 
 def _tabled(G: "Subgroup") -> None:
-    """Give G's ambient a table covering G, when G is a p-group that no
-    table covers yet; a new table replaces those of its own subgroups."""
-    amb = G.ambient
-    ids = G.ids
-    for t in amb._tables:
-        if ids is t.ids or ids <= t.ids:
-            return
+    """Give G's ambient its one table, over G, when G is a p-group and the
+    ambient has no table yet or the table of a subgroup of G; otherwise G
+    keeps the tuple path."""
+    amb, t = G.ambient, G.ambient._table
+    if t is not None and not t.ids < G.ids:
+        return
     if G.order > _MAX_TABLED_ORDER or _sole_prime(G.order) is None:
         return
-    kept = [t for t in amb._tables if not t.ids <= ids]
-    amb._tables = kept + [amb._tabulate(G)]
+    amb._table = amb._tabulate(G)
 
 
 class Subgroup:
@@ -913,7 +908,7 @@ def inner_automorphisms(P: Subgroup) -> list[GroupHom]:
 
 
 def all_subgroups(S: Subgroup) -> list[Subgroup]:
-    """Every subgroup of S.
+    """Every subgroup of S, by (order, sorted ids).
 
     For p-groups this climbs level by level: each subgroup of order p^(k+1)
     is H extended by a normalizing element g with g^p in H, so it is a plain

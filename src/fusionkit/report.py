@@ -64,11 +64,8 @@ class Report:
             out["timing"] = self.timing
         return out
 
-    def to_json(self, *, timing: bool = True) -> str:
-        d = self.as_dict()
-        if not timing:
-            d.pop("timing", None)
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
     def write(self, path: str | None) -> None:
         text = self.to_json()

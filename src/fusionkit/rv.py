@@ -3,10 +3,13 @@
 Each system is generated by a chosen subgroup of the outer automorphism
 group (realized as 2x2 matrices over the 7-element field acting on S/Z)
 together with prescribed automorphism groups on designated rank-2
-subgroups. `build_rv` seeds, closes, and certifies saturation; the line
-orbits of each outer group admit exactly one assignment profile, so there
-is one closure per system. `certify_rv` recomputes every advertised
-invariant of the result.
+subgroups. `build_rv` takes a system name, seeds, closes, and certifies
+saturation; its RVDescriptor, `F.rv`, is the one record of the built
+system. The profile pairs the line orbits of the outer group with the
+classes of `FCR_PROFILES[name]`, both sorted by size. Classes of one size
+carry one automizer order (a data test checks this), so the pairing is the
+only assignment and there is one closure per system. `certify_rv`
+recomputes every advertised invariant of the result.
 """
 
 from __future__ import annotations
@@ -278,7 +281,7 @@ class _Extraspecial:
 
 
 class RVDescriptor:
-    """Name, outer-group data, and the rank-2 profile of one system.
+    """Name, outer-group data, and the rank-2 profile of one built system.
 
     `profile` maps each line orbit (a tuple of lines) to the order of the
     automorphism group prescribed on its rank-2 subgroups.
@@ -299,52 +302,28 @@ class RVDescriptor:
         return f"<RVDescriptor {self.name}>"
 
 
-def _candidate_profiles(name: str, orbits: list):
-    """Assignments of automorphism types to line orbits: each orbit is
-    matched to a distinct profile class of the same size."""
-    entries = list(FCR_PROFILES[name])
-    out = []
-
-    def assign(idx, remaining, acc):
-        if idx == len(orbits):
-            if not remaining:
-                key = tuple(sorted(acc))
-                if key not in {tuple(sorted(d.items())) for d in out}:
-                    out.append(dict(acc))
-            return
-        orb = orbits[idx]
-        for k, (size, type_order) in enumerate(remaining):
-            if size == len(orb):
-                assign(idx + 1, remaining[:k] + remaining[k + 1:],
-                       acc + [(orb, type_order)])
-
-    assign(0, entries, [])
-    if not out:
-        raise ValueError(f"orbit sizes {[len(o) for o in orbits]} cannot "
-                         f"realize the {name} partition")
-    return out
-
-
-def build_rv(name, *, certify: bool = False):
-    """Construct the named system from its one profile assignment and
-    check that the closure is saturated. With certify=True the full
+def build_rv(name: str, *, certify: bool = False):
+    """Construct the named system and check that the closure is
+    saturated; `F.rv` is its RVDescriptor. With certify=True the full
     invariant battery runs and is attached as `certificate`."""
-    if isinstance(name, RVDescriptor):
-        name = name.name
+    if not isinstance(name, str) or name.lower() not in RV_NAMES:
+        raise ValueError(
+            f"build_rv takes a system name ({'|'.join(RV_NAMES)}), "
+            f"got {name!r}")
     name = name.lower()
-    if name not in RV_NAMES:
-        raise ValueError(f"unknown system name {name!r}")
     ext = _Extraspecial()
     mats = outer_group_matrices(name)
     closure = _mclose(mats)
     assert len(closure) == OUT_ORDERS[name], \
         f"outer matrix group has order {len(closure)}"
-    profiles = _candidate_profiles(name, _line_orbits(mats))
-    assert len(profiles) == 1, \
-        f"{name} admits {len(profiles)} profile assignments"
-    profile = profiles[0]
+    # line orbits and profile classes, both by size: classes of one size
+    # carry one automizer order, so this is the only assignment
+    rv = RVDescriptor(name, mats, {
+        orb: type_order for orb, (_size, type_order) in zip(
+            sorted(_line_orbits(mats), key=len), sorted(FCR_PROFILES[name]))
+    })
     seeds = [ext.lift(m) for m in mats]
-    for orb, type_order in sorted(profile.items()):
+    for orb, type_order in sorted(rv.profile.items()):
         seeds.extend(ext.rank2_aut_seeds(min(orb), type_order))
     F = generated_fusion(ext.S, P, seeds)
     report = is_saturated(F)
@@ -352,9 +331,8 @@ def build_rv(name, *, certify: bool = False):
         f"the {name} closure is not saturated: counterexample of order "
         f"{report.counterexample.order}"
     )
-    F.rv = RVDescriptor(name, mats, profile)
+    F.rv = rv
     F.rv_extraspecial = ext
-    F.rv_profile = profile
     if certify:
         F.certificate = certify_rv(F)
     return F
@@ -381,22 +359,16 @@ def certify_rv(F: FusionSystem) -> dict:
     for size, type_order in FCR_PROFILES[name]:
         want[type_order] += size
     assert counts == want, (counts, want)
-    class_sizes = []
-    seen: set = set()
-    for line in _lines():
-        if line in seen:
-            continue
-        V = ext.rank2_subgroup(line)
-        mates = {Q.ids for Q in F.f_conjugates(V)}
-        cls = [ln for ln in _lines() if ext.rank2_subgroup(ln).ids in mates]
-        seen.update(cls)
-        class_sizes.append(len(cls))
-    assert sorted(class_sizes) == sorted(n for n, _ in FCR_PROFILES[name]), \
-        f"rank-2 class sizes {sorted(class_sizes)}"
+    # every subgroup of order p^2 contains Z(S) = Phi(S), so these are the
+    # classes of the eight subgroups over lines
+    class_sizes = sorted(len(cls) for cls in F.conjugacy_classes()
+                         if cls[0].order == P * P)
+    assert class_sizes == sorted(n for n, _ in FCR_PROFILES[name]), \
+        f"rank-2 class sizes {class_sizes}"
     cr = cr_objects(F)
     cr_rank2 = [Q for Q in cr if Q.order == P * P]
     assert len(cr_rank2) == 8, "rank-2 centric-radical count is not eight"
-    for orb, type_order in F.rv_profile.items():
+    for orb, type_order in F.rv.profile.items():
         rep = min(orb)
         V = ext.rank2_subgroup(rep)
         mine = set(F.aut_f_tables(V))
@@ -412,7 +384,7 @@ def certify_rv(F: FusionSystem) -> dict:
         "out_shape": {"rv1": "6^2:2", "rv2": "D16 x 3",
                       "rv3": "SD32 x 3"}[name],
         "rank2_counts": {str(k): v for k, v in sorted(counts.items())},
-        "rank2_class_sizes": sorted(class_sizes),
+        "rank2_class_sizes": class_sizes,
         "strongly_closed_orders": closed,
         "saturated": True,
     }

@@ -255,6 +255,27 @@ def test_witness_p3(files, capsys):
         assert combo["checks"]["all_pass"] is True
 
 
+def test_rv2_certified(capsys):
+    code, out, _ = _run(["rv", "--name", "rv2", "--certify"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdicts"] == {"saturated": True, "out_order": True,
+                               "rank2_count": True}
+    data = rep["data"]
+    assert data["out_order"] == 48
+    assert data["rank2_centric_radical"] == 8
+    assert data["profile"] == data["expected_profile"] == [[4, 672],
+                                                           [4, 672]]
+    cert = data["certificate"]
+    assert cert["out_shape"] == "D16 x 3"
+    assert cert["rank2_class_sizes"] == [4, 4]
+    assert cert["rank2_counts"] == {"2016": 0, "672": 8}
+    assert cert["strongly_closed_orders"] == [1, 343]
+    digest = rep["digests"]["system"]
+    assert digest["object_count"] == 67
+    assert digest["morphism_count"] == 43351
+
+
 def test_witness_bad_prime(files, capsys):
     code, _, err = _run(["witness", "--p", "5"], capsys)
     assert code == 2

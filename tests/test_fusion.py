@@ -1,8 +1,11 @@
 """Fusion-system model: transporter and generated backends, axioms."""
 
+from itertools import product
+
 import pytest
 
 from fusionkit import (
+    FusionSystem,
     GroupHom,
     Subgroup,
     alperin_decompose,
@@ -41,6 +44,7 @@ from fusionkit import (
     verify_decomposition,
 )
 import fusionkit.groups as groups
+from fusionkit.fusion import AUDIT_SAMPLES
 
 
 def test_transporter_requires_sylow():
@@ -168,6 +172,63 @@ def test_axiom_audit_clean_on_suite(saturated_suite, f_swap):
     for name, F in saturated_suite:
         assert audit_axioms(F) == [], name
     assert audit_axioms(f_swap) == []
+
+
+def _edited(T, edit):
+    """T's hom rule with `edit(Q, vectors)` applied to each Hom(Q, S)."""
+    def rule(F, Q):
+        vectors = list(T.hom_vectors(Q))
+        edit(Q, vectors)
+        return tuple(vectors), None
+    return FusionSystem(T.S, T.p, rule, "derived")
+
+
+def _at(X, vec):
+    """An edit that appends `vec` to Hom(X, S)."""
+    def edit(Q, vectors):
+        if Q.ids == X.ids:
+            vectors.append(vec)
+    return edit
+
+
+def test_axiom_audit_reports_each_broken_axiom(f_s4):
+    T = f_s4
+    S, amb = T.S, T.ambient
+    objects = T.objects()
+    # no sampling: the audit checks every restriction and composition
+    assert sum(R.ids < Q.ids for Q in objects for R in objects) + 1 <= \
+        AUDIT_SAMPLES
+    assert sum(len(T.hom_vectors(Q)) for Q in objects) + 1 <= AUDIT_SAMPLES
+    assert audit_axioms(T) == []
+
+    def problems(edit):
+        return sorted(set(audit_axioms(_edited(T, edit))))
+
+    gens = S.generator_ids()
+    assert problems(_at(S, (amb.identity_id,) * len(gens))) == [
+        "non-injective map on order 8",
+        "restriction of an order-8 map missing at order 2",
+        "restriction of an order-8 map missing at order 4",
+    ]
+    bad = next(
+        vec for vec in product(S.sorted_ids, repeat=len(gens))
+        if hom_from_images(S, amb, gens, vec) is None
+        and len(set(T.table(S, vec))) == S.order)
+    assert "non-multiplicative map on order 8" in problems(_at(S, bad))
+
+    def keep_one(Q, vectors):
+        if Q.order == 4:
+            del vectors[1:]
+    assert problems(keep_one) == [
+        "Aut_S not inside Aut_F at order 4",
+        "missing inner map on subgroup of order 4",
+        "restriction of an order-8 map missing at order 4",
+    ]
+    Q = next(Q for Q in objects if Q.order == 2)
+    y = next(y for y in S.sorted_ids if amb.element_order(y) == 2
+             and (y,) not in T.vector_set(Q))
+    assert problems(_at(Q, (y,))) == [
+        "composition escaping the table at order 2"]
 
 
 def test_generated_closure_seed_order_independent():

@@ -263,7 +263,7 @@ def test_s_table_matches_tuple_arithmetic(name, relabel):
         G = relabelled(G, random.Random(name))
     S = sylow_p(G.full(), p)
     subgroups = all_subgroups(S)
-    assert [t.ids for t in G._tables] == [S.ids]
+    assert G._table.ids == S.ids
     rng = random.Random(f"{name}:{relabel}")
 
     def sample(ids, k):

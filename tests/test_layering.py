@@ -20,7 +20,7 @@ memo.
 `groups.CayleyTree` and its compiled walks are read through
 `FusionSystem.images_at` alone: outside `groups`, `named` and `fusion` no
 module names the tree. No module of the package imports a name it never
-uses.
+uses, and every CLI command has a job in `test_cli`.
 """
 
 import ast
@@ -39,7 +39,7 @@ from fusionkit import (
     transporter_fusion,
     verify_decomposition,
 )
-from fusionkit.cli import _witness_pairs_p3
+from fusionkit.cli import _HANDLERS, _witness_pairs_p3
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
 KERNELS = {"mul", "conjugate", "power", "inverse"}
@@ -258,6 +258,18 @@ def _unused_imports(tree):
 )
 def test_no_module_imports_a_name_it_never_uses(name):
     assert _unused_imports(_tree(name)) == []
+
+
+def test_every_cli_command_runs_in_test_cli():
+    """Each command of `cli._HANDLERS` is the first string of some argv
+    list literal in tests/test_cli.py, so every handler runs there."""
+    tests = pathlib.Path(__file__).resolve().parent / "test_cli.py"
+    tree = ast.parse(tests.read_text(), filename=tests.name)
+    run = {node.elts[0].value for node in ast.walk(tree)
+           if isinstance(node, ast.List) and node.elts
+           and isinstance(node.elts[0], ast.Constant)
+           and isinstance(node.elts[0].value, str)}
+    assert sorted(set(_HANDLERS) - run) == []
 
 
 def _s6():

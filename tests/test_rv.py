@@ -25,6 +25,32 @@ def test_unknown_name_rejected():
         RVDescriptor("xx", [], {})
 
 
+@pytest.mark.parametrize("name", [7, None, ["rv1"]])
+def test_build_rv_takes_only_a_name(name):
+    with pytest.raises(ValueError, match="takes a system name"):
+        build_rv(name)
+
+
+def test_build_rv_rejects_a_descriptor():
+    """A descriptor is the record of a built system, not an input: its
+    matrices and profile would be ignored, so it is refused."""
+    mats = outer_group_matrices("rv3")
+    rv = RVDescriptor("rv3", mats, {orb: 672 for orb in _line_orbits(mats)})
+    with pytest.raises(ValueError, match="takes a system name"):
+        build_rv(rv)
+
+
+def test_profile_classes_of_one_size_share_one_automizer_order():
+    """build_rv pairs line orbits with profile classes by size; this is
+    the only assignment because classes of equal size carry equal
+    automizer orders."""
+    for name, classes in FCR_PROFILES.items():
+        orders_by_size = {}
+        for size, type_order in classes:
+            orders_by_size.setdefault(size, set()).add(type_order)
+        assert all(len(v) == 1 for v in orders_by_size.values()), name
+
+
 @pytest.mark.parametrize("build", ["rank2_aut_seeds", "aut_group_tables"])
 def test_unknown_rank2_type_order_rejected(build):
     with pytest.raises(ValueError, match="unknown type order"):
@@ -62,7 +88,7 @@ def test_rv_systems_structure(rv_systems):
         auts = [t for t in F.hom_to_S_tables(F.S)]
         assert len(auts) == 49 * OUT_ORDERS[name], name
         shape = tuple(sorted(
-            (len(orb), t) for orb, t in F.rv_profile.items()
+            (len(orb), t) for orb, t in F.rv.profile.items()
         ))
         assert shape == tuple(sorted(FCR_PROFILES[name])), name
         assert not hasattr(F, "certificate")
@@ -72,7 +98,7 @@ def test_rv_rank2_automizer_orders(rv_systems):
     for name, F in rv_systems.items():
         ext = F.rv_extraspecial
         got = []
-        for orb, type_order in F.rv_profile.items():
+        for orb, type_order in F.rv.profile.items():
             for line in orb:
                 V = F.subgroup(ext.rank2_subgroup(line).ids)
                 auts = [t for t in F.hom_to_S_tables(V)
