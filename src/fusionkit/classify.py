@@ -84,7 +84,7 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
     cosets = F.centralizer_cosets(Q)
     if len(cosets) == 1:
         # N_S(Q) = C_S(Q), whose twists are all trivial
-        return [cosets[0][1]] * len(vectors)
+        return [F.normalizer_of(Q).ids] * len(vectors)
     amb = F.ambient
     reps = [r for r, _coset, _vec in F.centralizer_cosets(P)]
     # {y: y^h for each representative h}, for the elements of P that
@@ -104,7 +104,7 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
         ids = set()
         for j, (_r, coset, _vec) in enumerate(cosets):
             if twisted[j * k:(j + 1) * k] in targets:
-                ids |= coset
+                ids.update(coset)
         out.append(frozenset(ids))
     return out
 
@@ -217,7 +217,7 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     inn = Subgroup(grp, (
         grp.index[tuple(pos[v] for v in F.table(P, vec))]
         for _r, coset, vec in F.centralizer_cosets(P)
-        if not coset.isdisjoint(P.ids)
+        if not P.ids.isdisjoint(coset)
     ))
     if inn.order == grp.order:
         return FiniteGroup(1, [], name="trivial")

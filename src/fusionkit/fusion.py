@@ -6,8 +6,10 @@ P. A morphism is stored by its vector: its images of Q.generator_ids(),
 which fix it. One class holds every system, and a rule `hom(F, Q)`
 supplied by its constructor gives Hom(Q, S) as vectors with their
 provenance when Q is first asked for. `transporter_fusion` restricts the
-conjugations by an ambient group, `generated_fusion` closes a seed set of
-injective homomorphisms, and the constructions (products, quotients,
+conjugations by an ambient group G (one sweep conjugates S by a
+representative of each right coset of S in G and reads the other
+elements' conjugations off S's table), `generated_fusion` closes a seed
+set of injective homomorphisms, and the constructions (products, quotients,
 normalizer and centralizer subsystems) read the vectors of their parent
 systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps; `alperin_decompose` runs the same
@@ -44,6 +46,7 @@ import pickle
 import random
 from array import array
 from itertools import islice
+from operator import itemgetter
 
 from .groups import (
     FiniteGroup,
@@ -342,19 +345,29 @@ def _conjugation_pairs(F: FusionSystem, G: FiniteGroup) -> tuple:
     """The distinct pairs (D_g, c_g on D_g) over g in G, where
     D_g = S n S^(g^-1) is the largest subgroup of S that g conjugates
     into S: one (D_g, {x: x^g}, least such g) per pair, by increasing g.
-    One sweep over G conjugates every element of S once per g."""
+
+    The row of g lists x^g for x in S, or -1 where x^g leaves S. S is
+    conjugated by one representative r of each right coset S*r alone;
+    since x^(s*r) = (x^s)^r, the row of s*r is the row of r read through
+    c_s on S by position, a lookup in S's table. One getter of c_s at a
+    time is held, so the sweep keeps O(|G|) more than its rows."""
     def sweep():
-        ssorted = F.S.sorted_ids
-        sids = F.S.ids
-        seen = set()
+        S, ssorted, pos = F.S, F.S.sorted_ids, F.S.positions
+        cosets = right_cosets(G.full(), S)
+        rows = [tuple(j if j in S.ids else -1 for j in G.conj_row(ssorted, r))
+                for r, _coset in cosets]
+        least = {}
+        for a, s in enumerate(ssorted):
+            c_s = [pos[y] for y in G.conj_row(ssorted, s)]
+            # a single position (S = 1) would make the getter return an
+            # entry, not a row; then s = 1 and every row is its own
+            read = itemgetter(*c_s) if len(c_s) > 1 else tuple
+            for row_r, (_r, coset) in zip(rows, cosets):
+                row, g = read(row_r), coset[a]
+                if g < least.get(row, G.order):
+                    least[row] = g
         out = []
-        for g in range(G.order):
-            row = tuple(
-                j if j in sids else -1 for j in G.conj_row(ssorted, g)
-            )
-            if row in seen:
-                continue
-            seen.add(row)
+        for row, g in sorted(least.items(), key=itemgetter(1)):
             table = {i: j for i, j in zip(ssorted, row) if j >= 0}
             out.append((F.subgroup(frozenset(table)), table, g))
         return tuple(out)

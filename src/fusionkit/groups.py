@@ -18,7 +18,8 @@ table; one that neither contains nor lies in S keeps the tuple path.
 Operands inside S read the table, which has |S|^2 two-byte entries
 (11.8 MB at |S| = 2401); the subgroup lattice of the same S costs more.
 Every other operand takes the permutation-tuple
-path: the transporter sweep over G outside S, the Sylow ascent in a
+path: the representatives of the right cosets of S in G outside S, which
+the transporter sweep lists and conjugates S by, the Sylow ascent in a
 non-p-group, and the automizer permutation groups that are not p-groups.
 The ambient itself is never tabled unless it is a p-group, as it may be
 far larger than S.
@@ -34,10 +35,11 @@ run on it, and a fusion system, which stores each morphism by its
 generator images, reads them through its one method
 `FusionSystem.images_at`.
 
-`right_cosets` is the one routine that splits a group into cosets. The
-quotient S/T of a fusion system, Out_F(P) = Aut_F(P)/Inn(P) and the
-centralizer cosets of a fusion system all read it, the first two through
-`quotient_group`.
+`right_cosets` is the one routine that splits a group into cosets; it
+lists each coset N*r as a tuple aligned with N's sorted ids. The
+transporter sweep of F_S(G), the quotient S/T of a fusion system,
+Out_F(P) = Aut_F(P)/Inn(P) and the centralizer cosets of a fusion system
+all read it, the middle two through `quotient_group`.
 """
 
 from __future__ import annotations
@@ -125,7 +127,12 @@ class FiniteGroup:
         return self.elements[i]
 
     def id_of(self, p) -> int:
-        return self.index[tuple(p)]
+        """The id of the permutation `p`, which must lie in the group."""
+        try:
+            return self.index[tuple(p)]
+        except KeyError:
+            raise ValueError(f"{tuple(p)!r} is not an element of {self!r}"
+                             ) from None
 
     def mul_ids(self, i: int, j: int) -> int:
         t = self._table
@@ -989,17 +996,19 @@ def _p_group_subgroups(S: Subgroup, p: int) -> list[Subgroup]:
 
 
 def right_cosets(G: Subgroup, N: Subgroup) -> tuple:
-    """The right cosets of N in G as (r, frozenset N*r), by increasing r,
-    where r is the least id of its coset. This is the one routine that
-    splits a group into cosets."""
+    """The right cosets of N in G as (r, N*r), by increasing r, where r is
+    the least id of its coset and N*r is the tuple `mul_row(N.sorted_ids,
+    r)`: its k-th entry is n*r for the k-th element n of N. This is the
+    one routine that splits a group into cosets."""
     amb = _same_ambient(G, N)
-    covered = set()
+    covered = bytearray(amb.order)
     out = []
     for r in G.sorted_ids:
-        if r in covered:
+        if covered[r]:
             continue
-        coset = frozenset(amb.mul_row(N.ids, r))
-        covered |= coset
+        coset = amb.mul_row(N.sorted_ids, r)
+        for j in coset:
+            covered[j] = 1
         out.append((r, coset))
     return tuple(out)
 

@@ -1,5 +1,6 @@
 """Fusion-system model: transporter and generated backends, axioms."""
 
+import re
 from itertools import product
 
 import pytest
@@ -145,6 +146,9 @@ def test_f_class_of_identity():
     G = symmetric_group(3)
     F = transporter_fusion(G, sylow_p(G.full(), 3), 3)
     assert f_class_of_element(F, G.identity_id) == [G.identity_id]
+    foreign = re.escape(f"not an element of {G!r}")
+    with pytest.raises(ValueError, match=foreign):
+        f_class_of_element(F, (0, 1))
 
 
 def test_inner_f_conjugates_are_s_conjugates():

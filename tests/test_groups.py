@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import weakref
 from collections import Counter
 
@@ -193,6 +194,8 @@ def test_right_cosets_match_tuple_reference(build):
         reps = [r for r, _ in cosets]
         assert reps == sorted(reps)
         assert all(r == min(coset) for r, coset in cosets)
+        # the k-th member of H*r is n*r for the k-th element n of H
+        assert all(coset == G.mul_row(H.sorted_ids, r) for r, coset in cosets)
         got = [frozenset(G.elements[i] for i in coset) for _, coset in cosets]
         want = oracle_groups.right_cosets(g_perms, set(H.perms()))
         assert len(got) == len(want) == G.order // H.order
@@ -402,6 +405,18 @@ def test_semidirect_product_checks_group_cap_first(monkeypatch):
     assert calls == {}
     monkeypatch.delenv("FUSIONKIT_MAX_GROUP_ORDER")
     assert semidirect_product(C7, C3, action).order == 21
+
+
+def test_a_permutation_outside_the_group_is_a_value_error():
+    C7 = cyclic_group(7)
+    swap = perms.from_cycles(7, [(0, 1)])
+    foreign = re.escape(f"{swap!r} is not an element of {C7!r}")
+    with pytest.raises(ValueError, match=foreign):
+        C7.id_of(swap)
+    with pytest.raises(ValueError, match=foreign):
+        subgroup_from_perms(C7, [swap])
+    with pytest.raises(ValueError, match=foreign):
+        semidirect_product(C7, cyclic_group(3), [[swap]])
 
 
 def test_group_cap(monkeypatch):
