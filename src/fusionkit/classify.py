@@ -8,6 +8,15 @@ when O_p(Out_F(P)) = 1, where Out_F(P) is the `groups.quotient_group` of
 Aut_F(P) by Inn(P); the cr and fcr lists read one memoised list of
 centric-radical classes. Every invariant of a subgroup is memoised through
 `fusion._memoised`, which rejects a subgroup of another ambient group.
+
+Receptivity follows the extension axiom (Aschbacher, Kessar & Oliver,
+Fusion Systems in Algebra and Topology, 2011, I.2; Roberts & Shpectorov,
+J. Group Theory 12, 2009, for the receptive form): an extension psi of
+phi: Q -> P over N_phi acts on P as phi c_g phi^-1 at each g in N_phi, so
+psi(g) lies in one known coset of C_S(P). `is_receptive` decides one phi
+per orbit under Aut_S(Q), either from the restrictions of all of
+Hom(N_phi, S) to Q or from these candidate images, whichever set is
+smaller.
 """
 
 from __future__ import annotations
@@ -71,8 +80,11 @@ def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
 
 
 def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
-    """N_phi = {g in N_S(Q) : phi c_g phi^-1 in Aut_S(P)} for each iso phi
-    from Q onto P with generator images in `vectors`.
+    """(N_phi, twists, orbit) for each iso phi from Q onto P with generator
+    images in `vectors`. N_phi = {g in N_S(Q) : phi c_g phi^-1 in Aut_S(P)}
+    as ids; `twists` pairs each coset of C_S(Q) in N_phi with the coset of
+    C_S(P) in N_S(P) whose conjugation is phi c_g phi^-1 on P; `orbit`
+    holds the vectors of phi c_g over g in N_S(Q), one per coset of C_S(Q).
 
     phi c_g phi^-1 = c_h on P exactly when phi c_g = c_h phi on Q, and two
     homomorphisms on Q agree when they agree on Q's generators. The twist
@@ -83,10 +95,13 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
     """
     cosets = F.centralizer_cosets(Q)
     if len(cosets) == 1:
-        # N_S(Q) = C_S(Q), whose twists are all trivial
-        return [F.normalizer_of(Q).ids] * len(vectors)
+        # N_S(Q) = C_S(Q), whose twists are all trivial: C_S(P) is the
+        # coset of the identity
+        twists = ((cosets[0][1], F.centralizer_of(P).sorted_ids),)
+        return [(F.normalizer_of(Q).ids, twists, (v,)) for v in vectors]
     amb = F.ambient
-    reps = [r for r, _coset, _vec in F.centralizer_cosets(P)]
+    reps, h_cosets = zip(*[(r, coset) for r, coset, _vec
+                           in F.centralizer_cosets(P)])
     # {y: y^h for each representative h}, for the elements of P that
     # phi's vectors name
     conj: dict = {}
@@ -100,24 +115,34 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
             if col is None:
                 col = conj[y] = amb.conj_col(y, reps)
             cols.append(col)
-        targets = set(zip(*cols))
+        targets = dict(zip(zip(*cols), h_cosets))
+        orbit = [twisted[j * k:(j + 1) * k] for j in range(len(cosets))]
         ids = set()
-        for j, (_r, coset, _vec) in enumerate(cosets):
-            if twisted[j * k:(j + 1) * k] in targets:
+        twists = []
+        for (_r, coset, _vec), w in zip(cosets, orbit):
+            h_coset = targets.get(w)
+            if h_coset is not None:
                 ids.update(coset)
-        out.append(frozenset(ids))
+                twists.append((coset, h_coset))
+        out.append((frozenset(ids), twists, orbit))
     return out
 
 
 def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup):
-    """(vec, N_phi, extends) for each isomorphism phi from Q onto P, with
-    generator images `vec`: whether phi extends to a morphism out of N_phi.
-    phi maps Q onto P when its generator images lie in P, and a morphism
-    restricts to phi when its images of Q's generators are `vec`."""
+    """(vec, N_phi, candidates, orbit) for each isomorphism phi from Q onto
+    P, with generator images `vec`; phi maps Q onto P when its generator
+    images lie in P. An extension psi of phi over N_phi makes psi(g) act
+    on P as phi c_g phi^-1 for g in N_phi, so `candidates(g)` is the one
+    coset of C_S(P) that psi(g) lies in. Each phi c_g in `orbit` extends
+    over the conjugate of N_phi by g exactly when phi extends over
+    N_phi."""
     vectors = [v for v in F.hom_vectors(Q) if P.ids.issuperset(v)]
-    for vec, n_phi in zip(vectors, _n_phi_all(F, Q, P, vectors)):
-        N = F.subgroup(n_phi)
-        yield vec, N, vec in F.extension_index(N, Q)
+    for vec, (n_phi, twists, orbit) in zip(
+            vectors, _n_phi_all(F, Q, P, vectors)):
+        yield (vec, F.subgroup(n_phi),
+               lambda g, twists=twists: next(
+                   h_coset for coset, h_coset in twists if g in coset),
+               orbit)
 
 
 def receptivity_witnesses(F: FusionSystem, P: Subgroup):
@@ -138,11 +163,11 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup):
             witnesses.append(NphiWitness(phi, P, GroupHom(P, F.S, t)))
         return True, witnesses
     for Q in F.f_conjugates(P):
-        rows = sorted((F.table(Q, vec), vec, N, extends)
-                      for vec, N, extends in _extensions(F, Q, P))
-        for t, vec, N, extends in rows:
+        rows = sorted((F.table(Q, vec), vec, N)
+                      for vec, N, _candidates, _orbit in _extensions(F, Q, P))
+        for t, vec, N in rows:
             phi = GroupHom(Q, P, t)
-            if not extends:
+            if vec not in _extension_candidates(F, N, Q):
                 witnesses.append(NphiWitness(phi, N, None))
                 verdict = False
             else:
@@ -170,12 +195,29 @@ def _extension_candidates(F: FusionSystem, N: Subgroup, Q: Subgroup) -> dict:
 
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
-    """Every isomorphism onto P from a member of its F-class extends over
-    its N_phi; read on vectors, with no table built."""
-    return P == F.S or all(
-        extends
-        for Q in F.f_conjugates(P) for _vec, _N, extends in _extensions(F, Q, P)
-    )
+    """Every isomorphism phi onto P from a member Q of its F-class extends
+    over its N_phi; read on vectors, with no table built, for one phi of
+    each orbit under Aut_S(Q). When N_phi = Q, phi is its own extension.
+    Otherwise, when |Hom(N_phi, S)| <= |C_S(P)| * |N_phi : Q|, phi is
+    looked up among the restrictions of all of Hom(N_phi, S) to Q, which
+    every phi with that N_phi shares; when it is larger,
+    `FusionSystem.extends` tests phi's own candidate images."""
+    if P == F.S:
+        return True
+    c_p = F.centralizer_of(P).order
+    for Q in F.f_conjugates(P):
+        decided = set()
+        for vec, N, candidates, orbit in _extensions(F, Q, P):
+            if vec in decided or N == Q:
+                continue
+            if len(F.hom_vectors(N)) <= c_p * (N.order // Q.order):
+                extends = vec in F.extension_index(N, Q)
+            else:
+                extends = F.extends(N, Q, vec, candidates)
+            if not extends:
+                return False
+            decided.update(orbit)
+    return True
 
 
 def is_fully_centralised(F: FusionSystem, P: Subgroup) -> bool:

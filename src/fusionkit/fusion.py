@@ -19,8 +19,12 @@ search over fcr automorphisms.
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
 X, or at all of them. Whole tables (morphisms handed out as
 `groups.GroupHom`s with their provenance, `hom_to_S_tables`, digests and
-audits), restrictions to a subgroup (`extension_index`), the N_phi twists
-of `classify` and the rules of the constructions all read it; outside
+audits), the restrictions of every morphism out of N to a subgroup Q
+(`extension_index`), the N_phi twists of `classify` and the rules of the
+constructions all read it. Receptivity can also ask whether one map on Q
+extends over N without restricting all of Hom(N, S): `extends` tries
+candidate images of the generators that a walk of N seeded with Q's
+generators adds, along the compiled walks of `extension_chain`. Outside
 `groups`, `named` and this module no code names the tree. The memo keeps
 no table of a morphism of Hom(Q, S), and Aut_S(Q) is kept the same way:
 one generator-image vector per coset of C_S(Q) in N_S(Q), in
@@ -49,6 +53,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .groups import (
+    CayleyTree,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -188,7 +193,8 @@ class FusionSystem:
     @_memoised
     def vector_set(self, Q: Subgroup) -> frozenset:
         """Hom(Q, S) as a set of vectors, for membership tests."""
-        return frozenset(self.hom_vectors(Q))
+        # sized once, as in `extension_index`
+        return frozenset(dict.fromkeys(self.hom_vectors(Q)))
 
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
         """The morphisms Q -> P, by image table. A morphism maps into P
@@ -321,10 +327,58 @@ class FusionSystem:
     @_memoised
     def extension_index(self, N: Subgroup, Q: Subgroup) -> frozenset:
         """The maps on Q that extend to morphisms out of N, each as its
-        images of Q.generator_ids(); Q must be contained in N."""
+        images of Q.generator_ids(); Q must be contained in N. This
+        restricts every morphism out of N, so it pays when Hom(N, S) is
+        small; `extends` tests one map at a time."""
         # a set grown key by key keeps up to four slots per key; one built
         # from a dict is sized once, at two
         return frozenset(dict.fromkeys(self.images_at(N, Q.generator_ids())))
+
+    @_memoised
+    def extension_chain(self, N: Subgroup, Q: Subgroup) -> tuple:
+        """The climb Q = N_0 < N_1 < ... < N_k = N of one Cayley walk of N
+        seeded with Q's generators, N_(i+1) being N_i and one more greedy
+        generator g: one (g, N_(i+1), down, up) per step. `down` evaluates
+        a map given on the walk's first generators, those of Q then g_1 to
+        g_(i+1), at N_(i+1).generator_ids(), the vector that stores it;
+        `up` evaluates a stored morphism out of N_(i+1) back at the walk's
+        generators."""
+        tree = CayleyTree(N, seed=Q.generator_ids())
+        k = len(Q.generator_ids())
+        sids = N.sorted_ids
+        steps = []
+        for i, size in enumerate(tree.reached[1:]):
+            Ni = self.subgroup([sids[x] for x in tree.order[:size]])
+            gens = tree.gens[:k + i + 1]
+            steps.append((gens[-1], Ni, tree.plan(Ni.generator_ids()),
+                          cayley_tree(Ni).plan(gens)))
+        return tuple(steps)
+
+    def extends(self, N: Subgroup, Q: Subgroup, vec, candidates) -> bool:
+        """Whether the morphism out of Q with generator images `vec`
+        extends to a morphism out of N, where `candidates(g)` holds every
+        image that an extension can give the element g of N. The images
+        are chosen one generator of `extension_chain(N, Q)` at a time, and
+        a choice stands when the vector it gives is stored for N_(i+1) and
+        that morphism takes the chosen images: an extension is a stored
+        morphism out of N that restricts to the map, so a choice that is
+        not a homomorphism never stands."""
+        amb = self.ambient
+        steps = self.extension_chain(N, Q)
+
+        def climb(i, head):
+            if i == len(steps):
+                return True
+            g, Ni, down, up = steps[i]
+            stored = self.vector_set(Ni)
+            for c in candidates(g):
+                images = head + (c,)
+                w = down.images(amb, images)
+                if (w in stored and up.images(amb, w) == images
+                        and climb(i + 1, images)):
+                    return True
+            return False
+        return climb(0, tuple(vec))
 
     def generating_morphisms(self) -> list[GroupHom]:
         if self._generators is not None:

@@ -563,11 +563,14 @@ class CayleyTree:
 
     With no `gens` the walk finds Q's greedy generators on its way: when it
     stops short of Q, the least element it has not reached becomes the
-    next generator, and the walk resumes from every element reached. Each
-    generator's column costs one `mul_row` over Q; every other step is a
-    lookup. The walk raises ValueError when Q lacks the identity, when a
-    product leaves Q or when `gens` do not generate Q, so it succeeds
-    exactly when Q is a subgroup.
+    next generator, and the walk resumes from every element reached. With
+    `seed` it starts from the seed's generators and then goes on greedily,
+    so it climbs from the subgroup the seed generates to Q one generator
+    at a time; `reached[i]` counts the elements reached after pass i, the
+    first pass being the seed's. Each generator's column costs one
+    `mul_row` over Q; every other step is a lookup. The walk raises
+    ValueError when Q lacks the identity, when a product leaves Q or when
+    `gens` do not generate Q, so it succeeds exactly when Q is a subgroup.
 
     `order` lists the positions in Q.sorted_ids in walk order, each parent
     before its child. `plan(elems)` compiles the walk that evaluates a
@@ -577,10 +580,10 @@ class CayleyTree:
     position in Q.sorted_ids of Q.sorted_ids[k] * gens[j]: the edges that
     `respects` checks."""
 
-    __slots__ = ("gens", "cols", "order", "_pos", "_node", "_parent",
-                 "_gen", "_full")
+    __slots__ = ("gens", "cols", "order", "reached", "_pos", "_node",
+                 "_parent", "_gen", "_full")
 
-    def __init__(self, Q: "Subgroup", gens=None):
+    def __init__(self, Q: "Subgroup", gens=None, seed=()):
         amb = Q.ambient
         # the tree keeps Q's position map, not Q itself: Q holds its tree,
         # and a cycle would outlive its last reference
@@ -592,7 +595,8 @@ class CayleyTree:
         node = [-1] * len(sids)
         node[root] = 0
         order, parent, gen = [root], [0], [0]
-        new, least = ([] if gens is None else list(gens)), 0
+        new, least = list(seed if gens is None else gens), 0
+        self.reached = []
         while True:
             for g in new:
                 col = tuple(map(pos.get, amb.mul_row(sids, g)))
@@ -608,6 +612,7 @@ class CayleyTree:
                         order.append(y)
                         parent.append(n)
                         gen.append(j)
+            self.reached.append(len(order))
             if len(order) == len(sids) or gens is not None:
                 break
             while node[least] >= 0:

@@ -28,7 +28,12 @@ from fusionkit import (
     symmetric_group,
     transporter_fusion,
 )
-from fusionkit.groups import CayleyTree, Subgroup, cayley_tree
+from fusionkit.groups import (
+    CayleyTree,
+    Subgroup,
+    cayley_tree,
+    subgroup_generated,
+)
 
 LATTICES = {
     "S4": lambda: symmetric_group(4).full(),
@@ -39,6 +44,31 @@ LATTICES = {
         direct_product(extraspecial27_c2(), symmetric_group(3)).full(), 3),
     "7^(1+2)": lambda: extraspecial_plus(7).full(),
 }
+
+
+@pytest.mark.parametrize("name", ["S4", "Syl2(S6 relabelled)"])
+def test_seeded_walk_climbs_one_greedy_generator_at_a_time(name):
+    """Seeded with Q's generators, the walk of H reaches Q first, then adds
+    the least element not yet reached until it has H; each pass reaches
+    the subgroup its generators so far generate."""
+    top = LATTICES[name]()
+    amb = top.ambient
+    lattice = all_subgroups(top)
+    for H in lattice:
+        sids = H.sorted_ids
+        for Q in (Q for Q in lattice if Q.ids <= H.ids):
+            seed = Q.generator_ids()
+            tree = CayleyTree(H, seed=seed)
+            assert tree.gens[:len(seed)] == seed
+            assert tree.reached[0] == Q.order and tree.reached[-1] == H.order
+            assert len(tree.reached) == len(tree.gens) - len(seed) + 1
+            for i, size in enumerate(tree.reached):
+                reached = {sids[x] for x in tree.order[:size]}
+                gens = tree.gens[:len(seed) + i]
+                assert reached == set(subgroup_generated(amb, gens).ids)
+                if size < H.order:
+                    assert tree.gens[len(seed) + i] == min(
+                        H.ids - reached)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))

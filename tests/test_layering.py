@@ -285,10 +285,11 @@ def _product():
 # memo kinds that hold morphisms as vectors, keyed by the domain last:
 # each vector has one entry per generator of the domain
 VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors", "extension_index"}
-# memo kinds that hold no morphism: subgroups, id sets, element classes
+# memo kinds that hold no morphism: subgroups, id sets, element classes,
+# and the climbs of `extension_chain` (subgroups and compiled walks)
 PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
                "objects_through", "f_conjugates", "conjugacy_classes",
-               "f_class", "cr_classes", "fcr_objects"}
+               "f_class", "cr_classes", "fcr_objects", "extension_chain"}
 # the stated exceptions, which keep whole tables
 TABLE_KINDS = {
     # the transporter rule's input: c_g on D_g, one dict per distinct pair

@@ -3,8 +3,15 @@
 For every object P the library's Aut_S(P) tables and least-s provenance,
 and for every isomorphism phi: Q -> P with Q in the F-class of P, its
 N_phi and the extension it finds over N_phi, must equal those of
-`oracle_receptivity`. Each transporter case also runs on a copy of G with
-its points relabelled by a seeded random permutation.
+`oracle_receptivity`, and so must the verdict of `is_receptive`. Each
+transporter case also runs on a copy of G with its points relabelled by a
+seeded random permutation, and the systems that `test_word_search` makes
+unsaturated supply objects that are not receptive.
+
+`is_receptive` decides a map either from the restrictions of all of
+Hom(N_phi, S) (`FusionSystem.extension_index`) or from the map's own
+candidate images (`FusionSystem.extends`); the two are compared on every
+map, whichever one the size rule picks.
 """
 
 import random
@@ -14,10 +21,12 @@ import pytest
 
 import oracle_receptivity
 from test_sweep import GROUPS, relabelled
-from fusionkit import perms, sylow_p, transporter_fusion
-from fusionkit.classify import receptivity_witnesses
+from test_word_search import _unsaturated
+from fusionkit import build_rv, is_saturated, perms, sylow_p, transporter_fusion
+from fusionkit.classify import _extensions, is_receptive, receptivity_witnesses
 
 CASES = [("S6", 2), ("S6", 3), ("SL(3,3)", 3), ("3^(1+2):2", 3)]
+UNSATURATED = [("S6", 2), ("3^(1+2):2", 3)]
 
 
 def _transporter(name, p, relabel):
@@ -28,7 +37,10 @@ def _transporter(name, p, relabel):
 
 
 def _check_against_oracle(F, objects):
+    """Compare every object with the oracle; returns how many are not
+    receptive."""
     ref = oracle_receptivity.Reference(F)
+    refused = 0
     for P in objects:
         want = ref.aut_s(P)
         aut_s = F.aut_s(P)
@@ -52,6 +64,9 @@ def _check_against_oracle(F, objects):
             for w in got
         ] == expected
         assert verdict == all(e[3] is not None for e in expected)
+        assert is_receptive(F, P) == verdict
+        refused += not verdict
+    return refused
 
 
 @pytest.mark.parametrize("relabel", [False, True])
@@ -59,6 +74,13 @@ def _check_against_oracle(F, objects):
 def test_receptivity_matches_full_table_oracle(name, p, relabel):
     F = _transporter(name, p, relabel)
     _check_against_oracle(F, F.objects())
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("name,p", UNSATURATED)
+def test_refusals_match_full_table_oracle(name, p, relabel):
+    U, _phi = _unsaturated(_transporter(name, p, relabel))
+    assert _check_against_oracle(U, U.objects()) > 0
 
 
 def test_rv1_receptivity_matches_full_table_oracle(rv_systems):
@@ -90,3 +112,54 @@ def test_receptivity_makes_no_kernel_calls(monkeypatch):
     for P in F.objects():
         receptivity_witnesses(F, P)
     assert calls == {}
+
+
+def _both_sides(F):
+    """For every map phi onto every object but S, `FusionSystem.extends` on
+    phi's candidates against the restrictions of Hom(N_phi, S) to its
+    domain; returns how many maps were compared."""
+    count = 0
+    for P in F.objects():
+        if P == F.S:
+            continue
+        for Q in F.f_conjugates(P):
+            for vec, N, candidates, _orbit in _extensions(F, Q, P):
+                assert F.extends(N, Q, vec, candidates) == (
+                    vec in F.extension_index(N, Q))
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("name,p", [
+    ("S6", 2), ("SL(3,3)", 3), ("A8", 2)])
+def test_candidates_agree_with_restrictions(name, p):
+    assert _both_sides(_transporter(name, p, False)) > 0
+
+
+@pytest.mark.parametrize("name,p", UNSATURATED + [("SL(3,3)", 3)])
+def test_candidates_agree_with_restrictions_when_unsaturated(name, p):
+    U, _phi = _unsaturated(_transporter(name, p, False))
+    assert _both_sides(U) > 0
+
+
+def test_rv1_candidates_agree_with_restrictions(rv_systems):
+    assert _both_sides(rv_systems["rv1"]) > 0
+
+
+def _kinds(F):
+    return Counter(key[0] for key in F._memo)
+
+
+def test_rv1_decides_by_candidates_and_restricts_twice():
+    """Building rv1 restricts Hom(N_phi, S) for two pairs (N_phi, Q) where
+    it restricted it for 74 (56 with |N_phi| = 49 and |Q| = 7, 8 with
+    N_phi = Q and 10 others), and tests candidates for the rest."""
+    kinds = _kinds(build_rv("rv1"))
+    assert kinds["extension_index"] == 2
+    assert kinds["extension_chain"] > 0
+
+
+def test_s6_decides_by_restrictions():
+    F = _transporter("S6", 2, False)
+    assert is_saturated(F).verdict
+    assert _kinds(F)["extension_index"] > 0
