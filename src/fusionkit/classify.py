@@ -7,7 +7,8 @@ is read from the normalizer subsystem, in `constructions`). P is radical
 when O_p(Out_F(P)) = 1, where Out_F(P) is the `groups.quotient_group` of
 Aut_F(P) by Inn(P); the cr and fcr lists read one memoised list of
 centric-radical classes. Every invariant of a subgroup is memoised through
-`fusion._memoised`, which rejects a subgroup of another ambient group.
+`fusion._memoised`, which rejects a subgroup of another ambient group
+or one outside S.
 
 Receptivity follows the extension axiom (Aschbacher, Kessar & Oliver,
 Fusion Systems in Algebra and Topology, 2011, I.2; Roberts & Shpectorov,
@@ -16,7 +17,8 @@ phi: Q -> P over N_phi acts on P as phi c_g phi^-1 at each g in N_phi, so
 psi(g) lies in one known coset of C_S(P). `is_receptive` decides one phi
 per orbit under Aut_S(Q), either from the restrictions of all of
 Hom(N_phi, S) to Q or from these candidate images, whichever set is
-smaller.
+smaller. The restrictions are `FusionSystem.extension_index(N_phi, Q)`,
+which `receptivity_witnesses` reads for the least extensions too.
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup):
 
     Quantifies over every Q in the F-class of P and every isomorphism
     Q -> P in F, by image table; each witness records N_phi and the least
-    extension over N_phi by image table. The tables are built here, for the
-    witnesses: `is_receptive` reads the same extensions on vectors alone.
+    extension over N_phi by image table, or None: phi itself when
+    N_phi = Q, as in `is_receptive`, else the least table of the vectors
+    that `extension_index(N_phi, Q)` lists under phi's.
     """
     witnesses = []
     verdict = True
@@ -166,32 +169,17 @@ def receptivity_witnesses(F: FusionSystem, P: Subgroup):
         rows = sorted((F.table(Q, vec), vec, N)
                       for vec, N, _candidates, _orbit in _extensions(F, Q, P))
         for t, vec, N in rows:
-            phi = GroupHom(Q, P, t)
-            if vec not in _extension_candidates(F, N, Q):
-                witnesses.append(NphiWitness(phi, N, None))
-                verdict = False
+            if N == Q:
+                least = t
             else:
-                least = _least_extension(F, N, Q, vec)
-                witnesses.append(NphiWitness(phi, N, GroupHom(N, F.S, least)))
+                found = F.extension_index(N, Q).get(vec)
+                least = (None if found is None
+                         else min(F.images_at(N, vectors=found)))
+            verdict = verdict and least is not None
+            witnesses.append(NphiWitness(
+                GroupHom(Q, P, t), N,
+                None if least is None else GroupHom(N, F.S, least)))
     return verdict, witnesses
-
-
-def _least_extension(F: FusionSystem, N: Subgroup, Q: Subgroup,
-                     vec: tuple) -> tuple:
-    """The least table of the morphisms out of N that restrict to the map
-    on Q with generator images `vec`; the tables of the candidates are
-    built here."""
-    return min(F.images_at(N, vectors=_extension_candidates(F, N, Q)[vec]))
-
-
-@_memoised
-def _extension_candidates(F: FusionSystem, N: Subgroup, Q: Subgroup) -> dict:
-    """The vectors of the morphisms out of N, grouped by their restriction
-    to Q, for witnesses only."""
-    found: dict = {}
-    for key, v in zip(F.images_at(N, Q.generator_ids()), F.hom_vectors(N)):
-        found.setdefault(key, []).append(v)
-    return found
 
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
@@ -199,8 +187,8 @@ def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     over its N_phi; read on vectors, with no table built, for one phi of
     each orbit under Aut_S(Q). When N_phi = Q, phi is its own extension.
     Otherwise, when |Hom(N_phi, S)| <= |C_S(P)| * |N_phi : Q|, phi is
-    looked up among the restrictions of all of Hom(N_phi, S) to Q, which
-    every phi with that N_phi shares; when it is larger,
+    looked up among the restrictions of all of Hom(N_phi, S) to Q, the
+    keys of `extension_index(N_phi, Q)`; when it is larger,
     `FusionSystem.extends` tests phi's own candidate images."""
     if P == F.S:
         return True

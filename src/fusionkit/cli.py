@@ -37,7 +37,7 @@ from .fusion import generated_fusion, transporter_fusion
 from .groups import FiniteGroup, sylow_p
 from .named import cyclic_group, extraspecial_plus, semidirect_product, symmetric_group
 from .report import Report, error_report
-from .rv import OUT_ORDERS, RV_NAMES, build_rv
+from .rv import OUT_ORDERS, RV_NAMES, build_rv, certify_rv
 from .rv import FCR_PROFILES as RV_PROFILES
 
 
@@ -201,7 +201,7 @@ def _cmd_rv(args, rep: Report):
     name = getattr(args, "name", None)
     if name not in RV_NAMES:
         raise DescriptorError(f"--name must be one of {'|'.join(RV_NAMES)}")
-    F = build_rv(name, certify=bool(getattr(args, "certify", False)))
+    F = build_rv(name)
     rep.set_verdict("saturated", True)
     out = out_F(F, F.S)
     rep.set_verdict("out_order", out.order == OUT_ORDERS[name])
@@ -213,8 +213,8 @@ def _cmd_rv(args, rep: Report):
         [len(orb), t] for orb, t in F.rv.profile.items()
     )
     rep.data["expected_profile"] = sorted(list(e) for e in RV_PROFILES[name])
-    if getattr(F, "certificate", None):
-        rep.data["certificate"] = F.certificate
+    if getattr(args, "certify", False):
+        rep.data["certificate"] = certify_rv(F)
     rep.add_digest("system", F)
 
 

@@ -19,8 +19,8 @@ search over fcr automorphisms.
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
 X, or at all of them. Whole tables (morphisms handed out as
 `groups.GroupHom`s with their provenance, `hom_to_S_tables`, digests and
-audits), the restrictions of every morphism out of N to a subgroup Q
-(`extension_index`), the N_phi twists of `classify` and the rules of the
+audits), `extension_index`, the one grouping of Hom(N, S) by restriction
+to a subgroup Q, the N_phi twists of `classify` and the rules of the
 constructions all read it. Receptivity can also ask whether one map on Q
 extends over N without restricting all of Hom(N, S): `extends` tries
 candidate images of the generators that a walk of N seeded with Q's
@@ -38,8 +38,9 @@ derived from them (automizers, classes, normalizers, fcr objects, ...) are
 computed once and kept in the system's single memo, `FusionSystem.cached`.
 An entry of a subgroup is made only by `_memoised`, which keys it by the
 function's name and the subgroups' id sets and checks on every call that
-each subgroup lives in the system's ambient group, raising ValueError
-otherwise; the other entries are keyed by order, element or nothing.
+each subgroup lives in the system's ambient group (on a miss, inside S),
+raising ValueError otherwise; the other entries are keyed by order,
+element or nothing.
 """
 
 from __future__ import annotations
@@ -78,15 +79,19 @@ def _memoised(fn):
     function, in F's memo under the kind `fn`'s name without its leading
     underscores, keyed by the subgroups' id sets. Ids name elements of F's
     ambient group alone, so every call, hit or miss, checks that each
-    subgroup lives there."""
+    subgroup lives there, and a miss that it lies inside S."""
     kind = fn.__name__.lstrip("_")
 
     @functools.wraps(fn)
     def memoised(F, *subgroups):
         for X in subgroups:
             _same_ambient(F.S, X)
-        return F.cached((kind, *[X.ids for X in subgroups]),
-                        lambda: fn(F, *subgroups))
+
+        def compute():
+            if any(not X.ids <= F.S.ids for X in subgroups):
+                raise ValueError("object is not a subgroup of S")
+            return fn(F, *subgroups)
+        return F.cached((kind, *[X.ids for X in subgroups]), compute)
     return memoised
 
 
@@ -144,8 +149,6 @@ class FusionSystem:
     def _hom(self, Q: Subgroup) -> tuple:
         """(vectors, provenance) of Hom(Q, S), from the rule the first time
         Q is asked for."""
-        if not Q.ids <= self.S.ids:
-            raise ValueError("object is not a subgroup of S")
         return self._rule(self, Q)
 
     def hom_vectors(self, Q: Subgroup) -> tuple:
@@ -193,7 +196,7 @@ class FusionSystem:
     @_memoised
     def vector_set(self, Q: Subgroup) -> frozenset:
         """Hom(Q, S) as a set of vectors, for membership tests."""
-        # sized once, as in `extension_index`
+        # sized once from a dict: two slots per key where growing keeps four
         return frozenset(dict.fromkeys(self.hom_vectors(Q)))
 
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
@@ -325,14 +328,17 @@ class FusionSystem:
     # -- extension lookups (receptivity) ----------------------------------
 
     @_memoised
-    def extension_index(self, N: Subgroup, Q: Subgroup) -> frozenset:
-        """The maps on Q that extend to morphisms out of N, each as its
-        images of Q.generator_ids(); Q must be contained in N. This
-        restricts every morphism out of N, so it pays when Hom(N, S) is
-        small; `extends` tests one map at a time."""
-        # a set grown key by key keeps up to four slots per key; one built
-        # from a dict is sized once, at two
-        return frozenset(dict.fromkeys(self.images_at(N, Q.generator_ids())))
+    def extension_index(self, N: Subgroup, Q: Subgroup) -> dict:
+        """Hom(N, S) grouped by restriction to Q, which N must contain:
+        {images of Q.generator_ids(): vectors of the morphisms out of N
+        that restrict to them}, each vector of Hom(N, S) once. This walks
+        every morphism out of N, so it pays when Hom(N, S) is small;
+        `extends` tests one map at a time."""
+        found: dict = {}
+        for key, vec in zip(self.images_at(N, Q.generator_ids()),
+                            self.hom_vectors(N)):
+            found.setdefault(key, []).append(vec)
+        return {key: tuple(vecs) for key, vecs in found.items()}
 
     @_memoised
     def extension_chain(self, N: Subgroup, Q: Subgroup) -> tuple:

@@ -302,10 +302,10 @@ class RVDescriptor:
         return f"<RVDescriptor {self.name}>"
 
 
-def build_rv(name: str, *, certify: bool = False):
+def build_rv(name: str):
     """Construct the named system and check that the closure is
-    saturated; `F.rv` is its RVDescriptor. With certify=True the full
-    invariant battery runs and is attached as `certificate`."""
+    saturated; `F.rv` is its RVDescriptor. `certify_rv(F)` runs the full
+    invariant battery."""
     if not isinstance(name, str) or name.lower() not in RV_NAMES:
         raise ValueError(
             f"build_rv takes a system name ({'|'.join(RV_NAMES)}), "
@@ -333,8 +333,6 @@ def build_rv(name: str, *, certify: bool = False):
     )
     F.rv = rv
     F.rv_extraspecial = ext
-    if certify:
-        F.certificate = certify_rv(F)
     return F
 
 

@@ -14,6 +14,7 @@ from fusionkit import (
     aut_F,
     aut_S,
     centralizer,
+    centralizer_subsystem,
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
@@ -390,6 +391,28 @@ def test_subgroups_of_another_ambient_are_rejected(f_s4):
                groups.right_cosets):
         with pytest.raises(ValueError, match=foreign):
             op(F.S, V2)
+
+
+def test_subgroups_outside_S_are_rejected(f_s4):
+    """A subgroup of F's ambient group that is not inside S is not an
+    object: queries, predicates and constructions raise on it rather than
+    answer for a one-element Aut_S or build a system that fails when
+    queried."""
+    F = f_s4
+    amb = F.ambient
+    x = next(i for i in range(amb.order)
+             if i not in F.S.ids and amb.element_order(i) == 2)
+    Q = subgroup_generated(amb, [x])
+    outside = "not a subgroup of S"
+    for query in (F.aut_s, F.centralizer_cosets, F.hom_vectors,
+                  F.normalizer_of, F.f_conjugates):
+        with pytest.raises(ValueError, match=outside):
+            query(Q)
+    for of_q in (is_normal_in_F, normalizer_subsystem, centralizer_subsystem,
+                 is_receptive, out_F):
+        with pytest.raises(ValueError, match=outside):
+            of_q(F, Q)
+    assert not any(Q.ids in key for key in F._memo)
 
 
 def test_a_warm_lattice_builds_no_tree_again(monkeypatch):

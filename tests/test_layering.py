@@ -284,7 +284,7 @@ def _product():
 
 # memo kinds that hold morphisms as vectors, keyed by the domain last:
 # each vector has one entry per generator of the domain
-VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors", "extension_index"}
+VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors"}
 # memo kinds that hold no morphism: subgroups, id sets, element classes,
 # and the climbs of `extension_chain` (subgroups and compiled walks)
 PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
@@ -333,7 +333,7 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
             # Aut_S(Q): (r, coset, conjugation by r on Q's generators)
             assert {len(vec) for _r, _coset, vec in value} == {
                 width(key[1])}
-        elif key[0] == "extension_candidates":
+        elif key[0] == "extension_index":
             # {restriction to Q: vectors of the morphisms out of N}
             assert {len(k) for k in value} <= {width(key[2])}
             assert {len(v) for vs in value.values() for v in vs} <= {
@@ -342,5 +342,5 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
             assert value <= {R.ids for R in F.objects()}
         else:
             assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
-    assert VECTOR_KINDS | {"extension_candidates", "centralizer_cosets"} <= kinds
+    assert VECTOR_KINDS | {"extension_index", "centralizer_cosets"} <= kinds
     assert {"out_F", "alperin_moves"} <= kinds

@@ -11,7 +11,10 @@ unsaturated supply objects that are not receptive.
 `is_receptive` decides a map either from the restrictions of all of
 Hom(N_phi, S) (`FusionSystem.extension_index`) or from the map's own
 candidate images (`FusionSystem.extends`); the two are compared on every
-map, whichever one the size rule picks.
+map, whichever one the size rule picks. The witnesses read their
+extensions from the same `extension_index` entries, Hom(N_phi, S) grouped
+by restriction, and both readers take phi as its own extension when
+N_phi = Q, so each pair is restricted once and no entry has N_phi = Q.
 """
 
 import random
@@ -163,3 +166,41 @@ def test_s6_decides_by_restrictions():
     F = _transporter("S6", 2, False)
     assert is_saturated(F).verdict
     assert _kinds(F)["extension_index"] > 0
+
+
+@pytest.mark.parametrize("unsaturated", [False, True])
+def test_each_pair_is_restricted_once(unsaturated):
+    """`is_receptive` and the witnesses read one entry per pair (N_phi, Q),
+    `extension_index`, which lists every vector of Hom(N_phi, S) once under
+    its restriction to Q; each witness extension is listed under its phi,
+    and no entry has N_phi = Q, where phi is its own extension."""
+    F = _transporter("S6", 2, False)
+    if unsaturated:
+        F, _phi = _unsaturated(F)
+    is_saturated(F)
+    witnesses = [w for P in F.objects()
+                 for w in receptivity_witnesses(F, P)[1]]
+    assert "extension_candidates" not in _kinds(F)
+    index = {key[1:]: value for key, value in F._memo.items()
+             if key[0] == "extension_index"}
+    for (n_ids, q_ids), found in index.items():
+        assert n_ids != q_ids
+        listed = [v for vectors in found.values() for v in vectors]
+        assert sorted(listed) == sorted(F.hom_vectors(F.subgroup(n_ids)))
+    extended = refused = 0
+    for w in witnesses:
+        N, Q = w.n_phi, w.phi.domain
+        if N == Q:
+            assert w.extension.images == w.phi.images
+            continue
+        vec = tuple(w.phi.images[Q.positions[g]] for g in Q.generator_ids())
+        found = index[N.ids, Q.ids]
+        if w.extension is None:
+            assert vec not in found
+            refused += 1
+        else:
+            ext = w.extension.images
+            assert tuple(ext[N.positions[g]]
+                         for g in N.generator_ids()) in found[vec]
+            extended += 1
+    assert extended > 0 and refused > 0
