@@ -13,7 +13,12 @@ set of injective homomorphisms, and the constructions (products, quotients,
 normalizer and centralizer subsystems) read the vectors of their parent
 systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps; `alperin_decompose` runs the same
-search over fcr automorphisms.
+search over fcr automorphisms. A generated system searches one member R
+of each F-class, records one psi: R -> Q' onto each other member Q', and
+reads Hom(Q', S) off Hom(R, S) by transport, phi -> phi psi^-1. The
+provenance of its morphisms, the words of the search from their own
+domain, is read on demand: `hom_set` hands out GroupHoms whose provenance
+is deferred, and the search that gives it runs only when one is read.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
@@ -40,7 +45,8 @@ An entry of a subgroup is made only by `_memoised`, which keys it by the
 function's name and the subgroups' id sets and checks on every call that
 each subgroup lives in the system's ambient group (on a miss, inside S),
 raising ValueError otherwise; the other entries are keyed by order,
-element or nothing.
+element or nothing. The transport record of a generated system is keyed
+by order, and is the one entry that grows: by one F-class per search.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ import hashlib
 import pickle
 import random
 from array import array
-from itertools import islice
 from operator import itemgetter
 
 from .groups import (
@@ -100,7 +105,8 @@ class FusionSystem:
 
     `hom(F, Q)` returns Hom(Q, S) as (vectors, provenance) and runs once
     per object Q: the images of Q.generator_ids() under each morphism, and
-    a function from a vector's index to its provenance, or None. It takes
+    a function from a vector's index to its provenance, or None, which is
+    called only when a handed-out morphism's provenance is read. It takes
     the system as an argument rather than holding it, so a system is freed
     by reference counting alone. `backend` names the rule ("transporter",
     "generated" or "derived"). `generators(F)` lists morphisms that
@@ -129,7 +135,8 @@ class FusionSystem:
         computed once; callers store immutable values or hand out copies.
         A key that names a subgroup is made by `_memoised` alone, which
         checks the subgroup's ambient group; this is the one place that
-        reads or writes the memo."""
+        reads or writes the memo. The transport record of a generated
+        system is the one value that its rule fills in place."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()
@@ -210,8 +217,12 @@ class FusionSystem:
         picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
         found = sorted(zip(
             self.images_at(Q, vectors=[vectors[i] for i in picked]), picked))
+        # provenance is deferred: a generated system searches for its words
+        # only when one is read
         return [
-            GroupHom(Q, P, t, provenance=None if prov is None else prov(i))
+            GroupHom(Q, P, t,
+                     provenance=None if prov is None
+                     else functools.partial(prov, i))
             for t, i in found
         ]
 
@@ -269,26 +280,42 @@ class FusionSystem:
 
     @_memoised
     def image_sets(self, Q: Subgroup) -> frozenset:
-        """Images of all morphisms out of Q, as the id sets of objects. A
-        morphism is injective, so its image is the one object of order |Q|
-        that contains its generator images."""
+        """Images of all morphisms out of Q, as the id sets of objects. In
+        a generated system whose rule read Hom(Q, S) by transport from R,
+        an object of Q's F-class, this is R's set."""
         vectors = self.hom_vectors(Q)
         if Q.order == 1:
             return frozenset([Q.ids])
+        if self.backend == "generated":
+            R, _psi = self._transports(Q.order)[Q.ids]
+            if R is not Q:
+                return self.image_sets(R)
+        return frozenset(self._image_objects(Q.order, vectors))
 
+    def _image_objects(self, order: int, vectors) -> list:
+        """The id set of the image of each morphism in `vectors`, out of an
+        object of `order` > 1. A morphism is injective, so its image is the
+        one object of that order that contains its generator images."""
         def objects_through():
-            # {x: id sets of the objects of order |Q| that contain x}
+            # {x: id sets of the objects of this order that contain x}
             through: dict = {}
             for R in self.objects():
-                if R.order == Q.order:
+                if R.order == order:
                     for x in R.ids:
                         through.setdefault(x, []).append(R.ids)
             return through
-        through = self.cached(("objects_through", Q.order), objects_through)
-        return frozenset(
-            next(ids for ids in through[v[0]] if ids.issuperset(v))
-            for v in vectors
-        )
+        through = self.cached(("objects_through", order), objects_through)
+        return [next(ids for ids in through[v[0]] if ids.issuperset(v))
+                for v in vectors]
+
+    def _transports(self, order: int) -> dict:
+        """The transport record of a generated system: {id set of an object
+        of `order`: (R, psi)} over the F-classes searched so far, R being
+        the member whose Hom(R, S) was searched and psi the vector of one
+        morphism of R onto the object (the identity on R itself). The rule
+        adds one class at a time, as it searches R; an entry, once written,
+        never changes, so the record is the one memo value that grows."""
+        return self.cached(("transport", order), dict)
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
         """All subgroups F-isomorphic to P (isomorphic as objects, i.e.
@@ -369,22 +396,25 @@ class FusionSystem:
         that morphism takes the chosen images: an extension is a stored
         morphism out of N that restricts to the map, so a choice that is
         not a homomorphism never stands."""
-        amb = self.ambient
-        steps = self.extension_chain(N, Q)
+        return self._climb(self.extension_chain(N, Q), candidates, 0,
+                           tuple(vec))
 
-        def climb(i, head):
-            if i == len(steps):
+    def _climb(self, steps, candidates, i: int, head: tuple) -> bool:
+        """Whether the images `head` of the walk's first generators extend
+        from step i of `steps` to the top, depth first. A method, not a
+        closure that calls itself: that closure would hold the system in a
+        reference cycle, freed only by the cyclic garbage collector."""
+        if i == len(steps):
+            return True
+        g, Ni, down, up = steps[i]
+        amb, stored = self.ambient, self.vector_set(Ni)
+        for c in candidates(g):
+            images = head + (c,)
+            w = down.images(amb, images)
+            if (w in stored and up.images(amb, w) == images
+                    and self._climb(steps, candidates, i + 1, images)):
                 return True
-            g, Ni, down, up = steps[i]
-            stored = self.vector_set(Ni)
-            for c in candidates(g):
-                images = head + (c,)
-                w = down.images(amb, images)
-                if (w in stored and up.images(amb, w) == images
-                        and climb(i + 1, images)):
-                    return True
-            return False
-        return climb(0, tuple(vec))
+        return False
 
     def generating_morphisms(self) -> list[GroupHom]:
         if self._generators is not None:
@@ -485,7 +515,7 @@ def word_search(gens, maps, target=None) -> dict:
             for k, (dom, table) in enumerate(maps):
                 if not dom.issuperset(vec):
                     continue
-                nvec = tuple(table[v] for v in vec)
+                nvec = tuple([table[v] for v in vec])
                 if nvec in parents:
                     continue
                 parents[nvec] = (vec, k)
@@ -499,10 +529,15 @@ def word_search(gens, maps, target=None) -> dict:
 def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     """The smallest fusion system over S containing the seed maps `gens`.
     Hom(Q, S) is the `word_search` closure of Q's generators under the
-    seeds, their inverses and the conjugations by the generators of S.
-    Each morphism keeps a (parent index, seed index) link in discovery
-    order, from which its provenance ("word", seed indices) is read back
-    when it is handed out."""
+    seeds, their inverses and the conjugations by the generators of S, run
+    once per F-class: for the first member R of a class that is asked for.
+    The search records one morphism psi of R onto each image object Q', and
+    Hom(Q', S) = {phi psi^-1 : phi in Hom(R, S)} is then read off Hom(R, S)
+    at psi^-1 of Q''s generators (Aschbacher, Kessar & Oliver 2011, I.2;
+    psi^-1 is a composite of the seeds' inverses, so it lies in the
+    system). A morphism's provenance, ("word", seed indices), is the word
+    of the breadth-first search from its own domain's generators: it is
+    read on demand, by one full search of that domain, kept once run."""
     amb = S.ambient
     morphisms = []
     seeds = []
@@ -529,28 +564,43 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
         table = dict(zip(S.sorted_ids, amb.conj_row(S.sorted_ids, t)))
         seeds.append((S.ids, table))
 
-    def hom(_F, Q):
-        parents = word_search(Q.generator_ids(), seeds)
-        vectors = tuple(parents)
-        index = {v: i for i, v in enumerate(vectors)}
-        up, via = array("i", [0]), array("i", [0])
-        for prev, k in islice(parents.values(), 1, None):
-            up.append(index[prev])
-            via.append(k)
-        return vectors, functools.partial(_word, up, via)
+    def hom(F, Q):
+        gens = Q.generator_ids()
+        transports = F._transports(Q.order)
+        found = transports.get(Q.ids)
+        if found is None:
+            vectors = tuple(word_search(gens, seeds))
+            if Q.order > 1:
+                for ids, psi in zip(F._image_objects(Q.order, vectors),
+                                    vectors):
+                    transports.setdefault(ids, (Q, psi))
+        else:
+            R, psi = found
+            back = dict(zip(F.table(R, psi), R.sorted_ids))
+            vectors = tuple(F.images_at(R, [back[y] for y in gens]))
+        return vectors, _words(gens, seeds, vectors)
 
     return FusionSystem(S, p, hom, "generated",
                         generators=lambda _F: list(morphisms))
 
 
-def _word(up, via, i: int) -> tuple:
-    """("word", seed indices) of the vector found i-th, read back along its
-    (parent index, seed index) links to the start."""
-    word = []
-    while i:
-        word.append(via[i])
-        i = up[i]
-    return ("word", tuple(reversed(word)))
+def _words(gens, seeds, vectors):
+    """The provenance of Hom(Q, S) in a generated system: the i-th of
+    `vectors` gives ("word", seed indices) of its parent chain in one full
+    `word_search` from Q's generators `gens`. The search runs on the first
+    read and is kept; it holds the seeds, Q's generators and the vectors,
+    never the system."""
+    parents: dict = {}
+
+    def word(i: int) -> tuple:
+        if not parents:
+            parents.update(word_search(gens, seeds))
+        vec, out = vectors[i], []
+        while parents[vec] is not None:
+            vec, k = parents[vec]
+            out.append(k)
+        return ("word", tuple(reversed(out)))
+    return word
 
 
 # perfbench/tracing.py times the building of generated systems under

@@ -721,10 +721,12 @@ class GroupHom:
     of domain.sorted_ids, and must cover the whole domain. `provenance`
     records how a fusion system found the map (a conjugating element, a
     seed index or a word in the seeds); it is kept for reports and never
-    compared. Equality is extensional over (domain, codomain, table).
+    compared. It may be deferred: a callable given as `provenance` is
+    called on the first read, and its value kept. Equality is extensional
+    over (domain, codomain, table).
     """
 
-    __slots__ = ("domain", "codomain", "images", "provenance", "_hash")
+    __slots__ = ("domain", "codomain", "images", "_provenance", "_hash")
 
     def __init__(self, domain: Subgroup, codomain: Subgroup, images,
                  provenance=None):
@@ -733,8 +735,14 @@ class GroupHom:
         self.images = tuple(images)
         if len(self.images) != domain.order:
             raise ValueError("image table does not cover the domain")
-        self.provenance = provenance
+        self._provenance = provenance
         self._hash = None
+
+    @property
+    def provenance(self):
+        if callable(self._provenance):
+            self._provenance = self._provenance()
+        return self._provenance
 
     def image_ids(self) -> frozenset[int]:
         return frozenset(self.images)
@@ -751,7 +759,7 @@ class GroupHom:
         pos, images = self.domain.positions, self.images
         return GroupHom(
             sub, self.codomain, [images[pos[i]] for i in sub.sorted_ids],
-            provenance=self.provenance,
+            provenance=self._provenance,
         )
 
     def then(self, other: "GroupHom") -> "GroupHom":

@@ -11,11 +11,12 @@ permutation tuples do not import `perms` at all.
 `groups.GroupHom` is the one class that holds a morphism's image table: no
 other module defines a class with an `images` slot. A fusion system stores
 a morphism by its images of the domain's generators. Every kind of memo
-entry is named below: those that hold morphisms as such vectors, those
-that hold no morphism, and the few stated exceptions that keep whole
-tables. Only `fusion._memoised`, which checks the subgroup's ambient group,
-keys an entry by a subgroup, and only `FusionSystem.cached` touches the
-memo.
+entry is named below: those that hold morphisms as such vectors, the
+transport record of generated systems (vectors of the searched object's
+generators), those that hold no morphism, and the few stated exceptions
+that keep whole tables. Only `fusion._memoised`, which checks the
+subgroup's ambient group, keys an entry by a subgroup, and only
+`FusionSystem.cached` touches the memo.
 
 `groups.CayleyTree` and its compiled walks are read through
 `FusionSystem.images_at` alone: outside `groups`, `named` and `fusion` no
@@ -290,6 +291,10 @@ VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors"}
 PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
                "objects_through", "f_conjugates", "conjugacy_classes",
                "f_class", "cr_classes", "fcr_objects", "extension_chain"}
+# memo kinds keyed by an order that hold morphisms as vectors of another
+# object's generators: `transport` maps each object of a generated system
+# whose class was searched to (the searched object R, psi: R -> it)
+TRANSPORT_KINDS = {"transport"}
 # the stated exceptions, which keep whole tables
 TABLE_KINDS = {
     # the transporter rule's input: c_g on D_g, one dict per distinct pair
@@ -340,7 +345,14 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
                 width(key[1])}
         elif key[0] == "image_sets":
             assert value <= {R.ids for R in F.objects()}
+        elif key[0] in TRANSPORT_KINDS:
+            # {object of this order: (searched R, psi of R onto it)}
+            assert {R.order for R, _psi in value.values()} <= {key[1]}
+            assert value.keys() <= {R.ids for R in F.objects()}
+            for R, psi in value.values():
+                assert len(psi) == width(R.ids)
         else:
             assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
     assert VECTOR_KINDS | {"extension_index", "centralizer_cosets"} <= kinds
     assert {"out_F", "alperin_moves"} <= kinds
+    assert ("transport" in kinds) == (F.backend == "generated")

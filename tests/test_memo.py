@@ -24,6 +24,7 @@ from fusionkit import (
     symmetric_group,
     transporter_fusion,
 )
+from fusionkit.classify import _extensions
 
 
 def _system():
@@ -136,6 +137,30 @@ def test_system_freed_by_reference_counting(kind):
     ref = weakref.ref(F)
     gc.disable()
     try:
+        del F
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_system_freed_after_candidate_tests(kind):
+    """Receptivity's candidate test, `FusionSystem.extends`, leaves no
+    reference cycle through the system: with the cyclic collector off
+    throughout, the system is freed as soon as it is dropped."""
+    gc.disable()
+    try:
+        F = _build(kind)
+        tested = 0
+        for P in F.objects():
+            if P == F.S:
+                continue
+            for Q in F.f_conjugates(P):
+                for vec, N, candidates, _orbit in _extensions(F, Q, P):
+                    F.extends(N, Q, vec, candidates)
+                    tested += 1
+        assert tested > 0
+        ref = weakref.ref(F)
         del F
         assert ref() is None
     finally:

@@ -7,6 +7,12 @@ permutation. The closure of generated systems is compared table by table
 and word by word on the fcr regeneration of each system, on a system
 that is not saturated, and on the generated closure of one product of
 `witness --p 3` (oracle_product).
+
+A generated system searches Hom(Q, S) once per F-class and reads the
+other members by transport; the words of provenance come from a search of
+the morphism's own domain, run only when one is read. The tests below
+count those searches, and check that which member of a class is searched
+changes no answer.
 """
 
 import random
@@ -20,8 +26,13 @@ from test_sweep import GROUPS, relabelled
 from fusionkit import (
     GroupHom,
     alperin_decompose,
+    aut_F,
+    build_rv,
+    fusion,
     generated_fusion,
     hom_from_images,
+    hom_set,
+    hom_table_digest,
     regenerate_from_fcr,
     sylow_p,
     symmetric_group,
@@ -126,7 +137,7 @@ def test_unsaturated_map_exhausts_both_searches(name, p, relabel):
 
 
 @pytest.mark.parametrize("relabel", [False, True])
-@pytest.mark.parametrize("name,p", CASES)
+@pytest.mark.parametrize("name,p", [*CASES[:-1], ("A8", 2)])
 def test_regeneration_closure_matches_full_table_search(name, p, relabel):
     _check_closure(regenerate_from_fcr(_system(name, p, relabel)))
 
@@ -152,3 +163,79 @@ def test_stopping_at_target_keeps_the_search_order(name, p):
             found = list(word_search(gens, maps, vec).items())
             assert found == everything[:len(found)]
             assert found[-1][0] == vec
+
+
+def _count_searches(monkeypatch):
+    """The generator ids of every `fusion.word_search` from now on."""
+    calls = []
+
+    def counted(gens, *args, _real=fusion.word_search):
+        calls.append(tuple(gens))
+        return _real(gens, *args)
+    monkeypatch.setattr(fusion, "word_search", counted)
+    return calls
+
+
+def _roots(F):
+    """(order, ids) of every object whose hom set F searched."""
+    orders = {Q.order for Q in F.objects() if Q.order > 1}
+    return {(order, R.ids) for order in orders
+            for R, _psi in F._transports(order).values()}
+
+
+@pytest.mark.parametrize("name,classes", [("rv1", 5), ("rv2", 5),
+                                          ("rv3", 4)])
+def test_build_rv_searches_once_per_f_class(monkeypatch, name, classes):
+    calls = _count_searches(monkeypatch)
+    F = build_rv(name)
+    assert len(calls) == classes == len(F.conjugacy_classes())
+    assert len(_roots(F)) == classes - 1  # and the trivial subgroup
+    V = next(Q for Q in F.objects() if Q.order == F.p ** 2
+             and (Q.order, Q.ids) not in _roots(F))
+    homs, auts = hom_set(F, V, F.S), aut_F(F, V)
+    assert len(calls) == classes
+    # the first provenance read searches V once; every other is read off
+    # that search, and names seeds that carry V's generators to the map
+    seeds = _seeds(F)
+    gens = V.generator_ids()
+    for m in auts + homs:
+        kind, word = m.provenance
+        vec = tuple(gens)
+        for k in word:
+            dom, table = seeds[k]
+            assert kind == "word" and dom.issuperset(vec)
+            vec = tuple(table[x] for x in vec)
+        assert vec == tuple(m.images[V.positions[g]] for g in gens)
+    assert calls[classes:] == [tuple(gens)]
+
+
+def _check_order_independence(build, words):
+    """Two fresh systems from `build()`, asked for their objects forward
+    and in reverse, search other members and give the same answers."""
+    forward, reverse = build(), build()
+    for F, order in ((forward, 1), (reverse, -1)):
+        for Q in F.objects()[::order]:
+            F.hom_vectors(Q)
+    assert _roots(forward) != _roots(reverse)
+    for Q in forward.objects():
+        R = reverse.subgroup(Q.ids)
+        assert set(forward.hom_vectors(Q)) == set(reverse.hom_vectors(R))
+        assert forward.image_sets(Q) == reverse.image_sets(R)
+        if words:
+            assert ({m.images: m.provenance for m in forward.hom_to_S(Q)}
+                    == {m.images: m.provenance for m in reverse.hom_to_S(R)})
+    assert hom_table_digest(forward) == hom_table_digest(reverse)
+
+
+@pytest.mark.parametrize("name,p", CASES)
+def test_searched_member_changes_no_answer(name, p):
+    F = _system(name, p, False)
+    _check_order_independence(lambda: regenerate_from_fcr(F), True)
+    _check_order_independence(lambda: _unsaturated(F)[0], True)
+
+
+def test_searched_member_changes_no_answer_on_rv1(rv_systems):
+    F = rv_systems["rv1"]
+    gens = F.generating_morphisms()
+    _check_order_independence(lambda: generated_fusion(F.S, F.p, gens),
+                              False)
