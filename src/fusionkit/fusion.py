@@ -16,9 +16,10 @@ generator images under partial maps; `alperin_decompose` runs the same
 search over fcr automorphisms. A generated system searches one member R
 of each F-class, records one psi: R -> Q' onto each other member Q', and
 reads Hom(Q', S) off Hom(R, S) by transport, phi -> phi psi^-1. The
-provenance of its morphisms, the words of the search from their own
-domain, is read on demand: `hom_set` hands out GroupHoms whose provenance
-is deferred, and the search that gives it runs only when one is read.
+provenance of its morphisms is the words of the search from their own
+domain: R's come from the search the rule ran, and `hom_set` hands out
+GroupHoms whose provenance is deferred, so a member read by transport is
+searched only when one of its words is read.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
@@ -56,6 +57,7 @@ import hashlib
 import pickle
 import random
 from array import array
+from itertools import islice
 from operator import itemgetter
 
 from .groups import (
@@ -217,8 +219,8 @@ class FusionSystem:
         picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
         found = sorted(zip(
             self.images_at(Q, vectors=[vectors[i] for i in picked]), picked))
-        # provenance is deferred: a generated system searches for its words
-        # only when one is read
+        # provenance is deferred: a generated system searches a transported
+        # object for its words only when one is read
         return [
             GroupHom(Q, P, t,
                      provenance=None if prov is None
@@ -280,16 +282,10 @@ class FusionSystem:
 
     @_memoised
     def image_sets(self, Q: Subgroup) -> frozenset:
-        """Images of all morphisms out of Q, as the id sets of objects. In
-        a generated system whose rule read Hom(Q, S) by transport from R,
-        an object of Q's F-class, this is R's set."""
+        """Images of all morphisms out of Q, as the id sets of objects."""
         vectors = self.hom_vectors(Q)
         if Q.order == 1:
             return frozenset([Q.ids])
-        if self.backend == "generated":
-            R, _psi = self._transports(Q.order)[Q.ids]
-            if R is not Q:
-                return self.image_sets(R)
         return frozenset(self._image_objects(Q.order, vectors))
 
     def _image_objects(self, order: int, vectors) -> list:
@@ -536,8 +532,9 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     at psi^-1 of Q''s generators (Aschbacher, Kessar & Oliver 2011, I.2;
     psi^-1 is a composite of the seeds' inverses, so it lies in the
     system). A morphism's provenance, ("word", seed indices), is the word
-    of the breadth-first search from its own domain's generators: it is
-    read on demand, by one full search of that domain, kept once run."""
+    of the breadth-first search from its own domain's generators: R's are
+    read off the rule's search, and Q''s on demand, by one full search of
+    Q' on the first read. Either search is kept as three int arrays."""
     amb = S.ambient
     morphisms = []
     seeds = []
@@ -568,39 +565,59 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
         gens = Q.generator_ids()
         transports = F._transports(Q.order)
         found = transports.get(Q.ids)
-        if found is None:
-            vectors = tuple(word_search(gens, seeds))
-            if Q.order > 1:
-                for ids, psi in zip(F._image_objects(Q.order, vectors),
-                                    vectors):
-                    transports.setdefault(ids, (Q, psi))
-        else:
+        if found is not None:
             R, psi = found
             back = dict(zip(F.table(R, psi), R.sorted_ids))
             vectors = tuple(F.images_at(R, [back[y] for y in gens]))
-        return vectors, _words(gens, seeds, vectors)
+            return vectors, _words(gens, seeds, vectors)
+        parents = word_search(gens, seeds)
+        vectors = tuple(parents)
+        if Q.order > 1:
+            for ids, psi in zip(F._image_objects(Q.order, vectors), vectors):
+                transports.setdefault(ids, (Q, psi))
+        return vectors, _words(gens, seeds, vectors, parents)
 
     return FusionSystem(S, p, hom, "generated",
                         generators=lambda _F: list(morphisms))
 
 
-def _words(gens, seeds, vectors):
+def _words(gens, seeds, vectors, parents=None):
     """The provenance of Hom(Q, S) in a generated system: the i-th of
-    `vectors` gives ("word", seed indices) of its parent chain in one full
-    `word_search` from Q's generators `gens`. The search runs on the first
-    read and is kept; it holds the seeds, Q's generators and the vectors,
-    never the system."""
-    parents: dict = {}
+    `vectors` gives ("word", seed indices) of its parent chain in the full
+    `word_search` from Q's generators `gens`. `parents` is that search when
+    the rule ran it; otherwise it runs on the first read. Either way only
+    its links are kept, three int arrays, and the search's inputs are
+    dropped; the provenance never holds the system."""
+    links = None
+    if parents is not None:
+        links = _links(parents, vectors)
+        gens = seeds = vectors = None
 
     def word(i: int) -> tuple:
-        if not parents:
-            parents.update(word_search(gens, seeds))
-        vec, out = vectors[i], []
-        while parents[vec] is not None:
-            vec, k = parents[vec]
-            out.append(k)
+        nonlocal gens, seeds, vectors, links
+        if links is None:
+            links = _links(word_search(gens, seeds), vectors)
+            gens = seeds = vectors = None
+        up, via, at = links
+        j, out = at[i], []
+        while j:
+            out.append(via[j])
+            j = up[j]
         return ("word", tuple(reversed(out)))
     return word
+
+
+def _links(parents: dict, vectors) -> tuple:
+    """(up, via, at) of one `word_search`, numbered in discovery order: the
+    number of each found vector's parent and the index of the seed that
+    maps the parent to it (0 at the start), and the number of each of
+    `vectors`."""
+    index = {v: j for j, v in enumerate(parents)}
+    up, via = array("i", [0]), array("i", [0])
+    for prev, k in islice(parents.values(), 1, None):
+        up.append(index[prev])
+        via.append(k)
+    return up, via, array("i", [index[v] for v in vectors])
 
 
 # perfbench/tracing.py times the building of generated systems under

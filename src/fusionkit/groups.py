@@ -722,8 +722,12 @@ class GroupHom:
     records how a fusion system found the map (a conjugating element, a
     seed index or a word in the seeds); it is kept for reports and never
     compared. It may be deferred: a callable given as `provenance` is
-    called on the first read, and its value kept. Equality is extensional
-    over (domain, codomain, table).
+    called on the first read, and its value kept. Until then the morphism
+    holds the callable and what it refers to, which may outlive the system
+    that made it: a generated system's holds Hom(Q, S) as vectors and the
+    seed maps, or once any of Q's words has been read, their links as
+    three int arrays; and the first read may run that system's search of
+    Q. Equality is extensional over (domain, codomain, table).
     """
 
     __slots__ = ("domain", "codomain", "images", "_provenance", "_hash")

@@ -10,9 +10,10 @@ that is not saturated, and on the generated closure of one product of
 
 A generated system searches Hom(Q, S) once per F-class and reads the
 other members by transport; the words of provenance come from a search of
-the morphism's own domain, run only when one is read. The tests below
-count those searches, and check that which member of a class is searched
-changes no answer.
+the morphism's own domain: the rule's search for the searched member, and
+for another member one search run only when one of its words is read.
+The tests below count those searches, and check that which member of a
+class is searched changes no answer.
 """
 
 import random
@@ -207,6 +208,25 @@ def test_build_rv_searches_once_per_f_class(monkeypatch, name, classes):
             vec = tuple(table[x] for x in vec)
         assert vec == tuple(m.images[V.positions[g]] for g in gens)
     assert calls[classes:] == [tuple(gens)]
+    # a searched object's words come from the rule's own search
+    for _order, ids in _roots(F):
+        for m in F.hom_to_S(F.subgroup(ids)):
+            assert m.provenance[0] == "word"
+    assert calls[classes:] == [tuple(gens)]
+
+
+@pytest.mark.parametrize("name,p", CASES[:-1])
+def test_reading_every_word_searches_each_object_once(monkeypatch, name, p):
+    """Hom sets and every word of the fcr regeneration cost one search
+    per object: one per class in the rule, one per other member for its
+    words, and none twice."""
+    F = regenerate_from_fcr(_system(name, p, False))
+    calls = _count_searches(monkeypatch)
+    for Q in F.objects():
+        for m in F.hom_to_S(Q):
+            m.provenance
+    assert sorted(calls) == sorted(tuple(Q.generator_ids())
+                                  for Q in F.objects())
 
 
 def _check_order_independence(build, words):
