@@ -4,11 +4,15 @@ Implements the full battery over a FusionSystem F: fully automised,
 receptive (with N_phi witnesses), saturated, fully centralised/normalised,
 centric, radical, the fcr/cr object lists and strong closure (normality
 is read from the normalizer subsystem, in `constructions`). P is radical
-when O_p(Out_F(P)) = 1, where Out_F(P) is the `groups.quotient_group` of
-Aut_F(P) by Inn(P); the cr and fcr lists read one memoised list of
-centric-radical classes. Every invariant of a subgroup is memoised through
-`fusion._memoised`, which rejects a subgroup of another ambient group
-or one outside S.
+when O_p(Out_F(P)) = 1 (Aschbacher, Kessar & Oliver 2011, I.3). Inn(P)
+is a normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) = O_p(Aut_F(P))/Inn(P),
+and `is_radical` decides O_p(Aut_F(P)) = Inn(P) on generator-image
+vectors, with no group built (`aut_f_p_core`). `out_F`, Out_F(P) as the
+`groups.quotient_group` of Aut_F(P) by Inn(P), is built only when it is
+asked for; no predicate reads it. The cr and fcr lists read one memoised
+list of centric-radical classes. Every invariant of a subgroup is
+memoised through `fusion._memoised`, which rejects a subgroup of another
+ambient group or one outside S.
 
 Receptivity follows the extension axiom (Aschbacher, Kessar & Oliver,
 Fusion Systems in Algebra and Topology, 2011, I.2; Roberts & Shpectorov,
@@ -30,7 +34,6 @@ from .groups import (
     Subgroup,
     _p_part,
     _same_ambient,
-    p_core,
     quotient_group,
 )
 
@@ -259,10 +262,135 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
 
 
 def is_radical(F: FusionSystem, P: Subgroup) -> bool:
-    out = out_F(F, P)
-    if out.order == 1:
-        return True
-    return p_core(out.full(), F.p).order == 1
+    """O_p(Out_F(P)) = 1, decided as O_p(Aut_F(P)) = Inn(P) on generator-
+    image vectors, with no automizer group built (`aut_f_p_core`)."""
+    core, inner = aut_f_p_core(F, P)
+    return core == inner
+
+
+def aut_f_p_core(F: FusionSystem, P: Subgroup) -> tuple:
+    """(O_p(Aut_F(Q)), Inn(Q)) as sets of vectors of Q.generator_ids(),
+    where Q is a member of P's F-class: P itself when Aut_S(P) is a Sylow
+    p-subgroup of Aut_F(P), else the least member that is fully automised,
+    else P again. An F-isomorphism psi: P -> Q conjugates Aut_F(P) onto
+    Aut_F(Q) and Inn(P) onto Inn(Q), so the order of the core, and whether
+    it is Inn, do not depend on the member. Inn(Q) is the conjugations by
+    the cosets of C_S(Q) in N_S(Q) that meet Q.
+
+    Inn(P) is a normal p-subgroup of Aut_F(P), so it lies in O_p, and O_p
+    is the largest normal subgroup of one Sylow p-subgroup T (Holt, Eick
+    & O'Brien, Handbook of Computational Group Theory, 2005). T is
+    Aut_S(Q), or grown from Aut_S(P) when no member is fully automised,
+    and it is cut down to the elements c whose conjugates g c g^-1 by
+    each generator g of Aut_F(P) stay in it, until no generator moves it.
+    Composites are read off the image tables of the generators and of T's
+    elements alone."""
+    aut = F.aut_f_vectors(P)
+    cosets = F.centralizer_cosets(P)
+    inner = frozenset(vec for _r, coset, vec in cosets
+                      if not P.ids.isdisjoint(coset))
+    sylow = _p_part(len(aut), F.p)
+    if sylow == len(inner):
+        # Inn(P) <= O_p <= T, and the first and last have one order
+        return inner, inner
+    if len(cosets) != sylow:
+        Q = next((Q for Q in F.f_conjugates(P)
+                  if is_fully_automised(F, Q)), None)
+        if Q is not None:
+            return aut_f_p_core(F, Q)
+    gens, parents = _automizer_closure(F, P, aut)
+    vecs = [vec for _r, _c, vec in cosets]
+    T = dict(zip(vecs, F.images_at(P, vectors=vecs)))
+    while len(T) < sylow:
+        T = _grow_sylow(F, P, T, aut, gens, parents)
+    pos = P.positions
+    core = frozenset(T)
+    while len(core) > len(inner):
+        # c stays when g c g^-1 is in the core, that is, when g c = c' g
+        # for some c' in it, for each generator g
+        kept = core
+        for vec, table in gens:
+            right = {tuple([T[c][pos[y]] for y in vec]) for c in core}
+            kept = {c for c in kept
+                    if tuple([table[pos[y]] for y in c]) in right}
+        if kept == core:
+            break
+        core = frozenset(kept)
+    return core, inner
+
+
+def _automizer_closure(F: FusionSystem, P: Subgroup, aut) -> tuple:
+    """A generating set of Aut_F(P), as (vector, image table) pairs, and
+    {vector: (parent vector, generator index) or None} over Aut_F(P):
+    each element but the identity is its parent with that generator
+    composed after it. A vector of `aut` outside the closure of the
+    generators before it becomes the next generator, as in
+    `groups.CayleyTree`; the closure composes on the left with the
+    generators' tables."""
+    pos = P.positions
+    start = tuple(P.generator_ids())
+    parents = {start: None}
+    order = [start]
+    gens = []
+    for cand in aut:
+        if len(order) == len(aut):
+            break
+        if cand in parents:
+            continue
+        gens.append((cand, F.table(P, cand)))
+        # the elements found before are closed under the earlier
+        # generators, so they take the new one alone
+        done, last = len(order), len(gens) - 1
+        n = 0
+        while n < len(order):
+            x = order[n]
+            for j, (_vec, table) in enumerate(gens):
+                if n < done and j < last:
+                    continue
+                y = tuple([table[pos[a]] for a in x])
+                if y not in parents:
+                    parents[y] = (x, j)
+                    order.append(y)
+            n += 1
+    return gens, parents
+
+
+def _grow_sylow(F: FusionSystem, P: Subgroup, T: dict, aut, gens,
+                parents: dict) -> dict:
+    """The p-subgroup T of Aut_F(P), as {vector: image table}, grown by a
+    factor p: T and its cosets T x^k, 0 < k < p, for the first x of `aut`
+    outside T that normalises T and has x^p in T. One exists while T is
+    not a Sylow p-subgroup, since p then divides |N(T) : T|. x is
+    composed after a vector along its path of generators in `parents`."""
+    pos, p = P.positions, F.p
+
+    def after(x, vec):
+        path = []
+        while parents[x] is not None:
+            x, j = parents[x]
+            path.append(j)
+        for j in reversed(path):
+            table = gens[j][1]
+            vec = tuple([table[pos[y]] for y in vec])
+        return vec
+
+    def coset(vec):
+        return {tuple([t[pos[y]] for y in vec]) for t in T.values()}
+
+    for x in aut:
+        if x in T:
+            continue
+        powers = [x]
+        for _ in range(p - 1):
+            powers.append(after(x, powers[-1]))
+        if powers[-1] not in T:
+            continue
+        # x normalises T when x t lies in T x for every t in T
+        right = coset(x)
+        if all(after(x, t) in right for t in T):
+            new = [v for power in powers[:-1] for v in coset(power)]
+            return {**T, **dict(zip(new, F.images_at(P, vectors=new)))}
+    raise RuntimeError("Sylow ascent stalled")  # pragma: no cover
 
 
 def _cr_classes(F: FusionSystem) -> tuple:

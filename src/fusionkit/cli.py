@@ -8,6 +8,7 @@ outside the system, failed construction).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -339,6 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Its actions, formatters and
+    subparsers refer to one another, so a parser built per job would be
+    left to the cyclic garbage collector after each in-process job."""
+    return build_parser()
+
+
 def run_job(args) -> tuple[Report, int]:
     options = {
         k: v for k, v in vars(args).items()
@@ -351,7 +360,7 @@ def run_job(args) -> tuple[Report, int]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         rep, code = run_job(args)
     except (ValueError, LookupError, RuntimeError) as e:

@@ -36,8 +36,9 @@ no table of a morphism of Hom(Q, S), and Aut_S(Q) is kept the same way:
 one generator-image vector per coset of C_S(Q) in N_S(Q), in
 `centralizer_cosets`. It does keep three kinds of whole table: the
 conjugation pairs of the transporter sweep, Out_F(P), which is Aut_F(P)
-on the points of P when P is abelian, and the fcr automorphisms that the
-Alperin search reads at any element.
+on the points of P when P is abelian and is built only when
+`classify.out_F` is asked for (the radical test reads vectors), and the
+fcr automorphisms that the Alperin search reads at any element.
 
 A system never changes once built, so its hom vectors and every invariant
 derived from them (automizers, classes, normalizers, fcr objects, ...) are
@@ -169,15 +170,14 @@ class FusionSystem:
         """The images of `elems` (all of X.sorted_ids when None) under each
         morphism out of X whose generator images are in `vectors` (Hom(X, S)
         when None), in order. This is the one reader of morphisms stored by
-        their vectors: one walk down X's Cayley tree per vector, and no
-        table is kept."""
+        their vectors: one `TreePlan.images` call walks X's Cayley tree
+        once per vector, and no table is kept."""
         _same_ambient(self.S, X)
         tree = cayley_tree(X)
         plan = tree.full if elems is None else tree.plan(elems)
         if vectors is None:
             vectors = self.hom_vectors(X)
-        amb = self.ambient
-        return [plan.images(amb, v) for v in vectors]
+        return plan.images(self.ambient, vectors)
 
     def table(self, Q: Subgroup, vec) -> tuple:
         """The image table over Q.sorted_ids of the morphism out of Q with
@@ -406,8 +406,8 @@ class FusionSystem:
         amb, stored = self.ambient, self.vector_set(Ni)
         for c in candidates(g):
             images = head + (c,)
-            w = down.images(amb, images)
-            if (w in stored and up.images(amb, w) == images
+            w = down.images(amb, [images])[0]
+            if (w in stored and up.images(amb, [w])[0] == images
                     and self._climb(steps, candidates, i + 1, images)):
                 return True
         return False

@@ -17,12 +17,13 @@ Computational Group Theory, 2005). A p-group that contains S replaces its
 table; one that neither contains nor lies in S keeps the tuple path.
 Operands inside S read the table, which has |S|^2 two-byte entries
 (11.8 MB at |S| = 2401); the subgroup lattice of the same S costs more.
-Every other operand takes the permutation-tuple
-path: the representatives of the right cosets of S in G outside S, which
-the transporter sweep lists and conjugates S by, the Sylow ascent in a
-non-p-group, and the automizer permutation groups that are not p-groups.
-The ambient itself is never tabled unless it is a p-group, as it may be
-far larger than S.
+Every other operand takes the permutation-tuple path: the representatives
+of the right cosets of S in G outside S, which the transporter sweep lists
+and conjugates S by, the Sylow ascent in a non-p-group, and the automizer
+group of `classify.out_F` when it is not a p-group (the radical test
+builds no group: it composes automizers as generator-image vectors). The
+ambient itself is never tabled unless it is a p-group, as it may be far
+larger than S.
 
 `CayleyTree` is the one breadth-first walk over a subgroup's Cayley graph.
 On its way it finds the subgroup's greedy generators
@@ -449,10 +450,6 @@ def center(G: Subgroup) -> Subgroup:
     return centralizer(G, G)
 
 
-def intersect(A: Subgroup, B: Subgroup) -> Subgroup:
-    return Subgroup(_same_ambient(A, B), A.ids & B.ids)
-
-
 def _p_part(n: int, p: int) -> int:
     out = 1
     while n % p == 0:
@@ -518,20 +515,6 @@ def _extend_by_normalizing_p_element(
         ids.update(amb.mul_row(H.ids, cur))
         cur = amb.mul_ids(cur, g)
     return Subgroup(amb, ids)
-
-
-def p_core(G: Subgroup, p: int) -> Subgroup:
-    """O_p(G): the intersection of the normal closure orbit of one Sylow."""
-    amb = G.ambient
-    C = sylow_p(G, p)
-    gens = G.generator_ids()
-    while True:
-        cur = C
-        for g in gens:
-            cur = intersect(cur, Subgroup(amb, amb.conj_row(cur.ids, g)))
-        if cur == C:
-            return C
-        C = cur
 
 
 def product_ids(A: Subgroup, B: Subgroup) -> frozenset:
@@ -668,7 +651,9 @@ class TreePlan:
     """A compiled walk down a CayleyTree. Slot 0 holds the identity, and
     step k, (generator index j, parent slot), fills slot k + 1 with the
     parent's value times generator j; `outs` are the slots of the
-    requested elements."""
+    requested elements. `images` walks many homomorphisms in one call:
+    the codomain's table is looked up once, and then each vector is
+    walked on its own, row by row."""
 
     __slots__ = ("steps", "outs")
 
@@ -676,26 +661,34 @@ class TreePlan:
         self.steps = steps
         self.outs = outs
 
-    def images(self, cod: FiniteGroup, vec) -> tuple:
-        """The images of the plan's elements under the homomorphism that
-        maps the tree's generators to the ids `vec` of `cod`, with one
-        multiplication per step; `vec` must extend to a homomorphism,
-        which is not checked here."""
-        hit = cod._locate(cod.identity_id, vec)
-        if hit is not None:
-            t, e, locs = hit
-            cols = t.cols
-            gcols = [cols[b] for b in locs]
-            vals = [e]
-            for j, p in self.steps:
-                vals.append(gcols[j][vals[p]])
-            sids = t.sids
-            return tuple([sids[vals[s]] for s in self.outs])
-        mul = cod.mul_ids
-        vals = [cod.identity_id]
-        for j, p in self.steps:
-            vals.append(mul(vals[p], vec[j]))
-        return tuple([vals[s] for s in self.outs])
+    def images(self, cod: FiniteGroup, vectors) -> list:
+        """For each of `vectors`, the images of the plan's elements under
+        the homomorphism that maps the tree's generators to its ids in
+        `cod`, with one multiplication per step; a vector must extend to a
+        homomorphism, which is not checked here. A vector inside the table
+        of `cod` is walked by lookups in it, any other by `mul_ids`."""
+        t = cod._table
+        pos, cols, sids = ({}, (), ()) if t is None else (t.pos, t.cols,
+                                                            t.sids)
+        e = cod.identity_id
+        steps, outs = self.steps, self.outs
+        out = []
+        for vec in vectors:
+            try:
+                vals = [pos[e]]
+                gcols = [cols[pos[x]] for x in vec]
+            except KeyError:
+                mul = cod.mul_ids
+                vals = [e]
+                for j, p in steps:
+                    vals.append(mul(vals[p], vec[j]))
+                out.append(tuple([vals[s] for s in outs]))
+                continue
+            append = vals.append
+            for j, p in steps:
+                append(gcols[j][vals[p]])
+            out.append(tuple([sids[vals[s]] for s in outs]))
+        return out
 
 
 def cayley_tree(Q: "Subgroup", gens=None) -> CayleyTree:
@@ -837,7 +830,7 @@ def hom_from_images(
         raise ValueError("gen_ids and image_ids differ in length")
     _tabled(domain)
     tree = cayley_tree(domain, gen_ids)
-    images = tree.full.images(cod, image_ids)
+    images = tree.full.images(cod, [image_ids])[0]
     if not tree.respects(cod, images, image_ids):
         return None
     return GroupHom(domain, cod.full(), images)

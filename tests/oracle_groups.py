@@ -6,9 +6,12 @@ tabled p-group S by integer lookups, and normalizers, centralizers
 and quotients on top of them. These functions compute the same
 things from the permutations alone, the way fusionkit did before the
 table, so the two can be compared element for element. `out_f` keeps the
-coset action that built Out_F(P) before it became a `quotient_group`.
+coset action that built Out_F(P) before it became a `quotient_group`, and
+`p_core` the O_p of a permutation group that decided radicality, on
+`out_F`, before the radical test moved onto automizer vectors.
 """
 
+from fusionkit import Subgroup, sylow_p
 from oracle_sweep import _closure, _conj, _generators, _mul
 
 
@@ -65,3 +68,18 @@ def out_f(aut, inn):
     gens = [tuple(coset_of[_mul(r, g)] for r in reps)
             for g in _generators(sorted(aut))]
     return len(reps), tuple(sorted(_closure(gens, len(reps))))
+
+
+def p_core(G, p):
+    """O_p(G) for a Subgroup G: one Sylow p-subgroup cut down by its
+    conjugates under the generators of G until they normalise it."""
+    amb = G.ambient
+    C = sylow_p(G, p)
+    gens = G.generator_ids()
+    while True:
+        cur = C
+        for g in gens:
+            cur = Subgroup(amb, cur.ids & frozenset(amb.conj_row(cur.ids, g)))
+        if cur == C:
+            return C
+        C = cur

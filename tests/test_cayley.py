@@ -12,6 +12,7 @@ import random
 import pytest
 
 from conftest import extraspecial27_c2
+from oracle_groups import p_core
 from oracle_sweep import _generators
 from test_sweep import relabelled
 from fusionkit import (
@@ -21,7 +22,6 @@ from fusionkit import (
     direct_product,
     extraspecial_plus,
     hom_from_images,
-    p_core,
     quotient_group,
     semidirect_product,
     sylow_p,
@@ -88,12 +88,30 @@ def test_walk_matches_greedy_closure_oracle(name):
             assert p <= k
             child, parent = sids[tree.order[k + 1]], sids[tree.order[p]]
             assert child == amb.mul_ids(parent, tree.gens[j])
-        assert tree.full.images(amb, tree.gens) == sids
+        assert tree.full.images(amb, [tree.gens]) == [sids]
         for g, col in zip(tree.gens, tree.cols):
             assert tuple(sids[k] for k in col) == amb.mul_row(sids, g)
         # with its generators given, the walk builds the same maps
         given = cayley_tree(H, list(reversed(tree.gens)))
-        assert given.full.images(amb, given.gens) == sids
+        assert given.full.images(amb, [given.gens]) == [sids]
+
+
+def test_one_walk_call_takes_each_vector_on_its_own_path():
+    # S4's Sylow 2-subgroup holds the table; one call walks a vector
+    # inside it by lookups and one outside it by products
+    G = symmetric_group(4)
+    S = sylow_p(G.full(), 2)
+    transporter_fusion(G, S, 2)
+    x = next(i for i in S.sorted_ids if G.element_order(i) == 4)
+    y = next(i for i in range(G.order)
+             if i not in S.ids and G.element_order(i) == 4)
+    Q = subgroup_generated(G, [x])
+    plan = cayley_tree(Q, [x]).full
+    powers = {G.power_ids(x, m): m for m in range(4)}
+    want = [tuple(G.power_ids(g, powers[z]) for z in Q.sorted_ids)
+            for g in (x, y)]
+    assert plan.images(G, [[x], [y]]) == want
+    assert plan.images(G, [[y], [x]]) == want[::-1]
 
 
 def test_transporter_fusion_rejects_a_non_closed_s():

@@ -1,13 +1,25 @@
-"""Classifier flags checked against an independent brute-force oracle."""
+"""Classifier flags checked against an independent brute-force oracle.
+
+The radical test decides O_p(Aut_F(P)) = Inn(P) on generator-image
+vectors; it is compared with O_p(Out_F(P)) of the permutation group
+`out_F`, by `oracle_groups.p_core`, on every object of the systems below,
+of their `_unsaturated` extensions, and on generated systems where no
+member of a class is fully automised.
+"""
 
 import pytest
 
 from fusionkit import (
+    alternating_group,
     aut_F,
+    center,
     classifier_rows,
     cr_objects,
+    elementary_abelian_group,
     f_conjugates,
     fcr_objects,
+    generated_fusion,
+    hom_from_images,
     is_centric,
     is_fully_automised,
     is_fully_centralised,
@@ -27,6 +39,8 @@ from fusionkit import (
 import oracle_groups
 import oracle_s4
 from oracle_sweep import _conj
+from test_word_search import _unsaturated
+from fusionkit.classify import aut_f_p_core
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +243,92 @@ def test_out_f_of_rv1_matches_coset_action_reference(rv_systems):
     out = out_F(F, F.S)
     assert out.order == 72
     assert (out.degree, out.elements) == _out_f_reference(F, F.S)
+
+
+def _transporter(G, p):
+    return transporter_fusion(G, sylow_p(G.full(), p), p)
+
+
+RADICAL_SYSTEMS = dict(OUT_F_SYSTEMS, **{
+    "A8@2": lambda request: _transporter(alternating_group(8), 2),
+    "rv1": lambda request: request.getfixturevalue("rv_systems")["rv1"],
+    "rv2": lambda request: request.getfixturevalue("rv_systems")["rv2"],
+    "rv3": lambda request: request.getfixturevalue("rv_systems")["rv3"],
+})
+
+
+def _check_radical_against_out_f(F):
+    """The vector core against O_p(Out_F(Q)) of the permutation group, on
+    every object; returns how many objects are not fully automised."""
+    transferred = 0
+    for Q in F.objects():
+        ref = oracle_groups.p_core(out_F(F, Q).full(), F.p)
+        inn = Q.order // center(Q).order
+        core, inner = aut_f_p_core(F, Q)
+        assert inner <= core
+        assert (len(inner), len(core)) == (inn, inn * ref.order), Q.order
+        assert is_radical(F, Q) == (ref.order == 1), Q.order
+        transferred += not is_fully_automised(F, Q)
+    return transferred
+
+
+@pytest.mark.parametrize("name", sorted(RADICAL_SYSTEMS))
+def test_radical_matches_p_core_of_out_f(name, request):
+    F = RADICAL_SYSTEMS[name](request)
+    transferred = _check_radical_against_out_f(F)
+    if name == "A8@2":
+        # these objects read the core of a fully automised F-conjugate
+        assert transferred == 64
+
+
+@pytest.mark.parametrize("name", sorted(RADICAL_SYSTEMS))
+def test_radical_matches_p_core_of_out_f_when_unsaturated(name, request):
+    U, _phi = _unsaturated(RADICAL_SYSTEMS[name](request))
+    _check_radical_against_out_f(U)
+
+
+def _seeded_automizer(rank, seed_images):
+    """The system over E = C2^(rank + 1) generated by automorphisms of
+    V = C2^rank, each given by its images of V's generators: V is
+    F-conjugate to itself alone, and Aut_S(V) = 1 is a Sylow subgroup of
+    no Aut_F(V) of even order, so its core is read from a grown Sylow
+    subgroup."""
+    E = elementary_abelian_group(2, rank + 1)
+    gens = E.generator_ids()[:rank]
+    V = subgroup_generated(E, gens)
+    seeds = [hom_from_images(V, E, gens, [E.index[x] for x in images])
+             for images in seed_images(*[E.elements[g] for g in gens])]
+    F = generated_fusion(E.full(), 2, seeds)
+    return F, F.subgroup(V.ids)
+
+
+def _times(x, y):
+    return tuple(x[i] for i in y)
+
+
+# (rank of V, seed automorphisms as images of V's generators, |Aut_F(V)|,
+# |O_2(Aut_F(V))|)
+GROWN_SYLOW = {
+    "C2 on C2^2": (2, lambda a, b: [(b, a)], 2, 2),
+    "S3 on C2^2": (2, lambda a, b: [(b, a), (b, _times(a, b))], 6, 1),
+    # a 3-cycle of the basis and a transvection generate GL(3, 2)
+    "GL(3,2) on C2^3": (3, lambda a, b, c: [
+        (b, c, a), (_times(a, b), b, c)], 168, 1),
+    # the stabiliser of the point a: S4, whose O_2 is its four unipotent
+    # elements
+    "S4 on C2^3": (3, lambda a, b, c: [
+        (a, c, b), (a, c, _times(b, c)), (a, _times(a, b), c)], 24, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWN_SYLOW))
+def test_radical_grows_a_sylow_when_no_member_is_fully_automised(name):
+    rank, seed_images, order, core_order = GROWN_SYLOW[name]
+    F, V = _seeded_automizer(rank, seed_images)
+    assert len(F.aut_f_vectors(V)) == order
+    assert F.f_conjugates(V) == [V]
+    assert not is_fully_automised(F, V)
+    core, _inner = aut_f_p_core(F, V)
+    assert len(core) == core_order
+    assert is_radical(F, V) == (core_order == 1)
+    _check_radical_against_out_f(F)

@@ -1,5 +1,6 @@
 """End-to-end CLI jobs run in process, plus one subprocess smoke test."""
 
+import gc
 import json
 import os
 import pathlib
@@ -253,6 +254,25 @@ def test_witness_p3(files, capsys):
     assert len(rep["data"]["combos"]) == 4
     for combo in rep["data"]["combos"]:
         assert combo["checks"]["all_pass"] is True
+
+
+def test_second_job_leaves_no_parser_garbage(tmp_path):
+    # the parser is built once per process, so an in-process job leaves no
+    # argparse object for the cyclic garbage collector
+    out = str(tmp_path / "witness.json")
+    assert main(["witness", "--p", "3", "--out", out]) == 0
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["witness", "--p", "3", "--out", out]) == 0
+        gc.collect()
+        left = sorted({type(o).__name__ for o in gc.garbage
+                       if type(o).__module__ == "argparse"})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_rv2_certified(capsys):

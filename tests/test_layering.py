@@ -31,8 +31,10 @@ import pytest
 
 from fusionkit import (
     alperin_decompose,
+    build_rv,
     fcr_objects,
     is_saturated,
+    out_F,
     receptivity_witnesses,
     product_fusion,
     sylow_p,
@@ -299,8 +301,8 @@ TRANSPORT_KINDS = {"transport"}
 TABLE_KINDS = {
     # the transporter rule's input: c_g on D_g, one dict per distinct pair
     "conjugation_pairs",
-    # Out_F(P) as a permutation group; for abelian P it is Aut_F(P) on the
-    # |P| points of P
+    # Out_F(P) as a permutation group, built only when `out_F` is asked
+    # for; for abelian P it is Aut_F(P) on the |P| points of P
     "out_F",
     # every fcr automorphism as a dict: the Alperin search reads it at any
     # element of its object
@@ -309,11 +311,16 @@ TABLE_KINDS = {
 
 
 @pytest.mark.parametrize("name", ["rv1", "S6@2", "3^(1+2):2 x S3"])
-def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
-    F = {"rv1": lambda: rv_systems["rv1"], "S6@2": _s6,
+def test_memo_stores_morphisms_as_generator_images(name):
+    # a system of its own: another test may have asked for its Out_F
+    F = {"rv1": lambda: build_rv("rv1"), "S6@2": _s6,
          "3^(1+2):2 x S3": _product}[name]()
     assert is_saturated(F).verdict
     fcr_objects(F)
+    # radicality is decided on vectors, so no Out_F group is built until
+    # one is asked for
+    assert [key for key in F._memo if key[0] == "out_F"] == []
+    out_F(F, F.S)
     for Q in F.objects():
         F.aut_f_vectors(Q)
         F.image_sets(Q)
@@ -354,5 +361,5 @@ def test_memo_stores_morphisms_as_generator_images(name, rv_systems):
         else:
             assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
     assert VECTOR_KINDS | {"extension_index", "centralizer_cosets"} <= kinds
-    assert {"out_F", "alperin_moves"} <= kinds
+    assert {"out_F", "alperin_moves"} <= kinds & TABLE_KINDS
     assert ("transport" in kinds) == (F.backend == "generated")
