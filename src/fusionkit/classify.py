@@ -269,22 +269,18 @@ def is_radical(F: FusionSystem, P: Subgroup) -> bool:
 
 
 def aut_f_p_core(F: FusionSystem, P: Subgroup) -> tuple:
-    """(O_p(Aut_F(Q)), Inn(Q)) as sets of vectors of Q.generator_ids(),
-    where Q is a member of P's F-class: P itself when Aut_S(P) is a Sylow
-    p-subgroup of Aut_F(P), else the least member that is fully automised,
-    else P again. An F-isomorphism psi: P -> Q conjugates Aut_F(P) onto
-    Aut_F(Q) and Inn(P) onto Inn(Q), so the order of the core, and whether
-    it is Inn, do not depend on the member. Inn(Q) is the conjugations by
-    the cosets of C_S(Q) in N_S(Q) that meet Q.
+    """(O_p(Aut_F(P)), Inn(P)) as sets of vectors of P.generator_ids().
+    Inn(P) is the conjugations by the cosets of C_S(P) in N_S(P) that meet
+    P.
 
     Inn(P) is a normal p-subgroup of Aut_F(P), so it lies in O_p, and O_p
     is the largest normal subgroup of one Sylow p-subgroup T (Holt, Eick
     & O'Brien, Handbook of Computational Group Theory, 2005). T is
-    Aut_S(Q), or grown from Aut_S(P) when no member is fully automised,
+    Aut_S(P) when P is fully automised, else grown from it (`_grow_sylow`),
     and it is cut down to the elements c whose conjugates g c g^-1 by
     each generator g of Aut_F(P) stay in it, until no generator moves it.
-    Composites are read off the image tables of the generators and of T's
-    elements alone."""
+    Composites are read off the image tables of the generators, of T's
+    elements and, while T grows, of the candidates tried."""
     aut = F.aut_f_vectors(P)
     cosets = F.centralizer_cosets(P)
     inner = frozenset(vec for _r, coset, vec in cosets
@@ -293,18 +289,13 @@ def aut_f_p_core(F: FusionSystem, P: Subgroup) -> tuple:
     if sylow == len(inner):
         # Inn(P) <= O_p <= T, and the first and last have one order
         return inner, inner
-    if len(cosets) != sylow:
-        Q = next((Q for Q in F.f_conjugates(P)
-                  if is_fully_automised(F, Q)), None)
-        if Q is not None:
-            return aut_f_p_core(F, Q)
-    gens, parents = _automizer_closure(F, P, aut)
     vecs = [vec for _r, _c, vec in cosets]
     T = dict(zip(vecs, F.images_at(P, vectors=vecs)))
     while len(T) < sylow:
-        T = _grow_sylow(F, P, T, aut, gens, parents)
+        T = _grow_sylow(F, P, T, aut)
     pos = P.positions
     core = frozenset(T)
+    gens = _automizer_generators(F, P, aut)
     while len(core) > len(inner):
         # c stays when g c g^-1 is in the core, that is, when g c = c' g
         # for some c' in it, for each generator g
@@ -319,23 +310,20 @@ def aut_f_p_core(F: FusionSystem, P: Subgroup) -> tuple:
     return core, inner
 
 
-def _automizer_closure(F: FusionSystem, P: Subgroup, aut) -> tuple:
-    """A generating set of Aut_F(P), as (vector, image table) pairs, and
-    {vector: (parent vector, generator index) or None} over Aut_F(P):
-    each element but the identity is its parent with that generator
-    composed after it. A vector of `aut` outside the closure of the
-    generators before it becomes the next generator, as in
-    `groups.CayleyTree`; the closure composes on the left with the
-    generators' tables."""
+def _automizer_generators(F: FusionSystem, P: Subgroup, aut) -> list:
+    """A generating set of Aut_F(P), as (vector, image table) pairs. A
+    vector of `aut` outside the closure of the generators before it
+    becomes the next generator, as in `groups.CayleyTree`; the closure
+    composes on the left with the generators' tables."""
     pos = P.positions
     start = tuple(P.generator_ids())
-    parents = {start: None}
+    seen = {start}
     order = [start]
     gens = []
     for cand in aut:
         if len(order) == len(aut):
             break
-        if cand in parents:
+        if cand in seen:
             continue
         gens.append((cand, F.table(P, cand)))
         # the elements found before are closed under the earlier
@@ -348,31 +336,20 @@ def _automizer_closure(F: FusionSystem, P: Subgroup, aut) -> tuple:
                 if n < done and j < last:
                     continue
                 y = tuple([table[pos[a]] for a in x])
-                if y not in parents:
-                    parents[y] = (x, j)
+                if y not in seen:
+                    seen.add(y)
                     order.append(y)
             n += 1
-    return gens, parents
+    return gens
 
 
-def _grow_sylow(F: FusionSystem, P: Subgroup, T: dict, aut, gens,
-                parents: dict) -> dict:
+def _grow_sylow(F: FusionSystem, P: Subgroup, T: dict, aut) -> dict:
     """The p-subgroup T of Aut_F(P), as {vector: image table}, grown by a
     factor p: T and its cosets T x^k, 0 < k < p, for the first x of `aut`
     outside T that normalises T and has x^p in T. One exists while T is
     not a Sylow p-subgroup, since p then divides |N(T) : T|. x is
-    composed after a vector along its path of generators in `parents`."""
+    composed after a vector through its image table."""
     pos, p = P.positions, F.p
-
-    def after(x, vec):
-        path = []
-        while parents[x] is not None:
-            x, j = parents[x]
-            path.append(j)
-        for j in reversed(path):
-            table = gens[j][1]
-            vec = tuple([table[pos[y]] for y in vec])
-        return vec
 
     def coset(vec):
         return {tuple([t[pos[y]] for y in vec]) for t in T.values()}
@@ -380,14 +357,15 @@ def _grow_sylow(F: FusionSystem, P: Subgroup, T: dict, aut, gens,
     for x in aut:
         if x in T:
             continue
+        table = F.table(P, x)
         powers = [x]
         for _ in range(p - 1):
-            powers.append(after(x, powers[-1]))
+            powers.append(tuple([table[pos[y]] for y in powers[-1]]))
         if powers[-1] not in T:
             continue
         # x normalises T when x t lies in T x for every t in T
         right = coset(x)
-        if all(after(x, t) in right for t in T):
+        if all(tuple([table[pos[y]] for y in t]) in right for t in T):
             new = [v for power in powers[:-1] for v in coset(power)]
             return {**T, **dict(zip(new, F.images_at(P, vectors=new)))}
     raise RuntimeError("Sylow ascent stalled")  # pragma: no cover

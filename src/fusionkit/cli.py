@@ -292,7 +292,11 @@ def _add_common(sp, *, fusion=True):
     sp.add_argument("--out", metavar="FILE", help="report path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Its actions, formatters and
+    subparsers refer to one another, so a parser built per job would be
+    left to the cyclic garbage collector after each in-process job."""
     ap = argparse.ArgumentParser(
         prog="fusionkit",
         description="saturated fusion system toolkit over finite p-groups",
@@ -340,14 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process. Its actions, formatters and
-    subparsers refer to one another, so a parser built per job would be
-    left to the cyclic garbage collector after each in-process job."""
-    return build_parser()
-
-
 def run_job(args) -> tuple[Report, int]:
     options = {
         k: v for k, v in vars(args).items()
@@ -360,7 +356,7 @@ def run_job(args) -> tuple[Report, int]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         rep, code = run_job(args)
     except (ValueError, LookupError, RuntimeError) as e:

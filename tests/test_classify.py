@@ -259,8 +259,9 @@ RADICAL_SYSTEMS = dict(OUT_F_SYSTEMS, **{
 
 def _check_radical_against_out_f(F):
     """The vector core against O_p(Out_F(Q)) of the permutation group, on
-    every object; returns how many objects are not fully automised."""
-    transferred = 0
+    every object; returns how many objects are not fully automised, whose
+    core is cut from a Sylow subgroup grown from Aut_S(Q)."""
+    grown = 0
     for Q in F.objects():
         ref = oracle_groups.p_core(out_F(F, Q).full(), F.p)
         inn = Q.order // center(Q).order
@@ -268,17 +269,16 @@ def _check_radical_against_out_f(F):
         assert inner <= core
         assert (len(inner), len(core)) == (inn, inn * ref.order), Q.order
         assert is_radical(F, Q) == (ref.order == 1), Q.order
-        transferred += not is_fully_automised(F, Q)
-    return transferred
+        grown += not is_fully_automised(F, Q)
+    return grown
 
 
 @pytest.mark.parametrize("name", sorted(RADICAL_SYSTEMS))
 def test_radical_matches_p_core_of_out_f(name, request):
     F = RADICAL_SYSTEMS[name](request)
-    transferred = _check_radical_against_out_f(F)
+    grown = _check_radical_against_out_f(F)
     if name == "A8@2":
-        # these objects read the core of a fully automised F-conjugate
-        assert transferred == 64
+        assert grown == 64
 
 
 @pytest.mark.parametrize("name", sorted(RADICAL_SYSTEMS))
@@ -287,18 +287,18 @@ def test_radical_matches_p_core_of_out_f_when_unsaturated(name, request):
     _check_radical_against_out_f(U)
 
 
-def _seeded_automizer(rank, seed_images):
-    """The system over E = C2^(rank + 1) generated by automorphisms of
-    V = C2^rank, each given by its images of V's generators: V is
+def _seeded_automizer(p, rank, seed_images):
+    """The system over E = Cp^(rank + 1) generated by automorphisms of
+    V = Cp^rank, each given by its images of V's generators: V is
     F-conjugate to itself alone, and Aut_S(V) = 1 is a Sylow subgroup of
-    no Aut_F(V) of even order, so its core is read from a grown Sylow
-    subgroup."""
-    E = elementary_abelian_group(2, rank + 1)
+    no Aut_F(V) of order divisible by p, so its core is read from a grown
+    Sylow subgroup."""
+    E = elementary_abelian_group(p, rank + 1)
     gens = E.generator_ids()[:rank]
     V = subgroup_generated(E, gens)
     seeds = [hom_from_images(V, E, gens, [E.index[x] for x in images])
              for images in seed_images(*[E.elements[g] for g in gens])]
-    F = generated_fusion(E.full(), 2, seeds)
+    F = generated_fusion(E.full(), p, seeds)
     return F, F.subgroup(V.ids)
 
 
@@ -306,25 +306,30 @@ def _times(x, y):
     return tuple(x[i] for i in y)
 
 
-# (rank of V, seed automorphisms as images of V's generators, |Aut_F(V)|,
-# |O_2(Aut_F(V))|)
+# (p, rank of V, seed automorphisms as images of V's generators,
+# |Aut_F(V)|, |O_p(Aut_F(V))|)
 GROWN_SYLOW = {
-    "C2 on C2^2": (2, lambda a, b: [(b, a)], 2, 2),
-    "S3 on C2^2": (2, lambda a, b: [(b, a), (b, _times(a, b))], 6, 1),
+    "C2 on C2^2": (2, 2, lambda a, b: [(b, a)], 2, 2),
+    "S3 on C2^2": (2, 2, lambda a, b: [(b, a), (b, _times(a, b))], 6, 1),
     # a 3-cycle of the basis and a transvection generate GL(3, 2)
-    "GL(3,2) on C2^3": (3, lambda a, b, c: [
+    "GL(3,2) on C2^3": (2, 3, lambda a, b, c: [
         (b, c, a), (_times(a, b), b, c)], 168, 1),
     # the stabiliser of the point a: S4, whose O_2 is its four unipotent
     # elements
-    "S4 on C2^3": (3, lambda a, b, c: [
+    "S4 on C2^3": (2, 3, lambda a, b, c: [
         (a, c, b), (a, c, _times(b, c)), (a, _times(a, b), c)], 24, 4),
+    # one transvection, of order 3
+    "C3 on C3^2": (3, 2, lambda a, b: [(a, _times(a, b))], 3, 3),
+    # the two elementary transvections generate SL(2, 3)
+    "SL(2,3) on C3^2": (3, 2, lambda a, b: [
+        (a, _times(a, b)), (_times(a, b), b)], 24, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GROWN_SYLOW))
 def test_radical_grows_a_sylow_when_no_member_is_fully_automised(name):
-    rank, seed_images, order, core_order = GROWN_SYLOW[name]
-    F, V = _seeded_automizer(rank, seed_images)
+    p, rank, seed_images, order, core_order = GROWN_SYLOW[name]
+    F, V = _seeded_automizer(p, rank, seed_images)
     assert len(F.aut_f_vectors(V)) == order
     assert F.f_conjugates(V) == [V]
     assert not is_fully_automised(F, V)
