@@ -51,7 +51,6 @@ from .fusion import (
 from .classify import (
     NphiWitness,
     SaturationReport,
-    aut_f_group,
     classifier_rows,
     cr_objects,
     fcr_objects,

@@ -7,9 +7,9 @@ is read from the normalizer subsystem, in `constructions`). P is radical
 when O_p(Out_F(P)) = 1 (Aschbacher, Kessar & Oliver 2011, I.3). Inn(P)
 is a normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) = O_p(Aut_F(P))/Inn(P),
 and `is_radical` decides O_p(Aut_F(P)) = Inn(P) on generator-image
-vectors, with no group built (`aut_f_p_core`). `out_F`, Out_F(P) as the
-`groups.quotient_group` of Aut_F(P) by Inn(P), is built only when it is
-asked for; no predicate reads it. The cr and fcr lists read one memoised
+vectors, with no group built (`aut_f_p_core`). `out_F` acts with the same
+vectors on the cosets of Inn(P), only when asked for; no predicate reads
+it. Both read Inn(P) from `_inner`. The cr and fcr lists read one memoised
 list of centric-radical classes. Every invariant of a subgroup is
 memoised through `fusion._memoised`, which rejects a subgroup of another
 ambient group or one outside S.
@@ -34,7 +34,6 @@ from .groups import (
     Subgroup,
     _p_part,
     _same_ambient,
-    quotient_group,
 )
 
 
@@ -231,34 +230,43 @@ def is_centric(F: FusionSystem, P: Subgroup) -> bool:
     )
 
 
-def aut_f_group(F: FusionSystem, P: Subgroup) -> FiniteGroup:
-    """Aut_F(P) as a permutation group on the positions of P.sorted_ids."""
-    pos = P.positions
-    return FiniteGroup(
-        P.order, [], name=f"Aut_F on {P.order} points",
-        elements={tuple(pos[v] for v in t) for t in F.aut_f_tables(P)},
-    )
+def _inner(F: FusionSystem, P: Subgroup) -> frozenset:
+    """Inn(P): the vectors of the cosets of C_S(P) in N_S(P) that meet P."""
+    return frozenset(vec for _r, coset, vec in F.centralizer_cosets(P)
+                     if not P.ids.isdisjoint(coset))
 
 
 @_memoised
 def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
-    """Out_F(P) = Aut_F(P)/Inn(P), as a permutation group on Inn-cosets."""
-    grp = aut_f_group(F, P)
+    """Out_F(P) = Aut_F(P)/Inn(P) acting on the right cosets of Inn(P),
+    numbered by their least image tables; tables are ordered by their
+    images up to P's last generator, which fix them. The row of a coset's
+    least member r sends each such x to x r (x first), whose vector is
+    r's table read at x's, so only their tables are built. It is Aut_F(P)
+    on the points of P when 1 = Inn(P) < Aut_F(P). Raises ValueError when
+    Inn(P) is not inside Aut_F(P) or its cosets do not split Aut_F(P)."""
+    aut, inner = F.aut_f_vectors(P), _inner(F, P)
+    if not inner <= F.vector_set(P):
+        raise ValueError("Inn(P) is not inside Aut_F(P)")
     pos = P.positions
-    # Inn(P): c_x for x in P, the automorphisms of the cosets of C_S(P) in
-    # N_S(P) that meet P
-    inn = Subgroup(grp, (
-        grp.index[tuple(pos[v] for v in F.table(P, vec))]
-        for _r, coset, vec in F.centralizer_cosets(P)
-        if not P.ids.isdisjoint(coset)
-    ))
-    if inn.order == grp.order:
-        return FiniteGroup(1, [], name="trivial")
-    if inn.order == 1:
-        return grp
-    out, _theta = quotient_group(grp.full(), inn)
-    out.name = f"Out_F of order {out.order}"
-    return out
+    if len(inner) == 1 < len(aut):
+        return FiniteGroup(P.order, [], name=f"Aut_F on {P.order} points",
+                           elements={tuple([pos[v] for v in t])
+                                     for t in F.images_at(P, vectors=aut)})
+    prefix = P.sorted_ids[:1 + max(map(pos.get, P.generator_ids()), default=-1)]
+    coset_of, tables = {}, {}
+    for _key, r in sorted(zip(F.images_at(P, prefix, aut), aut)):
+        if r not in coset_of:
+            t = tables[r] = F.table(P, r)
+            coset_of.update((tuple([t[pos[y]] for y in n]), len(tables) - 1)
+                            for n in inner)
+    # each coset holds its least member, so together they cover Aut_F(P)
+    if not len(coset_of) == len(aut) == len(tables) * len(inner):
+        raise ValueError("the cosets of Inn(P) do not split Aut_F(P)")
+    rows = [tuple([coset_of[tuple([t[pos[y]] for y in x])] for x in tables])
+            for t in tables.values()]
+    return FiniteGroup(len(rows), [], name=f"Out_F of order {len(rows)}",
+                       elements=rows)
 
 
 def is_radical(F: FusionSystem, P: Subgroup) -> bool:
@@ -270,8 +278,6 @@ def is_radical(F: FusionSystem, P: Subgroup) -> bool:
 
 def aut_f_p_core(F: FusionSystem, P: Subgroup) -> tuple:
     """(O_p(Aut_F(P)), Inn(P)) as sets of vectors of P.generator_ids().
-    Inn(P) is the conjugations by the cosets of C_S(P) in N_S(P) that meet
-    P.
 
     Inn(P) is a normal p-subgroup of Aut_F(P), so it lies in O_p, and O_p
     is the largest normal subgroup of one Sylow p-subgroup T (Holt, Eick
@@ -281,15 +287,12 @@ def aut_f_p_core(F: FusionSystem, P: Subgroup) -> tuple:
     each generator g of Aut_F(P) stay in it, until no generator moves it.
     Composites are read off the image tables of the generators, of T's
     elements and, while T grows, of the candidates tried."""
-    aut = F.aut_f_vectors(P)
-    cosets = F.centralizer_cosets(P)
-    inner = frozenset(vec for _r, coset, vec in cosets
-                      if not P.ids.isdisjoint(coset))
+    aut, inner = F.aut_f_vectors(P), _inner(F, P)
     sylow = _p_part(len(aut), F.p)
     if sylow == len(inner):
         # Inn(P) <= O_p <= T, and the first and last have one order
         return inner, inner
-    vecs = [vec for _r, _c, vec in cosets]
+    vecs = [vec for _r, _c, vec in F.centralizer_cosets(P)]
     T = dict(zip(vecs, F.images_at(P, vectors=vecs)))
     while len(T) < sylow:
         T = _grow_sylow(F, P, T, aut)

@@ -35,10 +35,9 @@ generators adds, along the compiled walks of `extension_chain`. Outside
 no table of a morphism of Hom(Q, S), and Aut_S(Q) is kept the same way:
 one generator-image vector per coset of C_S(Q) in N_S(Q), in
 `centralizer_cosets`. It does keep three kinds of whole table: the
-conjugation pairs of the transporter sweep, Out_F(P), which is Aut_F(P)
-on the points of P when P is abelian and is built only when
-`classify.out_F` is asked for (the radical test reads vectors), and the
-fcr automorphisms that the Alperin search reads at any element.
+conjugation pairs of the transporter sweep, `classify.out_F` of an
+abelian P, which is Aut_F(P) on the points of P, and the fcr
+automorphisms that the Alperin search reads at any element.
 
 A system never changes once built, so its hom vectors and every invariant
 derived from them (automizers, classes, normalizers, fcr objects, ...) are

@@ -19,9 +19,8 @@ Operands inside S read the table, which has |S|^2 two-byte entries
 (11.8 MB at |S| = 2401); the subgroup lattice of the same S costs more.
 Every other operand takes the permutation-tuple path: the representatives
 of the right cosets of S in G outside S, which the transporter sweep lists
-and conjugates S by, the Sylow ascent in a non-p-group, and the automizer
-group of `classify.out_F` when it is not a p-group (the radical test
-builds no group: it composes automizers as generator-image vectors). The
+and conjugates S by, and the Sylow ascent in a non-p-group. `classify`
+composes automizers as generator-image vectors, not as permutations. The
 ambient itself is never tabled unless it is a p-group, as it may be far
 larger than S.
 
@@ -36,11 +35,10 @@ run on it, and a fusion system, which stores each morphism by its
 generator images, reads them through its one method
 `FusionSystem.images_at`.
 
-`right_cosets` is the one routine that splits a group into cosets; it
-lists each coset N*r as a tuple aligned with N's sorted ids. The
-transporter sweep of F_S(G), the quotient S/T of a fusion system,
-Out_F(P) = Aut_F(P)/Inn(P) and the centralizer cosets of a fusion system
-all read it, the middle two through `quotient_group`.
+`right_cosets` is the one routine that splits a group of element ids into
+cosets; it lists each coset N*r as a tuple aligned with N's sorted ids.
+The transporter sweep of F_S(G), the quotient S/T of a fusion system
+(through `quotient_group`) and its centralizer cosets read it.
 """
 
 from __future__ import annotations

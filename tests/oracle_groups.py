@@ -5,10 +5,12 @@ FiniteGroup answers products, conjugates, powers and inverses inside a
 tabled p-group S by integer lookups, and normalizers, centralizers
 and quotients on top of them. These functions compute the same
 things from the permutations alone, the way fusionkit did before the
-table, so the two can be compared element for element. `out_f` keeps the
-coset action that built Out_F(P) before it became a `quotient_group`, and
-`p_core` the O_p of a permutation group that decided radicality, on
-`out_F`, before the radical test moved onto automizer vectors.
+table, so the two can be compared element for element. `out_f` is the
+reference for `classify.out_F`, which builds Out_F(P) from automizer
+vectors: it closes the coset action of Aut_F(P), given as permutations of
+P's points, by tuple products. `p_core` is the O_p of a permutation group
+that decided radicality, on `out_F`, before the radical test moved onto
+automizer vectors.
 """
 
 from fusionkit import Subgroup, sylow_p

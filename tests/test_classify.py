@@ -10,8 +10,10 @@ member of a class is fully automised.
 import pytest
 
 from fusionkit import (
+    FusionSystem,
     alternating_group,
     aut_F,
+    automorphisms,
     center,
     classifier_rows,
     cr_objects,
@@ -20,6 +22,7 @@ from fusionkit import (
     fcr_objects,
     generated_fusion,
     hom_from_images,
+    inner_automorphisms,
     is_centric,
     is_fully_automised,
     is_fully_centralised,
@@ -40,6 +43,7 @@ import oracle_groups
 import oracle_s4
 from oracle_sweep import _conj
 from test_word_search import _unsaturated
+from fusionkit import perms
 from fusionkit.classify import aut_f_p_core
 
 
@@ -209,17 +213,17 @@ def _out_f_reference(F, Q):
     return oracle_groups.out_f(aut, inn)
 
 
-def _s6(p):
-    G = symmetric_group(6)
+def _transporter(G, p):
     return transporter_fusion(G, sylow_p(G.full(), p), p)
 
 
 OUT_F_SYSTEMS = {
     "S4@2": lambda request: request.getfixturevalue("f_s4"),
-    "S6@2": lambda request: _s6(2),
-    "S6@3": lambda request: _s6(3),
+    "S6@2": lambda request: _transporter(symmetric_group(6), 2),
+    "S6@3": lambda request: _transporter(symmetric_group(6), 3),
     "SL(3,3)@3": lambda request: request.getfixturevalue("f_sl33"),
     "3^(1+2):2@3": lambda request: request.getfixturevalue("f_es54"),
+    "A8@2": lambda request: _transporter(alternating_group(8), 2),
 }
 
 
@@ -238,19 +242,60 @@ def test_out_f_matches_coset_action_reference(name, request):
     assert trivial > 0 or F.p != 2
 
 
-def test_out_f_of_rv1_matches_coset_action_reference(rv_systems):
-    F = rv_systems["rv1"]
+@pytest.mark.parametrize("name, order", [("rv1", 72), ("rv2", 48),
+                                         ("rv3", 96)])
+def test_out_f_of_rv_matches_coset_action_reference(rv_systems, name, order):
+    F = rv_systems[name]
     out = out_F(F, F.S)
-    assert out.order == 72
+    assert out.order == order
     assert (out.degree, out.elements) == _out_f_reference(F, F.S)
 
 
-def _transporter(G, p):
-    return transporter_fusion(G, sylow_p(G.full(), p), p)
+def test_out_f_of_rv1_makes_no_permutation_product(rv_systems, monkeypatch):
+    """Out_F(S) is read off automizer vectors: the unmemoised build calls
+    the tuple kernel `perms.mul` not once."""
+    F = rv_systems["rv1"]
+    calls = []
+    mul = perms.mul
+    monkeypatch.setattr(perms, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    assert out_F.__wrapped__(F, F.S).order == 72
+    assert calls == []
+
+
+def _d8_system(vectors):
+    """A system over D, the Sylow 2-subgroup of S4, whose Aut_F(D) is
+    `vectors(D)`, as images of D's generators, and whose other objects map
+    by the identity alone."""
+    G = symmetric_group(4)
+    D = sylow_p(G.full(), 2)
+
+    def rule(F, Q):
+        return (vectors(Q) if Q == D else (tuple(Q.generator_ids()),)), None
+    return FusionSystem(D, 2, rule, "derived")
+
+
+def _inn_and_one_outer(D):
+    inner = inner_automorphisms(D)
+    homs = inner + [next(a for a in automorphisms(D) if a not in inner)]
+    pos = D.positions
+    return tuple(tuple(phi.images[pos[g]] for g in D.generator_ids())
+                 for phi in homs)
+
+
+@pytest.mark.parametrize("vectors, message", [
+    # the identity alone: Inn(D) has order 4
+    (lambda D: (tuple(D.generator_ids()),),
+     r"Inn\(P\) is not inside Aut_F\(P\)"),
+    # the four inner automorphisms and one outer one, not a group
+    (_inn_and_one_outer, r"cosets of Inn\(P\) do not split"),
+], ids=["identity alone", "Inn and one outer"])
+def test_out_f_rejects_an_automizer_that_inn_does_not_split(vectors, message):
+    F = _d8_system(vectors)
+    with pytest.raises(ValueError, match=message):
+        out_F(F, F.S)
 
 
 RADICAL_SYSTEMS = dict(OUT_F_SYSTEMS, **{
-    "A8@2": lambda request: _transporter(alternating_group(8), 2),
     "rv1": lambda request: request.getfixturevalue("rv_systems")["rv1"],
     "rv2": lambda request: request.getfixturevalue("rv_systems")["rv2"],
     "rv3": lambda request: request.getfixturevalue("rv_systems")["rv3"],

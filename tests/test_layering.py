@@ -20,8 +20,9 @@ subgroup's ambient group, keys an entry by a subgroup, and only
 
 `groups.CayleyTree` and its compiled walks are read through
 `FusionSystem.images_at` alone: outside `groups`, `named` and `fusion` no
-module names the tree. No module of the package imports a name it never
-uses, and every CLI command has a job in `test_cli`.
+module names the tree, and `classify` builds no `quotient_group`. No
+module of the package imports a name it never uses, and every CLI
+command has a job in `test_cli`.
 """
 
 import ast
@@ -239,6 +240,14 @@ def test_morphisms_are_read_through_images_at(name):
     stored morphism, name the tree or its plans."""
     assert [f"{line}:{n}" for line, n in _names(_tree(name))
             if n in TREE_NAMES] == []
+
+
+def test_classify_builds_no_quotient_group():
+    """`classify` composes automizers as generator-image vectors alone:
+    Out_F(P) acts on the cosets of Inn(P) with no `groups.quotient_group`
+    of a permutation group."""
+    assert [line for line, n in _names(_tree("classify.py"))
+            if n == "quotient_group"] == []
 
 
 def _unused_imports(tree):
