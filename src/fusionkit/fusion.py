@@ -344,8 +344,16 @@ class FusionSystem:
             x = amb.id_of(x)
         if x not in self.S.ids:
             raise ValueError("element is not in S")
-        return list(self.cached(("f_class", x), lambda: tuple(sorted({
-            y for y, in self.images_at(subgroup_generated(amb, [x]), [x])}))))
+        C = subgroup_generated(amb, [x])
+        return list(self._f_classes(C)[C.positions[x]])
+
+    @_memoised
+    def _f_classes(self, C: Subgroup) -> tuple:
+        """The F-classes of the elements of the cyclic subgroup C, aligned
+        with C.sorted_ids: one walk of Hom(C, S) over all of C serves each
+        element of C."""
+        return tuple(tuple(sorted(set(col)))
+                     for col in zip(*self.images_at(C)))
 
     # -- extension lookups (receptivity) ----------------------------------
 

@@ -1,7 +1,9 @@
 """Finite permutation groups, subgroups and the group-theoretic toolbox.
 
 A FiniteGroup stores the fully enumerated, sorted element list of a
-permutation group; everything downstream (subgroups, homomorphisms, fusion
+permutation group, closed breadth-first with one `perms.left_mul` getter
+per element applied to every generator, under the order cap checked per
+new element; everything downstream (subgroups, homomorphisms, fusion
 data) refers to elements by their index into that list. Subgroups are
 id-sets over a fixed ambient FiniteGroup and are cheap to hash and compare;
 there is one live Subgroup instance per id set of an ambient group.
@@ -19,10 +21,11 @@ Operands inside S read the table, which has |S|^2 two-byte entries
 (11.8 MB at |S| = 2401); the subgroup lattice of the same S costs more.
 Every other operand takes the permutation-tuple path: the representatives
 of the right cosets of S in G outside S, which the transporter sweep lists
-and conjugates S by, and the Sylow ascent in a non-p-group. `classify`
-composes automizers as generator-image vectors, not as permutations. The
-ambient itself is never tabled unless it is a p-group, as it may be far
-larger than S.
+and conjugates S by, and the elements of a non-p-group that the Sylow
+ascent scans: at each step it stops at the first element that grows H
+and builds no N_G(H). `classify` composes automizers as generator-image
+vectors, not as permutations. The ambient itself is never tabled unless
+it is a p-group, as it may be far larger than S.
 
 `CayleyTree` is the one breadth-first walk over a subgroup's Cayley graph.
 On its way it finds the subgroup's greedy generators
@@ -106,15 +109,16 @@ class FiniteGroup:
         while frontier:
             new = []
             for x in frontier:
-                for g in gens:
-                    y = perms.mul(x, g)
+                # one getter per element, applied to every generator; the
+                # cap is checked per new element, so at most cap + 1 are held
+                for y in map(perms.left_mul(x), gens):
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
-            if len(seen) > cap:
-                raise GroupTooLarge(
-                    f"group exceeds FUSIONKIT_MAX_GROUP_ORDER={cap}"
-                )
+                        if len(seen) > cap:
+                            raise GroupTooLarge(
+                                "group exceeds "
+                                f"FUSIONKIT_MAX_GROUP_ORDER={cap}")
             frontier = new
         return seen
 
@@ -457,14 +461,25 @@ def _p_part(n: int, p: int) -> int:
 
 
 def sylow_p(G: Subgroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup of G, grown by normalizer ascent.
+    """A Sylow p-subgroup of G, grown by normalizer ascent (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005).
 
-    Deterministic: always picks the first usable element in sorted id order.
+    A p-group is its own Sylow subgroup. Otherwise H starts as the cyclic
+    p-subgroup of the first element of order divisible by p. While H is
+    not Sylow, N_G(H)/H has order divisible by p, and H grows by the
+    p-element of the first coset Hg in N_G(H) whose order is divisible by
+    p. N_G(H) is never built: G.sorted_ids is scanned in blocks of growing
+    length, each filtered by conjugating one generator of H at a time,
+    and the scan stops at the first usable g. Deterministic: g is always
+    the first usable element in sorted id order, the one a scan of the
+    whole N_G(H) would pick.
     """
     amb = G.ambient
     target = _p_part(G.order, p)
     if target == 1:
         return Subgroup(amb, (amb.identity_id,))
+    if target == G.order:
+        return G
     H = None
     for i in G.sorted_ids:
         o = amb.element_order(i)
@@ -474,24 +489,34 @@ def sylow_p(G: Subgroup, p: int) -> Subgroup:
             break
     assert H is not None
     while H.order < target:
-        N = normalizer(G, H)
-        # N/H has order divisible by p, so some coset has order a multiple
-        # of p; raise H by the p-element of that quotient.
-        grown = False
-        for i in N.sorted_ids:
-            if i in H.ids:
-                continue
-            d = _coset_order(amb, H, i)
-            if d % p == 0:
-                j = i
-                if d != p:
-                    j = amb.power_ids(i, d // p)
-                H = _extend_by_normalizing_p_element(amb, H, j, p)
-                grown = True
-                break
-        if not grown:  # pragma: no cover - ascent cannot stall below Sylow
-            raise RuntimeError("sylow ascent stalled")
+        H = _extend_by_normalizing_p_element(
+            amb, H, _next_sylow_step(G, H, p), p)
     return H
+
+
+# the first block of the Sylow scan; each next block is twice as long
+_SYLOW_BLOCK = 16
+
+
+def _next_sylow_step(G: Subgroup, H: Subgroup, p: int) -> int:
+    """A p-element j of N_G(H) outside H with j^p in H, from the first g
+    in G.sorted_ids outside H that normalises H and whose coset Hg has
+    order d divisible by p: j = g^(d/p)."""
+    amb, sids, hids = G.ambient, G.sorted_ids, H.ids
+    gens = H.generator_ids()
+    start, size = 0, _SYLOW_BLOCK
+    while start < len(sids):
+        cand = [g for g in sids[start:start + size] if g not in hids]
+        for x in gens:
+            cand = [g for g, y in zip(cand, amb.conj_col(x, cand))
+                    if y in hids]
+        for g in cand:
+            d = _coset_order(amb, H, g)
+            if d % p == 0:
+                return g if d == p else amb.power_ids(g, d // p)
+        start, size = start + size, 2 * size
+    # N_G(H)/H has order divisible by p while H is below Sylow
+    raise RuntimeError("sylow ascent stalled")  # pragma: no cover
 
 
 def _coset_order(amb: FiniteGroup, H: Subgroup, i: int) -> int:

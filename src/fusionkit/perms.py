@@ -8,6 +8,7 @@ so i^(a*b) = b[a[i]]. Conjugation follows the same convention, x^g = g^-1 x g.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 
 def identity(degree: int) -> tuple[int, ...]:
@@ -15,8 +16,16 @@ def identity(degree: int) -> tuple[int, ...]:
 
 
 def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product a*b, applying a first."""
-    return tuple(b[x] for x in a)
+    """Product a*b, applying a first: the entries of b at the points of a."""
+    return left_mul(a)(b)
+
+
+def left_mul(a: tuple[int, ...]):
+    """The map b -> a*b, one getter built once and applied to many b."""
+    if len(a) < 2:
+        # a getter of one point returns an entry, not a tuple
+        return lambda b: tuple(b[x] for x in a)
+    return itemgetter(*a)
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -10,10 +10,12 @@ reference for `classify.out_F`, which builds Out_F(P) from automizer
 vectors: it closes the coset action of Aut_F(P), given as permutations of
 P's points, by tuple products. `p_core` is the O_p of a permutation group
 that decided radicality, on `out_F`, before the radical test moved onto
-automizer vectors.
+automizer vectors. `sylow_ascent` is the Sylow p-subgroup that `sylow_p`
+grew before it stopped building N_G(H) at each step of the ascent.
 """
 
-from fusionkit import Subgroup, sylow_p
+import fusionkit
+from fusionkit import Subgroup, subgroup_generated, sylow_p
 from oracle_sweep import _closure, _conj, _generators, _mul
 
 
@@ -85,3 +87,37 @@ def p_core(G, p):
         if cur == C:
             return C
         C = cur
+
+
+def sylow_ascent(G, p):
+    """A Sylow p-subgroup of the Subgroup G by normalizer ascent: H starts
+    as the cyclic p-subgroup of the first element of order divisible by p,
+    and while H is below Sylow it grows by the p-part of the first element
+    g of N_G(H), in sorted id order, outside H whose coset Hg has order
+    divisible by p. N_G(H) is built in full at every step."""
+    amb = G.ambient
+    n, target = G.order, 1
+    while n % p == 0:
+        n, target = n // p, target * p
+    if target == 1:
+        return Subgroup(amb, (amb.identity_id,))
+    i = next(i for i in G.sorted_ids if amb.element_order(i) % p == 0)
+    o = amb.element_order(i)
+    part = o
+    while part % p == 0:
+        part //= p
+    H = subgroup_generated(amb, [amb.power_ids(i, part)])
+    while H.order < target:
+        for g in fusionkit.normalizer(G, H).sorted_ids:
+            if g in H.ids:
+                continue
+            d, j = 1, g
+            while j not in H.ids:
+                j, d = amb.mul_ids(j, g), d + 1
+            if d % p == 0:
+                H = subgroup_generated(
+                    amb, H.generator_ids() + [amb.power_ids(g, d // p)])
+                break
+        else:
+            raise AssertionError("ascent stalled")
+    return H

@@ -10,6 +10,7 @@ from fusionkit import (
     GroupHom,
     Subgroup,
     alperin_decompose,
+    alternating_group,
     audit_axioms,
     aut_F,
     aut_S,
@@ -109,7 +110,6 @@ def test_generated_inversion_matches_s3_transporter():
 
 
 def test_generated_order3_matches_a4_transporter():
-    from fusionkit import alternating_group
     A4 = alternating_group(4)
     S = sylow_p(A4.full(), 2)
     a, b = S.generator_ids()
@@ -150,6 +150,21 @@ def test_f_class_of_identity():
     foreign = re.escape(f"not an element of {G!r}")
     with pytest.raises(ValueError, match=foreign):
         f_class_of_element(F, (0, 1))
+
+
+@pytest.mark.parametrize("name", ["rv1", "A8@2"])
+def test_f_class_of_element_matches_per_element_reading(request, name):
+    """The classes read off Hom(<x>, S) over all of <x>, once per cyclic
+    subgroup, are the images of x alone under Hom(<x>, S)."""
+    if name == "rv1":
+        F = request.getfixturevalue("rv_systems")["rv1"]
+    else:
+        G = alternating_group(8)
+        F = transporter_fusion(G, sylow_p(G.full(), 2), 2)
+    for x in F.S.sorted_ids:
+        C = subgroup_generated(F.ambient, [x])
+        want = sorted({y for y, in F.images_at(C, [x])})
+        assert f_class_of_element(F, x) == want
 
 
 def test_inner_f_conjugates_are_s_conjugates():

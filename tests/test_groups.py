@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_groups
-from conftest import extraspecial27_c2
+from conftest import extraspecial27_c2, sl33_group
 from oracle_sweep import _conj, _mul
 from test_sweep import relabelled
 from fusionkit import (
@@ -433,6 +433,70 @@ def test_group_cap(monkeypatch):
         assert repr(bad) in str(err.value)
     monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", "")
     assert symmetric_group(4).order == 24
+    # the cap is checked per new element, not once per breadth-first
+    # level: SL(3,3) on its six generators would otherwise hold 1,816 and
+    # 5,517 elements when it raises
+    for cap in (1000, 5000):
+        monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", str(cap))
+        with pytest.raises(GroupTooLarge) as err:
+            sl33_group()
+        assert len(err.traceback[-1].locals["seen"]) == cap + 1
+
+
+SYLOW_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "S5": lambda: symmetric_group(5),
+    "S6": lambda: symmetric_group(6),
+    "S7": lambda: symmetric_group(7),
+    "A8": lambda: alternating_group(8),
+    "SL(3,3)": sl33_group,
+    "3^(1+2):2": extraspecial27_c2,
+    # a p-group at p = 3
+    "3^(1+2)": lambda: extraspecial_plus(3),
+}
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, n))
+
+
+@pytest.mark.parametrize("name", SYLOW_GROUPS)
+def test_sylow_matches_normalizer_ascent(name):
+    """The scan for the first usable element picks the subgroup that the
+    ascent over the whole of N_G(H) picks, at every prime dividing |G| and
+    at the least prime that does not (trivial p-part), on G and on two
+    relabelled copies."""
+    G = SYLOW_GROUPS[name]()
+    primes = [p for p in range(2, G.order + 1)
+              if G.order % p == 0 and _is_prime(p)]
+    spare = next(p for p in range(2, G.order) if G.order % p
+                 and _is_prime(p))
+    for K in (G, relabelled(G, random.Random(f"{name}:1")),
+              relabelled(G, random.Random(f"{name}:2"))):
+        for p in primes + [spare]:
+            P = sylow_p(K.full(), p)
+            assert P.sorted_ids == oracle_groups.sylow_ascent(
+                K.full(), p).sorted_ids, (K.name, p)
+            assert (G.order // P.order) % p
+
+
+def test_group_setup_kernel_calls(monkeypatch):
+    """Enumerating a group makes no `perms.mul` call, and the Sylow scan
+    stops at the first usable element rather than conjugating all of G."""
+    calls = Counter()
+    for kernel in ("mul", "conjugate"):
+        original = getattr(perms, kernel)
+        monkeypatch.setattr(
+            perms, kernel,
+            lambda *args, _f=original, _k=kernel: calls.update([_k]) or _f(
+                *args))
+    assert sl33_group().order == 5616
+    assert calls["mul"] == 0
+    G = alternating_group(8)
+    calls.clear()
+    assert sylow_p(G.full(), 2).order == 64
+    # the normalizer of H over all of A8 at each step made 104,608
+    assert calls["conjugate"] < 40_000
 
 
 def test_hom_from_images_rejects_non_hom():

@@ -2,10 +2,10 @@
 
 Only `groups` (which owns FiniteGroup), `named` (which builds groups from
 permutations) and `perms` itself may use the permutation kernels
-`perms.mul`, `perms.conjugate`, `perms.power` and `perms.inverse`; every
-other module works on element ids. Inside `groups` only FiniteGroup's own
-methods use them, so the choice between the S-local table and the
-permutation tuples is made in one place. The modules that never touch
+`perms.mul`, `perms.left_mul`, `perms.conjugate`, `perms.power` and
+`perms.inverse`; every other module works on element ids. Inside `groups`
+only FiniteGroup's own methods use them, so the choice between the
+S-local table and the permutation tuples is made in one place. The modules that never touch
 permutation tuples do not import `perms` at all.
 
 `groups.GroupHom` is the one class that holds a morphism's image table: no
@@ -46,7 +46,7 @@ from fusionkit import (
 from fusionkit.cli import _HANDLERS, _witness_pairs_p3
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionkit"
-KERNELS = {"mul", "conjugate", "power", "inverse"}
+KERNELS = {"mul", "left_mul", "conjugate", "power", "inverse"}
 KERNEL_USERS = {"groups.py", "named.py", "perms.py"}
 NO_PERMS_IMPORT = ["fusion.py", "classify.py", "alperin.py", "rv.py", "cli.py",
                    "constructions.py"]
@@ -301,7 +301,7 @@ VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors"}
 # and the climbs of `extension_chain` (subgroups and compiled walks)
 PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
                "objects_through", "f_conjugates", "conjugacy_classes",
-               "f_class", "cr_classes", "fcr_objects", "extension_chain"}
+               "f_classes", "cr_classes", "fcr_objects", "extension_chain"}
 # memo kinds keyed by an order that hold morphisms as vectors of another
 # object's generators: `transport` maps each object of a generated system
 # whose class was searched to (the searched object R, psi: R -> it)

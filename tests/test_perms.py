@@ -63,3 +63,29 @@ def test_is_perm_rejects():
     assert perms.is_perm((0, 1, 2))
     assert not perms.is_perm((0, 0, 2))
     assert not perms.is_perm((0, 1, 3))
+
+
+def _reference_mul(a, b):
+    return tuple(b[x] for x in a)
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.tuples(perm_st(n), perm_st(n))))
+def test_mul_and_left_mul_match_the_reference(pair):
+    a, b = pair
+    want = _reference_mul(a, b)
+    for got in (perms.mul(a, b), perms.left_mul(a)(b),
+                perms.mul(list(a), list(b)), perms.left_mul(list(a))(list(b))):
+        assert type(got) is tuple
+        assert got == want
+
+
+def test_mul_at_degrees_0_1_and_2():
+    # a getter of one point returns an entry, not a tuple
+    for a, b in [((), ()), ((0,), (0,)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]:
+        assert perms.mul(a, b) == _reference_mul(a, b)
+        assert perms.left_mul(a)(b) == _reference_mul(a, b)
+        assert perms.mul(list(a), list(b)) == _reference_mul(a, b)
+        assert perms.left_mul(list(a))(list(b)) == _reference_mul(a, b)
+    assert perms.mul((), ()) == ()
+    assert perms.mul((0,), (0,)) == (0,)
