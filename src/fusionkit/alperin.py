@@ -4,14 +4,20 @@ The decomposition theorem guarantees that in a saturated system every
 morphism is a composite of restricted automorphisms of fully normalised,
 centric, radical subgroups. `alperin_decompose` finds such a chain with
 `fusion.word_search`, the breadth-first search over generator images that
-also closes generated systems; `verify_decomposition` recomputes the three
-clauses.
+also closes generated systems, with the automorphisms of each fcr object as
+one run of moves that share a domain; `verify_decomposition` recomputes the
+three clauses.
 """
 
 from __future__ import annotations
 
 from .classify import fcr_objects
-from .fusion import FusionSystem, generated_fusion, word_search
+from .fusion import (
+    FusionSystem,
+    generated_fusion,
+    same_domain_runs,
+    word_search,
+)
 from .groups import GroupHom, Subgroup, as_hom
 
 
@@ -73,8 +79,8 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     target = tuple(phi.images[P.positions[g]] for g in gens)
     if target not in F.vector_set(P):
         raise ValueError("morphism does not belong to the system")
-    maps, objects = F.cached(("alperin_moves",), lambda: _moves(F))
-    parents = word_search(gens, maps, target)
+    runs, tables, objects = F.cached(("alperin_moves",), lambda: _moves(F))
+    parents = word_search(gens, runs, target)
     if target not in parents:
         raise LookupError(
             "no fcr decomposition found; the decomposition theorem "
@@ -89,7 +95,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     steps = []
     cur = P.sorted_ids
     for k in reversed(word):
-        Q, psi = objects[k], maps[k][1]
+        Q, psi = objects[k], tables[k]
         cur = tuple(psi[x] for x in cur)
         steps.append((F.subgroup(frozenset(cur)), Q,
                       GroupHom(Q, Q, [psi[x] for x in Q.sorted_ids])))
@@ -101,15 +107,19 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
 
 
 def _moves(F: FusionSystem) -> tuple:
-    """The search moves as (maps, objects): maps[k] = (Q.ids,
-    {x: psi(x)}) for the k-th automorphism psi of every fcr object Q,
-    larger objects first and each object's automorphisms by image table,
-    and objects[k] = Q. The search reads psi at any element of Q, so these
-    are whole tables, built once per system."""
+    """The search moves as (runs, tables, objects): move k is the k-th
+    automorphism psi of every fcr object Q, larger objects first and each
+    object's automorphisms by image table, with tables[k] = {x: psi(x)}
+    and objects[k] = Q. `runs` groups the tables of consecutive moves on
+    one object, (Q.ids, tables), for `word_search`; the chain rebuild
+    reads `tables`. The search reads psi at any element of Q, so these are
+    whole tables, built once per system."""
     fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))
-    autos = [(Q, t) for Q in fcr for t in F.aut_f_tables(Q)]
-    maps = tuple((Q.ids, dict(zip(Q.sorted_ids, t))) for Q, t in autos)
-    return maps, tuple(Q for Q, _t in autos)
+    autos = [(Q, dict(zip(Q.sorted_ids, t)))
+             for Q in fcr for t in F.aut_f_tables(Q)]
+    runs = same_domain_runs((Q.ids, table) for Q, table in autos)
+    return (runs, tuple(table for _Q, table in autos),
+            tuple(Q for Q, _table in autos))
 
 
 def verify_decomposition(F: FusionSystem, d: AlperinDecomposition,

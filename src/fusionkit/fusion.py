@@ -12,14 +12,16 @@ elements' conjugations off S's table), `generated_fusion` closes a seed
 set of injective homomorphisms, and the constructions (products, quotients,
 normalizer and centralizer subsystems) read the vectors of their parent
 systems. The closure is `word_search`, a breadth-first search over
-generator images under partial maps; `alperin_decompose` runs the same
-search over fcr automorphisms. A generated system searches one member R
-of each F-class, records one psi: R -> Q' onto each other member Q', and
-reads Hom(Q', S) off Hom(R, S) by transport, phi -> phi psi^-1. The
-provenance of its morphisms is the words of the search from their own
-domain: R's come from the search the rule ran, and `hom_set` hands out
-GroupHoms whose provenance is deferred, so a member read by transport is
-searched only when one of its words is read.
+generator images under partial maps, given as runs of consecutive maps
+with one domain, so that a search node tests each run's domain once;
+`alperin_decompose` runs the same search over fcr automorphisms. A
+generated system searches one member R of each F-class, records one
+psi: R -> Q' onto each other member Q', and reads Hom(Q', S) off
+Hom(R, S) by transport, phi -> phi psi^-1. The provenance of its
+morphisms is the words of the search from their own domain: R's come
+from the search the rule ran, and `hom_set` hands out GroupHoms whose
+provenance is deferred, so a member read by transport is searched only
+when one of its words is read.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
@@ -57,7 +59,7 @@ import hashlib
 import pickle
 import random
 from array import array
-from itertools import islice
+from itertools import accumulate, groupby, islice
 from operator import itemgetter
 
 from .groups import (
@@ -502,31 +504,50 @@ def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
     return FusionSystem(S, p, hom, "transporter", generators=generators)
 
 
-def word_search(gens, maps, target=None) -> dict:
+def word_search(gens, runs, target=None) -> dict:
     """Breadth-first search from the generator ids `gens` of a subgroup Q
-    under the partial homomorphisms `maps`, given as (domain ids,
-    {x: image}). A vector of generator images fixes a composite map on Q,
-    and a map applies to it when its domain contains every entry. Returns
-    {vector: (previous vector, map index)} in discovery order, None for
-    the start, and stops as soon as `target` is discovered."""
+    under partial homomorphisms, given as `runs`: each run is (domain ids,
+    (table, ...)), a maximal stretch of consecutive maps {x: image} with
+    one domain, and the k-th map of the flat sequence is move k. A vector
+    of generator images fixes a composite map on Q, and a run applies to
+    it when its domain contains every entry: that is tested once per run,
+    and one getter of the vector reads each table of an applicable run.
+    Returns {vector: (previous vector, move index)} in discovery order,
+    None for the start, and stops as soon as `target` is discovered."""
     start = tuple(gens)
     parents = {start: None}
     frontier = [start]
+    firsts = list(accumulate((len(tables) for _dom, tables in runs),
+                             initial=0))
     while frontier and target not in parents:
         new = []
         for vec in frontier:
-            for k, (dom, table) in enumerate(maps):
+            if len(vec) > 1:
+                get = itemgetter(*vec)
+            else:
+                # a getter of one point returns an entry, not a tuple
+                def get(table, vec=vec):
+                    return tuple([table[v] for v in vec])
+            for (dom, tables), first in zip(runs, firsts):
                 if not dom.issuperset(vec):
                     continue
-                nvec = tuple([table[v] for v in vec])
-                if nvec in parents:
-                    continue
-                parents[nvec] = (vec, k)
-                if nvec == target:
-                    return parents
-                new.append(nvec)
+                for k, nvec in enumerate(map(get, tables), first):
+                    if nvec in parents:
+                        continue
+                    parents[nvec] = (vec, k)
+                    if nvec == target:
+                        return parents
+                    new.append(nvec)
         frontier = new
     return parents
+
+
+def same_domain_runs(maps) -> tuple:
+    """The runs of `word_search` from partial maps (domain ids, table):
+    consecutive maps with equal domains form one (domain, tables) run, and
+    the order of the maps is kept."""
+    return tuple((dom, tuple(table for _dom, table in run))
+                 for dom, run in groupby(maps, key=itemgetter(0)))
 
 
 def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
@@ -541,7 +562,9 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     system). A morphism's provenance, ("word", seed indices), is the word
     of the breadth-first search from its own domain's generators: R's are
     read off the rule's search, and Q''s on demand, by one full search of
-    Q' on the first read. Either search is kept as three int arrays."""
+    Q' on the first read. Either search is kept as three int arrays. The
+    seed maps are grouped once, here, into runs of consecutive maps with
+    one domain, which both searches read."""
     amb = S.ambient
     morphisms = []
     seeds = []
@@ -567,6 +590,7 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     for t in S.generator_ids():
         table = dict(zip(S.sorted_ids, amb.conj_row(S.sorted_ids, t)))
         seeds.append((S.ids, table))
+    runs = same_domain_runs(seeds)
 
     def hom(F, Q):
         gens = Q.generator_ids()
@@ -576,35 +600,36 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
             R, psi = found
             back = dict(zip(F.table(R, psi), R.sorted_ids))
             vectors = tuple(F.images_at(R, [back[y] for y in gens]))
-            return vectors, _words(gens, seeds, vectors)
-        parents = word_search(gens, seeds)
+            return vectors, _words(gens, runs, vectors)
+        parents = word_search(gens, runs)
         vectors = tuple(parents)
         if Q.order > 1:
             for ids, psi in zip(F._image_objects(Q.order, vectors), vectors):
                 transports.setdefault(ids, (Q, psi))
-        return vectors, _words(gens, seeds, vectors, parents)
+        return vectors, _words(gens, runs, vectors, parents)
 
     return FusionSystem(S, p, hom, "generated",
                         generators=lambda _F: list(morphisms))
 
 
-def _words(gens, seeds, vectors, parents=None):
+def _words(gens, runs, vectors, parents=None):
     """The provenance of Hom(Q, S) in a generated system: the i-th of
     `vectors` gives ("word", seed indices) of its parent chain in the full
-    `word_search` from Q's generators `gens`. `parents` is that search when
-    the rule ran it; otherwise it runs on the first read. Either way only
-    its links are kept, three int arrays, and the search's inputs are
-    dropped; the provenance never holds the system."""
+    `word_search` from Q's generators `gens` under the seeds' same-domain
+    `runs`. `parents` is that search when the rule ran it; otherwise it
+    runs on the first read. Either way only its links are kept, three int
+    arrays, and the search's inputs are dropped; the provenance never
+    holds the system."""
     links = None
     if parents is not None:
         links = _links(parents, vectors)
-        gens = seeds = vectors = None
+        gens = runs = vectors = None
 
     def word(i: int) -> tuple:
-        nonlocal gens, seeds, vectors, links
+        nonlocal gens, runs, vectors, links
         if links is None:
-            links = _links(word_search(gens, seeds), vectors)
-            gens = seeds = vectors = None
+            links = _links(word_search(gens, runs), vectors)
+            gens = runs = vectors = None
         up, via, at = links
         j, out = at[i], []
         while j:

@@ -741,9 +741,10 @@ class GroupHom:
     called on the first read, and its value kept. Until then the morphism
     holds the callable and what it refers to, which may outlive the system
     that made it: a generated system's holds Hom(Q, S) as vectors and the
-    seed maps, or once any of Q's words has been read, their links as
-    three int arrays; and the first read may run that system's search of
-    Q. Equality is extensional over (domain, codomain, table).
+    seed maps, as runs of consecutive maps with one domain, or once any of
+    Q's words has been read, their links as three int arrays; and the
+    first read may run that system's search of Q. Equality is extensional
+    over (domain, codomain, table).
     """
 
     __slots__ = ("domain", "codomain", "images", "_provenance", "_hash")

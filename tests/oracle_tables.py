@@ -17,7 +17,7 @@ Every function returns the sorted tables of one object.
 from operator import add
 
 from fusionkit import automorphisms
-from fusionkit.fusion import _conjugation_pairs, word_search
+from fusionkit.fusion import _conjugation_pairs, same_domain_runs, word_search
 
 
 def transporter(F, G, Q):
@@ -47,10 +47,12 @@ def _seeds(F):
 
 def generated(F, Q):
     """Hom(Q, S) of a generated system: each table built from its parent's
-    along the breadth-first closure of Q's generators."""
+    along the breadth-first closure of Q's generators under the seeds'
+    same-domain runs."""
     seeds = _seeds(F)
     full = {}
-    for vec, parent in word_search(Q.generator_ids(), seeds).items():
+    runs = same_domain_runs(seeds)
+    for vec, parent in word_search(Q.generator_ids(), runs).items():
         if parent is None:
             full[vec] = Q.sorted_ids
             continue

@@ -1,18 +1,21 @@
-"""Breadth-first searches on full tables, kept as references for
-`fusion.word_search`.
+"""Breadth-first searches kept as references for `fusion.word_search`.
 
-These are the two searches fusionkit ran before both became one search
-over generator images. `decompose` is the Alperin search: its state is
-the full image table of the source P, and an fcr automorphism of Q
-applies when the whole image lies in Q. `closure` is the closure of a
-generated system on one subgroup Q: its state is the vector of
-generator images, tested entry by entry against each seed's domain, and
-the full table of every map is built as the map is found.
+`decompose` and `closure` are the two searches fusionkit ran before both
+became one search over generator images. `decompose` is the Alperin
+search: its state is the full image table of the source P, and an fcr
+automorphism of Q applies when the whole image lies in Q. `closure` is
+the closure of a generated system on one subgroup Q: its state is the
+vector of generator images, tested entry by entry against each seed's
+domain, and the full table of every map is built as the map is found.
+Their cost is a full table per search node.
 
-Both take their moves from the arguments, in the library's order, so
-that the chains and words they return can be compared one for one. Their
-cost is a full table per search node, which is why the library no longer
-uses them.
+`flat_search` is the search over generator images as it was before moves
+came in runs of consecutive maps that share a domain: it tests each map's
+domain and builds each image in Python, one map at a time.
+
+All three take their moves from the arguments, in the library's order, so
+that the chains, words and parent links they return can be compared one
+for one.
 """
 
 
@@ -96,3 +99,28 @@ def closure(seeds, gens, qsorted):
             word.append(k)
         prov[full] = ("word", tuple(reversed(word)))
     return prov
+
+
+def flat_search(gens, maps, target=None):
+    """{vector: (previous vector, map index)} of the breadth-first search
+    from `gens` under the partial maps (domain ids, {x: image}), one map at
+    a time, in discovery order; None for the start. Stops as soon as
+    `target` is discovered."""
+    start = tuple(gens)
+    parents = {start: None}
+    frontier = [start]
+    while frontier and target not in parents:
+        new = []
+        for vec in frontier:
+            for k, (dom, table) in enumerate(maps):
+                if not dom.issuperset(vec):
+                    continue
+                nvec = tuple([table[v] for v in vec])
+                if nvec in parents:
+                    continue
+                parents[nvec] = (vec, k)
+                if nvec == target:
+                    return parents
+                new.append(nvec)
+        frontier = new
+    return parents

@@ -313,8 +313,9 @@ TABLE_KINDS = {
     # Out_F(P) as a permutation group, built only when `out_F` is asked
     # for; for abelian P it is Aut_F(P) on the |P| points of P
     "out_F",
-    # every fcr automorphism as a dict: the Alperin search reads it at any
-    # element of its object
+    # every fcr automorphism as a dict, grouped into one run of moves per
+    # stretch of consecutive automorphisms of one object: the Alperin search
+    # reads each at any element of its object
     "alperin_moves",
 }
 

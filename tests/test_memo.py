@@ -100,6 +100,12 @@ def test_alperin_moves_built_once(pair, monkeypatch):
     other = alperin_decompose(fresh, fresh.hom_to_S(fresh.subgroup(Q.ids))[-1])
     assert built == [F, fresh]
     assert len(first) > 0
+    # the memo keeps the moves as maximal runs of one object's automorphisms
+    # beside the flat tables and objects of the chain rebuild
+    runs, tables, objects = F._memo[("alperin_moves",)]
+    assert [t for _dom, ts in runs for t in ts] == list(tables)
+    assert [dom for dom, ts in runs for _t in ts] == [R.ids for R in objects]
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 
     def chain(d):
         return [(P.ids, Q.ids, psi.images) for P, Q, psi in d.chain]

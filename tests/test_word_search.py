@@ -1,5 +1,7 @@
 """The one breadth-first search over generator images, `word_search`,
-against the two full-table searches it replaced (oracle_word_search).
+against the two full-table searches it replaced and against the search
+one map at a time that it was before its moves came in runs of consecutive
+maps with one domain (oracle_word_search).
 
 Alperin chains are compared for every morphism of each transporter
 system and of a copy of G with its points relabelled by a seeded random
@@ -14,9 +16,15 @@ the morphism's own domain: the rule's search for the searched member, and
 for another member one search run only when one of its words is read.
 The tests below count those searches, and check that which member of a
 class is searched changes no answer.
+
+Runs are compared with the per-map search on seeded interleavings of fcr
+automorphisms, so that one domain recurs in runs that are not adjacent,
+and the domain tests of one Alperin search on A8 are counted per node.
 """
 
 import random
+from collections import Counter
+from itertools import cycle
 
 import pytest
 
@@ -26,6 +34,7 @@ from conftest import extraspecial27_c2
 from test_sweep import GROUPS, relabelled
 from fusionkit import (
     GroupHom,
+    alperin,
     alperin_decompose,
     aut_F,
     build_rv,
@@ -40,7 +49,7 @@ from fusionkit import (
     transporter_fusion,
 )
 from fusionkit.classify import fcr_objects
-from fusionkit.fusion import word_search
+from fusionkit.fusion import same_domain_runs, word_search
 
 CASES = [
     ("S6", 2),
@@ -152,18 +161,108 @@ def test_witness_product_closure_matches_full_table_search():
 @pytest.mark.parametrize("name,p", CASES[:2])
 def test_stopping_at_target_keeps_the_search_order(name, p):
     F = _system(name, p, False)
-    maps = [
+    runs = same_domain_runs(
         (Q.ids, dict(zip(Q.sorted_ids, t)))
         for Q in fcr_objects(F)
         for t in F.aut_f_tables(Q)
-    ]
+    )
     for Q in F.objects():
         gens = Q.generator_ids()
-        everything = list(word_search(gens, maps).items())
+        everything = list(word_search(gens, runs).items())
         for vec, _parent in everything:
-            found = list(word_search(gens, maps, vec).items())
+            found = list(word_search(gens, runs, vec).items())
             assert found == everything[:len(found)]
             assert found[-1][0] == vec
+
+
+def _interleaved(F, seed):
+    """The fcr automorphisms of F as maps (Q.ids, {x: image}), dealt from
+    one pile per object in chunks of one, two, three, one, ... maps, each
+    from a pile picked at random among the others while they last."""
+    rng = random.Random(seed)
+    piles = [[(Q.ids, dict(zip(Q.sorted_ids, t))) for t in F.aut_f_tables(Q)]
+             for Q in sorted(fcr_objects(F), key=lambda Q: Q.sorted_ids)]
+    maps, last = [], None
+    for take in cycle((1, 2, 3)):
+        left = [pile for pile in piles if pile]
+        if not left:
+            return maps
+        pile = rng.choice([pile for pile in left if pile is not last]
+                          or left)
+        maps += pile[:take]
+        del pile[:take]
+        last = pile
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name,p", [("S6", 2), ("S6", 3), ("SL(3,3)", 3)])
+def test_runs_search_like_one_map_at_a_time(name, p, seed):
+    F = _system(name, p, False)
+    maps = _interleaved(F, f"{name}@{p}/{seed}")
+    runs = same_domain_runs(maps)
+    assert [(dom, t) for dom, tables in runs for t in tables] == maps
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    if len(fcr_objects(F)) > 1:
+        # runs of one map and of more, and a domain in runs apart
+        assert {len(tables) > 1 for _dom, tables in runs} == {False, True}
+        assert len({dom for dom, _tables in runs}) < len(runs)
+    widths = set()
+    for Q in F.objects():
+        gens = Q.generator_ids()
+        widths.add(min(len(gens), 2))
+        flat = list(oracle.flat_search(gens, maps).items())
+        assert list(word_search(gens, runs).items()) == flat
+        for vec, _parent in {flat[len(flat) // 2], flat[-1]}:
+            assert (list(word_search(gens, runs, vec).items())
+                    == list(oracle.flat_search(gens, maps, vec).items()))
+    assert widths == {0, 1, 2}
+
+
+class _CountedDomain(frozenset):
+    """A domain that records the vector of each containment test."""
+
+    def issuperset(self, vec):
+        self.tests.append(vec)
+        return frozenset.issuperset(self, vec)
+
+
+def _counted(dom, tests):
+    dom = _CountedDomain(dom)
+    dom.tests = tests
+    return dom
+
+
+def test_alperin_search_tests_each_run_once_per_node(monkeypatch):
+    F = _system("A8", 2, False)
+    runs, tables, objects = alperin._moves(F)
+    assert (len(runs), len(tables)) == (7, 596)
+    tests = []
+    counted = tuple((_counted(dom, tests), ts) for dom, ts in runs)
+    monkeypatch.setattr(alperin, "_moves",
+                        lambda _F: (counted, tables, objects))
+    length = 0
+    for Q in F.objects():
+        if Q.order != 4:
+            continue
+        for phi in F.hom_to_S(Q):
+            tests.clear()
+            d = alperin_decompose(F, phi)
+            assert max(Counter(tests).values(), default=0) <= len(runs)
+            if len(d) > length:
+                length, longest, nodes = len(d), phi, Counter(tests)
+    # the longest chain's search, one map at a time, tests every map's
+    # domain at each node it expands: the same nodes
+    assert length >= 3 and len(nodes) > 1
+    flat_tests = []
+    maps = [(_counted(R.ids, flat_tests), table)
+            for R, table in zip(objects, tables)]
+    Q = longest.domain
+    gens = Q.generator_ids()
+    target = tuple(longest.images[Q.positions[g]] for g in gens)
+    assert target in oracle.flat_search(gens, maps, target)
+    flat_nodes = Counter(flat_tests)
+    assert flat_nodes.keys() == nodes.keys()
+    assert max(flat_nodes.values()) == len(maps)
 
 
 def _count_searches(monkeypatch):
