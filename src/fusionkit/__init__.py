@@ -49,7 +49,6 @@ from .fusion import (
     transporter_fusion,
 )
 from .classify import (
-    NphiWitness,
     SaturationReport,
     classifier_rows,
     cr_objects,
@@ -63,7 +62,6 @@ from .classify import (
     is_saturated,
     is_strongly_closed,
     out_F,
-    receptivity_witnesses,
 )
 from .alperin import (
     AlperinDecomposition,

@@ -1,11 +1,11 @@
 """Classification predicates for fusion systems.
 
 Implements the full battery over a FusionSystem F: fully automised,
-receptive (with N_phi witnesses), saturated, fully centralised/normalised,
-centric, radical, the fcr/cr object lists and strong closure (normality
-is read from the normalizer subsystem, in `constructions`). P is radical
-when O_p(Out_F(P)) = 1 (Aschbacher, Kessar & Oliver 2011, I.3). Inn(P)
-is a normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) = O_p(Aut_F(P))/Inn(P),
+receptive, saturated, fully centralised/normalised, centric, radical, the
+fcr/cr object lists and strong closure (normality is read from the
+normalizer subsystem, in `constructions`). P is radical when
+O_p(Out_F(P)) = 1 (Aschbacher, Kessar & Oliver 2011, I.3). Inn(P) is a
+normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) = O_p(Aut_F(P))/Inn(P),
 and `is_radical` decides O_p(Aut_F(P)) = Inn(P) on generator-image
 vectors, with no group built (`aut_f_p_core`). `out_F` acts with the same
 vectors on the cosets of Inn(P), only when asked for; no predicate reads
@@ -20,41 +20,14 @@ J. Group Theory 12, 2009, for the receptive form): an extension psi of
 phi: Q -> P over N_phi acts on P as phi c_g phi^-1 at each g in N_phi, so
 psi(g) lies in one known coset of C_S(P). `is_receptive` decides one phi
 per orbit under Aut_S(Q), either from the restrictions of all of
-Hom(N_phi, S) to Q or from these candidate images, whichever set is
-smaller. The restrictions are `FusionSystem.extension_index(N_phi, Q)`,
-which `receptivity_witnesses` reads for the least extensions too.
+Hom(N_phi, S) to Q, the set `FusionSystem.extension_index(N_phi, Q)`, or
+from these candidate images, whichever set is smaller.
 """
 
 from __future__ import annotations
 
 from .fusion import FusionSystem, _memoised
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    Subgroup,
-    _p_part,
-    _same_ambient,
-)
-
-
-class NphiWitness:
-    """Evidence for one receptivity test: the morphism, its N_phi, and the
-    extension found (or None when the test failed)."""
-
-    __slots__ = ("phi", "n_phi", "extension")
-
-    def __init__(self, phi: GroupHom, n_phi: Subgroup,
-                 extension: GroupHom | None):
-        self.phi = phi
-        self.n_phi = n_phi
-        self.extension = extension
-        if extension is not None:
-            rest = extension.restrict(phi.domain)
-            assert rest.images == phi.images, "extension does not restrict to phi"
-
-    def __repr__(self):
-        ok = "extended" if self.extension is not None else "no extension"
-        return f"<NphiWitness |Q|={self.phi.domain.order} {ok}>"
+from .groups import FiniteGroup, Subgroup, _p_part, _same_ambient
 
 
 class SaturationReport:
@@ -149,48 +122,13 @@ def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup):
                orbit)
 
 
-def receptivity_witnesses(F: FusionSystem, P: Subgroup):
-    """(verdict, witnesses) for receptivity of P.
-
-    Quantifies over every Q in the F-class of P and every isomorphism
-    Q -> P in F, by image table; each witness records N_phi and the least
-    extension over N_phi by image table, or None: phi itself when
-    N_phi = Q, as in `is_receptive`, else the least table of the vectors
-    that `extension_index(N_phi, Q)` lists under phi's.
-    """
-    witnesses = []
-    verdict = True
-    if P == F.S:
-        # N_phi = S for every automorphism of S (twists stay inner), and
-        # each map is its own extension
-        for t in F.aut_f_tables(P):
-            phi = GroupHom(P, P, t)
-            witnesses.append(NphiWitness(phi, P, GroupHom(P, F.S, t)))
-        return True, witnesses
-    for Q in F.f_conjugates(P):
-        rows = sorted((F.table(Q, vec), vec, N)
-                      for vec, N, _candidates, _orbit in _extensions(F, Q, P))
-        for t, vec, N in rows:
-            if N == Q:
-                least = t
-            else:
-                found = F.extension_index(N, Q).get(vec)
-                least = (None if found is None
-                         else min(F.images_at(N, vectors=found)))
-            verdict = verdict and least is not None
-            witnesses.append(NphiWitness(
-                GroupHom(Q, P, t), N,
-                None if least is None else GroupHom(N, F.S, least)))
-    return verdict, witnesses
-
-
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     """Every isomorphism phi onto P from a member Q of its F-class extends
     over its N_phi; read on vectors, with no table built, for one phi of
     each orbit under Aut_S(Q). When N_phi = Q, phi is its own extension.
     Otherwise, when |Hom(N_phi, S)| <= |C_S(P)| * |N_phi : Q|, phi is
-    looked up among the restrictions of all of Hom(N_phi, S) to Q, the
-    keys of `extension_index(N_phi, Q)`; when it is larger,
+    looked up among the restrictions of all of Hom(N_phi, S) to Q,
+    `extension_index(N_phi, Q)`; when it is larger,
     `FusionSystem.extends` tests phi's own candidate images."""
     if P == F.S:
         return True

@@ -27,8 +27,8 @@ when one of its words is read.
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
 X, or at all of them. Whole tables (morphisms handed out as
 `groups.GroupHom`s with their provenance, `hom_to_S_tables`, digests and
-audits), `extension_index`, the one grouping of Hom(N, S) by restriction
-to a subgroup Q, the N_phi twists of `classify` and the rules of the
+audits), `extension_index`, the set of restrictions of Hom(N, S) to a
+subgroup Q, the N_phi twists of `classify` and the rules of the
 constructions all read it. Receptivity can also ask whether one map on Q
 extends over N without restricting all of Hom(N, S): `extends` tries
 candidate images of the generators that a walk of N seeded with Q's
@@ -360,17 +360,13 @@ class FusionSystem:
     # -- extension lookups (receptivity) ----------------------------------
 
     @_memoised
-    def extension_index(self, N: Subgroup, Q: Subgroup) -> dict:
-        """Hom(N, S) grouped by restriction to Q, which N must contain:
-        {images of Q.generator_ids(): vectors of the morphisms out of N
-        that restrict to them}, each vector of Hom(N, S) once. This walks
-        every morphism out of N, so it pays when Hom(N, S) is small;
-        `extends` tests one map at a time."""
-        found: dict = {}
-        for key, vec in zip(self.images_at(N, Q.generator_ids()),
-                            self.hom_vectors(N)):
-            found.setdefault(key, []).append(vec)
-        return {key: tuple(vecs) for key, vecs in found.items()}
+    def extension_index(self, N: Subgroup, Q: Subgroup) -> frozenset:
+        """The restrictions to Q, which N must contain, of all of
+        Hom(N, S), as images of Q.generator_ids(): a map out of Q extends
+        over N exactly when its vector is in the set. This walks every
+        morphism out of N, so it pays when Hom(N, S) is small; `extends`
+        tests one map at a time."""
+        return frozenset(self.images_at(N, Q.generator_ids()))
 
     @_memoised
     def extension_chain(self, N: Subgroup, Q: Subgroup) -> tuple:

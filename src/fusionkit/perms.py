@@ -83,9 +83,3 @@ def from_cycles(degree: int, cycles) -> tuple[int, ...]:
         for i, pt in enumerate(cyc):
             out[pt] = cyc[(i + 1) % len(cyc)]
     return tuple(out)
-
-
-def direct_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Act with a on the first len(a) points and b on the rest."""
-    d = len(a)
-    return a + tuple(x + d for x in b)

@@ -281,10 +281,13 @@ class _Extraspecial:
 
 
 class RVDescriptor:
-    """Name, outer-group data, and the rank-2 profile of one built system.
+    """Name, outer-group data, ambient group and rank-2 profile of one
+    built system.
 
     `profile` maps each line orbit (a tuple of lines) to the order of the
-    automorphism group prescribed on its rank-2 subgroups.
+    automorphism group prescribed on its rank-2 subgroups. `extraspecial`
+    is the ambient 7^(1+2) with its generator bookkeeping, over whose S
+    the system is built.
     """
 
     def __init__(self, name: str, out_matrices: list, profile: dict):
@@ -297,6 +300,7 @@ class RVDescriptor:
         shape = tuple(sorted((len(orb), t) for orb, t in profile.items()))
         if shape != tuple(sorted(FCR_PROFILES[name])):
             raise ValueError(f"profile {shape} does not match {name}")
+        self.extraspecial = _Extraspecial()
 
     def __repr__(self):
         return f"<RVDescriptor {self.name}>"
@@ -311,7 +315,6 @@ def build_rv(name: str):
             f"build_rv takes a system name ({'|'.join(RV_NAMES)}), "
             f"got {name!r}")
     name = name.lower()
-    ext = _Extraspecial()
     mats = outer_group_matrices(name)
     closure = _mclose(mats)
     assert len(closure) == OUT_ORDERS[name], \
@@ -322,6 +325,7 @@ def build_rv(name: str):
         orb: type_order for orb, (_size, type_order) in zip(
             sorted(_line_orbits(mats), key=len), sorted(FCR_PROFILES[name]))
     })
+    ext = rv.extraspecial
     seeds = [ext.lift(m) for m in mats]
     for orb, type_order in sorted(rv.profile.items()):
         seeds.extend(ext.rank2_aut_seeds(min(orb), type_order))
@@ -332,15 +336,18 @@ def build_rv(name: str):
         f"{report.counterexample.order}"
     )
     F.rv = rv
-    F.rv_extraspecial = ext
     return F
 
 
 def certify_rv(F: FusionSystem) -> dict:
-    """Recompute and check every advertised invariant of a built system.
-    Returns the evidence dict; raises AssertionError on any mismatch."""
-    ext = F.rv_extraspecial
-    name = F.rv.name
+    """Recompute and check every advertised invariant of a system made by
+    `build_rv`. Returns the evidence dict; raises AssertionError on any
+    mismatch, and ValueError when F carries no RVDescriptor."""
+    rv = getattr(F, "rv", None)
+    if not isinstance(rv, RVDescriptor):
+        raise ValueError("certify_rv takes a system made by build_rv, "
+                         "which records its RVDescriptor as F.rv")
+    ext, name = rv.extraspecial, rv.name
     out = out_F(F, F.S)
     expected = comparison_out_group(name)
     assert out.order == OUT_ORDERS[name], \
@@ -366,7 +373,7 @@ def certify_rv(F: FusionSystem) -> dict:
     cr = cr_objects(F)
     cr_rank2 = [Q for Q in cr if Q.order == P * P]
     assert len(cr_rank2) == 8, "rank-2 centric-radical count is not eight"
-    for orb, type_order in F.rv.profile.items():
+    for orb, type_order in rv.profile.items():
         rep = min(orb)
         V = ext.rank2_subgroup(rep)
         mine = set(F.aut_f_tables(V))

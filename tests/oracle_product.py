@@ -13,12 +13,19 @@ search, which is why the library no longer builds products this way.
 from fusionkit import FiniteGroup, Subgroup, generated_fusion, perms
 
 
+def direct_sum(a, b):
+    """Act with the permutation a on the first len(a) points and b on the
+    rest."""
+    d = len(a)
+    return a + tuple(x + d for x in b)
+
+
 def padded_ambient(G1, G2):
     """G1 x G2 on the disjoint union of the points, by closure."""
     degree = G1.degree + G2.degree
-    gens = [perms.direct_sum(g, perms.identity(G2.degree))
+    gens = [direct_sum(g, perms.identity(G2.degree))
             for g in G1.generators]
-    gens += [perms.direct_sum(perms.identity(G1.degree), h)
+    gens += [direct_sum(perms.identity(G1.degree), h)
              for h in G2.generators]
     return FiniteGroup(degree, gens)
 
@@ -29,8 +36,7 @@ def product_closure(F1, F2):
     amb = padded_ambient(amb1, amb2)
 
     def pair_id(i, j):
-        return amb.index[perms.direct_sum(amb1.elements[i],
-                                          amb2.elements[j])]
+        return amb.index[direct_sum(amb1.elements[i], amb2.elements[j])]
 
     S12 = Subgroup(amb, frozenset(
         pair_id(i, j) for i in F1.S.ids for j in F2.S.ids

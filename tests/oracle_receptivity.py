@@ -9,9 +9,10 @@ full restriction table to Q.
 
 Conjugation and multiplication work on raw permutation tuples and the
 ambient group's element list. The only inputs taken from the library are
-the hom tables and the subgroups N_S(Q) and C_S(Q). Each conjugation
-table of Q by a coset representative is computed once per Reference, so
-that the oracle runs in test time on systems over 7^(1+2).
+the hom tables and the subgroups N_S(Q) and C_S(Q). The hom tables of
+each subgroup and each conjugation table of Q by a coset representative
+are computed once per Reference, so that the oracle runs in test time on
+systems over 7^(1+2).
 """
 
 
@@ -38,6 +39,16 @@ class Reference:
         self._aut_s = {}
         self._cosets = {}
         self._ext = {}
+        self._homs = {}
+
+    def hom_tables(self, Q):
+        """Hom(Q, S) as sorted full tables, read from the library once per
+        Q."""
+        out = self._homs.get(Q.ids)
+        if out is None:
+            out = self._homs[Q.ids] = self.F.hom_to_S_tables(
+                self.F.subgroup(Q.ids))
+        return out
 
     def _conj_table(self, ids, s):
         els, index = self.els, self.index
@@ -99,7 +110,7 @@ class Reference:
             nsorted = sorted(N.ids)
             qpos = [nsorted.index(i) for i in sorted(Q.ids)]
             idx = {}
-            for t in self.F.hom_to_S_tables(self.F.subgroup(N.ids)):
+            for t in self.hom_tables(N):
                 idx.setdefault(tuple(t[k] for k in qpos), t)
             self._ext[key] = idx
         return idx.get(tuple(table))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracle_groups
 from conftest import extraspecial27_c2, sl33_group
+from oracle_product import direct_sum
 from oracle_sweep import _conj, _mul
 from test_sweep import relabelled
 from fusionkit import (
@@ -374,7 +375,7 @@ def test_direct_product_ids_follow_factor_order():
     assert P.order == G.order * H.order
     for i, g in enumerate(G.elements):
         for j, h in enumerate(H.elements):
-            assert P.elements[i * H.order + j] == perms.direct_sum(g, h)
+            assert P.elements[i * H.order + j] == direct_sum(g, h)
     closed = FiniteGroup(P.degree, P.generators)
     assert closed.elements == P.elements
 

