@@ -283,12 +283,11 @@ _HANDLERS = {
 }
 
 
-def _add_common(sp, *, fusion=True):
+def _add_common(sp):
     sp.add_argument("--group", metavar="FILE", help="group descriptor JSON")
     sp.add_argument("--sylow", metavar="P", type=int, help="Sylow prime")
-    if fusion:
-        sp.add_argument("--fusion", metavar="FILE",
-                        help="fusion generator JSON (default: transporter)")
+    sp.add_argument("--fusion", metavar="FILE",
+                    help="fusion generator JSON (default: transporter)")
     sp.add_argument("--out", metavar="FILE", help="report path (default stdout)")
 
 

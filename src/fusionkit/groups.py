@@ -19,6 +19,8 @@ Computational Group Theory, 2005). A p-group that contains S replaces its
 table; one that neither contains nor lies in S keeps the tuple path.
 Operands inside S read the table, which has |S|^2 two-byte entries
 (11.8 MB at |S| = 2401); the subgroup lattice of the same S costs more.
+Only a p-group of order at most 4096 is tabled (34 MB), so a scan of a
+larger one, even one that needs no products, keeps the tuple path.
 Every other operand takes the permutation-tuple path: the representatives
 of the right cosets of S in G outside S, which the transporter sweep lists
 and conjugates S by, and the elements of a non-p-group that the Sylow
@@ -295,8 +297,8 @@ class _Inverses:
         return self._amb.order
 
 
-# local ids are array("H") entries
-_MAX_TABLED_ORDER = 1 << 16
+# a table holds |G|^2 array("H") entries: 34 MB at this cap
+_MAX_TABLED_ORDER = 1 << 12
 
 
 def _tabled(G: "Subgroup") -> None:

@@ -9,7 +9,10 @@ system. The profile pairs the line orbits of the outer group with the
 classes of `FCR_PROFILES[name]`, both sorted by size. Classes of one size
 carry one automizer order (a data test checks this), so the pairing is the
 only assignment and there is one closure per system. `certify_rv`
-recomputes every advertised invariant of the result.
+recomputes every advertised invariant of the result; Aut_F(V) of each
+orbit representative V must be the `word_search` closure of the rank-2
+seeds, lifted afresh. Both functions raise `AssertionError` explicitly, so
+their checks hold under `python -O`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from .classify import (
     is_strongly_closed,
     out_F,
 )
-from .fusion import FusionSystem, generated_fusion
+from .fusion import (
+    FusionSystem,
+    generated_fusion,
+    same_domain_runs,
+    word_search,
+)
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -63,16 +71,6 @@ def _mdet(a):
 _I2 = ((1, 0), (0, 1))
 
 
-def _morder(a):
-    k, cur = 1, a
-    while cur != _I2:
-        cur = _mmul(cur, a)
-        k += 1
-        if k > 48 * 48:
-            raise ValueError("matrix order runaway")
-    return k
-
-
 def _mclose(gens):
     out = {_I2}
     frontier = [_I2]
@@ -88,22 +86,9 @@ def _mclose(gens):
     return out
 
 
-def _mult_by(a, b):
-    """Multiplication by a + b*w on the degree-2 field extension with
-    w^2 = 3, written in the basis (1, w)."""
-    return ((a % P, (3 * b) % P), (b % P, a % P))
-
-
-def _order16_element():
-    """A field element of multiplicative order 16, as a matrix."""
-    for a in range(P):
-        for b in range(1, P):
-            m = _mult_by(a, b)
-            if _mdet(m) != 0 and _morder(m) == 16:
-                return m
-    raise AssertionError("no order-16 element found")
-
-
+# multiplication by 2 + 2w on the degree-2 field extension with w^2 = 3,
+# in the basis (1, w): a field element of multiplicative order 16
+_ORDER16 = ((2, 6), (2, 2))
 _FROBENIUS = ((1, 0), (0, P - 1))
 
 
@@ -112,12 +97,11 @@ def outer_group_matrices(name: str) -> list:
     S/Z by column vectors."""
     if name == "rv1":
         return [((3, 0), (0, 1)), ((1, 0), (0, 3)), ((0, 1), (1, 0))]
-    t = _order16_element()
     two_i = ((2, 0), (0, 2))
     if name == "rv2":
-        return [_mmul(t, t), _FROBENIUS, two_i]
+        return [_mmul(_ORDER16, _ORDER16), _FROBENIUS, two_i]
     if name == "rv3":
-        return [t, _FROBENIUS, two_i]
+        return [_ORDER16, _FROBENIUS, two_i]
     raise ValueError(f"unknown system name {name!r}")
 
 
@@ -142,13 +126,6 @@ _RANK2_GENERATORS = {
     HALF_TYPE_ORDER: (((1, 1), (0, 1)), ((1, 0), (1, 1)),
                       ((1, 0), (0, P - 1))),
 }
-
-
-def _rank2_generators(type_order: int) -> tuple:
-    mats = _RANK2_GENERATORS.get(type_order)
-    if mats is None:
-        raise ValueError(f"unknown type order {type_order}")
-    return mats
 
 
 def comparison_out_group(name: str) -> FiniteGroup:
@@ -246,38 +223,35 @@ class _Extraspecial:
         v = self.word(line[0], line[1], 0)
         return subgroup_generated(self.G, [v, self.z])
 
-    def rank2_automorphisms(self, line, mats) -> list:
-        """The automorphisms of the rank-2 subgroup over the line given by
-        the matrices `mats`, in the basis (lift of line, center)."""
+    def rank2_aut_seeds(self, line, type_order: int) -> list:
+        """Generators of the automorphism group of order `type_order`
+        prescribed on the rank-2 subgroup over the line: each matrix of
+        `_RANK2_GENERATORS`, in the basis (lift of line, center), lifted
+        and checked by `hom_from_images`."""
+        mats = _RANK2_GENERATORS.get(type_order)
+        if mats is None:
+            raise ValueError(f"unknown type order {type_order}")
+        G, z = self.G, self.z
         V = self.rank2_subgroup(line)
         v = self.word(line[0], line[1], 0)
         out = []
         for m in mats:
-            imgs = [
-                self._v_word(v, m[0][0], m[1][0]),
-                self._v_word(v, m[0][1], m[1][1]),
-            ]
-            h = hom_from_images(V, self.G, [v, self.z], imgs)
+            imgs = [G.mul_ids(G.power_ids(v, m[0][c]), G.power_ids(z, m[1][c]))
+                    for c in (0, 1)]
+            h = hom_from_images(V, G, [v, z], imgs)
             if h is None or not h.is_injective():
                 raise AssertionError(f"matrix {m} is not invertible on V")
             out.append(h)
         return out
 
-    def _v_word(self, v: int, ve: int, ze: int) -> int:
-        G = self.G
-        return G.mul_ids(G.power_ids(v, ve), G.power_ids(self.z, ze))
 
-    def rank2_aut_seeds(self, line, type_order: int) -> list:
-        """Generators of the prescribed automorphism group of the rank-2
-        subgroup over the line."""
-        return self.rank2_automorphisms(line, _rank2_generators(type_order))
-
-    def aut_group_tables(self, line, type_order: int) -> set:
-        """All tables of the prescribed automorphism group on the rank-2
-        subgroup over the line."""
-        mats = _mclose(_rank2_generators(type_order))
-        assert len(mats) == type_order
-        return {h.images for h in self.rank2_automorphisms(line, mats)}
+def _seed_closure(V: Subgroup, seeds) -> dict:
+    """The group of automorphisms of V that the maps `seeds` generate, as
+    the `word_search` closure of V's generators: its keys are the images of
+    `V.generator_ids()`, the vectors that `FusionSystem.aut_f_vectors`
+    lists, and no image table is built."""
+    return word_search(V.generator_ids(), same_domain_runs(
+        (V.ids, dict(zip(V.sorted_ids, h.images))) for h in seeds))
 
 
 class RVDescriptor:
@@ -317,8 +291,8 @@ def build_rv(name: str):
     name = name.lower()
     mats = outer_group_matrices(name)
     closure = _mclose(mats)
-    assert len(closure) == OUT_ORDERS[name], \
-        f"outer matrix group has order {len(closure)}"
+    if len(closure) != OUT_ORDERS[name]:
+        raise AssertionError(f"outer matrix group has order {len(closure)}")
     # line orbits and profile classes, both by size: classes of one size
     # carry one automizer order, so this is the only assignment
     rv = RVDescriptor(name, mats, {
@@ -331,10 +305,10 @@ def build_rv(name: str):
         seeds.extend(ext.rank2_aut_seeds(min(orb), type_order))
     F = generated_fusion(ext.S, P, seeds)
     report = is_saturated(F)
-    assert report.verdict, (
-        f"the {name} closure is not saturated: counterexample of order "
-        f"{report.counterexample.order}"
-    )
+    if not report.verdict:
+        raise AssertionError(
+            f"the {name} closure is not saturated: counterexample of order "
+            f"{report.counterexample.order}")
     F.rv = rv
     return F
 
@@ -349,40 +323,45 @@ def certify_rv(F: FusionSystem) -> dict:
                          "which records its RVDescriptor as F.rv")
     ext, name = rv.extraspecial, rv.name
     out = out_F(F, F.S)
-    expected = comparison_out_group(name)
-    assert out.order == OUT_ORDERS[name], \
-        f"outer group order {out.order} != {OUT_ORDERS[name]}"
-    assert group_isomorphic(out.full(), expected.full()) is not None, \
-        "outer group shape mismatch"
+    if out.order != OUT_ORDERS[name]:
+        raise AssertionError(
+            f"outer group order {out.order} != {OUT_ORDERS[name]}")
+    if group_isomorphic(out.full(), comparison_out_group(name).full()) is None:
+        raise AssertionError("outer group shape mismatch")
     counts = {HALF_TYPE_ORDER: 0, FULL_TYPE_ORDER: 0}
     for line in _lines():
         V = ext.rank2_subgroup(line)
         counts[len(F.aut_f_vectors(V))] += 1
-        assert is_centric(F, V) and is_radical(F, V), \
-            "rank-2 subgroup not centric-radical"
+        if not (is_centric(F, V) and is_radical(F, V)):
+            raise AssertionError("rank-2 subgroup not centric-radical")
     want = {HALF_TYPE_ORDER: 0, FULL_TYPE_ORDER: 0}
     for size, type_order in FCR_PROFILES[name]:
         want[type_order] += size
-    assert counts == want, (counts, want)
+    if counts != want:
+        raise AssertionError((counts, want))
     # every subgroup of order p^2 contains Z(S) = Phi(S), so these are the
     # classes of the eight subgroups over lines
     class_sizes = sorted(len(cls) for cls in F.conjugacy_classes()
                          if cls[0].order == P * P)
-    assert class_sizes == sorted(n for n, _ in FCR_PROFILES[name]), \
-        f"rank-2 class sizes {class_sizes}"
-    cr = cr_objects(F)
-    cr_rank2 = [Q for Q in cr if Q.order == P * P]
-    assert len(cr_rank2) == 8, "rank-2 centric-radical count is not eight"
+    if class_sizes != sorted(n for n, _ in FCR_PROFILES[name]):
+        raise AssertionError(f"rank-2 class sizes {class_sizes}")
+    if sum(Q.order == P * P for Q in cr_objects(F)) != 8:
+        raise AssertionError("rank-2 centric-radical count is not eight")
+    # the lift of matrices is an isomorphism GL(2, 7) -> Aut(V), so the
+    # closure of the seeds, lifted afresh, is the lift of the group their
+    # matrices generate
     for orb, type_order in rv.profile.items():
-        rep = min(orb)
-        V = ext.rank2_subgroup(rep)
-        mine = set(F.aut_f_tables(V))
-        want = ext.aut_group_tables(rep, type_order)
-        assert mine == want, "rank-2 automorphism group differs from seed"
-    closed = [
-        Q.order for Q in F.objects() if is_strongly_closed(F, Q)
-    ]
-    assert closed == [1, F.S.order], f"strongly closed orders {closed}"
+        V = ext.rank2_subgroup(min(orb))
+        closure = _seed_closure(V, ext.rank2_aut_seeds(min(orb), type_order))
+        if len(closure) != type_order:
+            raise AssertionError(
+                f"rank-2 seeds generate {len(closure)} automorphisms, "
+                f"not {type_order}")
+        if closure.keys() != set(F.aut_f_vectors(V)):
+            raise AssertionError("rank-2 automorphism group differs from seed")
+    closed = [Q.order for Q in F.objects() if is_strongly_closed(F, Q)]
+    if closed != [1, F.S.order]:
+        raise AssertionError(f"strongly closed orders {closed}")
     return {
         "name": name,
         "out_order": out.order,

@@ -309,6 +309,14 @@ def test_s_table_matches_tuple_arithmetic(name, relabel):
                     Q.elements[theta[a]], Q.elements[theta[b]])
 
 
+def test_p_group_above_the_table_cap_keeps_the_tuple_path():
+    """A scan of a p-group of order 2^13 builds no table: one would hold
+    2^26 two-byte entries, and this scan needs no products at all."""
+    G = elementary_abelian_group(2, 13)
+    assert centralizer(G.full(), G.trivial()) == G.full()
+    assert G._table is None
+
+
 @pytest.mark.parametrize("name", ["7^(1+2)", "3^(1+2):2 x S3"])
 def test_tabled_s_makes_no_kernel_calls(name, monkeypatch):
     if name == "7^(1+2)":

@@ -22,7 +22,8 @@ subgroup's ambient group, keys an entry by a subgroup, and only
 `FusionSystem.images_at` alone: outside `groups`, `named` and `fusion` no
 module names the tree, and `classify` builds no `quotient_group`. No
 module of the package imports a name it never uses, and every CLI
-command has a job in `test_cli`.
+command has a job in `test_cli`. `build_rv` and `certify_rv` hold no
+`assert` statement, so their checks stay under `python -O`.
 """
 
 import ast
@@ -247,6 +248,15 @@ def test_classify_builds_no_quotient_group():
     of a permutation group."""
     assert [line for line, n in _names(_tree("classify.py"))
             if n == "quotient_group"] == []
+
+
+@pytest.mark.parametrize("func", ["build_rv", "certify_rv"])
+def test_rv_checks_survive_python_O(func):
+    """`python -O` strips `assert` statements, so every check of a built
+    rv system raises `AssertionError` explicitly."""
+    [node] = [n for n in _tree("rv.py").body
+              if isinstance(n, ast.FunctionDef) and n.name == func]
+    assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.Assert)] == []
 
 
 def _unused_imports(tree):

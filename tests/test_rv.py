@@ -1,16 +1,26 @@
 """The three exotic systems over the extraspecial group of order 343."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+from itertools import accumulate, repeat
+
 import pytest
 
+import fusionkit
 from fusionkit import (
     FCR_PROFILES,
     OUT_ORDERS,
+    FusionSystem,
     RVDescriptor,
     audit_axioms,
     build_rv,
     certify_rv,
     comparison_out_group,
     group_isomorphic,
+    hom_from_images,
     hom_table_digest,
     is_strongly_closed,
     out_F,
@@ -19,7 +29,19 @@ from fusionkit import (
     symmetric_group,
     transporter_fusion,
 )
-from fusionkit.rv import _Extraspecial, _lines, _line_orbits, _mclose
+from fusionkit import rv as rv_module
+from fusionkit.rv import (
+    HALF_TYPE_ORDER,
+    _I2,
+    _ORDER16,
+    _RANK2_GENERATORS,
+    _Extraspecial,
+    _line_orbits,
+    _lines,
+    _mclose,
+    _mmul,
+    _seed_closure,
+)
 
 
 def test_unknown_name_rejected():
@@ -64,10 +86,9 @@ def test_profile_classes_of_one_size_share_one_automizer_order():
         assert all(len(v) == 1 for v in orders_by_size.values()), name
 
 
-@pytest.mark.parametrize("build", ["rank2_aut_seeds", "aut_group_tables"])
-def test_unknown_rank2_type_order_rejected(build):
+def test_unknown_rank2_type_order_rejected():
     with pytest.raises(ValueError, match="unknown type order"):
-        getattr(_Extraspecial(), build)((1, 0), 100)
+        _Extraspecial().rank2_aut_seeds((1, 0), 100)
 
 
 def test_descriptor_rejects_wrong_profile():
@@ -82,6 +103,104 @@ def test_outer_matrix_groups_close_to_advertised_orders():
     for name, want in OUT_ORDERS.items():
         mats = outer_group_matrices(name)
         assert len(_mclose(mats)) == want, name
+
+
+def test_order16_constant_has_multiplicative_order_16():
+    """rv2 and rv3 are generated from a field element of order 16; every
+    element of GL(2, 7) has order at most 48."""
+    powers = list(accumulate(repeat(_ORDER16, 48), _mmul))
+    assert powers.index(_I2) + 1 == 16
+
+
+def _lifted_matrix_closure(ext, line, type_order):
+    """The reference for the rank-2 check of `certify_rv`: every matrix of
+    the group that `_RANK2_GENERATORS[type_order]` generates, lifted one at
+    a time to an automorphism of the rank-2 subgroup V over the line (v to
+    v^a z^c and z to v^b z^d for the matrix ((a, b), (c, d))), as its
+    images of `V.generator_ids()`."""
+    mats = _mclose(_RANK2_GENERATORS[type_order])
+    G, z = ext.G, ext.z
+    V = ext.rank2_subgroup(line)
+    v = ext.word(line[0], line[1], 0)
+    gens = [V.positions[g] for g in V.generator_ids()]
+    out = set()
+    for m in mats:
+        imgs = [G.mul_ids(G.power_ids(v, m[0][c]), G.power_ids(z, m[1][c]))
+                for c in (0, 1)]
+        h = hom_from_images(V, G, [v, z], imgs)
+        assert h is not None and h.is_injective(), m
+        out.add(tuple(h.images[i] for i in gens))
+    assert len(out) == len(mats) == type_order
+    return out
+
+
+def test_seed_closure_matches_lifted_matrix_closure(rv_systems):
+    """The closure of the three lifted seeds is the lift of the matrix
+    group they generate, and both are Aut_F(V), on every orbit
+    representative V of rv1-rv3."""
+    for name, F in rv_systems.items():
+        ext = F.rv.extraspecial
+        for orb, type_order in F.rv.profile.items():
+            V = ext.rank2_subgroup(min(orb))
+            seeds = ext.rank2_aut_seeds(min(orb), type_order)
+            closure = _seed_closure(V, seeds).keys()
+            ref = _lifted_matrix_closure(ext, min(orb), type_order)
+            assert closure == ref == set(F.aut_f_vectors(V)), (name, orb)
+
+
+def test_certify_rv_lifts_only_the_rank2_seeds(rv_systems, monkeypatch):
+    """`certify_rv` lifts the three generators of each orbit
+    representative's automizer and no other matrix, and evaluates fewer
+    rank-2 morphisms than one automizer holds."""
+    lifts, walked = [], []
+    real_images_at = FusionSystem.images_at
+
+    def lift(domain, *args):
+        lifts.append(domain.order)
+        return hom_from_images(domain, *args)
+
+    def images_at(F, X, elems=None, vectors=None):
+        out = real_images_at(F, X, elems, vectors)
+        if X.order == 49:
+            walked.append(len(out))
+        return out
+
+    monkeypatch.setattr(rv_module, "hom_from_images", lift)
+    monkeypatch.setattr(FusionSystem, "images_at", images_at)
+    for name, F in rv_systems.items():
+        lifts.clear()
+        walked.clear()
+        certify_rv(F)
+        assert lifts == [49] * 3 * len(F.rv.profile), name
+        assert sum(walked) < HALF_TYPE_ORDER, name
+
+
+MISMATCH = textwrap.dedent("""
+    import sys
+    from fusionkit import RVDescriptor, build_rv, certify_rv
+    from fusionkit import outer_group_matrices
+    from fusionkit.rv import _line_orbits
+    if not sys.flags.optimize:
+        sys.exit("not run under -O")
+    F = build_rv("rv2")
+    mats = outer_group_matrices("rv3")
+    rv3 = RVDescriptor("rv3", mats, {orb: 672 for orb in _line_orbits(mats)})
+    rv3.extraspecial = F.rv.extraspecial
+    F.rv = rv3
+    certify_rv(F)
+""")
+
+
+def test_certify_rv_rejects_a_mismatched_system_under_python_O():
+    """rv2 with an rv3 descriptor has an outer group of order 48, not 96;
+    `python -O` strips asserts, and `certify_rv` still refuses it."""
+    src = str(pathlib.Path(fusionkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", MISMATCH],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: outer group order 48 != 96" in proc.stderr
 
 
 def test_line_orbit_sizes_match_profiles():
