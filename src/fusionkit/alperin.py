@@ -77,7 +77,7 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     P = phi.domain
     gens = P.generator_ids()
     target = tuple(phi.images[P.positions[g]] for g in gens)
-    if target not in F.vector_set(P):
+    if not F.member_test(P)(target):
         raise ValueError("morphism does not belong to the system")
     runs, tables, objects = F.cached(("alperin_moves",), lambda: _moves(F))
     parents = word_search(gens, runs, target)

@@ -48,12 +48,13 @@ class SaturationReport:
 
 def is_fully_automised(F: FusionSystem, P: Subgroup) -> bool:
     """|Aut_S(P)|, one automorphism per coset of C_S(P) in N_S(P), is the
-    p-part of |Aut_F(P)|."""
+    p-part of |Aut_F(P)|. Aut_S(P) maps P into P, so it lies in Hom(P, S)
+    exactly when it lies in Aut_F(P)."""
     cosets = F.centralizer_cosets(P)
-    homs = F.vector_set(P)
-    if any(vec not in homs for _r, _coset, vec in cosets):
+    aut = F.aut_f_vectors(P)
+    if not set(aut).issuperset(vec for _r, _coset, vec in cosets):
         raise AssertionError("Aut_S(P) escaped Aut_F(P)")
-    return len(cosets) == _p_part(len(F.aut_f_vectors(P)), F.p)
+    return len(cosets) == _p_part(len(aut), F.p)
 
 
 def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
@@ -113,7 +114,7 @@ def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup):
     coset of C_S(P) that psi(g) lies in. Each phi c_g in `orbit` extends
     over the conjugate of N_phi by g exactly when phi extends over
     N_phi."""
-    vectors = [v for v in F.hom_vectors(Q) if P.ids.issuperset(v)]
+    _picked, vectors = F.hom_into(Q, P)
     for vec, (n_phi, twists, orbit) in zip(
             vectors, _n_phi_all(F, Q, P, vectors)):
         yield (vec, F.subgroup(n_phi),
@@ -138,7 +139,7 @@ def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
         for vec, N, candidates, orbit in _extensions(F, Q, P):
             if vec in decided or N == Q:
                 continue
-            if len(F.hom_vectors(N)) <= c_p * (N.order // Q.order):
+            if F.hom_count(N) <= c_p * (N.order // Q.order):
                 extends = vec in F.extension_index(N, Q)
             else:
                 extends = F.extends(N, Q, vec, candidates)
@@ -184,7 +185,7 @@ def out_F(F: FusionSystem, P: Subgroup) -> FiniteGroup:
     on the points of P when 1 = Inn(P) < Aut_F(P). Raises ValueError when
     Inn(P) is not inside Aut_F(P) or its cosets do not split Aut_F(P)."""
     aut, inner = F.aut_f_vectors(P), _inner(F, P)
-    if not inner <= F.vector_set(P):
+    if not inner <= set(aut):
         raise ValueError("Inn(P) is not inside Aut_F(P)")
     pos = P.positions
     if len(inner) == 1 < len(aut):

@@ -216,7 +216,7 @@ def centralizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
 
 def _hom_fingerprint(F: FusionSystem):
     return sorted(
-        (Q.order, len(F.hom_vectors(Q))) for Q in F.objects()
+        (Q.order, F.hom_count(Q)) for Q in F.objects()
     )
 
 

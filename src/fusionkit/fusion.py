@@ -15,13 +15,18 @@ systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps, given as runs of consecutive maps
 with one domain, so that a search node tests each run's domain once;
 `alperin_decompose` runs the same search over fcr automorphisms. A
-generated system searches one member R of each F-class, records one
-psi: R -> Q' onto each other member Q', and reads Hom(Q', S) off
-Hom(R, S) by transport, phi -> phi psi^-1. The provenance of its
-morphisms is the words of the search from their own domain: R's come
-from the search the rule ran, and `hom_set` hands out GroupHoms whose
-provenance is deferred, so a member read by transport is searched only
-when one of its words is read.
+generated system searches one member R of each F-class and records which
+morphisms of Hom(R, S) map R onto each member Q', the first of them being
+psi: R -> Q'. Since Hom(Q', S) = Hom(R, S) psi^-1, Q' is answered through
+R and psi, and its own hom set is built only when a read asks for all of
+it (`hom_vectors`, a provenance word, `equal_hom_tables`): `images_at`
+reads R at psi^-1 of the elements asked for, the image sets and the count
+are R's, Hom(Q', P) is R's morphisms into P carried across psi one at a
+time, and `member_test` tests w by w psi. The provenance of its morphisms
+is the words of the search from their own domain: R's come from the
+search the rule ran, and `hom_set` hands out GroupHoms whose provenance
+is deferred, so a member read by transport is searched only when one of
+its words is read.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
@@ -50,6 +55,8 @@ each subgroup lives in the system's ambient group (on a miss, inside S),
 raising ValueError otherwise; the other entries are keyed by order,
 element or nothing. The transport record of a generated system is keyed
 by order, and is the one entry that grows: by one F-class per search.
+Each member read by transport keeps its psi^-1 and the two compiled walks
+that carry a vector across psi, under `transported`.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ import hashlib
 import pickle
 import random
 from array import array
+from collections import namedtuple
 from itertools import accumulate, groupby, islice
 from operator import itemgetter
 
@@ -81,6 +89,22 @@ from .groups import (
 )
 
 _MISSING = object()
+
+# How a generated system reads a member Q' of an F-class off its searched
+# member R, through psi: R -> Q', the first morphism of R onto Q' that the
+# search found: `inverse` is the vector of psi^-1 on Q''s generators, `to_r`
+# evaluates a morphism w out of Q' at psi(R's generators), giving the vector
+# of w psi out of R, and `from_r` a morphism phi out of R at `inverse`,
+# giving the vector of phi psi^-1 out of Q'.
+_Transport = namedtuple("_Transport", "R inverse to_r from_r")
+
+
+def _plan(X: Subgroup, elems):
+    """The compiled walk of X's Cayley tree to `elems`, or to all of X
+    when None or X.sorted_ids itself, whose plan is compiled once."""
+    tree = cayley_tree(X)
+    return (tree.full if elems is None or elems is X.sorted_ids
+            else tree.plan(elems))
 
 
 def _memoised(fn):
@@ -116,7 +140,10 @@ class FusionSystem:
     "generated" or "derived"). `generators(F)` lists morphisms that
     generate the system; without it every morphism is listed.
     `images_at(X, elems, vectors)` evaluates stored morphisms at chosen
-    elements, and every table or restriction is read through it."""
+    elements, and every table or restriction is read through it;
+    `hom_into`, `hom_count` and `member_test` answer for Hom(Q, P), its
+    size and its members without building Hom(Q, S) of a member read by
+    transport."""
 
     def __init__(self, S: Subgroup, p: int, hom, backend: str,
                  generators=None):
@@ -172,13 +199,24 @@ class FusionSystem:
         morphism out of X whose generator images are in `vectors` (Hom(X, S)
         when None), in order. This is the one reader of morphisms stored by
         their vectors: one `TreePlan.images` call walks X's Cayley tree
-        once per vector, and no table is kept."""
+        once per vector, and no table is kept. On a member X read by
+        transport from R, Hom(X, S) = Hom(R, S) psi^-1 is read as Hom(R, S)
+        at psi^-1(elems), and X's own vectors are never built."""
         _same_ambient(self.S, X)
-        tree = cayley_tree(X)
-        plan = tree.full if elems is None else tree.plan(elems)
         if vectors is None:
+            X, elems = self._site(X, elems)
             vectors = self.hom_vectors(X)
-        return plan.images(self.ambient, vectors)
+        return _plan(X, elems).images(self.ambient, vectors)
+
+    def _site(self, X: Subgroup, elems) -> tuple:
+        """(Y, at) such that Hom(X, S) at `elems` (all of X when None) is
+        Hom(Y, S) at `at`, in the same order: X itself, unless X is read by
+        transport from R, when it is R at psi^-1(elems)."""
+        moved = self._source(X)
+        if moved is None:
+            return X, elems
+        return moved.R, _plan(X, elems).images(self.ambient,
+                                               [moved.inverse])[0]
 
     def table(self, Q: Subgroup, vec) -> tuple:
         """The image table over Q.sorted_ids of the morphism out of Q with
@@ -200,7 +238,7 @@ class FusionSystem:
             return False
         pos = Q.positions
         vec = tuple([images[pos[g]] for g in Q.generator_ids()])
-        return (vec in self.vector_set(Q)
+        return (self.member_test(Q)(vec)
                 and self.table(Q, vec) == tuple(images))
 
     @_memoised
@@ -209,19 +247,69 @@ class FusionSystem:
         # sized once from a dict: two slots per key where growing keeps four
         return frozenset(dict.fromkeys(self.hom_vectors(Q)))
 
-    def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
-        """The morphisms Q -> P, by image table. A morphism maps into P
-        exactly when its generator images lie in P."""
+    def member_test(self, Q: Subgroup):
+        """The test of whether a vector of images of Q.generator_ids() is
+        stored in Hom(Q, S), built once for many calls. On a member Q read
+        by transport from R, w is stored exactly when w psi is stored for
+        R and w is that morphism's transport: one walk of w at psi, and one
+        more of a stored w psi at psi^-1 of Q's generators."""
+        moved = self._source(Q)
+        if moved is None:
+            return self.vector_set(Q).__contains__
+        amb, sids, stored = self.ambient, self.S.ids, self.vector_set(moved.R)
+        to_r, from_r, width = moved.to_r, moved.from_r, len(moved.inverse)
+
+        def is_stored(vec) -> bool:
+            vec = tuple(vec)
+            if len(vec) != width or not sids.issuperset(vec):
+                return False
+            up = to_r.images(amb, [vec])[0]
+            return up in stored and from_r.images(amb, [up])[0] == vec
+        return is_stored
+
+    def hom_count(self, Q: Subgroup) -> int:
+        """|Hom(Q, S)|, which a member read by transport shares with its
+        searched member."""
+        moved = self._source(Q)
+        return len(self.hom_vectors(Q if moved is None else moved.R))
+
+    def hom_into(self, Q: Subgroup, P: Subgroup, elems=None) -> tuple:
+        """Hom(Q, P) in rule order, as (positions in Hom(Q, S), images): the
+        images of `elems` under each morphism, or its vector when `elems`
+        is None. A morphism maps into P exactly when its generator images
+        lie in P, and psi^-1 maps a member Q' read by transport onto R, so
+        Hom(Q', P) is Hom(R, P) read at psi^-1(elems): one walk each."""
         _same_ambient(self.S, P)
         if not P.ids <= self.S.ids:
             raise ValueError("codomain is not a subgroup of S")
-        pids = P.ids
-        vectors, prov = self._hom(Q)
-        picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
-        found = sorted(zip(
-            self.images_at(Q, vectors=[vectors[i] for i in picked]), picked))
+        X, at = self._site(Q, Q.generator_ids() if elems is None else elems)
+        vectors = self.hom_vectors(X)
+        if X.order == P.order > 1 and self.backend == "generated":
+            # a morphism into P of X's order is onto P: the search of X's
+            # class recorded which ones are
+            R, onto = self._transports(P.order).get(P.ids, (None, ()))
+            picked = list(onto) if R is X else []
+        else:
+            pids = P.ids
+            picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
+        into = [vectors[i] for i in picked]
+        if X is not Q or elems is not None:
+            into = _plan(X, at).images(self.ambient, into)
+        return picked, into
+
+    def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
+        """The morphisms Q -> P, by image table. A morphism maps into P
+        exactly when its generator images lie in P."""
+        picked, tables = self.hom_into(Q, P, Q.sorted_ids)
+        found = sorted(zip(tables, picked))
         # provenance is deferred: a generated system searches a transported
-        # object for its words only when one is read
+        # object for its words only when one is read, and builds its whole
+        # hom set then
+        if self._source(Q) is None:
+            prov = self._hom(Q)[1]
+        else:
+            def prov(i):
+                return self._hom(Q)[1](i)
         return [
             GroupHom(Q, P, t,
                      provenance=None if prov is None
@@ -236,8 +324,7 @@ class FusionSystem:
     def aut_f_vectors(self, P: Subgroup) -> tuple:
         """Aut_F(P) as vectors: the morphisms out of P whose generator
         images lie in P, since an injective map of P into P is onto."""
-        pids = P.ids
-        return tuple(v for v in self.hom_vectors(P) if pids.issuperset(v))
+        return tuple(self.hom_into(P, P)[1])
 
     def aut_f_tables(self, P: Subgroup) -> tuple:
         """Aut_F(P) as sorted image tables, built on each call."""
@@ -283,11 +370,18 @@ class FusionSystem:
 
     @_memoised
     def image_sets(self, Q: Subgroup) -> frozenset:
-        """Images of all morphisms out of Q, as the id sets of objects."""
-        vectors = self.hom_vectors(Q)
+        """Images of all morphisms out of Q, as the id sets of objects. A
+        member read by transport shares them with its searched member R,
+        and R's are the objects that R's search recorded."""
         if Q.order == 1:
             return frozenset([Q.ids])
-        return frozenset(self._image_objects(Q.order, vectors))
+        if self.backend != "generated":
+            return frozenset(self._image_objects(Q.order,
+                                                 self.hom_vectors(Q)))
+        moved = self._transported(Q)
+        R = Q if moved is None else moved.R
+        return frozenset(ids for ids, (T, _onto)
+                         in self._transports(Q.order).items() if T is R)
 
     def _image_objects(self, order: int, vectors) -> list:
         """The id set of the image of each morphism in `vectors`, out of an
@@ -307,12 +401,38 @@ class FusionSystem:
 
     def _transports(self, order: int) -> dict:
         """The transport record of a generated system: {id set of an object
-        of `order`: (R, psi)} over the F-classes searched so far, R being
-        the member whose Hom(R, S) was searched and psi the vector of one
-        morphism of R onto the object (the identity on R itself). The rule
-        adds one class at a time, as it searches R; an entry, once written,
-        never changes, so the record is the one memo value that grows."""
+        of `order`: (R, onto)} over the F-classes searched so far, R being
+        the member whose Hom(R, S) was searched and `onto` the positions in
+        Hom(R, S) of the morphisms of R onto the object, in rule order (R's
+        own entry holds Aut_F(R)). The rule adds one class at a time, as it
+        searches R; an entry, once written, never changes, so the record is
+        the one memo value that grows."""
         return self.cached(("transport", order), dict)
+
+    def _source(self, Q: Subgroup):
+        """The `_Transport` that reads Q off the searched member of its
+        F-class, or None when Hom(Q, S) is Q's own: always outside a
+        generated system, which this one backend check decides."""
+        if self.backend != "generated" or Q.order == 1:
+            return None
+        return self._transported(Q)
+
+    @_memoised
+    def _transported(self, Q: Subgroup):
+        """The `_Transport` of Q, or None when Q is the searched member R
+        of its class. A class no member of which was searched is searched
+        here, from Q. psi^-1 is read once, off psi's table."""
+        record = self._transports(Q.order)
+        if Q.ids not in record:
+            self._hom(Q)
+        R, onto = record[Q.ids]
+        if R is Q:
+            return None
+        psi = self.hom_vectors(R)[onto[0]]
+        back = dict(zip(self.table(R, psi), R.sorted_ids))
+        inverse = tuple([back[y] for y in Q.generator_ids()])
+        return _Transport(R, inverse, cayley_tree(Q).plan(psi),
+                          cayley_tree(R).plan(inverse))
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
         """All subgroups F-isomorphic to P (isomorphic as objects, i.e.
@@ -408,11 +528,11 @@ class FusionSystem:
         if i == len(steps):
             return True
         g, Ni, down, up = steps[i]
-        amb, stored = self.ambient, self.vector_set(Ni)
+        amb, stored = self.ambient, self.member_test(Ni)
         for c in candidates(g):
             images = head + (c,)
             w = down.images(amb, [images])[0]
-            if (w in stored and up.images(amb, [w])[0] == images
+            if (stored(w) and up.images(amb, [w])[0] == images
                     and self._climb(steps, candidates, i + 1, images)):
                 return True
         return False
@@ -551,11 +671,13 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     Hom(Q, S) is the `word_search` closure of Q's generators under the
     seeds, their inverses and the conjugations by the generators of S, run
     once per F-class: for the first member R of a class that is asked for.
-    The search records one morphism psi of R onto each image object Q', and
-    Hom(Q', S) = {phi psi^-1 : phi in Hom(R, S)} is then read off Hom(R, S)
-    at psi^-1 of Q''s generators (Aschbacher, Kessar & Oliver 2011, I.2;
-    psi^-1 is a composite of the seeds' inverses, so it lies in the
-    system). A morphism's provenance, ("word", seed indices), is the word
+    The search records which morphisms of R map it onto each image object
+    Q', and Hom(Q', S) = {phi psi^-1 : phi in Hom(R, S)} for the first of
+    them, psi (Aschbacher, Kessar & Oliver 2011, I.2; psi^-1 is a
+    composite of the seeds' inverses, so it lies in the system). The
+    system answers Q' through R and psi; this rule builds Hom(Q', S), read
+    off Hom(R, S) at psi^-1 of Q''s generators, only when a read asks for
+    all of it. A morphism's provenance, ("word", seed indices), is the word
     of the breadth-first search from its own domain's generators: R's are
     read off the rule's search, and Q''s on demand, by one full search of
     Q' on the first read. Either search is kept as three int arrays. The
@@ -591,17 +713,17 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     def hom(F, Q):
         gens = Q.generator_ids()
         transports = F._transports(Q.order)
-        found = transports.get(Q.ids)
-        if found is not None:
-            R, psi = found
-            back = dict(zip(F.table(R, psi), R.sorted_ids))
-            vectors = tuple(F.images_at(R, [back[y] for y in gens]))
+        if Q.ids in transports:
+            # another member of Q's class was searched: read by transport
+            vectors = tuple(F.images_at(Q, gens))
             return vectors, _words(gens, runs, vectors)
         parents = word_search(gens, runs)
         vectors = tuple(parents)
         if Q.order > 1:
-            for ids, psi in zip(F._image_objects(Q.order, vectors), vectors):
-                transports.setdefault(ids, (Q, psi))
+            onto: dict = {}
+            for k, ids in enumerate(F._image_objects(Q.order, vectors)):
+                onto.setdefault(ids, array("i")).append(k)
+            transports.update((ids, (Q, ks)) for ids, ks in onto.items())
         return vectors, _words(gens, runs, vectors, parents)
 
     return FusionSystem(S, p, hom, "generated",

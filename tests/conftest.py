@@ -2,13 +2,19 @@
 
 BUILD_SECONDS records wall-clock construction time per fixture so the
 acceptance tests can account for build cost honestly even when a system
-was first built by an earlier test.
+was first built by an earlier test. `work_counts` counts the hom-rule runs
+of generated systems and the vectors each caller walks.
 """
 
+import sys
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import fusionkit.fusion as fusion
+import fusionkit.groups as groups
 from fusionkit import (
     FiniteGroup,
     alternating_group,
@@ -158,3 +164,41 @@ def rv_systems():
     for name in ("rv1", "rv2", "rv3"):
         out[name] = _timed(name, lambda n=name: build_rv(n))
     return out
+
+
+# the readers that `TreePlan.images` is called through, skipped when a walk
+# is charged to its caller
+WALK_READERS = {"images", "images_at", "table", "is_stored"}
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts of the work done from here to the end of the test. `rules`
+    lists (order, ids) of the object of each run of a generated system's
+    hom rule, and `walks` counts the vectors that `TreePlan.images` walks,
+    by caller: the first function on the stack outside WALK_READERS, so a
+    read through `FusionSystem.images_at` is charged to whoever asked for
+    it, and the generated rule's own reads to `hom`."""
+    counts = SimpleNamespace(rules=[], walks=Counter())
+    images = groups.TreePlan.images
+
+    def counted_images(plan, cod, vectors):
+        out = images(plan, cod, vectors)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in WALK_READERS:
+            frame = frame.f_back
+        counts.walks[frame.f_code.co_name] += len(out)
+        return out
+
+    init = fusion.FusionSystem.__init__
+
+    def counted_init(F, S, p, hom, backend, generators=None):
+        if backend == "generated":
+            def hom(F, Q, rule=hom):
+                counts.rules.append((Q.order, Q.ids))
+                return rule(F, Q)
+        init(F, S, p, hom, backend, generators)
+
+    monkeypatch.setattr(groups.TreePlan, "images", counted_images)
+    monkeypatch.setattr(fusion.FusionSystem, "__init__", counted_init)
+    return counts

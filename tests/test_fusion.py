@@ -14,6 +14,7 @@ from fusionkit import (
     audit_axioms,
     aut_F,
     aut_S,
+    build_rv,
     centralizer,
     centralizer_subsystem,
     cyclic_group,
@@ -29,6 +30,7 @@ from fusionkit import (
     hom_table_digest,
     inner_fusion,
     is_centric,
+    is_fully_automised,
     is_fully_centralised,
     is_fully_normalised,
     is_normal_in_F,
@@ -40,6 +42,7 @@ from fusionkit import (
     out_F,
     quotient_fusion,
     quotient_group,
+    regenerate_from_fcr,
     subgroup_generated,
     sylow_p,
     symmetric_group,
@@ -47,7 +50,9 @@ from fusionkit import (
     verify_decomposition,
 )
 import fusionkit.groups as groups
-from fusionkit.fusion import AUDIT_SAMPLES
+from conftest import sl33_group
+from fusionkit.fusion import AUDIT_SAMPLES, _words, same_domain_runs
+from test_word_search import _seeds
 
 
 def test_transporter_requires_sylow():
@@ -446,3 +451,131 @@ def test_a_warm_lattice_builds_no_tree_again(monkeypatch):
     for Q in objects:
         normalizer(F.S, Subgroup(F.ambient, Q.ids))
     assert built == []
+
+
+def _generated(name, rv_systems):
+    if name in rv_systems:
+        return rv_systems[name]
+    G, p = {"S6@2": lambda: (symmetric_group(6), 2),
+            "SL(3,3)@3": lambda: (sl33_group(), 3)}[name]()
+    return regenerate_from_fcr(transporter_fusion(G, sylow_p(G.full(), p), p))
+
+
+def _full_transport(F, R, Q):
+    """(vectors, tables) of Hom(Q, S) for a member Q of the class that R
+    was searched for, built in full as the generated rule once built it
+    for every such member: Hom(R, S) read at psi^-1 of Q's generators and
+    of all of Q, psi being the first morphism of R onto Q in rule order."""
+    psi = next(v for v in F.hom_vectors(R) if Q.ids.issuperset(v))
+    back = dict(zip(F.table(R, psi), R.sorted_ids))
+    return (tuple(F.images_at(R, [back[y] for y in Q.generator_ids()])),
+            F.images_at(R, [back[y] for y in Q.sorted_ids]))
+
+
+def _unstored(F, Q, stored, n=3):
+    """Up to `n` vectors of elements of S, one entry away from a stored
+    vector, that are not stored."""
+    out = []
+    for vec in sorted(stored):
+        for j in range(len(vec)):
+            for x in F.S.sorted_ids:
+                w = vec[:j] + (x,) + vec[j + 1:]
+                if w not in stored:
+                    out.append(w)
+                    if len(out) == n:
+                        return out
+                    break
+    return out
+
+
+@pytest.mark.parametrize("name", ["rv1", "rv2", "rv3", "S6@2", "SL(3,3)@3"])
+def test_transported_members_answer_as_their_full_hom_sets(
+        name, rv_systems, monkeypatch):
+    """A member Q of an F-class read by transport from its searched member
+    R answers every class-level read as its whole Hom(Q, S) does, built
+    as the generated rule built it before: image sets, Hom(Q, P) in rule
+    order for each P of the class, for S and for one object of Q's order
+    outside the class, Aut_F(Q), the count, and
+    membership. Full automisation still checks Aut_S(Q) against Aut_F(Q)
+    there, and the words of the morphisms `hom_set` hands out are those of
+    a search from Q."""
+    F = _generated(name, rv_systems)
+    words_read = set()
+    moved = 0
+    cosets = FusionSystem.centralizer_cosets
+    for cls in F.conjugacy_classes():
+        for Q in cls:
+            if Q.order == 1 or F._transports(Q.order)[Q.ids][0] is Q:
+                continue
+            moved += 1
+            R = F._transports(Q.order)[Q.ids][0]
+            vectors, tables = _full_transport(F, R, Q)
+            assert F.image_sets(Q) == {frozenset(t) for t in tables}
+            # and one object of Q's order outside the class, if any
+            outsider = [P for P in F.objects()
+                        if P.order == Q.order and P not in cls][:1]
+            for P in cls + outsider + [F.S]:
+                picked = [i for i, v in enumerate(vectors)
+                          if P.ids.issuperset(v)]
+                assert F.hom_into(Q, P) == (picked,
+                                            [vectors[i] for i in picked])
+            for P in (Q, F.S):
+                picked = [i for i, v in enumerate(vectors)
+                          if P.ids.issuperset(v)]
+                homs = F.hom_set(Q, P)
+                assert [m.images for m in homs] == sorted(
+                    tables[i] for i in picked)
+                if R.ids not in words_read:
+                    # the words of one member per class, against a search
+                    # of Q's own
+                    gens = Q.generator_ids()
+                    word = _words(gens, same_domain_runs(_seeds(F)), vectors)
+                    at = {v: i for i, v in enumerate(vectors)}
+                    for m in homs:
+                        vec = tuple(m.images[Q.positions[g]] for g in gens)
+                        assert m.provenance == word(at[vec])
+            words_read.add(R.ids)
+            assert F.aut_f_vectors(Q) == tuple(
+                v for v in vectors if Q.ids.issuperset(v))
+            assert F.hom_count(Q) == len(vectors)
+            stored = F.member_test(Q)
+            assert all(map(stored, vectors))
+            assert F.has_morphism(Q, tables[-1])
+            outside = _unstored(F, Q, set(vectors))
+            assert outside and not any(map(stored, outside))
+            assert not stored(vectors[0][:-1]) and not stored((-1,) * len(
+                vectors[0]))
+            # Aut_S(Q) lies in Aut_F(Q), and a coset outside it is caught
+            is_fully_automised(F, Q)
+            with monkeypatch.context() as m:
+                m.setattr(FusionSystem, "centralizer_cosets",
+                          lambda F, P: cosets(F, P) + ((0, (), outside[0]),))
+                with pytest.raises(AssertionError, match="escaped"):
+                    is_fully_automised(F, Q)
+    assert moved > 0 and words_read
+
+
+def test_build_rv_searches_each_class_once_and_transports_no_hom_set(
+        work_counts):
+    """build_rv and the rank-2 checks of the exotic_rv benchmark run the
+    generated rule once per F-class, 14 times over rv1-rv3, and never on
+    a member read by transport, whose whole hom set is not built: reading
+    Hom(Q', S) = Hom(R, S) psi^-1 in full for every such member made 201
+    runs of the rule and walked 135,408 vectors of Hom(R, S) per round."""
+    built = []
+    for name in ("rv1", "rv2", "rv3"):
+        F = build_rv(name)
+        for V in F.objects():
+            if V.order == F.p ** 2:
+                aut_F(F, V)
+                is_centric(F, V)
+                is_radical(F, V)
+        built.append(F)
+    assert len(work_counts.rules) == 14 == sum(
+        len(F.conjugacy_classes()) for F in built)
+    assert work_counts.walks["hom"] == 0
+    for F in built:
+        searched = {Q.ids for Q in F.objects() if Q.order == 1} | {
+            R.ids for Q in F.objects() if Q.order > 1
+            for R, _onto in F._transports(Q.order).values()}
+        assert {key[1] for key in F._memo if key[0] == "hom"} == searched

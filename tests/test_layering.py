@@ -12,11 +12,11 @@ permutation tuples do not import `perms` at all.
 other module defines a class with an `images` slot. A fusion system stores
 a morphism by its images of the domain's generators. Every kind of memo
 entry is named below: those that hold morphisms as such vectors, the
-transport record of generated systems (vectors of the searched object's
-generators), those that hold no morphism, and the few stated exceptions
-that keep whole tables. Only `fusion._memoised`, which checks the
-subgroup's ambient group, keys an entry by a subgroup, and only
-`FusionSystem.cached` touches the memo.
+transport of generated systems (positions in the searched object's hom
+set, and each other member's psi^-1 as a vector), those that hold no
+morphism, and the few stated exceptions that keep whole tables. Only
+`fusion._memoised`, which checks the subgroup's ambient group, keys an
+entry by a subgroup, and only `FusionSystem.cached` touches the memo.
 
 `groups.CayleyTree` and its compiled walks are read through
 `FusionSystem.images_at` alone: outside `groups`, `named` and `fusion` no
@@ -311,10 +311,13 @@ VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors"}
 PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
                "objects_through", "f_conjugates", "conjugacy_classes",
                "f_classes", "cr_classes", "fcr_objects", "extension_chain"}
-# memo kinds keyed by an order that hold morphisms as vectors of another
-# object's generators: `transport` maps each object of a generated system
-# whose class was searched to (the searched object R, psi: R -> it)
-TRANSPORT_KINDS = {"transport"}
+# memo kinds of the transport of generated systems: `transport`, keyed by
+# an order, maps each object whose class was searched to (the searched
+# object R, the positions in Hom(R, S) of the morphisms onto it), and
+# `transported`, keyed by an object Q', is None on a searched object and
+# otherwise (R, the vector of psi^-1 on Q''s generators, and the two
+# compiled walks that carry a vector across psi: R -> Q')
+TRANSPORT_KINDS = {"transport", "transported"}
 # the stated exceptions, which keep whole tables
 TABLE_KINDS = {
     # the transporter rule's input: c_g on D_g, one dict per distinct pair
@@ -369,14 +372,28 @@ def test_memo_stores_morphisms_as_generator_images(name):
             assert {len(k) for k in value} <= {width(key[2])}
         elif key[0] == "image_sets":
             assert value <= {R.ids for R in F.objects()}
-        elif key[0] in TRANSPORT_KINDS:
-            # {object of this order: (searched R, psi of R onto it)}
-            assert {R.order for R, _psi in value.values()} <= {key[1]}
+        elif key[0] == "transport":
+            # {object of this order: (searched R, positions of the
+            # morphisms of Hom(R, S) onto it)}
+            assert {R.order for R, _onto in value.values()} <= {key[1]}
             assert value.keys() <= {R.ids for R in F.objects()}
-            for R, psi in value.values():
-                assert len(psi) == width(R.ids)
+            for ids, (R, onto) in value.items():
+                vectors = F.hom_vectors(R)
+                assert onto and all(ids.issuperset(vectors[k]) for k in onto)
+        elif key[0] == "transported":
+            # a searched object reads its own hom set; any other member of
+            # a searched class reads R's through psi
+            if value is not None:
+                R, inverse, to_r, from_r = value
+                assert (R.order == len(key[1]) and R.ids != key[1]
+                        and R.ids <= F.S.ids)
+                assert (frozenset(inverse) <= R.ids
+                        and len(inverse) == width(key[1]))
+                assert len(to_r.outs) == width(R.ids)
+                assert len(from_r.outs) == len(inverse)
         else:
             assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
     assert VECTOR_KINDS | {"extension_index", "centralizer_cosets"} <= kinds
     assert {"out_F", "alperin_moves"} <= kinds & TABLE_KINDS
-    assert ("transport" in kinds) == (F.backend == "generated")
+    assert kinds & TRANSPORT_KINDS == (
+        TRANSPORT_KINDS if F.backend == "generated" else set())
