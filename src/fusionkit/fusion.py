@@ -15,18 +15,18 @@ systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps, given as runs of consecutive maps
 with one domain, so that a search node tests each run's domain once;
 `alperin_decompose` runs the same search over fcr automorphisms. A
-generated system searches one member R of each F-class and records which
-morphisms of Hom(R, S) map R onto each member Q', the first of them being
-psi: R -> Q'. Since Hom(Q', S) = Hom(R, S) psi^-1, Q' is answered through
-R and psi, and its own hom set is built only when a read asks for all of
-it (`hom_vectors`, a provenance word, `equal_hom_tables`): `images_at`
-reads R at psi^-1 of the elements asked for, the image sets and the count
-are R's, Hom(Q', P) is R's morphisms into P carried across psi one at a
-time, and `member_test` tests w by w psi. The provenance of its morphisms
-is the words of the search from their own domain: R's come from the
-search the rule ran, and `hom_set` hands out GroupHoms whose provenance
-is deferred, so a member read by transport is searched only when one of
-its words is read.
+generated system searches one member R of each F-class and records one
+psi: R -> Q' onto each other member Q', the first morphism of R onto Q'
+in rule order. Since Hom(Q', S) = Hom(R, S) psi^-1, Q' is answered
+through R and psi, and its own hom set is built only when a read asks for
+all of it (`hom_vectors`, `equal_hom_tables`): `images_at` reads R at
+psi^-1 of the elements asked for, the image sets and the count are R's,
+Hom(Q', P) is R's morphisms into P carried across psi one at a time, and
+`member_test` tests w by w psi. The provenance of its morphisms is the
+words of the search from their own domain: R's come from the search the
+rule ran, and `hom_set` hands out GroupHoms whose provenance is deferred,
+so a member read by transport is searched only when one of its words is
+read. A deferred word holds that search's inputs, never the system.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
@@ -41,10 +41,11 @@ generators adds, along the compiled walks of `extension_chain`. Outside
 `groups`, `named` and this module no code names the tree. The memo keeps
 no table of a morphism of Hom(Q, S), and Aut_S(Q) is kept the same way:
 one generator-image vector per coset of C_S(Q) in N_S(Q), in
-`centralizer_cosets`. It does keep three kinds of whole table: the
-conjugation pairs of the transporter sweep, `classify.out_F` of an
-abelian P, which is Aut_F(P) on the points of P, and the fcr
-automorphisms that the Alperin search reads at any element.
+`centralizer_cosets`. It does keep four kinds of whole table: the
+conjugation pairs of the transporter sweep, the seed maps of the
+generated closure, `classify.out_F` of an abelian P, which is Aut_F(P) on
+the points of P, and the fcr automorphisms that the Alperin search reads
+at any element.
 
 A system never changes once built, so its hom vectors and every invariant
 derived from them (automizers, classes, normalizers, fcr objects, ...) are
@@ -55,8 +56,9 @@ each subgroup lives in the system's ambient group (on a miss, inside S),
 raising ValueError otherwise; the other entries are keyed by order,
 element or nothing. The transport record of a generated system is keyed
 by order, and is the one entry that grows: by one F-class per search.
-Each member read by transport keeps its psi^-1 and the two compiled walks
-that carry a vector across psi, under `transported`.
+Each member read by transport keeps its psi^-1, the two compiled walks
+that carry a vector across psi and its deferred words, under
+`transported`.
 """
 
 from __future__ import annotations
@@ -95,16 +97,16 @@ _MISSING = object()
 # search found: `inverse` is the vector of psi^-1 on Q''s generators, `to_r`
 # evaluates a morphism w out of Q' at psi(R's generators), giving the vector
 # of w psi out of R, and `from_r` a morphism phi out of R at `inverse`,
-# giving the vector of phi psi^-1 out of Q'.
-_Transport = namedtuple("_Transport", "R inverse to_r from_r")
+# giving the vector of phi psi^-1 out of Q'. `words` is the provenance of
+# Hom(Q', S), deferred until one of its words is read.
+_Transport = namedtuple("_Transport", "R inverse to_r from_r words")
 
 
 def _plan(X: Subgroup, elems):
     """The compiled walk of X's Cayley tree to `elems`, or to all of X
-    when None or X.sorted_ids itself, whose plan is compiled once."""
+    when None."""
     tree = cayley_tree(X)
-    return (tree.full if elems is None or elems is X.sorted_ids
-            else tree.plan(elems))
+    return tree.full if elems is None else tree.plan(elems)
 
 
 def _memoised(fn):
@@ -270,46 +272,37 @@ class FusionSystem:
     def hom_count(self, Q: Subgroup) -> int:
         """|Hom(Q, S)|, which a member read by transport shares with its
         searched member."""
-        moved = self._source(Q)
-        return len(self.hom_vectors(Q if moved is None else moved.R))
+        if self.backend == "generated" and Q.order > 1:
+            Q = self._searched(Q)
+        return len(self.hom_vectors(Q))
 
-    def hom_into(self, Q: Subgroup, P: Subgroup, elems=None) -> tuple:
-        """Hom(Q, P) in rule order, as (positions in Hom(Q, S), images): the
-        images of `elems` under each morphism, or its vector when `elems`
-        is None. A morphism maps into P exactly when its generator images
+    def hom_into(self, Q: Subgroup, P: Subgroup, tables=False) -> tuple:
+        """Hom(Q, P) in rule order, as (positions in Hom(Q, S), morphisms):
+        each morphism's vector, or its image table over Q.sorted_ids when
+        `tables`. A morphism maps into P exactly when its generator images
         lie in P, and psi^-1 maps a member Q' read by transport onto R, so
-        Hom(Q', P) is Hom(R, P) read at psi^-1(elems): one walk each."""
+        Hom(Q', P) is Hom(R, P) read at psi^-1 of Q''s generators, or of
+        all of Q': one walk each."""
         _same_ambient(self.S, P)
         if not P.ids <= self.S.ids:
             raise ValueError("codomain is not a subgroup of S")
-        X, at = self._site(Q, Q.generator_ids() if elems is None else elems)
-        vectors = self.hom_vectors(X)
-        if X.order == P.order > 1 and self.backend == "generated":
-            # a morphism into P of X's order is onto P: the search of X's
-            # class recorded which ones are
-            R, onto = self._transports(P.order).get(P.ids, (None, ()))
-            picked = list(onto) if R is X else []
-        else:
-            pids = P.ids
-            picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
+        X, at = self._site(Q, None if tables else Q.generator_ids())
+        vectors, pids = self.hom_vectors(X), P.ids
+        picked = [i for i, v in enumerate(vectors) if pids.issuperset(v)]
         into = [vectors[i] for i in picked]
-        if X is not Q or elems is not None:
+        if X is not Q or tables:
             into = _plan(X, at).images(self.ambient, into)
         return picked, into
 
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
         """The morphisms Q -> P, by image table. A morphism maps into P
         exactly when its generator images lie in P."""
-        picked, tables = self.hom_into(Q, P, Q.sorted_ids)
+        picked, tables = self.hom_into(Q, P, tables=True)
         found = sorted(zip(tables, picked))
         # provenance is deferred: a generated system searches a transported
-        # object for its words only when one is read, and builds its whole
-        # hom set then
-        if self._source(Q) is None:
-            prov = self._hom(Q)[1]
-        else:
-            def prov(i):
-                return self._hom(Q)[1](i)
+        # object for its words only when one is read
+        moved = self._source(Q)
+        prov = self._hom(Q)[1] if moved is None else moved.words
         return [
             GroupHom(Q, P, t,
                      provenance=None if prov is None
@@ -378,9 +371,8 @@ class FusionSystem:
         if self.backend != "generated":
             return frozenset(self._image_objects(Q.order,
                                                  self.hom_vectors(Q)))
-        moved = self._transported(Q)
-        R = Q if moved is None else moved.R
-        return frozenset(ids for ids, (T, _onto)
+        R = self._searched(Q)
+        return frozenset(ids for ids, (T, _psi)
                          in self._transports(Q.order).items() if T is R)
 
     def _image_objects(self, order: int, vectors) -> list:
@@ -401,13 +393,21 @@ class FusionSystem:
 
     def _transports(self, order: int) -> dict:
         """The transport record of a generated system: {id set of an object
-        of `order`: (R, onto)} over the F-classes searched so far, R being
-        the member whose Hom(R, S) was searched and `onto` the positions in
-        Hom(R, S) of the morphisms of R onto the object, in rule order (R's
-        own entry holds Aut_F(R)). The rule adds one class at a time, as it
-        searches R; an entry, once written, never changes, so the record is
-        the one memo value that grows."""
+        of `order`: (R, psi)} over the F-classes searched so far, R being
+        the member whose Hom(R, S) was searched and psi the vector of one
+        morphism of R onto the object (the identity on R itself). The rule
+        adds one class at a time, as it searches R; an entry, once written,
+        never changes, so the record is the one memo value that grows."""
         return self.cached(("transport", order), dict)
+
+    def _searched(self, Q: Subgroup) -> Subgroup:
+        """The member R of the F-class of Q, of order > 1, whose Hom(R, S)
+        a generated system searched. A class no member of which was
+        searched is searched here, from Q."""
+        record = self._transports(Q.order)
+        if Q.ids not in record:
+            self._hom(Q)
+        return record[Q.ids][0]
 
     def _source(self, Q: Subgroup):
         """The `_Transport` that reads Q off the searched member of its
@@ -420,19 +420,22 @@ class FusionSystem:
     @_memoised
     def _transported(self, Q: Subgroup):
         """The `_Transport` of Q, or None when Q is the searched member R
-        of its class. A class no member of which was searched is searched
-        here, from Q. psi^-1 is read once, off psi's table."""
-        record = self._transports(Q.order)
-        if Q.ids not in record:
-            self._hom(Q)
-        R, onto = record[Q.ids]
+        of its class. psi^-1 is read once, off psi's table. The deferred
+        words hold Hom(R, S), the walk to psi^-1 and the seed runs, which
+        a search from Q reads on the first read of a word."""
+        R = self._searched(Q)
         if R is Q:
             return None
-        psi = self.hom_vectors(R)[onto[0]]
+        psi = self._transports(Q.order)[Q.ids][1]
         back = dict(zip(self.table(R, psi), R.sorted_ids))
-        inverse = tuple([back[y] for y in Q.generator_ids()])
-        return _Transport(R, inverse, cayley_tree(Q).plan(psi),
-                          cayley_tree(R).plan(inverse))
+        gens = Q.generator_ids()
+        inverse = tuple([back[y] for y in gens])
+        amb, vectors = self.ambient, self.hom_vectors(R)
+        from_r = cayley_tree(R).plan(inverse)
+        words = _words(gens, _seed_runs(self),
+                       lambda: tuple(from_r.images(amb, vectors)))
+        return _Transport(R, inverse, cayley_tree(Q).plan(psi), from_r,
+                          words)
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
         """All subgroups F-isomorphic to P (isomorphic as objects, i.e.
@@ -671,21 +674,18 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     Hom(Q, S) is the `word_search` closure of Q's generators under the
     seeds, their inverses and the conjugations by the generators of S, run
     once per F-class: for the first member R of a class that is asked for.
-    The search records which morphisms of R map it onto each image object
-    Q', and Hom(Q', S) = {phi psi^-1 : phi in Hom(R, S)} for the first of
-    them, psi (Aschbacher, Kessar & Oliver 2011, I.2; psi^-1 is a
-    composite of the seeds' inverses, so it lies in the system). The
-    system answers Q' through R and psi; this rule builds Hom(Q', S), read
-    off Hom(R, S) at psi^-1 of Q''s generators, only when a read asks for
-    all of it. A morphism's provenance, ("word", seed indices), is the word
-    of the breadth-first search from its own domain's generators: R's are
-    read off the rule's search, and Q''s on demand, by one full search of
-    Q' on the first read. Either search is kept as three int arrays. The
-    seed maps are grouped once, here, into runs of consecutive maps with
-    one domain, which both searches read."""
-    amb = S.ambient
+    The search records one morphism psi of R onto each image object Q', and
+    Hom(Q', S) = {phi psi^-1 : phi in Hom(R, S)} (Aschbacher, Kessar &
+    Oliver 2011, I.2; psi^-1 is a composite of the seeds' inverses, so it
+    lies in the system). The system answers Q' through R and psi; this
+    rule builds Hom(Q', S), read off Hom(R, S) at psi^-1 of Q''s
+    generators, only when a read asks for all of it. A morphism's
+    provenance, ("word", seed indices), is the word of the breadth-first
+    search from its own domain's generators: R's are read off the rule's
+    search, and Q''s on demand, by one full search of Q' on the first read.
+    Either search is kept as three int arrays. Both read the seed maps of
+    `_seed_runs`."""
     morphisms = []
-    seeds = []
     for k, g in enumerate(gens):
         g = as_hom(g, S)
         domain, images = g.domain, g.images
@@ -699,45 +699,55 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
         if not h.is_homomorphism():
             raise ValueError("generator is not a homomorphism")
         morphisms.append(h)
-        seeds.append((domain.ids, dict(zip(domain.sorted_ids, images))))
-        # the factorization axiom forces the inverse of each seed,
-        # viewed as an isomorphism onto its image, into the system
-        seeds.append((frozenset(images),
-                      dict(zip(images, domain.sorted_ids))))
-    # conjugation seeds make every Hom_S map reachable
-    for t in S.generator_ids():
-        table = dict(zip(S.sorted_ids, amb.conj_row(S.sorted_ids, t)))
-        seeds.append((S.ids, table))
-    runs = same_domain_runs(seeds)
 
     def hom(F, Q):
         gens = Q.generator_ids()
         transports = F._transports(Q.order)
         if Q.ids in transports:
             # another member of Q's class was searched: read by transport
-            vectors = tuple(F.images_at(Q, gens))
-            return vectors, _words(gens, runs, vectors)
+            return tuple(F.images_at(Q, gens)), F._transported(Q).words
+        runs = _seed_runs(F)
         parents = word_search(gens, runs)
         vectors = tuple(parents)
         if Q.order > 1:
-            onto: dict = {}
-            for k, ids in enumerate(F._image_objects(Q.order, vectors)):
-                onto.setdefault(ids, array("i")).append(k)
-            transports.update((ids, (Q, ks)) for ids, ks in onto.items())
+            for ids, psi in zip(F._image_objects(Q.order, vectors), vectors):
+                transports.setdefault(ids, (Q, psi))
         return vectors, _words(gens, runs, vectors, parents)
 
     return FusionSystem(S, p, hom, "generated",
                         generators=lambda _F: list(morphisms))
 
 
+def _seed_runs(F: FusionSystem) -> tuple:
+    """The moves of the searches of a generated system, as same-domain
+    runs: each generating morphism as {x: image} on its domain, then its
+    inverse onto its image, which the factorization axiom forces into the
+    system, and last the conjugation by each generator of S, which makes
+    every Hom_S map reachable. Built once, and read by the rule's searches
+    and by the deferred words of a member read by transport."""
+    def build():
+        S, seeds = F.S, []
+        for m in F.generating_morphisms():
+            dom, images = m.domain, m.images
+            seeds.append((dom.ids, dict(zip(dom.sorted_ids, images))))
+            seeds.append((frozenset(images),
+                          dict(zip(images, dom.sorted_ids))))
+        for t in S.generator_ids():
+            seeds.append((S.ids, dict(zip(
+                S.sorted_ids, F.ambient.conj_row(S.sorted_ids, t)))))
+        return same_domain_runs(seeds)
+    return F.cached(("seed_runs",), build)
+
+
 def _words(gens, runs, vectors, parents=None):
-    """The provenance of Hom(Q, S) in a generated system: the i-th of
-    `vectors` gives ("word", seed indices) of its parent chain in the full
-    `word_search` from Q's generators `gens` under the seeds' same-domain
-    `runs`. `parents` is that search when the rule ran it; otherwise it
-    runs on the first read. Either way only its links are kept, three int
-    arrays, and the search's inputs are dropped; the provenance never
-    holds the system."""
+    """The provenance of Hom(Q, S) in a generated system: the i-th vector
+    of Hom(Q, S) gives ("word", seed indices) of its parent chain in the
+    full `word_search` from Q's generators `gens` under the seeds'
+    same-domain `runs`. `parents` is that search when the rule ran it, and
+    `vectors` is then Hom(Q, S); otherwise the search runs on the first
+    read, and `vectors` is a function that gives Hom(Q, S) then. Either
+    way only its links are kept, three int arrays, and the search's inputs
+    are dropped; the provenance never holds the system."""
     links = None
     if parents is not None:
         links = _links(parents, vectors)
@@ -746,7 +756,7 @@ def _words(gens, runs, vectors, parents=None):
     def word(i: int) -> tuple:
         nonlocal gens, runs, vectors, links
         if links is None:
-            links = _links(word_search(gens, runs), vectors)
+            links = _links(word_search(gens, runs), vectors())
             gens = runs = vectors = None
         up, via, at = links
         j, out = at[i], []

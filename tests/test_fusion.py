@@ -1,6 +1,8 @@
 """Fusion-system model: transporter and generated backends, axioms."""
 
+import gc
 import re
+import weakref
 from itertools import product
 
 import pytest
@@ -494,8 +496,8 @@ def test_transported_members_answer_as_their_full_hom_sets(
     """A member Q of an F-class read by transport from its searched member
     R answers every class-level read as its whole Hom(Q, S) does, built
     as the generated rule built it before: image sets, Hom(Q, P) in rule
-    order for each P of the class, for S and for one object of Q's order
-    outside the class, Aut_F(Q), the count, and
+    order, as vectors and as tables, for each P of the class, for S and for
+    one object of Q's order outside the class, Aut_F(Q), the count, and
     membership. Full automisation still checks Aut_S(Q) against Aut_F(Q)
     there, and the words of the morphisms `hom_set` hands out are those of
     a search from Q."""
@@ -519,6 +521,8 @@ def test_transported_members_answer_as_their_full_hom_sets(
                           if P.ids.issuperset(v)]
                 assert F.hom_into(Q, P) == (picked,
                                             [vectors[i] for i in picked])
+                assert F.hom_into(Q, P, tables=True) == (
+                    picked, [tables[i] for i in picked])
             for P in (Q, F.S):
                 picked = [i for i, v in enumerate(vectors)
                           if P.ids.issuperset(v)]
@@ -529,7 +533,8 @@ def test_transported_members_answer_as_their_full_hom_sets(
                     # the words of one member per class, against a search
                     # of Q's own
                     gens = Q.generator_ids()
-                    word = _words(gens, same_domain_runs(_seeds(F)), vectors)
+                    word = _words(gens, same_domain_runs(_seeds(F)),
+                                  lambda: vectors)
                     at = {v: i for i, v in enumerate(vectors)}
                     for m in homs:
                         vec = tuple(m.images[Q.positions[g]] for g in gens)
@@ -555,6 +560,27 @@ def test_transported_members_answer_as_their_full_hom_sets(
     assert moved > 0 and words_read
 
 
+def test_handed_out_words_do_not_hold_the_system():
+    """The deferred words of a member Q read by transport hold the inputs
+    of Q's search, not the system: the morphisms `hom_set` hands out
+    outlive their system, and their words are those of a search from Q."""
+    G = symmetric_group(6)
+    F = regenerate_from_fcr(transporter_fusion(G, sylow_p(G.full(), 2), 2))
+    Q = next(Q for Q in F.objects()
+             if Q.order > 1 and F._searched(Q) is not Q)
+    homs = F.hom_set(Q, F.S)
+    gens, vectors = Q.generator_ids(), F.hom_vectors(Q)
+    word = _words(gens, same_domain_runs(_seeds(F)), lambda: vectors)
+    at = {v: i for i, v in enumerate(vectors)}
+    freed = weakref.ref(F)
+    del F
+    gc.collect()
+    assert freed() is None
+    for m in homs:
+        vec = tuple(m.images[Q.positions[g]] for g in gens)
+        assert m.provenance == word(at[vec])
+
+
 def test_build_rv_searches_each_class_once_and_transports_no_hom_set(
         work_counts):
     """build_rv and the rank-2 checks of the exotic_rv benchmark run the
@@ -577,5 +603,5 @@ def test_build_rv_searches_each_class_once_and_transports_no_hom_set(
     for F in built:
         searched = {Q.ids for Q in F.objects() if Q.order == 1} | {
             R.ids for Q in F.objects() if Q.order > 1
-            for R, _onto in F._transports(Q.order).values()}
+            for R, _psi in F._transports(Q.order).values()}
         assert {key[1] for key in F._memo if key[0] == "hom"} == searched

@@ -12,9 +12,9 @@ permutation tuples do not import `perms` at all.
 other module defines a class with an `images` slot. A fusion system stores
 a morphism by its images of the domain's generators. Every kind of memo
 entry is named below: those that hold morphisms as such vectors, the
-transport of generated systems (positions in the searched object's hom
-set, and each other member's psi^-1 as a vector), those that hold no
-morphism, and the few stated exceptions that keep whole tables. Only
+transport of generated systems (vectors of the searched object's
+generators, and each other member's psi^-1 as a vector), those that hold
+no morphism, and the few stated exceptions that keep whole tables. Only
 `fusion._memoised`, which checks the subgroup's ambient group, keys an
 entry by a subgroup, and only `FusionSystem.cached` touches the memo.
 
@@ -313,10 +313,10 @@ PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
                "f_classes", "cr_classes", "fcr_objects", "extension_chain"}
 # memo kinds of the transport of generated systems: `transport`, keyed by
 # an order, maps each object whose class was searched to (the searched
-# object R, the positions in Hom(R, S) of the morphisms onto it), and
-# `transported`, keyed by an object Q', is None on a searched object and
-# otherwise (R, the vector of psi^-1 on Q''s generators, and the two
-# compiled walks that carry a vector across psi: R -> Q')
+# object R, psi: R -> it), and `transported`, keyed by an object Q', is
+# None on a searched object and otherwise (R, the vector of psi^-1 on Q''s
+# generators, the two compiled walks that carry a vector across psi, and
+# Q''s deferred words)
 TRANSPORT_KINDS = {"transport", "transported"}
 # the stated exceptions, which keep whole tables
 TABLE_KINDS = {
@@ -325,6 +325,10 @@ TABLE_KINDS = {
     # Out_F(P) as a permutation group, built only when `out_F` is asked
     # for; for abelian P it is Aut_F(P) on the |P| points of P
     "out_F",
+    # the generated rule's input: each seed map and its inverse as a dict
+    # on its domain, and c_t on S for each generator t of S, in same-domain
+    # runs that every search reads
+    "seed_runs",
     # every fcr automorphism as a dict, grouped into one run of moves per
     # stretch of consecutive automorphisms of one object: the Alperin search
     # reads each at any element of its object
@@ -373,18 +377,17 @@ def test_memo_stores_morphisms_as_generator_images(name):
         elif key[0] == "image_sets":
             assert value <= {R.ids for R in F.objects()}
         elif key[0] == "transport":
-            # {object of this order: (searched R, positions of the
-            # morphisms of Hom(R, S) onto it)}
-            assert {R.order for R, _onto in value.values()} <= {key[1]}
+            # {object of this order: (searched R, psi of R onto it)}
+            assert {R.order for R, _psi in value.values()} <= {key[1]}
             assert value.keys() <= {R.ids for R in F.objects()}
-            for ids, (R, onto) in value.items():
-                vectors = F.hom_vectors(R)
-                assert onto and all(ids.issuperset(vectors[k]) for k in onto)
+            for R, psi in value.values():
+                assert len(psi) == width(R.ids)
         elif key[0] == "transported":
             # a searched object reads its own hom set; any other member of
             # a searched class reads R's through psi
             if value is not None:
-                R, inverse, to_r, from_r = value
+                R, inverse, to_r, from_r, words = value
+                assert callable(words)
                 assert (R.order == len(key[1]) and R.ids != key[1]
                         and R.ids <= F.S.ids)
                 assert (frozenset(inverse) <= R.ids
@@ -395,5 +398,6 @@ def test_memo_stores_morphisms_as_generator_images(name):
             assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
     assert VECTOR_KINDS | {"extension_index", "centralizer_cosets"} <= kinds
     assert {"out_F", "alperin_moves"} <= kinds & TABLE_KINDS
+    assert ("seed_runs" in kinds) == (F.backend == "generated")
     assert kinds & TRANSPORT_KINDS == (
         TRANSPORT_KINDS if F.backend == "generated" else set())

@@ -275,7 +275,7 @@ def _roots(F):
     """(order, ids) of every object whose hom set F searched."""
     orders = {Q.order for Q in F.objects() if Q.order > 1}
     return {(order, R.ids) for order in orders
-            for R, _onto in F._transports(order).values()}
+            for R, _psi in F._transports(order).values()}
 
 
 @pytest.mark.parametrize("name,classes", [("rv1", 5), ("rv2", 5),
