@@ -18,8 +18,12 @@ Receptivity follows the extension axiom (Aschbacher, Kessar & Oliver,
 Fusion Systems in Algebra and Topology, 2011, I.2; Roberts & Shpectorov,
 J. Group Theory 12, 2009, for the receptive form): an extension psi of
 phi: Q -> P over N_phi acts on P as phi c_g phi^-1 at each g in N_phi, so
-psi(g) lies in one known coset of C_S(P). `is_receptive` decides one phi
-per orbit under Aut_S(Q), either from the restrictions of all of
+psi(g) lies in one known coset of C_S(P). Hom_S lies in F (I.2), so
+`is_receptive` makes two reductions: it takes one domain Q from each
+S-conjugacy class of P's F-class, since phi on Q^s extends exactly when
+phi c_s on Q does, and one phi from each double coset
+Aut_S(P) phi Aut_S(Q), since c_h phi and phi c_g extend exactly when phi
+does. It decides phi either from the restrictions of all of
 Hom(N_phi, S) to Q, the set `FusionSystem.extension_index(N_phi, Q)`, or
 from these candidate images, whichever set is smaller.
 """
@@ -27,7 +31,13 @@ from these candidate images, whichever set is smaller.
 from __future__ import annotations
 
 from .fusion import FusionSystem, _memoised
-from .groups import FiniteGroup, Subgroup, _p_part, _same_ambient
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    _p_part,
+    _same_ambient,
+    right_cosets,
+)
 
 
 class SaturationReport:
@@ -106,15 +116,16 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
     return out
 
 
-def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup):
+def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors=None):
     """(vec, N_phi, candidates, orbit) for each isomorphism phi from Q onto
-    P, with generator images `vec`; phi maps Q onto P when its generator
-    images lie in P. An extension psi of phi over N_phi makes psi(g) act
-    on P as phi c_g phi^-1 for g in N_phi, so `candidates(g)` is the one
-    coset of C_S(P) that psi(g) lies in. Each phi c_g in `orbit` extends
-    over the conjugate of N_phi by g exactly when phi extends over
-    N_phi."""
-    _picked, vectors = F.hom_into(Q, P)
+    P whose generator images `vec` are in `vectors` (all of Hom(Q, P) when
+    None); phi maps Q onto P when its generator images lie in P. An
+    extension psi of phi over N_phi makes psi(g) act on P as
+    phi c_g phi^-1 for g in N_phi, so `candidates(g)` is the one coset of
+    C_S(P) that psi(g) lies in. Each phi c_g in `orbit` extends over the
+    conjugate of N_phi by g exactly when phi extends over N_phi."""
+    if vectors is None:
+        vectors = F.hom_into(Q, P)[1]
     for vec, (n_phi, twists, orbit) in zip(
             vectors, _n_phi_all(F, Q, P, vectors)):
         yield (vec, F.subgroup(n_phi),
@@ -123,20 +134,65 @@ def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup):
                orbit)
 
 
+def _s_class_representatives(F: FusionSystem, members) -> list:
+    """The first member of each S-conjugacy class among `members`, an
+    F-class. The S-conjugates of Q are Q^r over the right cosets N_S(Q) r
+    of N_S(Q) in S, and Q alone when N_S(Q) = S."""
+    amb, covered, out = F.ambient, set(), []
+    for Q in members:
+        if Q.ids in covered:
+            continue
+        out.append(Q)
+        N = F.normalizer_of(Q)
+        if N != F.S:
+            covered.update(frozenset(amb.conj_row(Q.sorted_ids, r))
+                           for r, _coset in right_cosets(F.S, N))
+    return out
+
+
+def _left_orbits(F: FusionSystem, P: Subgroup, vectors) -> dict:
+    """{vec: the first vector of its orbit} over `vectors`, the generator
+    images of maps into P, under Aut_S(P) acting on the left: c_h phi has
+    the images of phi conjugated by h, for each coset representative h of
+    C_S(P) in N_S(P). Each vector is its own orbit when Aut_S(P) = 1."""
+    reps = [r for r, _coset, _vec in F.centralizer_cosets(P)]
+    if len(reps) == 1:
+        return dict(zip(vectors, vectors))
+    amb = F.ambient
+    cols: dict = {}
+    first: dict = {}
+    for vec in vectors:
+        if vec in first:
+            continue
+        for y in vec:
+            if y not in cols:
+                cols[y] = amb.conj_col(y, reps)
+        first.update(dict.fromkeys(zip(*[cols[y] for y in vec]), vec))
+    return first
+
+
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     """Every isomorphism phi onto P from a member Q of its F-class extends
     over its N_phi; read on vectors, with no table built, for one phi of
-    each orbit under Aut_S(Q). When N_phi = Q, phi is its own extension.
-    Otherwise, when |Hom(N_phi, S)| <= |C_S(P)| * |N_phi : Q|, phi is
-    looked up among the restrictions of all of Hom(N_phi, S) to Q,
+    each double coset Aut_S(P) phi Aut_S(Q) and one Q of each S-class.
+    Hom_S lies in F (Aschbacher, Kessar & Oliver 2011, I.2), so phi on
+    Q^s extends exactly when phi c_s on Q does, and c_h phi for c_h in
+    Aut_S(P) has phi's N_phi and extends exactly when phi does: N_phi is
+    computed for one phi of each left Aut_S(P)-orbit, and deciding phi
+    decides its orbit under Aut_S(Q) on the right. When N_phi = Q, phi
+    is its own extension. Otherwise, when
+    |Hom(N_phi, S)| <= |C_S(P)| * |N_phi : Q|, phi is looked up among the
+    restrictions of all of Hom(N_phi, S) to Q,
     `extension_index(N_phi, Q)`; when it is larger,
     `FusionSystem.extends` tests phi's own candidate images."""
     if P == F.S:
         return True
     c_p = F.centralizer_of(P).order
-    for Q in F.f_conjugates(P):
+    for Q in _s_class_representatives(F, F.f_conjugates(P)):
+        first = _left_orbits(F, P, F.hom_into(Q, P)[1])
         decided = set()
-        for vec, N, candidates, orbit in _extensions(F, Q, P):
+        for vec, N, candidates, orbit in _extensions(
+                F, Q, P, list(dict.fromkeys(first.values()))):
             if vec in decided or N == Q:
                 continue
             if F.hom_count(N) <= c_p * (N.order // Q.order):
@@ -145,7 +201,8 @@ def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
                 extends = F.extends(N, Q, vec, candidates)
             if not extends:
                 return False
-            decided.update(orbit)
+            # the double coset Aut_S(P) phi Aut_S(Q), by its left orbits
+            decided.update(first[w] for w in orbit)
     return True
 
 
@@ -344,16 +401,21 @@ def cr_objects(F: FusionSystem) -> list[Subgroup]:
 def is_saturated(F: FusionSystem) -> SaturationReport:
     """Def-literal saturation: every class owns a fully automised and
     receptive member. Rows carry the witnessing member (or the least
-    member, with its failing flags, when none exists)."""
+    member, with its failing flags, when none exists); the least member's
+    flags are those the search read, and its receptivity is decided for
+    the row only when the search skipped it for not being fully
+    automised."""
     per_class = []
     counterexample = None
     verdict = True
     for cls in F.conjugacy_classes():
-        found = None
+        found = least_flags = None
         for Q in cls:
-            if not is_fully_automised(F, Q):
-                continue
-            if is_receptive(F, Q):
+            automised = is_fully_automised(F, Q)
+            receptive = automised and is_receptive(F, Q)
+            if least_flags is None:
+                least_flags = automised, receptive
+            if receptive:
                 found = Q
                 break
         if found is not None:
@@ -365,10 +427,12 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
         else:
             verdict = False
             least = cls[0]
+            automised, receptive = least_flags
             per_class.append({
                 "representative": least,
-                "fully_automised": is_fully_automised(F, least),
-                "receptive": is_receptive(F, least),
+                "fully_automised": automised,
+                "receptive": receptive if automised
+                else is_receptive(F, least),
             })
             if counterexample is None:
                 counterexample = least

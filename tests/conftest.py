@@ -3,7 +3,8 @@
 BUILD_SECONDS records wall-clock construction time per fixture so the
 acceptance tests can account for build cost honestly even when a system
 was first built by an earlier test. `work_counts` counts the hom-rule runs
-of generated systems and the vectors each caller walks.
+of generated systems, the vectors each caller walks, the maps whose N_phi
+receptivity computes and its candidate tests.
 """
 
 import sys
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import fusionkit.classify as classify
 import fusionkit.fusion as fusion
 import fusionkit.groups as groups
 from fusionkit import (
@@ -178,8 +180,10 @@ def work_counts(monkeypatch):
     hom rule, and `walks` counts the vectors that `TreePlan.images` walks,
     by caller: the first function on the stack outside WALK_READERS, so a
     read through `FusionSystem.images_at` is charged to whoever asked for
-    it, and the generated rule's own reads to `hom`."""
-    counts = SimpleNamespace(rules=[], walks=Counter())
+    it, and the generated rule's own reads to `hom`. `n_phi` counts the
+    vectors passed to `classify._n_phi_all` and `extends` the calls of
+    `FusionSystem.extends`."""
+    counts = SimpleNamespace(rules=[], walks=Counter(), n_phi=0, extends=0)
     images = groups.TreePlan.images
 
     def counted_images(plan, cod, vectors):
@@ -199,6 +203,20 @@ def work_counts(monkeypatch):
                 return rule(F, Q)
         init(F, S, p, hom, backend, generators)
 
+    n_phi_all = classify._n_phi_all
+
+    def counted_n_phi_all(F, Q, P, vectors):
+        counts.n_phi += len(vectors)
+        return n_phi_all(F, Q, P, vectors)
+
+    extends = fusion.FusionSystem.extends
+
+    def counted_extends(F, N, Q, vec, candidates):
+        counts.extends += 1
+        return extends(F, N, Q, vec, candidates)
+
     monkeypatch.setattr(groups.TreePlan, "images", counted_images)
     monkeypatch.setattr(fusion.FusionSystem, "__init__", counted_init)
+    monkeypatch.setattr(classify, "_n_phi_all", counted_n_phi_all)
+    monkeypatch.setattr(fusion.FusionSystem, "extends", counted_extends)
     return counts

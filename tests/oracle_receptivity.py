@@ -13,7 +13,14 @@ the hom tables and the subgroups N_S(Q) and C_S(Q). The hom tables of
 each subgroup and each conjugation table of Q by a coset representative
 are computed once per Reference, so that the oracle runs in test time on
 systems over 7^(1+2).
+
+`is_receptive` is the loop that `classify.is_receptive` ran before it
+took one domain per S-class and one map per double coset: every member Q
+of P's F-class, N_phi for every map of Hom(Q, P), and one map decided per
+orbit under Aut_S(Q), each by the library's own decision.
 """
+
+from fusionkit.classify import _extensions
 
 
 def _conj(x, g):
@@ -114,3 +121,26 @@ class Reference:
                 idx.setdefault(tuple(t[k] for k in qpos), t)
             self._ext[key] = idx
         return idx.get(tuple(table))
+
+
+def is_receptive(F, P):
+    """Every isomorphism onto P from a member Q of its F-class extends over
+    its N_phi, decided for one map of each orbit under Aut_S(Q) on the
+    right, from the restrictions of Hom(N_phi, S) or from the map's
+    candidate images, as `classify.is_receptive` picks."""
+    if P == F.S:
+        return True
+    c_p = F.centralizer_of(P).order
+    for Q in F.f_conjugates(P):
+        decided = set()
+        for vec, N, candidates, orbit in _extensions(F, Q, P):
+            if vec in decided or N == Q:
+                continue
+            if F.hom_count(N) <= c_p * (N.order // Q.order):
+                extends = vec in F.extension_index(N, Q)
+            else:
+                extends = F.extends(N, Q, vec, candidates)
+            if not extends:
+                return False
+            decided.update(orbit)
+    return True

@@ -581,13 +581,9 @@ def test_handed_out_words_do_not_hold_the_system():
         assert m.provenance == word(at[vec])
 
 
-def test_build_rv_searches_each_class_once_and_transports_no_hom_set(
-        work_counts):
-    """build_rv and the rank-2 checks of the exotic_rv benchmark run the
-    generated rule once per F-class, 14 times over rv1-rv3, and never on
-    a member read by transport, whose whole hom set is not built: reading
-    Hom(Q', S) = Hom(R, S) psi^-1 in full for every such member made 201
-    runs of the rule and walked 135,408 vectors of Hom(R, S) per round."""
+def _exotic_rv_round() -> list:
+    """One round of the exotic_rv benchmark: build_rv of rv1-rv3 and the
+    automizer, centric and radical checks of their rank-2 subgroups."""
     built = []
     for name in ("rv1", "rv2", "rv3"):
         F = build_rv(name)
@@ -597,6 +593,17 @@ def test_build_rv_searches_each_class_once_and_transports_no_hom_set(
                 is_centric(F, V)
                 is_radical(F, V)
         built.append(F)
+    return built
+
+
+def test_build_rv_searches_each_class_once_and_transports_no_hom_set(
+        work_counts):
+    """build_rv and the rank-2 checks of the exotic_rv benchmark run the
+    generated rule once per F-class, 14 times over rv1-rv3, and never on
+    a member read by transport, whose whole hom set is not built: reading
+    Hom(Q', S) = Hom(R, S) psi^-1 in full for every such member made 201
+    runs of the rule and walked 135,408 vectors of Hom(R, S) per round."""
+    built = _exotic_rv_round()
     assert len(work_counts.rules) == 14 == sum(
         len(F.conjugacy_classes()) for F in built)
     assert work_counts.walks["hom"] == 0
@@ -605,3 +612,16 @@ def test_build_rv_searches_each_class_once_and_transports_no_hom_set(
             R.ids for Q in F.objects() if Q.order > 1
             for R, _psi in F._transports(Q.order).values()}
         assert {key[1] for key in F._memo if key[0] == "hom"} == searched
+
+
+def test_exotic_rv_round_decides_receptivity_by_double_cosets(work_counts):
+    """One round computes N_phi for 2,925 maps, tests candidates for 520
+    and walks 15,858 vectors in `_climb` and 87,406 in all. Taking every
+    member of an F-class as a domain, and computing N_phi for every map of
+    Hom(Q, P), computed it for 19,953 maps, tested candidates for 1,420
+    and walked 58,038 vectors in `_climb` and 146,905 in all."""
+    _exotic_rv_round()
+    assert work_counts.n_phi == 2925
+    assert work_counts.extends == 520
+    assert work_counts.walks["_climb"] == 15858
+    assert sum(work_counts.walks.values()) == 87406

@@ -15,6 +15,12 @@ map, whichever one the size rule picks, and the restrictions are compared
 with the oracle's extensions on every map with N_phi != Q. The library
 takes phi as its own extension when N_phi = Q, so each pair is restricted
 once and no entry has N_phi = Q.
+
+`is_receptive` takes one domain Q of each S-class in P's F-class and one
+map of each double coset Aut_S(P) phi Aut_S(Q); `oracle_receptivity`'s
+`is_receptive` keeps the loop it replaced, over every member Q and one map
+per orbit under Aut_S(Q), and the two verdicts are compared on every
+object of transporter, regenerated, unsaturated and exotic systems.
 """
 
 import random
@@ -25,7 +31,14 @@ import pytest
 import oracle_receptivity
 from test_sweep import GROUPS, relabelled
 from test_word_search import _unsaturated
-from fusionkit import build_rv, is_saturated, perms, sylow_p, transporter_fusion
+from fusionkit import (
+    build_rv,
+    is_saturated,
+    perms,
+    regenerate_from_fcr,
+    sylow_p,
+    transporter_fusion,
+)
 from fusionkit.classify import _extensions, is_receptive
 
 CASES = [("S6", 2), ("S6", 3), ("SL(3,3)", 3), ("3^(1+2):2", 3)]
@@ -195,3 +208,72 @@ def test_each_pair_is_restricted_once(unsaturated):
         gens, pos = Q.generator_ids(), N.positions
         assert found == frozenset(F.images_at(N, gens)) == {
             tuple(t[pos[g]] for g in gens) for t in F.hom_to_S_tables(N)}
+
+
+def _against_loop(F):
+    """`is_receptive` against the per-Aut_S(Q)-orbit loop it replaced, on
+    every object; returns how many objects are not receptive."""
+    refused = 0
+    for P in F.objects():
+        want = oracle_receptivity.is_receptive(F, P)
+        assert is_receptive(F, P) == want
+        refused += not want
+    return refused
+
+
+@pytest.mark.parametrize("name,p,relabel", [
+    ("A8", 2, False), ("SL(3,3)", 3, False), ("3^(1+2):2", 3, True)])
+def test_receptivity_matches_the_orbit_loop(name, p, relabel):
+    _against_loop(_transporter(name, p, relabel))
+
+
+def test_regenerated_receptivity_matches_the_orbit_loop():
+    _against_loop(regenerate_from_fcr(_transporter("S6", 2, False)))
+
+
+@pytest.mark.parametrize("name,p", UNSATURATED)
+def test_unsaturated_receptivity_matches_the_orbit_loop(name, p):
+    U, _phi = _unsaturated(_transporter(name, p, False))
+    assert _against_loop(U) > 0
+
+
+@pytest.mark.parametrize("name", ["rv1", "rv2", "rv3"])
+def test_rv_receptivity_matches_the_orbit_loop(rv_systems, name):
+    _against_loop(rv_systems[name])
+
+
+def test_rv1_takes_one_domain_per_s_class_and_map_per_double_coset(
+        rv_systems, work_counts, monkeypatch):
+    """Z(S) of 7^(1+2) is F-conjugate in rv1 to all 57 subgroups of order
+    7, which fall into 9 S-classes: Z(S) and 8 classes of 7. Reading
+    Hom(Q, Z(S)) for one member of each, `is_receptive` tests candidates
+    for 48 maps, where taking every member tested them for 336. On each
+    class of order 49, Aut_S(P) has order 7 and N_phi is computed for 576
+    of the 4,032 maps onto P, one per left Aut_S(P)-orbit; the 72
+    candidate tests stay, since N_phi = S makes the orbits under
+    Aut_S(P) on the left and Aut_S(Q) on the right coincide."""
+    F = rv_systems["rv1"]
+    read = []
+    hom_into = type(F).hom_into
+
+    def counted_hom_into(F, Q, P, tables=False):
+        read.append(Q.ids)
+        return hom_into(F, Q, P, tables)
+
+    monkeypatch.setattr(type(F), "hom_into", counted_hom_into)
+    Z = next(P for P in F.objects()
+             if P.order == 7 and F.normalizer_of(P) == F.S)
+    assert len(F.f_conjugates(Z)) == 57
+    assert is_receptive(F, Z)
+    assert len(read) == len(set(read)) == 9
+    assert (work_counts.n_phi, work_counts.extends) == (54, 48)
+    rank2 = [cls for cls in F.conjugacy_classes() if cls[0].order == 49]
+    assert rank2
+    for cls in rank2:
+        P = cls[0]
+        assert len(F.centralizer_cosets(P)) == 7
+        work_counts.n_phi = work_counts.extends = 0
+        assert is_receptive(F, P)
+        maps = sum(len(hom_into(F, Q, P)[1]) for Q in cls)
+        assert (work_counts.n_phi, maps, work_counts.extends) == (
+            576, 4032, 72)
