@@ -87,23 +87,13 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
         # coset of the identity
         twists = ((cosets[0][1], F.centralizer_of(P).sorted_ids),)
         return [(F.normalizer_of(Q).ids, twists, (v,)) for v in vectors]
-    amb = F.ambient
-    reps, h_cosets = zip(*[(r, coset) for r, coset, _vec
-                           in F.centralizer_cosets(P)])
-    # {y: y^h for each representative h}, for the elements of P that
-    # phi's vectors name
-    conj: dict = {}
+    h_cosets = [coset for _r, coset, _vec in F.centralizer_cosets(P)]
+    left = _left_orbit(F, P)
     k = len(Q.generator_ids())
     out = []
     at = [x for _r, _coset, vec in cosets for x in vec]
     for vec, twisted in zip(vectors, F.images_at(Q, at, vectors)):
-        cols = []
-        for y in vec:
-            col = conj.get(y)
-            if col is None:
-                col = conj[y] = amb.conj_col(y, reps)
-            cols.append(col)
-        targets = dict(zip(zip(*cols), h_cosets))
+        targets = dict(zip(left(vec), h_cosets))
         orbit = [twisted[j * k:(j + 1) * k] for j in range(len(cosets))]
         ids = set()
         twists = []
@@ -150,24 +140,33 @@ def _s_class_representatives(F: FusionSystem, members) -> list:
     return out
 
 
-def _left_orbits(F: FusionSystem, P: Subgroup, vectors) -> dict:
-    """{vec: the first vector of its orbit} over `vectors`, the generator
-    images of maps into P, under Aut_S(P) acting on the left: c_h phi has
-    the images of phi conjugated by h, for each coset representative h of
-    C_S(P) in N_S(P). Each vector is its own orbit when Aut_S(P) = 1."""
+def _left_orbit(F: FusionSystem, P: Subgroup):
+    """The orbit of a map into P under Aut_S(P) acting on the left, as a
+    function of its vector: c_h phi has phi's generator images conjugated
+    by h, one vector for each coset representative h of C_S(P) in N_S(P),
+    in the order of `centralizer_cosets(P)`. The conjugates of each
+    element are computed once per function returned."""
     reps = [r for r, _coset, _vec in F.centralizer_cosets(P)]
-    if len(reps) == 1:
-        return dict(zip(vectors, vectors))
-    amb = F.ambient
-    cols: dict = {}
-    first: dict = {}
-    for vec in vectors:
-        if vec in first:
-            continue
+    amb, cols = F.ambient, {}
+
+    def orbit(vec):
         for y in vec:
             if y not in cols:
                 cols[y] = amb.conj_col(y, reps)
-        first.update(dict.fromkeys(zip(*[cols[y] for y in vec]), vec))
+        return zip(*[cols[y] for y in vec])
+    return orbit
+
+
+def _left_orbits(F: FusionSystem, P: Subgroup, vectors) -> dict:
+    """{vec: the first vector of its orbit} over `vectors`, the generator
+    images of maps into P, under Aut_S(P) acting on the left. Each vector
+    is its own orbit when Aut_S(P) = 1."""
+    if len(F.centralizer_cosets(P)) == 1:
+        return dict(zip(vectors, vectors))
+    left, first = _left_orbit(F, P), {}
+    for vec in vectors:
+        if vec not in first:
+            first.update(dict.fromkeys(left(vec), vec))
     return first
 
 
