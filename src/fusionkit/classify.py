@@ -157,7 +157,7 @@ def _left_orbit(F: FusionSystem, P: Subgroup):
     return orbit
 
 
-def _left_orbits(F: FusionSystem, P: Subgroup, vectors) -> dict:
+def _first_in_left_orbit(F: FusionSystem, P: Subgroup, vectors) -> dict:
     """{vec: the first vector of its orbit} over `vectors`, the generator
     images of maps into P, under Aut_S(P) acting on the left. Each vector
     is its own orbit when Aut_S(P) = 1."""
@@ -172,14 +172,12 @@ def _left_orbits(F: FusionSystem, P: Subgroup, vectors) -> dict:
 
 def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
     """Every isomorphism phi onto P from a member Q of its F-class extends
-    over its N_phi; read on vectors, with no table built, for one phi of
-    each double coset Aut_S(P) phi Aut_S(Q) and one Q of each S-class.
-    Hom_S lies in F (Aschbacher, Kessar & Oliver 2011, I.2), so phi on
-    Q^s extends exactly when phi c_s on Q does, and c_h phi for c_h in
-    Aut_S(P) has phi's N_phi and extends exactly when phi does: N_phi is
-    computed for one phi of each left Aut_S(P)-orbit, and deciding phi
-    decides its orbit under Aut_S(Q) on the right. When N_phi = Q, phi
-    is its own extension. Otherwise, when
+    over its N_phi; read on vectors, with no table built, for one Q of each
+    S-class and one phi of each double coset Aut_S(P) phi Aut_S(Q), which
+    Hom_S in F allows (Aschbacher, Kessar & Oliver 2011, I.2). N_phi is
+    computed for the first phi of each left Aut_S(P)-orbit, and deciding
+    phi decides the left orbits of its orbit under Aut_S(Q) on the right.
+    When N_phi = Q, phi is its own extension. Otherwise, when
     |Hom(N_phi, S)| <= |C_S(P)| * |N_phi : Q|, phi is looked up among the
     restrictions of all of Hom(N_phi, S) to Q,
     `extension_index(N_phi, Q)`; when it is larger,
@@ -188,7 +186,7 @@ def is_receptive(F: FusionSystem, P: Subgroup) -> bool:
         return True
     c_p = F.centralizer_of(P).order
     for Q in _s_class_representatives(F, F.f_conjugates(P)):
-        first = _left_orbits(F, P, F.hom_into(Q, P)[1])
+        first = _first_in_left_orbit(F, P, F.hom_into(Q, P)[1])
         decided = set()
         for vec, N, candidates, orbit in _extensions(
                 F, Q, P, list(dict.fromkeys(first.values()))):
