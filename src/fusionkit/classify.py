@@ -7,12 +7,14 @@ normalizer subsystem, in `constructions`). P is radical when
 O_p(Out_F(P)) = 1 (Aschbacher, Kessar & Oliver 2011, I.3). Inn(P) is a
 normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) = O_p(Aut_F(P))/Inn(P),
 and `is_radical` decides O_p(Aut_F(P)) = Inn(P) on generator-image
-vectors, with no group built (`aut_f_p_core`). `out_F` acts with the same
-vectors on the cosets of Inn(P), only when asked for; no predicate reads
-it. Both read Inn(P) from `_inner`. The cr and fcr lists read one memoised
-list of centric-radical classes. Every invariant of a subgroup is
-memoised through `fusion._memoised`, which rejects a subgroup of another
-ambient group or one outside S.
+vectors, with no group built (`aut_f_p_core`); the generating set of
+Aut_F(P) it reads and its Sylow ascent are `fusion.automorphism_closure`
+of image tables. `out_F` acts with the same vectors on the cosets of
+Inn(P), only when asked for; no predicate reads it. Both read Inn(P) from
+`_inner`. The cr and fcr lists read one memoised list of centric-radical
+classes. Every invariant of a subgroup is memoised through
+`fusion._memoised`, which rejects a subgroup of another ambient group or
+one outside S.
 
 Receptivity follows the extension axiom (Aschbacher, Kessar & Oliver,
 Fusion Systems in Algebra and Topology, 2011, I.2; Roberts & Shpectorov,
@@ -30,7 +32,7 @@ from these candidate images, whichever set is smaller.
 
 from __future__ import annotations
 
-from .fusion import FusionSystem, _memoised
+from .fusion import FusionSystem, _memoised, automorphism_closure
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -106,16 +108,14 @@ def _n_phi_all(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors) -> list:
     return out
 
 
-def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors=None):
+def _extensions(F: FusionSystem, Q: Subgroup, P: Subgroup, vectors):
     """(vec, N_phi, candidates, orbit) for each isomorphism phi from Q onto
-    P whose generator images `vec` are in `vectors` (all of Hom(Q, P) when
-    None); phi maps Q onto P when its generator images lie in P. An
+    P whose generator images `vec` are in `vectors`, vectors of
+    Hom(Q, P); phi maps Q onto P when its generator images lie in P. An
     extension psi of phi over N_phi makes psi(g) act on P as
     phi c_g phi^-1 for g in N_phi, so `candidates(g)` is the one coset of
     C_S(P) that psi(g) lies in. Each phi c_g in `orbit` extends over the
     conjugate of N_phi by g exactly when phi extends over N_phi."""
-    if vectors is None:
-        vectors = F.hom_into(Q, P)[1]
     for vec, (n_phi, twists, orbit) in zip(
             vectors, _n_phi_all(F, Q, P, vectors)):
         yield (vec, F.subgroup(n_phi),
@@ -309,60 +309,29 @@ def aut_f_p_core(F: FusionSystem, P: Subgroup) -> tuple:
 def _automizer_generators(F: FusionSystem, P: Subgroup, aut) -> list:
     """A generating set of Aut_F(P), as (vector, image table) pairs. A
     vector of `aut` outside the closure of the generators before it
-    becomes the next generator, as in `groups.CayleyTree`; the closure
-    composes on the left with the generators' tables."""
-    pos = P.positions
-    start = tuple(P.generator_ids())
-    seen = {start}
-    order = [start]
-    gens = []
+    becomes the next generator, as in `groups.CayleyTree`."""
+    gens, closure = [], automorphism_closure(P, ())
     for cand in aut:
-        if len(order) == len(aut):
+        if len(closure) == len(aut):
             break
-        if cand in seen:
-            continue
-        gens.append((cand, F.table(P, cand)))
-        # the elements found before are closed under the earlier
-        # generators, so they take the new one alone
-        done, last = len(order), len(gens) - 1
-        n = 0
-        while n < len(order):
-            x = order[n]
-            for j, (_vec, table) in enumerate(gens):
-                if n < done and j < last:
-                    continue
-                y = tuple([table[pos[a]] for a in x])
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-            n += 1
+        if cand not in closure:
+            gens.append((cand, F.table(P, cand)))
+            closure = automorphism_closure(P, [t for _vec, t in gens])
     return gens
 
 
 def _grow_sylow(F: FusionSystem, P: Subgroup, T: dict, aut) -> dict:
     """The p-subgroup T of Aut_F(P), as {vector: image table}, grown by a
-    factor p: T and its cosets T x^k, 0 < k < p, for the first x of `aut`
-    outside T that normalises T and has x^p in T. One exists while T is
-    not a Sylow p-subgroup, since p then divides |N(T) : T|. x is
-    composed after a vector through its image table."""
-    pos, p = P.positions, F.p
-
-    def coset(vec):
-        return {tuple([t[pos[y]] for y in vec]) for t in T.values()}
-
+    factor p to <T, x> for the first x of `aut` outside T with
+    |<T, x>| = p|T|, that is, the first x that normalises T and has x^p in
+    T. One exists while T is not a Sylow p-subgroup, since p then divides
+    |N(T) : T|."""
     for x in aut:
         if x in T:
             continue
-        table = F.table(P, x)
-        powers = [x]
-        for _ in range(p - 1):
-            powers.append(tuple([table[pos[y]] for y in powers[-1]]))
-        if powers[-1] not in T:
-            continue
-        # x normalises T when x t lies in T x for every t in T
-        right = coset(x)
-        if all(tuple([table[pos[y]] for y in t]) in right for t in T):
-            new = [v for power in powers[:-1] for v in coset(power)]
+        grown = automorphism_closure(P, [*T.values(), F.table(P, x)])
+        if len(grown) == F.p * len(T):
+            new = [v for v in grown if v not in T]
             return {**T, **dict(zip(new, F.images_at(P, vectors=new)))}
     raise RuntimeError("Sylow ascent stalled")  # pragma: no cover
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import add
 
 from .classify import is_saturated, is_strongly_closed
-from .fusion import FusionSystem
+from .fusion import FusionSystem, automorphism_closure
 from .groups import (
     GroupHom,
     Subgroup,
@@ -129,12 +129,11 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
 
 
 def _coerce_aut_set(Q: Subgroup, K):
-    """K, other than "full", as a set of automorphism tables over
-    Q.sorted_ids; validates that each is a homomorphism and that K is
-    closed under composition (with identity, a finite group)."""
-    qsorted = Q.sorted_ids
+    """K, other than "full", as the images of Q.generator_ids() under its
+    members; validates that each is an automorphism of Q and that K is a
+    group: its `automorphism_closure` has |K| elements."""
     if K == "trivial":
-        return {qsorted}
+        return frozenset([tuple(Q.generator_ids())])
     tables = set()
     for k in K:
         if isinstance(k, GroupHom):
@@ -147,15 +146,10 @@ def _coerce_aut_set(Q: Subgroup, K):
         if (frozenset(t) != Q.ids or len(t) != Q.order
                 or not GroupHom(Q, Q, t).is_homomorphism()):
             raise ValueError("K contains a non-automorphism of Q")
-    if qsorted not in tables:
+    closure = automorphism_closure(Q, tables)
+    if len(closure) != len(tables):
         raise ValueError("K not closed under composition")
-    pos = Q.positions
-    for a in tables:
-        for b in tables:
-            comp = tuple(b[pos[y]] for y in a)
-            if comp not in tables:
-                raise ValueError("K not closed under composition")
-    return tables
+    return frozenset(closure)
 
 
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
@@ -171,9 +165,7 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
     if K == "full" or K is None:
         in_k, Sp = Q.ids.issuperset, F.normalizer_of(Q)
     else:
-        qpos = Q.positions
-        in_k = {tuple(t[qpos[g]] for g in qgens)
-                for t in _coerce_aut_set(Q, K)}.__contains__
+        in_k = _coerce_aut_set(Q, K).__contains__
         Sp = F.subgroup(frozenset().union(*(
             coset for _r, coset, vec in F.centralizer_cosets(Q) if in_k(vec)
         )))

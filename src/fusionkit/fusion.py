@@ -14,7 +14,10 @@ normalizer and centralizer subsystems) read the vectors of their parent
 systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps, given as runs of consecutive maps
 with one domain, so that a search node tests each run's domain once;
-`alperin_decompose` runs the same search over fcr automorphisms. A
+`alperin_decompose` runs the same search over fcr automorphisms, and
+`automorphism_closure` runs it over automorphism tables of one subgroup,
+for the generating set and Sylow ascent of `classify`, the rank-2 check
+of `rv.certify_rv` and the K check of `constructions`. A
 generated system searches one member R of each F-class and records one
 psi: R -> Q' onto each other member Q', the first morphism of R onto Q'
 in rule order. Since Hom(Q', S) = Hom(R, S) psi^-1, Q' is answered
@@ -667,6 +670,14 @@ def same_domain_runs(maps) -> tuple:
     the order of the maps is kept."""
     return tuple((dom, tuple(table for _dom, table in run))
                  for dom, run in groupby(maps, key=itemgetter(0)))
+
+
+def automorphism_closure(P: Subgroup, tables) -> dict:
+    """The group of automorphisms of P that the image `tables`, over
+    P.sorted_ids, generate: the `word_search` closure of P's generators,
+    keyed by the images of `P.generator_ids()` in discovery order."""
+    return word_search(P.generator_ids(), (
+        (P.ids, tuple(dict(zip(P.sorted_ids, t)) for t in tables)),))
 
 
 def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:

@@ -10,9 +10,11 @@ classes of `FCR_PROFILES[name]`, both sorted by size. Classes of one size
 carry one automizer order (a data test checks this), so the pairing is the
 only assignment and there is one closure per system. `certify_rv`
 recomputes every advertised invariant of the result; Aut_F(V) of each
-orbit representative V must be the `word_search` closure of the rank-2
-seeds, lifted afresh. Both functions raise `AssertionError` explicitly, so
-their checks hold under `python -O`.
+orbit representative V must be `fusion.automorphism_closure` of the
+rank-2 seeds, lifted afresh, keyed by the vectors that
+`FusionSystem.aut_f_vectors` lists, with no image table of it built. Both
+functions raise `AssertionError` explicitly, so their checks hold under
+`python -O`.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .classify import (
 )
 from .fusion import (
     FusionSystem,
+    automorphism_closure,
     generated_fusion,
-    same_domain_runs,
-    word_search,
 )
 from .groups import (
     FiniteGroup,
@@ -245,15 +246,6 @@ class _Extraspecial:
         return out
 
 
-def _seed_closure(V: Subgroup, seeds) -> dict:
-    """The group of automorphisms of V that the maps `seeds` generate, as
-    the `word_search` closure of V's generators: its keys are the images of
-    `V.generator_ids()`, the vectors that `FusionSystem.aut_f_vectors`
-    lists, and no image table is built."""
-    return word_search(V.generator_ids(), same_domain_runs(
-        (V.ids, dict(zip(V.sorted_ids, h.images))) for h in seeds))
-
-
 class RVDescriptor:
     """Name, outer-group data, ambient group and rank-2 profile of one
     built system.
@@ -352,7 +344,8 @@ def certify_rv(F: FusionSystem) -> dict:
     # matrices generate
     for orb, type_order in rv.profile.items():
         V = ext.rank2_subgroup(min(orb))
-        closure = _seed_closure(V, ext.rank2_aut_seeds(min(orb), type_order))
+        closure = automorphism_closure(V, [
+            h.images for h in ext.rank2_aut_seeds(min(orb), type_order)])
         if len(closure) != type_order:
             raise AssertionError(
                 f"rank-2 seeds generate {len(closure)} automorphisms, "

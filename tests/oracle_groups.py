@@ -12,6 +12,10 @@ P's points, by tuple products. `p_core` is the O_p of a permutation group
 that decided radicality, on `out_F`, before the radical test moved onto
 automizer vectors. `sylow_ascent` is the Sylow p-subgroup that `sylow_p`
 grew before it stopped building N_G(H) at each step of the ascent.
+`automizer_generators` and `grow_sylow` are the generating set of
+Aut_F(P) and the Sylow ascent inside it that `classify` computed with
+closures written out by hand, before it read them off
+`fusion.automorphism_closure`.
 """
 
 import fusionkit
@@ -121,3 +125,61 @@ def sylow_ascent(G, p):
         else:
             raise AssertionError("ascent stalled")
     return H
+
+
+def automizer_generators(F, P, aut):
+    """A generating set of Aut_F(P), as (vector, image table) pairs: a
+    vector of `aut` outside the closure of the generators before it becomes
+    the next generator. The closure grows incrementally, composing on the
+    left with the generators' tables: the elements found before are closed
+    under the earlier generators, so they take the new one alone."""
+    pos = P.positions
+    start = tuple(P.generator_ids())
+    seen = {start}
+    order = [start]
+    gens = []
+    for cand in aut:
+        if len(order) == len(aut):
+            break
+        if cand in seen:
+            continue
+        gens.append((cand, F.table(P, cand)))
+        done, last = len(order), len(gens) - 1
+        n = 0
+        while n < len(order):
+            x = order[n]
+            for j, (_vec, table) in enumerate(gens):
+                if n < done and j < last:
+                    continue
+                y = tuple([table[pos[a]] for a in x])
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+            n += 1
+    return gens
+
+
+def grow_sylow(F, P, T, aut):
+    """The p-subgroup T of Aut_F(P), as {vector: image table}, grown by a
+    factor p: T and its cosets T x^k, 0 < k < p, for the first x of `aut`
+    outside T that normalises T (x t lies in T x for every t in T) and has
+    x^p in T."""
+    pos, p = P.positions, F.p
+
+    def coset(vec):
+        return {tuple([t[pos[y]] for y in vec]) for t in T.values()}
+
+    for x in aut:
+        if x in T:
+            continue
+        table = F.table(P, x)
+        powers = [x]
+        for _ in range(p - 1):
+            powers.append(tuple([table[pos[y]] for y in powers[-1]]))
+        if powers[-1] not in T:
+            continue
+        right = coset(x)
+        if all(tuple([table[pos[y]] for y in t]) in right for t in T):
+            new = [v for power in powers[:-1] for v in coset(power)]
+            return {**T, **dict(zip(new, F.images_at(P, vectors=new)))}
+    raise AssertionError("Sylow ascent stalled")

@@ -133,7 +133,8 @@ def is_receptive(F, P):
     c_p = F.centralizer_of(P).order
     for Q in F.f_conjugates(P):
         decided = set()
-        for vec, N, candidates, orbit in _extensions(F, Q, P):
+        for vec, N, candidates, orbit in _extensions(
+                F, Q, P, F.hom_into(Q, P)[1]):
             if vec in decided or N == Q:
                 continue
             if F.hom_count(N) <= c_p * (N.order // Q.order):

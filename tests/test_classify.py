@@ -4,7 +4,10 @@ The radical test decides O_p(Aut_F(P)) = Inn(P) on generator-image
 vectors; it is compared with O_p(Out_F(P)) of the permutation group
 `out_F`, by `oracle_groups.p_core`, on every object of the systems below,
 of their `_unsaturated` extensions, and on generated systems where no
-member of a class is fully automised.
+member of a class is fully automised. On the same objects the generating
+set of Aut_F(P) and each step of its Sylow ascent, both closures of
+`fusion.automorphism_closure`, are compared with the closures written out
+by hand in `oracle_groups`.
 """
 
 import pytest
@@ -44,7 +47,9 @@ import oracle_s4
 from oracle_sweep import _conj
 from test_word_search import _unsaturated
 from fusionkit import perms
-from fusionkit.classify import aut_f_p_core
+from fusionkit.classify import _automizer_generators, _grow_sylow, aut_f_p_core
+from fusionkit.fusion import automorphism_closure
+from fusionkit.groups import _p_part
 
 
 @pytest.fixture(scope="module")
@@ -318,18 +323,46 @@ def _check_radical_against_out_f(F):
     return grown
 
 
+def _check_closures_against_oracle(F):
+    """On every object Q, the generating set of Aut_F(Q) against the
+    hand-written closure of `oracle_groups.automizer_generators`: the same
+    vectors in the same order, whose `automorphism_closure` is Aut_F(Q);
+    and each step of the Sylow ascent from Aut_S(Q) against
+    `oracle_groups.grow_sylow`, as sets. Returns the number of ascent
+    steps compared."""
+    steps = 0
+    for Q in F.objects():
+        aut = F.aut_f_vectors(Q)
+        gens = _automizer_generators(F, Q, aut)
+        assert gens == oracle_groups.automizer_generators(F, Q, aut), Q.order
+        assert automorphism_closure(
+            Q, [t for _vec, t in gens]).keys() == set(aut), Q.order
+        vecs = [vec for _r, _c, vec in F.centralizer_cosets(Q)]
+        T = dict(zip(vecs, F.images_at(Q, vectors=vecs)))
+        while len(T) < _p_part(len(aut), F.p):
+            grown = _grow_sylow(F, Q, T, aut)
+            assert grown.keys() == oracle_groups.grow_sylow(
+                F, Q, T, aut).keys(), Q.order
+            T = grown
+            steps += 1
+    return steps
+
+
 @pytest.mark.parametrize("name", sorted(RADICAL_SYSTEMS))
 def test_radical_matches_p_core_of_out_f(name, request):
     F = RADICAL_SYSTEMS[name](request)
     grown = _check_radical_against_out_f(F)
+    steps = _check_closures_against_oracle(F)
     if name == "A8@2":
         assert grown == 64
+        assert steps == 68
 
 
 @pytest.mark.parametrize("name", sorted(RADICAL_SYSTEMS))
 def test_radical_matches_p_core_of_out_f_when_unsaturated(name, request):
     U, _phi = _unsaturated(RADICAL_SYSTEMS[name](request))
     _check_radical_against_out_f(U)
+    _check_closures_against_oracle(U)
 
 
 def _seeded_automizer(p, rank, seed_images):
@@ -382,3 +415,4 @@ def test_radical_grows_a_sylow_when_no_member_is_fully_automised(name):
     assert len(core) == core_order
     assert is_radical(F, V) == (core_order == 1)
     _check_radical_against_out_f(F)
+    assert _check_closures_against_oracle(F) > 0

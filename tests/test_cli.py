@@ -223,6 +223,22 @@ def test_normalizer_k_from_file(files, capsys):
     assert json.loads(out)["data"]["normalizer_order"] == 4
 
 
+def test_normalizer_k_not_closed(files, capsys):
+    from fusionkit import parse_group_spec, subgroup_generated
+    G = parse_group_spec(json.loads(open(files["s4"]).read()))
+    a, b = G.index[(1, 0, 3, 2)], G.index[(2, 3, 0, 1)]
+    gens = list(subgroup_generated(G, [a, b]).generator_ids())
+    kfile = files["tmp"] / "kswap.json"
+    # the automorphism that swaps V1's generators, without the identity
+    kfile.write_text(json.dumps([{"domain_gens": gens,
+                                  "images": gens[::-1]}]))
+    code, _, err = _run(
+        ["normalizer", "--group", files["s4"], "--sylow", "2",
+         "--at", files["v1"], "--k", str(kfile)], capsys)
+    assert code == 2
+    assert "K not closed under composition" in json.loads(err)["error"]
+
+
 def test_normalizer_k_domain_mismatch(files, capsys):
     kfile = files["tmp"] / "kbad.json"
     kfile.write_text(json.dumps([{"domain_gens": [0], "images": [0]}]))

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import fusionkit
+import oracle_tables
 from conftest import extraspecial27_c2
 from fusionkit import (
     GroupHom,
@@ -220,14 +221,42 @@ def test_centralizer_subsystem_matches_trivial_k(f_s4):
     assert C.S.ids == V1.ids
 
 
+def _v1_automizer(F):
+    """V1, the fcr Klein four of S4@2, its Aut_F(V1) = S3 as image tables,
+    and one automorphism t of order 3 with t^2."""
+    V1 = next(Q for Q in fcr_objects(F) if Q.order == 4)
+    homs = aut_F(F, V1)
+    t = next(a.images for a in homs if _aut_order(V1, a) == 3)
+    pos = V1.positions
+    return V1, [a.images for a in homs], t, tuple(t[pos[y]] for y in t)
+
+
 def test_normalizer_rejects_unclosed_k(f_s4):
     F = f_s4
-    V1 = next(Q for Q in fcr_objects(F) if Q.order == 4)
-    order3 = next(a for a in aut_F(F, V1)
-                  if a.images != V1.sorted_ids
-                  and _aut_order(V1, a) == 3)
-    with pytest.raises(ValueError):
-        normalizer_subsystem(F, V1, [V1.sorted_ids, order3.images])
+    V1, autos, t, _t2 = _v1_automizer(F)
+    # automorphisms of V1 but not the identity, and the identity with an
+    # automorphism of order 3 but not its square
+    for K in ([a for a in autos if a != V1.sorted_ids], [V1.sorted_ids, t]):
+        with pytest.raises(ValueError,
+                           match="K not closed under composition"):
+            normalizer_subsystem(F, V1, K)
+
+
+def test_normalizer_of_a_closed_k(f_s4):
+    """K = <t> of order 3 meets Aut_S(V1), of order 2, trivially, so
+    N_S^K(V1) = C_S(V1) = V1, and each hom set is the full-table rule's;
+    K = Aut_F(V1) = Aut(V1) gives N_F(V1)."""
+    F = f_s4
+    V1, autos, t, t2 = _v1_automizer(F)
+    K = [V1.sorted_ids, t, t2]
+    N = normalizer_subsystem(F, V1, K)
+    assert N.S.ids == V1.ids
+    for P in N.objects():
+        want = oracle_tables.normalizer(F, V1, set(K), N.S.ids, P)
+        assert tuple(sorted(N.hom_to_S_tables(P))) == want
+    full = normalizer_subsystem(F, V1, autos)
+    assert full.S is F.S
+    assert equal_hom_tables(full, normalizer_subsystem(F, V1))
 
 
 def _aut_order(Q, a):

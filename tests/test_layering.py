@@ -6,7 +6,11 @@ permutations) and `perms` itself may use the permutation kernels
 `perms.inverse`; every other module works on element ids. Inside `groups`
 only FiniteGroup's own methods use them, so the choice between the
 S-local table and the permutation tuples is made in one place. The modules that never touch
-permutation tuples do not import `perms` at all.
+permutation tuples do not import `perms` at all. Likewise the one
+breadth-first search over generator images, `fusion.word_search`, is
+named only in `fusion` and `alperin`: `classify`, `rv` and
+`constructions` close over automorphism tables through
+`fusion.automorphism_closure`.
 
 `groups.GroupHom` is the one class that holds a morphism's image table: no
 other module defines a class with an `images` slot. A fusion system stores
@@ -105,6 +109,23 @@ def test_groups_uses_kernels_only_in_finitegroup_methods():
                     allowed.update(_kernel_uses(method))
     assert allowed, "FiniteGroup no longer uses the kernels at all"
     assert sorted(set(_kernel_uses(tree)) - allowed) == []
+
+
+WORD_SEARCH_USERS = {"fusion.py", "alperin.py"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in SRC.glob("*.py") if p.name not in WORD_SEARCH_USERS),
+)
+def test_word_search_is_named_only_in_fusion_and_alperin(name):
+    assert [f"{line}:{n}" for line, n in _names(_tree(name))
+            if n == "word_search"] == []
+
+
+@pytest.mark.parametrize("name", ["classify.py", "constructions.py", "rv.py"])
+def test_automorphism_tables_close_through_automorphism_closure(name):
+    assert "automorphism_closure" in {n for _line, n in _names(_tree(name))}
 
 
 def _slot_names(cls):

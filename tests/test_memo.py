@@ -162,7 +162,8 @@ def test_system_freed_after_candidate_tests(kind):
             if P == F.S:
                 continue
             for Q in F.f_conjugates(P):
-                for vec, N, candidates, _orbit in _extensions(F, Q, P):
+                for vec, N, candidates, _orbit in _extensions(
+                        F, Q, P, F.hom_into(Q, P)[1]):
                     F.extends(N, Q, vec, candidates)
                     tested += 1
         assert tested > 0

@@ -65,7 +65,7 @@ def _check_against_oracle(F, objects):
             ("conjugation", want[t]) for t in sorted(want)]
         verdict = True
         for Q in F.f_conjugates(P):
-            rows = list(_extensions(F, Q, P))
+            rows = list(_extensions(F, Q, P, F.hom_into(Q, P)[1]))
             tables = F.images_at(Q, vectors=[vec for vec, *_rest in rows])
             assert sorted(tables) == [t for t in ref.hom_tables(Q)
                                       if frozenset(t) == P.ids]
@@ -122,7 +122,7 @@ def test_receptivity_makes_no_kernel_calls(monkeypatch):
     calls.clear()
     for P in F.objects():
         assert is_receptive(F, P)
-        list(_extensions(F, P, P))
+        list(_extensions(F, P, P, F.hom_into(P, P)[1]))
     assert _both_sides(F) > 0
     assert calls == {}
 
@@ -136,7 +136,8 @@ def _both_sides(F):
         if P == F.S:
             continue
         for Q in F.f_conjugates(P):
-            for vec, N, candidates, _orbit in _extensions(F, Q, P):
+            for vec, N, candidates, _orbit in _extensions(
+                    F, Q, P, F.hom_into(Q, P)[1]):
                 assert F.extends(N, Q, vec, candidates) == (
                     vec in F.extension_index(N, Q))
                 count += 1
@@ -191,7 +192,8 @@ def test_each_pair_is_restricted_once(unsaturated):
     extended = refused = 0
     for P in F.objects():
         for Q in F.f_conjugates(P):
-            for vec, N, _candidates, _orbit in _extensions(F, Q, P):
+            for vec, N, _candidates, _orbit in _extensions(
+                    F, Q, P, F.hom_into(Q, P)[1]):
                 if N == Q:
                     continue
                 if vec in F.extension_index(N, Q):

@@ -40,8 +40,8 @@ from fusionkit.rv import (
     _lines,
     _mclose,
     _mmul,
-    _seed_closure,
 )
+from fusionkit.fusion import automorphism_closure
 
 
 def test_unknown_name_rejected():
@@ -135,15 +135,16 @@ def _lifted_matrix_closure(ext, line, type_order):
 
 
 def test_seed_closure_matches_lifted_matrix_closure(rv_systems):
-    """The closure of the three lifted seeds is the lift of the matrix
-    group they generate, and both are Aut_F(V), on every orbit
+    """The `automorphism_closure` of the three lifted seeds is the lift of
+    the matrix group they generate, and both are Aut_F(V), on every orbit
     representative V of rv1-rv3."""
     for name, F in rv_systems.items():
         ext = F.rv.extraspecial
         for orb, type_order in F.rv.profile.items():
             V = ext.rank2_subgroup(min(orb))
             seeds = ext.rank2_aut_seeds(min(orb), type_order)
-            closure = _seed_closure(V, seeds).keys()
+            closure = automorphism_closure(
+                V, [h.images for h in seeds]).keys()
             ref = _lifted_matrix_closure(ext, min(orb), type_order)
             assert closure == ref == set(F.aut_f_vectors(V)), (name, orb)
 
