@@ -3,10 +3,12 @@
 The decomposition theorem guarantees that in a saturated system every
 morphism is a composite of restricted automorphisms of fully normalised,
 centric, radical subgroups. `alperin_decompose` finds such a chain with
-`fusion.word_search`, the breadth-first search over generator images that
+`fusion.word_steps`, the breadth-first search over generator images that
 also closes generated systems, with the automorphisms of each fcr object as
-one run of moves that share a domain; `verify_decomposition` recomputes the
-three clauses.
+one run of moves that share a domain. The search from each domain is kept
+in the system's memo, suspended where the last query stopped, so the
+queries on one domain share one search; `verify_decomposition` recomputes
+the three clauses.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 from .classify import fcr_objects
 from .fusion import (
     FusionSystem,
+    _memoised,
     generated_fusion,
     same_domain_runs,
-    word_search,
+    word_steps,
 )
 from .groups import GroupHom, Subgroup, as_hom
 
@@ -72,21 +75,25 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     of fcr automorphisms. Raises LookupError when the search exhausts,
     which on a saturated system cannot happen; exhaustion therefore
     reports a theorem-hypothesis violation. The search runs on generator
-    images, and full tables are rebuilt only along the returned chain."""
+    images, and full tables are rebuilt only along the returned chain. It
+    is kept per domain (`_alperin_search`): a query whose target an earlier
+    query on the same domain discovered reads its chain off the search,
+    and any other query resumes the search where the last one stopped."""
     phi = as_hom(phi, F.S)
     P = phi.domain
     gens = P.generator_ids()
     target = tuple(phi.images[P.positions[g]] for g in gens)
     if not F.member_test(P)(target):
         raise ValueError("morphism does not belong to the system")
-    runs, tables, objects = F.cached(("alperin_moves",), lambda: _moves(F))
-    parents = word_search(gens, runs, target)
-    if target not in parents:
+    parents, search = _alperin_search(F, P)
+    # `in` resumes the suspended search up to the target, or to its end
+    if target not in parents and target not in search:
         raise LookupError(
             "no fcr decomposition found; the decomposition theorem "
             "guarantees one for saturated systems, so the input system "
             "violates the theorem hypothesis"
         )
+    _runs, tables, objects = F.cached(("alperin_moves",), lambda: _moves(F))
     word = []
     vec = target
     while parents[vec] is not None:
@@ -106,12 +113,26 @@ def alperin_decompose(F: FusionSystem, phi) -> AlperinDecomposition:
     return AlperinDecomposition(P, F.subgroup(phi.images), steps, phi)
 
 
+@_memoised
+def _alperin_search(F: FusionSystem, P: Subgroup) -> tuple:
+    """The breadth-first search from P's generators over the fcr moves, as
+    (parents, search): `parents` maps each vector discovered so far to
+    (previous vector, move index), and `search` is the suspended
+    `fusion.word_steps` that discovers the next ones. The search only
+    grows, and its order is fixed, so a chain read off it is the chain of a
+    fresh search that stops at its target. It holds the moves and the
+    vectors, never the system."""
+    runs = F.cached(("alperin_moves",), lambda: _moves(F))[0]
+    parents: dict = {}
+    return parents, word_steps(P.generator_ids(), runs, parents)
+
+
 def _moves(F: FusionSystem) -> tuple:
     """The search moves as (runs, tables, objects): move k is the k-th
     automorphism psi of every fcr object Q, larger objects first and each
     object's automorphisms by image table, with tables[k] = {x: psi(x)}
     and objects[k] = Q. `runs` groups the tables of consecutive moves on
-    one object, (Q.ids, tables), for `word_search`; the chain rebuild
+    one object, (Q.ids, tables), for `word_steps`; the chain rebuild
     reads `tables`. The search reads psi at any element of Q, so these are
     whole tables, built once per system."""
     fcr = sorted(fcr_objects(F), key=lambda Q: (-Q.order, Q.sorted_ids))

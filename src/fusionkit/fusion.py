@@ -7,29 +7,31 @@ which fix it. One class holds every system, and a rule `hom(F, Q)`
 supplied by its constructor gives Hom(Q, S) as vectors with their
 provenance when Q is first asked for. `transporter_fusion` restricts the
 conjugations by an ambient group G (one sweep conjugates S by a
-representative of each right coset of S in G and reads the other
-elements' conjugations off S's table), `generated_fusion` closes a seed
-set of injective homomorphisms, and the constructions (products, quotients,
+representative of each right coset of S in G and reads the other elements'
+conjugations off S's table), `generated_fusion` closes a seed set of
+injective homomorphisms, and the constructions (products, quotients,
 normalizer and centralizer subsystems) read the vectors of their parent
 systems. The closure is `word_search`, a breadth-first search over
 generator images under partial maps, given as runs of consecutive maps
-with one domain, so that a search node tests each run's domain once;
-`alperin_decompose` runs the same search over fcr automorphisms, and
-`automorphism_closure` runs it over automorphism tables of one subgroup,
-for the generating set and Sylow ascent of `classify`, the rank-2 check
-of `rv.certify_rv` and the K check of `constructions`. A
-generated system searches one member R of each F-class and records one
-psi: R -> Q' onto each other member Q', the first morphism of R onto Q'
-in rule order. Since Hom(Q', S) = Hom(R, S) psi^-1, Q' is answered
-through R and psi, and its own hom set is built only when a read asks for
-all of it (`hom_vectors`, `equal_hom_tables`): `images_at` reads R at
-psi^-1 of the elements asked for, the image sets and the count are R's,
-Hom(Q', P) is R's morphisms into P carried across psi one at a time, and
-`member_test` tests w by w psi. The provenance of its morphisms is the
-words of the search from their own domain: R's come from the search the
-rule ran, and `hom_set` hands out GroupHoms whose provenance is deferred,
-so a member read by transport is searched only when one of its words is
-read. A deferred word holds that search's inputs, never the system.
+with one domain, so that a search node tests each run's domain once. It
+runs `word_steps`, which yields the vectors one at a time and can be
+suspended: `alperin_decompose` keeps one such search over fcr
+automorphisms per domain and resumes it, and `automorphism_closure` runs
+the search over automorphism tables of one subgroup, for the generating
+set and Sylow ascent of `classify`, the rank-2 check of `rv.certify_rv`
+and the K check of `constructions`. A generated system searches one member
+R of each F-class and records one psi: R -> Q' onto each other member Q',
+the first morphism of R onto Q' in rule order. Since Hom(Q', S) =
+Hom(R, S) psi^-1, Q' is answered through R and psi, and its own hom set is
+built only when a read asks for all of it (`hom_vectors`,
+`equal_hom_tables`): `images_at` reads R at psi^-1 of the elements asked
+for, the image sets and the count are R's, Hom(Q', P) is R's morphisms
+into P carried across psi one at a time, and `member_test` tests w by w
+psi. The provenance of its morphisms is the words of the search from their
+own domain: R's come from the search the rule ran, and `hom_set` hands out
+GroupHoms whose provenance is deferred, so a member read by transport is
+searched only when one of its words is read. A deferred word holds that
+search's inputs, never the system.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
@@ -57,11 +59,13 @@ An entry of a subgroup is made only by `_memoised`, which keys it by the
 function's name and the subgroups' id sets and checks on every call that
 each subgroup lives in the system's ambient group (on a miss, inside S),
 raising ValueError otherwise; the other entries are keyed by order,
-element or nothing. The transport record of a generated system is keyed
-by order, and is the one entry that grows: by one F-class per search.
-Each member read by transport keeps its psi^-1, the two compiled walks
-that carry a vector across psi and its deferred words, under
-`transported`.
+element or nothing. Two kinds of entry grow. The transport record of a
+generated system is keyed by order, and grows by one F-class per search.
+The Alperin search from a domain (`alperin._alperin_search`) grows each
+time a decomposition resumes it; it holds its moves and vectors, never
+the system. Each member read by transport keeps its psi^-1, the two
+compiled walks that carry a vector across psi and its deferred words,
+under `transported`.
 """
 
 from __future__ import annotations
@@ -171,8 +175,10 @@ class FusionSystem:
         computed once; callers store immutable values or hand out copies.
         A key that names a subgroup is made by `_memoised` alone, which
         checks the subgroup's ambient group; this is the one place that
-        reads or writes the memo. The transport record of a generated
-        system is the one value that its rule fills in place."""
+        reads or writes the memo. Two kinds of value grow in place: the
+        transport record of a generated system, which its rule fills, and
+        the Alperin search from a domain, which each decomposition on that
+        domain resumes."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()
@@ -400,13 +406,15 @@ class FusionSystem:
         the member whose Hom(R, S) was searched and psi the vector of one
         morphism of R onto the object (the identity on R itself). The rule
         adds one class at a time, as it searches R; an entry, once written,
-        never changes, so the record is the one memo value that grows."""
+        never changes, so the record only grows."""
         return self.cached(("transport", order), dict)
 
     def _searched(self, Q: Subgroup) -> Subgroup:
         """The member R of the F-class of Q, of order > 1, whose Hom(R, S)
         a generated system searched. A class no member of which was
-        searched is searched here, from Q."""
+        searched is searched here, from Q. Q must live in the system's
+        ambient group, since its ids are looked up in the record."""
+        _same_ambient(self.S, Q)
         record = self._transports(Q.order)
         if Q.ids not in record:
             self._hom(Q)
@@ -628,20 +636,35 @@ def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
 
 def word_search(gens, runs, target=None) -> dict:
     """Breadth-first search from the generator ids `gens` of a subgroup Q
-    under partial homomorphisms, given as `runs`: each run is (domain ids,
-    (table, ...)), a maximal stretch of consecutive maps {x: image} with
-    one domain, and the k-th map of the flat sequence is move k. A vector
-    of generator images fixes a composite map on Q, and a run applies to
-    it when its domain contains every entry: that is tested once per run,
-    and one getter of the vector reads each table of an applicable run.
+    under partial homomorphisms, given as `runs` (see `word_steps`).
     Returns {vector: (previous vector, move index)} in discovery order,
     None for the start, and stops as soon as `target` is discovered."""
+    parents: dict = {}
+    for vec in word_steps(gens, runs, parents):
+        if vec == target:
+            break
+    return parents
+
+
+def word_steps(gens, runs, parents: dict):
+    """The search of `word_search`, one discovered vector at a time: each
+    run is (domain ids, (table, ...)), a maximal stretch of consecutive
+    maps {x: image} with one domain, and the k-th map of the flat sequence
+    is move k. A vector of generator images fixes a composite map on Q, and
+    a run applies to it when its domain contains every entry: that is
+    tested once per run, and one getter of the vector reads each table of
+    an applicable run. Each vector is written to `parents` as
+    {vector: (previous vector, move index)}, None for the start, when it is
+    first discovered, and then yielded, the start first. The order is
+    fixed, so a search suspended and resumed gives every vector the parent
+    that one run through gives it."""
     start = tuple(gens)
-    parents = {start: None}
+    parents[start] = None
+    yield start
     frontier = [start]
     firsts = list(accumulate((len(tables) for _dom, tables in runs),
                              initial=0))
-    while frontier and target not in parents:
+    while frontier:
         new = []
         for vec in frontier:
             if len(vec) > 1:
@@ -657,11 +680,9 @@ def word_search(gens, runs, target=None) -> dict:
                     if nvec in parents:
                         continue
                     parents[nvec] = (vec, k)
-                    if nvec == target:
-                        return parents
+                    yield nvec
                     new.append(nvec)
         frontier = new
-    return parents
 
 
 def same_domain_runs(maps) -> tuple:

@@ -36,6 +36,7 @@ from fusionkit import (
     is_strongly_closed,
     is_normal_in_F,
     out_F,
+    regenerate_from_fcr,
     subgroup_generated,
     sylow_p,
     symmetric_group,
@@ -363,6 +364,31 @@ def test_radical_matches_p_core_of_out_f_when_unsaturated(name, request):
     U, _phi = _unsaturated(RADICAL_SYSTEMS[name](request))
     _check_radical_against_out_f(U)
     _check_closures_against_oracle(U)
+
+
+# systems with members read by transport: the rv systems and the fcr
+# regeneration, a `generated_fusion` closure, of three transporter systems
+TRANSPORTED_SYSTEMS = {
+    **{name: RADICAL_SYSTEMS[name] for name in ("rv1", "rv2", "rv3")},
+    **{f"{name} regenerated": (
+        lambda request, name=name: regenerate_from_fcr(
+            OUT_F_SYSTEMS[name](request)))
+       for name in ("S6@2", "SL(3,3)@3", "3^(1+2):2@3")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORTED_SYSTEMS))
+def test_radical_of_a_transported_member_matches_its_own_core(name, request):
+    """`is_radical` answers a member read by transport from the searched
+    member of its F-class; on every object it agrees with the member's own
+    core, O_p(Aut_F(Q)) = Inn(Q), which `aut_f_p_core` reads off Q."""
+    F = TRANSPORTED_SYSTEMS[name](request)
+    moved = 0
+    for Q in F.objects():
+        core, inner = aut_f_p_core(F, Q)
+        assert is_radical(F, Q) == (core == inner), Q.order
+        moved += Q.order > 1 and F._searched(Q) is not Q
+    assert moved > 0
 
 
 def _seeded_automizer(p, rank, seed_images):

@@ -7,10 +7,10 @@ permutations) and `perms` itself may use the permutation kernels
 only FiniteGroup's own methods use them, so the choice between the
 S-local table and the permutation tuples is made in one place. The modules that never touch
 permutation tuples do not import `perms` at all. Likewise the one
-breadth-first search over generator images, `fusion.word_search`, is
-named only in `fusion` and `alperin`: `classify`, `rv` and
-`constructions` close over automorphism tables through
-`fusion.automorphism_closure`.
+breadth-first search over generator images, `fusion.word_search` and
+the resumable `fusion.word_steps` it runs, is named only in `fusion` and
+`alperin`: `classify`, `rv` and `constructions` close over automorphism
+tables through `fusion.automorphism_closure`.
 
 `groups.GroupHom` is the one class that holds a morphism's image table: no
 other module defines a class with an `images` slot. A fusion system stores
@@ -120,7 +120,7 @@ WORD_SEARCH_USERS = {"fusion.py", "alperin.py"}
 )
 def test_word_search_is_named_only_in_fusion_and_alperin(name):
     assert [f"{line}:{n}" for line, n in _names(_tree(name))
-            if n == "word_search"] == []
+            if n in ("word_search", "word_steps")] == []
 
 
 @pytest.mark.parametrize("name", ["classify.py", "constructions.py", "rv.py"])
@@ -415,9 +415,18 @@ def test_memo_stores_morphisms_as_generator_images(name):
                         and len(inverse) == width(key[1]))
                 assert len(to_r.outs) == width(R.ids)
                 assert len(from_r.outs) == len(inverse)
+        elif key[0] == "alperin_search":
+            # the Alperin search from the domain: {vector: (previous
+            # vector, move)} so far, and the suspended search
+            parents, search = value
+            assert {len(v) for v in parents} == {width(key[1])}
+            assert all(len(link[0]) == width(key[1])
+                       for link in parents.values() if link is not None)
+            assert iter(search) is search
         else:
             assert key[0] in PLAIN_KINDS | TABLE_KINDS, key[0]
-    assert VECTOR_KINDS | {"extension_index", "centralizer_cosets"} <= kinds
+    assert VECTOR_KINDS | {"extension_index", "centralizer_cosets",
+                           "alperin_search"} <= kinds
     assert {"out_F", "alperin_moves"} <= kinds & TABLE_KINDS
     assert ("seed_runs" in kinds) == (F.backend == "generated")
     assert kinds & TRANSPORT_KINDS == (

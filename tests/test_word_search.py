@@ -20,9 +20,18 @@ class is searched changes no answer.
 Runs are compared with the per-map search on seeded interleavings of fcr
 automorphisms, so that one domain recurs in runs that are not adjacent,
 and the domain tests of one Alperin search on A8 are counted per node.
+
+`alperin_decompose` keeps one search per domain, suspended where its last
+query stopped: every morphism's chain is compared with the chain of a
+fresh `word_search` that stops at it, with the morphisms asked for in a
+shuffled and in reversed order, a repeat query expands no node, an
+exhausted search stays exhausted, and the kept searches do not hold the
+system.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 from itertools import cycle
 
@@ -47,6 +56,7 @@ from fusionkit import (
     sylow_p,
     symmetric_group,
     transporter_fusion,
+    verify_decomposition,
 )
 from fusionkit.classify import fcr_objects
 from fusionkit.fusion import same_domain_runs, word_search
@@ -137,6 +147,9 @@ def test_unsaturated_map_exhausts_both_searches(name, p, relabel):
     moves = oracle.alperin_moves(U, fcr_objects(U))
     with pytest.raises(LookupError):
         oracle.decompose(moves, phi.domain.sorted_ids, phi.images)
+    with pytest.raises(LookupError):
+        alperin_decompose(U, phi)
+    # the search from phi's domain is exhausted, and stays so
     with pytest.raises(LookupError):
         alperin_decompose(U, phi)
 
@@ -235,6 +248,10 @@ def test_alperin_search_tests_each_run_once_per_node(monkeypatch):
     counted = tuple((_counted(dom, tests), ts) for dom, ts in runs)
     monkeypatch.setattr(alperin, "_moves",
                         lambda _F: (counted, tables, objects))
+    # every phi below on a search from scratch, not one that an earlier
+    # query on its domain has run
+    kept = alperin._alperin_search
+    monkeypatch.setattr(alperin, "_alperin_search", kept.__wrapped__)
     length = 0
     for Q in F.objects():
         if Q.order != 4:
@@ -258,6 +275,79 @@ def test_alperin_search_tests_each_run_once_per_node(monkeypatch):
     flat_nodes = Counter(flat_tests)
     assert flat_nodes.keys() == nodes.keys()
     assert max(flat_nodes.values()) == len(maps)
+    # the search kept per domain expands the same nodes on its first
+    # query, and a repeat query expands none
+    monkeypatch.setattr(alperin, "_alperin_search", kept)
+    tests.clear()
+    chain = _chain(alperin_decompose(F, longest))
+    assert Counter(tests) == nodes
+    tests.clear()
+    assert _chain(alperin_decompose(F, longest)) == chain
+    assert tests == []
+
+
+def _fresh_chain(moves, phi):
+    """The chain of phi read off a `word_search` from its domain's
+    generators that starts from scratch and stops at phi's vector."""
+    runs, tables, objects = moves
+    Q = phi.domain
+    gens = Q.generator_ids()
+    vec = tuple(phi.images[Q.positions[g]] for g in gens)
+    parents = word_search(gens, runs, vec)
+    word = []
+    while parents[vec] is not None:
+        vec, k = parents[vec]
+        word.append(k)
+    chain, cur = [], Q.sorted_ids
+    for k in reversed(word):
+        R, psi = objects[k], tables[k]
+        cur = tuple(psi[x] for x in cur)
+        chain.append((frozenset(cur), R.ids,
+                      tuple(psi[x] for x in R.sorted_ids)))
+    return chain
+
+
+@pytest.mark.parametrize("order", ["shuffled", "reversed"])
+@pytest.mark.parametrize("name,p", [("S6", 2), ("S6", 3), ("SL(3,3)", 3),
+                                    ("A8", 2)])
+def test_resumed_search_gives_the_chains_of_a_fresh_search(name, p, order):
+    """The Alperin search kept per domain, resumed by each query in turn,
+    gives every morphism the chain of a search from scratch that stops at
+    it, whichever order the morphisms are asked for in."""
+    F = _system(name, p, False)
+    moves = alperin._moves(F)
+    phis = [GroupHom(Q, F.S, t)
+            for Q in F.objects() for t in F.hom_to_S_tables(Q)]
+    if order == "shuffled":
+        random.Random(f"{name}@{p}").shuffle(phis)
+    else:
+        phis.reverse()
+    for phi in phis:
+        assert _chain(alperin_decompose(F, phi)) == _fresh_chain(moves, phi)
+    # domains recur, so most queries read or resume a kept search
+    assert len({phi.domain.ids for phi in phis}) < len(phis)
+
+
+def test_system_freed_after_its_decompositions():
+    """The searches kept per domain hold the moves and the vectors, not
+    the system: with the cyclic collector off throughout, a system whose
+    searches are suspended, finished or exhausted is freed as soon as it
+    is dropped."""
+    gc.disable()
+    try:
+        F = _system("S6", 2, False)
+        for Q in F.objects():
+            for t in F.hom_to_S_tables(Q)[::3]:
+                d = alperin_decompose(F, GroupHom(Q, F.S, t))
+                assert verify_decomposition(F, d)
+        U, phi = _unsaturated(F)
+        with pytest.raises(LookupError):
+            alperin_decompose(U, phi)
+        refs = [weakref.ref(F), weakref.ref(U)]
+        del F, U, phi
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _count_searches(monkeypatch):
