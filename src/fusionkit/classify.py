@@ -7,8 +7,8 @@ normalizer subsystem, in `constructions`). P is radical when
 O_p(Out_F(P)) = 1 (Aschbacher, Kessar & Oliver 2011, I.3). Inn(P) is a
 normal p-subgroup of Aut_F(P), so O_p(Out_F(P)) = O_p(Aut_F(P))/Inn(P),
 and `is_radical` decides O_p(Aut_F(P)) = Inn(P) on generator-image
-vectors, with no group built (`aut_f_p_core`), on the searched member of
-P's F-class when P is read by transport; the generating set of
+vectors, with no group built (`aut_f_p_core`), on the member that P's
+F-class was recorded from; the generating set of
 Aut_F(P) it reads and its Sylow ascent are `fusion.automorphism_closure`
 of image tables. `out_F` acts with the same vectors on the cosets of
 Inn(P), only when asked for; no predicate reads it. Both read Inn(P) from
@@ -268,11 +268,9 @@ def is_radical(F: FusionSystem, P: Subgroup) -> bool:
     image vectors, with no automizer group built (`aut_f_p_core`). It is a
     property of P's F-class: for psi: R -> P in F, Aut_F(P) is
     psi Aut_F(R) psi^-1, and that conjugation carries Inn(R) onto Inn(P)
-    (Aschbacher, Kessar & Oliver 2011, I.2). So a member of a generated
-    system read by transport is answered by its searched member."""
-    if F.backend == "generated" and P.order > 1:
-        P = F._searched(P)
-    core, inner = aut_f_p_core(F, P)
+    (Aschbacher, Kessar & Oliver 2011, I.2). So every member is answered
+    by the member its class was recorded from."""
+    core, inner = aut_f_p_core(F, F._recorded(P))
     return core == inner
 
 

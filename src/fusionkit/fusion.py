@@ -19,19 +19,22 @@ suspended: `alperin_decompose` keeps one such search over fcr
 automorphisms per domain and resumes it, and `automorphism_closure` runs
 the search over automorphism tables of one subgroup, for the generating
 set and Sylow ascent of `classify`, the rank-2 check of `rv.certify_rv`
-and the K check of `constructions`. A generated system searches one member
-R of each F-class and records one psi: R -> Q' onto each other member Q',
-the first morphism of R onto Q' in rule order. Since Hom(Q', S) =
-Hom(R, S) psi^-1, Q' is answered through R and psi, and its own hom set is
-built only when a read asks for all of it (`hom_vectors`,
-`equal_hom_tables`): `images_at` reads R at psi^-1 of the elements asked
-for, the image sets and the count are R's, Hom(Q', P) is R's morphisms
-into P carried across psi one at a time, and `member_test` tests w by w
-psi. The provenance of its morphisms is the words of the search from their
-own domain: R's come from the search the rule ran, and `hom_set` hands out
-GroupHoms whose provenance is deferred, so a member read by transport is
-searched only when one of its words is read. A deferred word holds that
-search's inputs, never the system.
+and the K check of `constructions`. Every system records each F-class
+once per order, from one member R: the class is the set of images of
+Hom(R, S), since F holds each morphism's inverse (Aschbacher, Kessar &
+Oliver 2011, I.2), and each member Q' is recorded with psi: R -> Q', the
+first morphism of R onto Q' in rule order. A generated rule records a
+class as it searches R; any other system, when the class of a member is
+first asked for. A generated system answers Q' through R and psi, since
+Hom(Q', S) = Hom(R, S) psi^-1, and builds Hom(Q', S) only when a read asks
+for all of it (`hom_vectors`, `equal_hom_tables`): `images_at` reads R at
+psi^-1 of the elements asked for, the count is R's, Hom(Q', P) is R's
+morphisms into P carried across psi one at a time, and `member_test` tests
+w by w psi. The provenance of its morphisms is the words of the search from
+their own domain: R's come from the search the rule ran, and `hom_set`
+hands out GroupHoms whose provenance is deferred, so a member read by
+transport is searched only when one of its words is read. A deferred word
+holds that search's inputs, never the system.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
 `groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
@@ -59,13 +62,12 @@ An entry of a subgroup is made only by `_memoised`, which keys it by the
 function's name and the subgroups' id sets and checks on every call that
 each subgroup lives in the system's ambient group (on a miss, inside S),
 raising ValueError otherwise; the other entries are keyed by order,
-element or nothing. Two kinds of entry grow. The transport record of a
-generated system is keyed by order, and grows by one F-class per search.
-The Alperin search from a domain (`alperin._alperin_search`) grows each
-time a decomposition resumes it; it holds its moves and vectors, never
-the system. Each member read by transport keeps its psi^-1, the two
-compiled walks that carry a vector across psi and its deferred words,
-under `transported`.
+element or nothing. Two kinds of entry grow. The class record is keyed by
+order, and grows by one F-class at a time. The Alperin search from a
+domain (`alperin._alperin_search`) grows each time a decomposition resumes
+it; it holds its moves and vectors, never the system. Each member read by
+transport keeps its psi^-1, the two compiled walks that carry a vector
+across psi and its deferred words, under `transported`.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ class FusionSystem:
     called only when a handed-out morphism's provenance is read. It takes
     the system as an argument rather than holding it, so a system is freed
     by reference counting alone. `backend` names the rule ("transporter",
-    "generated" or "derived"). `generators(F)` lists morphisms that
+    "generated" or "derived"), which `_searched` alone reads.
+    `generators(F)` lists morphisms that
     generate the system; without it every morphism is listed.
     `images_at(X, elems, vectors)` evaluates stored morphisms at chosen
     elements, and every table or restriction is read through it;
@@ -176,9 +179,9 @@ class FusionSystem:
         A key that names a subgroup is made by `_memoised` alone, which
         checks the subgroup's ambient group; this is the one place that
         reads or writes the memo. Two kinds of value grow in place: the
-        transport record of a generated system, which its rule fills, and
-        the Alperin search from a domain, which each decomposition on that
-        domain resumes."""
+        class record of each order, one F-class at a time, and the Alperin
+        search from a domain, which each decomposition on that domain
+        resumes."""
         value = self._memo.get(key, _MISSING)
         if value is _MISSING:
             value = self._memo[key] = compute()
@@ -281,9 +284,7 @@ class FusionSystem:
     def hom_count(self, Q: Subgroup) -> int:
         """|Hom(Q, S)|, which a member read by transport shares with its
         searched member."""
-        if self.backend == "generated" and Q.order > 1:
-            Q = self._searched(Q)
-        return len(self.hom_vectors(Q))
+        return len(self.hom_vectors(self._searched(Q)))
 
     def hom_into(self, Q: Subgroup, P: Subgroup, tables=False) -> tuple:
         """Hom(Q, P) in rule order, as (positions in Hom(Q, S), morphisms):
@@ -370,20 +371,6 @@ class FusionSystem:
             for t, r in sorted(zip(tables, [r for r, _c, _v in cosets]))
         ]
 
-    @_memoised
-    def image_sets(self, Q: Subgroup) -> frozenset:
-        """Images of all morphisms out of Q, as the id sets of objects. A
-        member read by transport shares them with its searched member R,
-        and R's are the objects that R's search recorded."""
-        if Q.order == 1:
-            return frozenset([Q.ids])
-        if self.backend != "generated":
-            return frozenset(self._image_objects(Q.order,
-                                                 self.hom_vectors(Q)))
-        R = self._searched(Q)
-        return frozenset(ids for ids, (T, _psi)
-                         in self._transports(Q.order).items() if T is R)
-
     def _image_objects(self, order: int, vectors) -> list:
         """The id set of the image of each morphism in `vectors`, out of an
         object of `order` > 1. A morphism is injective, so its image is the
@@ -401,43 +388,51 @@ class FusionSystem:
                 for v in vectors]
 
     def _transports(self, order: int) -> dict:
-        """The transport record of a generated system: {id set of an object
-        of `order`: (R, psi)} over the F-classes searched so far, R being
-        the member whose Hom(R, S) was searched and psi the vector of one
-        morphism of R onto the object (the identity on R itself). The rule
-        adds one class at a time, as it searches R; an entry, once written,
-        never changes, so the record only grows."""
+        """The class record of `order`: {id set of an object: (R, psi)}, R
+        being the member its F-class was recorded from and psi the vector
+        of the first morphism of R onto it. An entry, once written, never
+        changes, so the record only grows."""
         return self.cached(("transport", order), dict)
 
-    def _searched(self, Q: Subgroup) -> Subgroup:
-        """The member R of the F-class of Q, of order > 1, whose Hom(R, S)
-        a generated system searched. A class no member of which was
-        searched is searched here, from Q. Q must live in the system's
-        ambient group, since its ids are looked up in the record."""
+    def _record(self, R: Subgroup, vectors) -> None:
+        """Record the F-class of R: the images of Hom(R, S) = `vectors`."""
+        record = self._transports(R.order)
+        for ids, psi in zip(self._image_objects(R.order, vectors), vectors):
+            record.setdefault(ids, (R, psi))
+
+    def _recorded(self, Q: Subgroup) -> Subgroup:
+        """The member that the F-class of Q was recorded from: by a
+        generated rule as it searched, or else here, from Q. Q must live in
+        the system's ambient group, since its ids are looked up."""
         _same_ambient(self.S, Q)
+        if Q.order == 1:
+            return Q
         record = self._transports(Q.order)
         if Q.ids not in record:
-            self._hom(Q)
+            vectors = self.hom_vectors(Q)
+            if Q.ids not in record:
+                self._record(Q, vectors)
         return record[Q.ids][0]
+
+    def _searched(self, Q: Subgroup) -> Subgroup:
+        """The member whose Hom(R, S) answers for Hom(Q, S): the searched
+        member of Q's F-class in a generated system, else Q itself."""
+        if self.backend != "generated":
+            return Q
+        return self._recorded(Q)
 
     def _source(self, Q: Subgroup):
         """The `_Transport` that reads Q off the searched member of its
-        F-class, or None when Hom(Q, S) is Q's own: always outside a
-        generated system, which this one backend check decides."""
-        if self.backend != "generated" or Q.order == 1:
-            return None
-        return self._transported(Q)
+        F-class, or None when Hom(Q, S) is Q's own."""
+        return None if self._searched(Q) is Q else self._transported(Q)
 
     @_memoised
-    def _transported(self, Q: Subgroup):
-        """The `_Transport` of Q, or None when Q is the searched member R
+    def _transported(self, Q: Subgroup) -> _Transport:
+        """The `_Transport` of Q, a member read off the searched member R
         of its class. psi^-1 is read once, off psi's table. The deferred
         words hold Hom(R, S), the walk to psi^-1 and the seed runs, which
         a search from Q reads on the first read of a word."""
-        R = self._searched(Q)
-        if R is Q:
-            return None
-        psi = self._transports(Q.order)[Q.ids][1]
+        R, psi = self._transports(Q.order)[Q.ids]
         back = dict(zip(self.table(R, psi), R.sorted_ids))
         gens = Q.generator_ids()
         inverse = tuple([back[y] for y in gens])
@@ -449,16 +444,17 @@ class FusionSystem:
                           words)
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
-        """All subgroups F-isomorphic to P (isomorphic as objects, i.e.
-        with invertible morphisms both ways), by sorted ids."""
-        return list(self._f_conjugates(P))
+        """All subgroups F-isomorphic to P, by sorted ids."""
+        return list(self._class_members(self._recorded(P)))
 
     @_memoised
-    def _f_conjugates(self, P: Subgroup) -> tuple:
-        members = [self.subgroup(img) for img in self.image_sets(P)]
+    def _class_members(self, R: Subgroup) -> tuple:
+        if R.order == 1:
+            return (R,)
         return tuple(sorted(
-            (R for R in members if P.ids in self.image_sets(R)),
-            key=lambda R: R.sorted_ids))
+            (self.subgroup(ids) for ids, (T, _psi)
+             in self._transports(R.order).items() if T is R),
+            key=lambda Q: Q.sorted_ids))
 
     def conjugacy_classes(self) -> list[list[Subgroup]]:
         def compute():
@@ -734,16 +730,14 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
 
     def hom(F, Q):
         gens = Q.generator_ids()
-        transports = F._transports(Q.order)
-        if Q.ids in transports:
+        if Q.ids in F._transports(Q.order):
             # another member of Q's class was searched: read by transport
             return tuple(F.images_at(Q, gens)), F._transported(Q).words
         runs = _seed_runs(F)
         parents = word_search(gens, runs)
         vectors = tuple(parents)
         if Q.order > 1:
-            for ids, psi in zip(F._image_objects(Q.order, vectors), vectors):
-                transports.setdefault(ids, (Q, psi))
+            F._record(Q, vectors)
         return vectors, _words(gens, runs, vectors, parents)
 
     return FusionSystem(S, p, hom, "generated",
@@ -755,19 +749,22 @@ def _seed_runs(F: FusionSystem) -> tuple:
     runs: each generating morphism as {x: image} on its domain, then its
     inverse onto its image, which the factorization axiom forces into the
     system, and last the conjugation by each generator of S, which makes
-    every Hom_S map reachable. Built once, and read by the rule's searches
-    and by the deferred words of a member read by transport."""
+    every Hom_S map reachable, keeping the first of equal maps. Built once,
+    and read by the rule's searches and by the deferred words of a member
+    read by transport."""
     def build():
-        S, seeds = F.S, []
+        S, seeds = F.S, {}
+
+        def add(dom, table):
+            seeds.setdefault(frozenset(table.items()), (dom, table))
         for m in F.generating_morphisms():
             dom, images = m.domain, m.images
-            seeds.append((dom.ids, dict(zip(dom.sorted_ids, images))))
-            seeds.append((frozenset(images),
-                          dict(zip(images, dom.sorted_ids))))
+            add(dom.ids, dict(zip(dom.sorted_ids, images)))
+            add(frozenset(images), dict(zip(images, dom.sorted_ids)))
         for t in S.generator_ids():
-            seeds.append((S.ids, dict(zip(
-                S.sorted_ids, F.ambient.conj_row(S.sorted_ids, t)))))
-        return same_domain_runs(seeds)
+            add(S.ids, dict(zip(S.sorted_ids,
+                                F.ambient.conj_row(S.sorted_ids, t))))
+        return same_domain_runs(seeds.values())
     return F.cached(("seed_runs",), build)
 
 
@@ -929,7 +926,8 @@ def audit_axioms(F: FusionSystem) -> list[str]:
 
     Verifies Hom_S(Q,S) inside the tables, injectivity and multiplicativity
     of every map, and closure under restriction and composition on a
-    deterministic sample of AUDIT_SAMPLES pairs each.
+    deterministic sample of AUDIT_SAMPLES pairs each, with the inverse of
+    each sampled map of the latter, on which F-classes rely.
     """
     amb = F.ambient
     problems = []
@@ -994,6 +992,13 @@ def audit_axioms(F: FusionSystem) -> list[str]:
     for Q, t in comps:
         R = F.subgroup(t)
         second = hom_tables(R)
+        if len(R.ids) == Q.order:
+            # the factorization axiom: the inverse onto Q lies in Hom(R, S)
+            back = dict(zip(t, Q.sorted_ids))
+            if tuple([back[y] for y in R.sorted_ids]) not in set(second):
+                problems.append(
+                    f"inverse of an order-{Q.order} map missing at its image"
+                )
         table_set = set(hom_tables(Q))
         pos = R.positions
         for t2 in second[: AUDIT_SAMPLES // 10]:

@@ -254,8 +254,11 @@ def test_axiom_audit_reports_each_broken_axiom(f_s4):
     Q = next(Q for Q in objects if Q.order == 2)
     y = next(y for y in S.sorted_ids if amb.element_order(y) == 2
              and (y,) not in T.vector_set(Q))
+    # a map Q -> <y> appended without its inverse: an F-class read off
+    # the images of Hom(Q, S) would then hold <y>
     assert problems(_at(Q, (y,))) == [
-        "composition escaping the table at order 2"]
+        "composition escaping the table at order 2",
+        "inverse of an order-2 map missing at its image"]
 
 
 def test_generated_closure_seed_order_independent():
@@ -515,7 +518,7 @@ def test_transported_members_answer_as_their_full_hom_sets(
         name, rv_systems, monkeypatch):
     """A member Q of an F-class read by transport from its searched member
     R answers every class-level read as its whole Hom(Q, S) does, built
-    as the generated rule built it before: image sets, Hom(Q, P) in rule
+    as the generated rule built it before: its F-class, Hom(Q, P) in rule
     order, as vectors and as tables, for each P of the class, for S and for
     one object of Q's order outside the class, Aut_F(Q), the count, and
     membership. Full automisation still checks Aut_S(Q) against Aut_F(Q)
@@ -532,7 +535,8 @@ def test_transported_members_answer_as_their_full_hom_sets(
             moved += 1
             R = F._transports(Q.order)[Q.ids][0]
             vectors, tables = _full_transport(F, R, Q)
-            assert F.image_sets(Q) == {frozenset(t) for t in tables}
+            assert {P.ids for P in F.f_conjugates(Q)} == {
+                frozenset(t) for t in tables}
             # and one object of Q's order outside the class, if any
             outsider = [P for P in F.objects()
                         if P.order == Q.order and P not in cls][:1]

@@ -329,13 +329,14 @@ def _product():
 VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors"}
 # memo kinds that hold no morphism: subgroups, id sets, element classes,
 # and the climbs of `extension_chain` (subgroups and compiled walks)
-PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of", "image_sets",
-               "objects_through", "f_conjugates", "conjugacy_classes",
+PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of",
+               "objects_through", "class_members", "conjugacy_classes",
                "f_classes", "cr_classes", "fcr_objects", "extension_chain"}
-# memo kinds of the transport of generated systems: `transport`, keyed by
-# an order, maps each object whose class was searched to (the searched
-# object R, psi: R -> it), and `transported`, keyed by an object Q', is
-# None on a searched object and otherwise (R, the vector of psi^-1 on Q''s
+# the class record and the transport of generated systems: `transport`,
+# keyed by an order, maps each object whose class was recorded to (the
+# object R it was recorded from, psi: R -> it) in every system, and
+# `transported`, keyed by a member Q' of a generated system that is read
+# off its searched member R, is (R, the vector of psi^-1 on Q''s
 # generators, the two compiled walks that carry a vector across psi, and
 # Q''s deferred words)
 TRANSPORT_KINDS = {"transport", "transported"}
@@ -370,7 +371,7 @@ def test_memo_stores_morphisms_as_generator_images(name):
     out_F(F, F.S)
     for Q in F.objects():
         F.aut_f_vectors(Q)
-        F.image_sets(Q)
+        F.f_conjugates(Q)
     Q = max(F.objects(), key=lambda Q: (Q.order < F.S.order, Q.order))
     F.f_class_of_element(max(Q.ids))
     phi = F.hom_to_S(Q)[-1]
@@ -395,26 +396,27 @@ def test_memo_stores_morphisms_as_generator_images(name):
             # the restrictions to Q of the morphisms out of N, as vectors
             # of Q's generators
             assert {len(k) for k in value} <= {width(key[2])}
-        elif key[0] == "image_sets":
-            assert value <= {R.ids for R in F.objects()}
+        elif key[0] == "class_members":
+            # the F-class recorded from the keyed object, which it holds
+            assert key[1] in {R.ids for R in value}
+            assert value == tuple(sorted(value, key=lambda R: R.sorted_ids))
         elif key[0] == "transport":
-            # {object of this order: (searched R, psi of R onto it)}
+            # {object of this order: (recorded R, psi of R onto it)}
             assert {R.order for R, _psi in value.values()} <= {key[1]}
             assert value.keys() <= {R.ids for R in F.objects()}
             for R, psi in value.values():
                 assert len(psi) == width(R.ids)
         elif key[0] == "transported":
-            # a searched object reads its own hom set; any other member of
-            # a searched class reads R's through psi
-            if value is not None:
-                R, inverse, to_r, from_r, words = value
-                assert callable(words)
-                assert (R.order == len(key[1]) and R.ids != key[1]
-                        and R.ids <= F.S.ids)
-                assert (frozenset(inverse) <= R.ids
-                        and len(inverse) == width(key[1]))
-                assert len(to_r.outs) == width(R.ids)
-                assert len(from_r.outs) == len(inverse)
+            # a member other than the searched one reads R's hom set
+            # through psi
+            R, inverse, to_r, from_r, words = value
+            assert callable(words)
+            assert (R.order == len(key[1]) and R.ids != key[1]
+                    and R.ids <= F.S.ids)
+            assert (frozenset(inverse) <= R.ids
+                    and len(inverse) == width(key[1]))
+            assert len(to_r.outs) == width(R.ids)
+            assert len(from_r.outs) == len(inverse)
         elif key[0] == "alperin_search":
             # the Alperin search from the domain: {vector: (previous
             # vector, move)} so far, and the suspended search
@@ -430,4 +432,4 @@ def test_memo_stores_morphisms_as_generator_images(name):
     assert {"out_F", "alperin_moves"} <= kinds & TABLE_KINDS
     assert ("seed_runs" in kinds) == (F.backend == "generated")
     assert kinds & TRANSPORT_KINDS == (
-        TRANSPORT_KINDS if F.backend == "generated" else set())
+        TRANSPORT_KINDS if F.backend == "generated" else {"transport"})

@@ -1,5 +1,7 @@
 """Products by the factor rule against the generated closure they replaced
-(oracle_product), and the laziness of the derived systems of the witness.
+(oracle_product), the laziness of the derived systems of the witness, and
+the saturation of the products themselves: each `witness --p 3` product is
+saturated, and a product with an unsaturated factor is not.
 
 The comparison covers every object of the four `witness --p 3` products,
 of the small products of test_constructions, and of one product whose
@@ -14,7 +16,9 @@ import oracle_product
 from conftest import extraspecial27_c2
 from test_constructions import PRODUCT_PAIRS
 from test_sweep import relabelled
+from test_word_search import _unsaturated
 from fusionkit import (
+    is_saturated,
     main_theorem_witness,
     product_fusion,
     sylow_p,
@@ -79,3 +83,17 @@ def test_witness_reads_only_objects_inside_or_above_A(monkeypatch):
     assert computed
     assert all(Q <= A.ids or A.ids <= Q for Q in computed)
     assert len(computed) < len(F.objects())
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_witness_products_are_saturated(k):
+    F1, F2 = _witness_pair(k)()
+    assert is_saturated(product_fusion(F1, F2)).verdict
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_product_with_an_unsaturated_factor_is_not_saturated(k):
+    """_unsaturated(3^(1+2):2@3) times inner(C3) (k = 0) and S3 (k = 1)."""
+    U, _phi = _unsaturated(_transporter(extraspecial27_c2(), 3))
+    _n1, _F1, _n2, F2 = _witness_pairs_p3()[k]
+    assert not is_saturated(product_fusion(U, F2)).verdict
