@@ -51,7 +51,7 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
         right = F2.images_at(Q2, [j for _, j in pairs])
         return tuple(dict.fromkeys(
             tuple(map(add, a, b)) for a in left for b in right
-        )), None
+        ))
 
     S12 = Subgroup(amb, frozenset(
         i * n2 + j for i in F1.S.ids for j in F2.S.ids
@@ -122,7 +122,7 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
         for im in F.images_at(Phat, at):
             if tids.issuperset(im[:k]):
                 pushed[tuple([theta[y] for y in im[k:]])] = None
-        return tuple(pushed), None
+        return tuple(pushed)
 
     Fq = FusionSystem(Sq, F.p, hom, "derived")
     return Fq, QuotientMap(F, Fq, T, theta)
@@ -183,7 +183,7 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
                 rest = im[k:]
                 if s_ids.issuperset(rest):
                     out[rest] = None
-        return tuple(out), None
+        return tuple(out)
 
     return FusionSystem(Sp, F.p, hom, "derived")
 

@@ -3,57 +3,54 @@
 A FusionSystem is fixed by the sets Hom(Q, S) of morphisms out of each
 subgroup Q of its top group S; Hom(Q, P) is the subset whose image lies in
 P. A morphism is stored by its vector: its images of Q.generator_ids(),
-which fix it. One class holds every system, and a rule `hom(F, Q)`
-supplied by its constructor gives Hom(Q, S) as vectors with their
-provenance when Q is first asked for. `transporter_fusion` restricts the
-conjugations by an ambient group G (one sweep conjugates S by a
-representative of each right coset of S in G and reads the other elements'
-conjugations off S's table), `generated_fusion` closes a seed set of
-injective homomorphisms, and the constructions (products, quotients,
-normalizer and centralizer subsystems) read the vectors of their parent
-systems. The closure is `word_search`, a breadth-first search over
-generator images under partial maps, given as runs of consecutive maps
-with one domain, so that a search node tests each run's domain once. It
-runs `word_steps`, which yields the vectors one at a time and can be
-suspended: `alperin_decompose` keeps one such search over fcr
-automorphisms per domain and resumes it, and `automorphism_closure` runs
-the search over automorphism tables of one subgroup, for the generating
-set and Sylow ascent of `classify`, the rank-2 check of `rv.certify_rv`
-and the K check of `constructions`. Every system records each F-class
-once per order, from one member R: the class is the set of images of
-Hom(R, S), since F holds each morphism's inverse (Aschbacher, Kessar &
-Oliver 2011, I.2), and each member Q' is recorded with psi: R -> Q', the
-first morphism of R onto Q' in rule order. A generated rule records a
-class as it searches R; any other system, when the class of a member is
-first asked for. A generated system answers Q' through R and psi, since
-Hom(Q', S) = Hom(R, S) psi^-1, and builds Hom(Q', S) only when a read asks
-for all of it (`hom_vectors`, `equal_hom_tables`): `images_at` reads R at
-psi^-1 of the elements asked for, the count is R's, Hom(Q', P) is R's
+which fix it. One class holds every system, and a rule `hom(F, Q)` supplied
+by its constructor gives Hom(Q, S) as a plain tuple of vectors, in a fixed
+order, when Q is first asked for; a system hands out plain
+`groups.GroupHom`s, which carry no record of how they were found
+(`alperin.alperin_decompose` explains why a morphism lies in F).
+`transporter_fusion` restricts the conjugations by an ambient group G (one
+sweep conjugates S by a representative of each right coset of S in G and
+reads the other elements' conjugations off S's table), `generated_fusion`
+closes a seed set of injective homomorphisms, and the constructions
+(products, quotients, normalizer and centralizer subsystems) read the
+vectors of their parent systems. The closure is `word_search`, a
+breadth-first search over generator images under partial maps, given as
+runs of consecutive maps with one domain, so that a search node tests each
+run's domain once. It runs `word_steps`, which yields the vectors one at a
+time and can be suspended: `alperin_decompose` keeps one such search over
+fcr automorphisms per domain and resumes it, and `automorphism_closure`
+runs the search over automorphism tables of one subgroup, for the
+generating set and Sylow ascent of `classify`, the rank-2 check of
+`rv.certify_rv` and the K check of `constructions`. Every system records
+each F-class once per order, from one member R: the class is the set of
+images of Hom(R, S), since F holds each morphism's inverse (Aschbacher,
+Kessar & Oliver 2011, I.2), and each member Q' is recorded with psi:
+R -> Q', the first morphism of R onto Q' in rule order. A generated rule
+records a class as it searches R; any other system, when the class of a
+member is first asked for. A generated system answers Q' through R and psi,
+since Hom(Q', S) = Hom(R, S) psi^-1, and builds Hom(Q', S) only when a read
+asks for all of it (`hom_vectors`, `equal_hom_tables`): `images_at` reads R
+at psi^-1 of the elements asked for, the count is R's, Hom(Q', P) is R's
 morphisms into P carried across psi one at a time, and `member_test` tests
-w by w psi. The provenance of its morphisms is the words of the search from
-their own domain: R's come from the search the rule ran, and `hom_set`
-hands out GroupHoms whose provenance is deferred, so a member read by
-transport is searched only when one of its words is read. A deferred word
-holds that search's inputs, never the system.
+w by w psi.
 
 `FusionSystem.images_at` is the one reader of these vectors: it walks
-`groups.CayleyTree` to evaluate morphisms out of X at chosen elements of
-X, or at all of them. Whole tables (morphisms handed out as
-`groups.GroupHom`s with their provenance, `hom_to_S_tables`, digests and
-audits), `extension_index`, the set of restrictions of Hom(N, S) to a
-subgroup Q, the N_phi twists of `classify` and the rules of the
-constructions all read it. Receptivity can also ask whether one map on Q
-extends over N without restricting all of Hom(N, S): `extends` tries
+`groups.CayleyTree` to evaluate morphisms out of X at chosen elements of X,
+or at all of them. Whole tables (morphisms handed out, `hom_to_S_tables`,
+digests and audits), `extension_index`, the set of restrictions of
+Hom(N, S) to a subgroup Q, the N_phi twists of `classify` and the rules of
+the constructions all read it. Receptivity can also ask whether one map on
+Q extends over N without restricting all of Hom(N, S): `extends` tries
 candidate images of the generators that a walk of N seeded with Q's
 generators adds, along the compiled walks of `extension_chain`. Outside
-`groups`, `named` and this module no code names the tree. The memo keeps
-no table of a morphism of Hom(Q, S), and Aut_S(Q) is kept the same way:
-one generator-image vector per coset of C_S(Q) in N_S(Q), in
+`groups`, `named` and this module no code names the tree. The memo keeps no
+table of a morphism of Hom(Q, S), and Aut_S(Q) is kept the same way: one
+generator-image vector per coset of C_S(Q) in N_S(Q), in
 `centralizer_cosets`. It does keep four kinds of whole table: the
-conjugation pairs of the transporter sweep, the seed maps of the
-generated closure, `classify.out_F` of an abelian P, which is Aut_F(P) on
-the points of P, and the fcr automorphisms that the Alperin search reads
-at any element.
+conjugation pairs of the transporter sweep, the seed maps of the generated
+closure, `classify.out_F` of an abelian P, which is Aut_F(P) on the points
+of P, and the fcr automorphisms that the Alperin search reads at any
+element.
 
 A system never changes once built, so its hom vectors and every invariant
 derived from them (automizers, classes, normalizers, fcr objects, ...) are
@@ -66,8 +63,8 @@ element or nothing. Two kinds of entry grow. The class record is keyed by
 order, and grows by one F-class at a time. The Alperin search from a
 domain (`alperin._alperin_search`) grows each time a decomposition resumes
 it; it holds its moves and vectors, never the system. Each member read by
-transport keeps its psi^-1, the two compiled walks that carry a vector
-across psi and its deferred words, under `transported`.
+transport keeps its psi^-1 and the two compiled walks that carry a vector
+across psi, under `transported`.
 """
 
 from __future__ import annotations
@@ -76,9 +73,8 @@ import functools
 import hashlib
 import pickle
 import random
-from array import array
 from collections import namedtuple
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 from .groups import (
@@ -86,6 +82,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _check_prime,
     _p_part,
     _same_ambient,
     _tabled,
@@ -106,9 +103,8 @@ _MISSING = object()
 # search found: `inverse` is the vector of psi^-1 on Q''s generators, `to_r`
 # evaluates a morphism w out of Q' at psi(R's generators), giving the vector
 # of w psi out of R, and `from_r` a morphism phi out of R at `inverse`,
-# giving the vector of phi psi^-1 out of Q'. `words` is the provenance of
-# Hom(Q', S), deferred until one of its words is read.
-_Transport = namedtuple("_Transport", "R inverse to_r from_r words")
+# giving the vector of phi psi^-1 out of Q'.
+_Transport = namedtuple("_Transport", "R inverse to_r from_r")
 
 
 def _plan(X: Subgroup, elems):
@@ -142,15 +138,14 @@ def _memoised(fn):
 class FusionSystem:
     """Fusion system over a p-group S, queried through its hom vectors.
 
-    `hom(F, Q)` returns Hom(Q, S) as (vectors, provenance) and runs once
-    per object Q: the images of Q.generator_ids() under each morphism, and
-    a function from a vector's index to its provenance, or None, which is
-    called only when a handed-out morphism's provenance is read. It takes
-    the system as an argument rather than holding it, so a system is freed
-    by reference counting alone. `backend` names the rule ("transporter",
-    "generated" or "derived"), which `_searched` alone reads.
-    `generators(F)` lists morphisms that
-    generate the system; without it every morphism is listed.
+    `hom(F, Q)` returns Hom(Q, S) as a tuple of vectors and runs once per
+    object Q: the images of Q.generator_ids() under each morphism, in an
+    order that the class record, `hom_into` and the automizers read. It
+    takes the system as an argument rather than holding it, so a system is
+    freed by reference counting alone. `backend` names the rule
+    ("transporter", "generated" or "derived"), which `_searched` alone
+    reads. `generators(F)` lists morphisms that generate the system;
+    without it every morphism is listed.
     `images_at(X, elems, vectors)` evaluates stored morphisms at chosen
     elements, and every table or restriction is read through it;
     `hom_into`, `hom_count` and `member_test` answer for Hom(Q, P), its
@@ -159,7 +154,7 @@ class FusionSystem:
 
     def __init__(self, S: Subgroup, p: int, hom, backend: str,
                  generators=None):
-        if not is_p_group(S, p):
+        if not is_p_group(S, _check_prime(p)):
             raise ValueError(f"top group order {S.order} is not a power of {p}")
         # every subgroup closure and every table rebuilt inside S reads
         # S's multiplication table
@@ -199,14 +194,13 @@ class FusionSystem:
 
     @_memoised
     def _hom(self, Q: Subgroup) -> tuple:
-        """(vectors, provenance) of Hom(Q, S), from the rule the first time
-        Q is asked for."""
+        """Hom(Q, S) as the images of Q.generator_ids() under each morphism,
+        in the order the rule found them, from the rule the first time Q is
+        asked for."""
         return self._rule(self, Q)
 
-    def hom_vectors(self, Q: Subgroup) -> tuple:
-        """Hom(Q, S) as the images of Q.generator_ids() under each morphism,
-        in the order the rule found them."""
-        return self._hom(Q)[0]
+    # the one reader of the rule's vectors, kept in the memo as "hom"
+    hom_vectors = _hom
 
     def images_at(self, X: Subgroup, elems=None, vectors=None) -> list:
         """The images of `elems` (all of X.sorted_ids when None) under each
@@ -307,18 +301,8 @@ class FusionSystem:
     def hom_set(self, Q: Subgroup, P: Subgroup) -> list[GroupHom]:
         """The morphisms Q -> P, by image table. A morphism maps into P
         exactly when its generator images lie in P."""
-        picked, tables = self.hom_into(Q, P, tables=True)
-        found = sorted(zip(tables, picked))
-        # provenance is deferred: a generated system searches a transported
-        # object for its words only when one is read
-        moved = self._source(Q)
-        prov = self._hom(Q)[1] if moved is None else moved.words
-        return [
-            GroupHom(Q, P, t,
-                     provenance=None if prov is None
-                     else functools.partial(prov, i))
-            for t, i in found
-        ]
+        _picked, tables = self.hom_into(Q, P, tables=True)
+        return [GroupHom(Q, P, t) for t in sorted(tables)]
 
     def hom_to_S(self, Q: Subgroup) -> list[GroupHom]:
         return self.hom_set(Q, self.S)
@@ -362,14 +346,11 @@ class FusionSystem:
         )
 
     def aut_s(self, P: Subgroup) -> list[GroupHom]:
-        """Aut_S(P) by image table, each witnessed by the least s in N_S(P)
-        that induces it."""
-        cosets = self.centralizer_cosets(P)
-        tables = self.images_at(P, vectors=[vec for _r, _c, vec in cosets])
-        return [
-            GroupHom(P, P, t, provenance=("conjugation", r))
-            for t, r in sorted(zip(tables, [r for r, _c, _v in cosets]))
-        ]
+        """Aut_S(P) by image table: one automorphism per coset of C_S(P) in
+        N_S(P)."""
+        vectors = [vec for _r, _c, vec in self.centralizer_cosets(P)]
+        return [GroupHom(P, P, t)
+                for t in sorted(self.images_at(P, vectors=vectors))]
 
     def _image_objects(self, order: int, vectors) -> list:
         """The id set of the image of each morphism in `vectors`, out of an
@@ -429,19 +410,12 @@ class FusionSystem:
     @_memoised
     def _transported(self, Q: Subgroup) -> _Transport:
         """The `_Transport` of Q, a member read off the searched member R
-        of its class. psi^-1 is read once, off psi's table. The deferred
-        words hold Hom(R, S), the walk to psi^-1 and the seed runs, which
-        a search from Q reads on the first read of a word."""
+        of its class. psi^-1 is read once, off psi's table."""
         R, psi = self._transports(Q.order)[Q.ids]
         back = dict(zip(self.table(R, psi), R.sorted_ids))
-        gens = Q.generator_ids()
-        inverse = tuple([back[y] for y in gens])
-        amb, vectors = self.ambient, self.hom_vectors(R)
-        from_r = cayley_tree(R).plan(inverse)
-        words = _words(gens, _seed_runs(self),
-                       lambda: tuple(from_r.images(amb, vectors)))
-        return _Transport(R, inverse, cayley_tree(Q).plan(psi), from_r,
-                          words)
+        inverse = tuple([back[y] for y in Q.generator_ids()])
+        return _Transport(R, inverse, cayley_tree(Q).plan(psi),
+                          cayley_tree(R).plan(inverse))
 
     def f_conjugates(self, P: Subgroup) -> list[Subgroup]:
         """All subgroups F-isomorphic to P, by sorted ids."""
@@ -565,7 +539,8 @@ class FusionSystem:
 def _conjugation_pairs(F: FusionSystem, G: FiniteGroup) -> tuple:
     """The distinct pairs (D_g, c_g on D_g) over g in G, where
     D_g = S n S^(g^-1) is the largest subgroup of S that g conjugates
-    into S: one (D_g, {x: x^g}, least such g) per pair, by increasing g.
+    into S: one (D_g, {x: x^g}) per pair, by increasing least such g, the
+    order in which the transporter rule lists Hom(Q, S).
 
     The row of g lists x^g for x in S, or -1 where x^g leaves S. S is
     conjugated by one representative r of each right coset S*r alone;
@@ -588,9 +563,9 @@ def _conjugation_pairs(F: FusionSystem, G: FiniteGroup) -> tuple:
                 if g < least.get(row, G.order):
                     least[row] = g
         out = []
-        for row, g in sorted(least.items(), key=itemgetter(1)):
+        for row, _g in sorted(least.items(), key=itemgetter(1)):
             table = {i: j for i, j in zip(ssorted, row) if j >= 0}
-            out.append((F.subgroup(frozenset(table)), table, g))
+            out.append((F.subgroup(frozenset(table)), table))
         return tuple(out)
     return F.cached(("conjugation_pairs",), sweep)
 
@@ -598,8 +573,9 @@ def _conjugation_pairs(F: FusionSystem, G: FiniteGroup) -> tuple:
 def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
     """F_S(G): morphisms are conjugations by elements of G. Hom(Q, S) is
     read from the conjugation pairs by restriction: c_g maps Q into S
-    exactly when Q <= D_g, and the first pair giving a map carries its
-    least g. The generating morphisms are one conjugation map per pair."""
+    exactly when Q <= D_g, and each map is listed at the first pair that
+    gives it. The generating morphisms are one conjugation map per pair."""
+    _check_prime(p)
     if S.ambient is not G:
         raise ValueError("S must be a subgroup of G")
     if not S.is_subgroup_closed():
@@ -613,19 +589,13 @@ def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
     def hom(F, Q):
         qids = Q.ids
         gens_q = Q.generator_ids()
-        first = {}
-        for D, table, g in _conjugation_pairs(F, G):
-            if qids <= D.ids:
-                first.setdefault(tuple(table[i] for i in gens_q), g)
-        least = array("i", first.values())
-        return tuple(first), lambda i: ("conjugation", least[i])
+        return tuple(dict.fromkeys(
+            tuple(table[i] for i in gens_q)
+            for D, table in _conjugation_pairs(F, G) if qids <= D.ids))
 
     def generators(F):
-        return [
-            GroupHom(D, F.S, [table[i] for i in D.sorted_ids],
-                     provenance=("conjugation", g))
-            for D, table, g in _conjugation_pairs(F, G)
-        ]
+        return [GroupHom(D, F.S, [table[i] for i in D.sorted_ids])
+                for D, table in _conjugation_pairs(F, G)]
 
     return FusionSystem(S, p, hom, "transporter", generators=generators)
 
@@ -707,21 +677,17 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
     Oliver 2011, I.2; psi^-1 is a composite of the seeds' inverses, so it
     lies in the system). The system answers Q' through R and psi; this
     rule builds Hom(Q', S), read off Hom(R, S) at psi^-1 of Q''s
-    generators, only when a read asks for all of it. A morphism's
-    provenance, ("word", seed indices), is the word of the breadth-first
-    search from its own domain's generators: R's are read off the rule's
-    search, and Q''s on demand, by one full search of Q' on the first read.
-    Either search is kept as three int arrays. Both read the seed maps of
-    `_seed_runs`."""
+    generators, only when a read asks for all of it. The search reads the
+    seed maps of `_seed_runs`."""
     morphisms = []
-    for k, g in enumerate(gens):
+    for g in gens:
         g = as_hom(g, S)
         domain, images = g.domain, g.images
         if not domain.ids <= S.ids:
             raise ValueError("generator domain is not a subgroup of S")
         if not set(images) <= S.ids:
             raise ValueError("generator image is not inside S")
-        h = GroupHom(domain, S, images, provenance=("seed", k))
+        h = GroupHom(domain, S, images)
         if not h.is_injective():
             raise ValueError("generator is not injective")
         if not h.is_homomorphism():
@@ -732,13 +698,11 @@ def generated_fusion(S: Subgroup, p: int, gens) -> FusionSystem:
         gens = Q.generator_ids()
         if Q.ids in F._transports(Q.order):
             # another member of Q's class was searched: read by transport
-            return tuple(F.images_at(Q, gens)), F._transported(Q).words
-        runs = _seed_runs(F)
-        parents = word_search(gens, runs)
-        vectors = tuple(parents)
+            return tuple(F.images_at(Q, gens))
+        vectors = tuple(word_search(gens, _seed_runs(F)))
         if Q.order > 1:
             F._record(Q, vectors)
-        return vectors, _words(gens, runs, vectors, parents)
+        return vectors
 
     return FusionSystem(S, p, hom, "generated",
                         generators=lambda _F: list(morphisms))
@@ -750,8 +714,7 @@ def _seed_runs(F: FusionSystem) -> tuple:
     inverse onto its image, which the factorization axiom forces into the
     system, and last the conjugation by each generator of S, which makes
     every Hom_S map reachable, keeping the first of equal maps. Built once,
-    and read by the rule's searches and by the deferred words of a member
-    read by transport."""
+    and read by every search of the rule."""
     def build():
         S, seeds = F.S, {}
 
@@ -766,47 +729,6 @@ def _seed_runs(F: FusionSystem) -> tuple:
                                 F.ambient.conj_row(S.sorted_ids, t))))
         return same_domain_runs(seeds.values())
     return F.cached(("seed_runs",), build)
-
-
-def _words(gens, runs, vectors, parents=None):
-    """The provenance of Hom(Q, S) in a generated system: the i-th vector
-    of Hom(Q, S) gives ("word", seed indices) of its parent chain in the
-    full `word_search` from Q's generators `gens` under the seeds'
-    same-domain `runs`. `parents` is that search when the rule ran it, and
-    `vectors` is then Hom(Q, S); otherwise the search runs on the first
-    read, and `vectors` is a function that gives Hom(Q, S) then. Either
-    way only its links are kept, three int arrays, and the search's inputs
-    are dropped; the provenance never holds the system."""
-    links = None
-    if parents is not None:
-        links = _links(parents, vectors)
-        gens = runs = vectors = None
-
-    def word(i: int) -> tuple:
-        nonlocal gens, runs, vectors, links
-        if links is None:
-            links = _links(word_search(gens, runs), vectors())
-            gens = runs = vectors = None
-        up, via, at = links
-        j, out = at[i], []
-        while j:
-            out.append(via[j])
-            j = up[j]
-        return ("word", tuple(reversed(out)))
-    return word
-
-
-def _links(parents: dict, vectors) -> tuple:
-    """(up, via, at) of one `word_search`, numbered in discovery order: the
-    number of each found vector's parent and the index of the seed that
-    maps the parent to it (0 at the start), and the number of each of
-    `vectors`."""
-    index = {v: j for j, v in enumerate(parents)}
-    up, via = array("i", [0]), array("i", [0])
-    for prev, k in islice(parents.values(), 1, None):
-        up.append(index[prev])
-        via.append(k)
-    return up, via, array("i", [index[v] for v in vectors])
 
 
 # perfbench/tracing.py times the building of generated systems under

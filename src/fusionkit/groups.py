@@ -38,7 +38,9 @@ set, and the tree extends such images to a whole table, or to the images
 of a few chosen elements: `hom_from_images` and `named.semidirect_product`
 run on it, and a fusion system, which stores each morphism by its
 generator images, reads them through its one method
-`FusionSystem.images_at`.
+`FusionSystem.images_at`. Each hom rule of a fusion system returns
+Hom(Q, S) as one tuple of such vectors and nothing else, and the
+GroupHoms that a system hands out hold their table alone.
 
 `right_cosets` is the one routine that splits a group of element ids into
 cosets; it lists each coset N*r as a tuple aligned with N's sorted ids.
@@ -454,6 +456,15 @@ def center(G: Subgroup) -> Subgroup:
     return centralizer(G, G)
 
 
+def _check_prime(p) -> int:
+    """`p`, which must be a prime int; ValueError otherwise. Every loop
+    that divides by p (`_p_part`, `is_p_group`) stops only for p >= 2, so
+    this runs before any of them."""
+    if not isinstance(p, int) or p < 2 or _sole_prime(p) != p:
+        raise ValueError(f"{p!r} is not a prime")
+    return p
+
+
 def _p_part(n: int, p: int) -> int:
     out = 1
     while n % p == 0:
@@ -477,7 +488,7 @@ def sylow_p(G: Subgroup, p: int) -> Subgroup:
     whole N_G(H) would pick.
     """
     amb = G.ambient
-    target = _p_part(G.order, p)
+    target = _p_part(G.order, _check_prime(p))
     if target == 1:
         return Subgroup(amb, (amb.identity_id,))
     if target == G.order:
@@ -736,36 +747,20 @@ class GroupHom:
     generators and builds the table only when it hands a GroupHom out.
 
     images[k] is the codomain-ambient id of the image of the k-th element
-    of domain.sorted_ids, and must cover the whole domain. `provenance`
-    records how a fusion system found the map (a conjugating element, a
-    seed index or a word in the seeds); it is kept for reports and never
-    compared. It may be deferred: a callable given as `provenance` is
-    called on the first read, and its value kept. Until then the morphism
-    holds the callable and what it refers to, which may outlive the system
-    that made it: a generated system's holds Hom(Q, S) as vectors and the
-    seed maps, as runs of consecutive maps with one domain, or once any of
-    Q's words has been read, their links as three int arrays; and the
-    first read may run that system's search of Q. Equality is extensional
-    over (domain, codomain, table).
+    of domain.sorted_ids, and must cover the whole domain. A morphism holds
+    its subgroups and its table alone, never the system that made it.
+    Equality is extensional over (domain, codomain, table).
     """
 
-    __slots__ = ("domain", "codomain", "images", "_provenance", "_hash")
+    __slots__ = ("domain", "codomain", "images", "_hash")
 
-    def __init__(self, domain: Subgroup, codomain: Subgroup, images,
-                 provenance=None):
+    def __init__(self, domain: Subgroup, codomain: Subgroup, images):
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(images)
         if len(self.images) != domain.order:
             raise ValueError("image table does not cover the domain")
-        self._provenance = provenance
         self._hash = None
-
-    @property
-    def provenance(self):
-        if callable(self._provenance):
-            self._provenance = self._provenance()
-        return self._provenance
 
     def image_ids(self) -> frozenset[int]:
         return frozenset(self.images)
@@ -780,10 +775,8 @@ class GroupHom:
         if not sub.ids <= self.domain.ids:
             raise ValueError("restriction target is not inside the domain")
         pos, images = self.domain.positions, self.images
-        return GroupHom(
-            sub, self.codomain, [images[pos[i]] for i in sub.sorted_ids],
-            provenance=self._provenance,
-        )
+        return GroupHom(sub, self.codomain,
+                        [images[pos[i]] for i in sub.sorted_ids])
 
     def then(self, other: "GroupHom") -> "GroupHom":
         """self followed by other; image(self) must sit in other's domain."""

@@ -1,11 +1,12 @@
 """Per-subgroup transporter sweep, kept as a reference for F_S(G).
 
 This is the sweep fusionkit used before the single conjugation sweep: for
-one subgroup Q of S it scans every element g of G, keeps c_g when it maps
-Q into S, and records the least g for each distinct map. It works on raw
-permutation tuples and the ambient group's element list, so its tables and
-provenance can be compared with the library's one for one. Its cost is a
-full scan of G per subgroup, which is why the library no longer uses it.
+one subgroup Q of S it scans every element g of G and keeps c_g when it
+maps Q into S, once for each distinct map. It works on raw permutation
+tuples and the ambient group's element list, so its tables, and the order
+of least g in which it lists the maximal conjugations, can be compared with
+the library's one for one. Its cost is a full scan of G per subgroup, which
+is why the library no longer uses it.
 """
 
 
@@ -51,13 +52,13 @@ def _generators(els):
 
 
 def hom_to_S(G, s_ids, q_ids):
-    """Hom(Q, S) in F_S(G) as {table: least g}; tables are aligned with
+    """Hom(Q, S) in F_S(G) as a set of tables; tables are aligned with
     sorted(q_ids) and hold element ids of G, as in the library."""
     els, index = G.elements, G.index
     qsorted = sorted(q_ids)
     gens = _generators([els[i] for i in qsorted])
     seen = set()
-    out = {}
+    out = set()
     for g in range(G.order):
         gp = els[g]
         vec = []
@@ -70,13 +71,13 @@ def hom_to_S(G, s_ids, q_ids):
             vec = tuple(vec)
             if vec not in seen:
                 seen.add(vec)
-                out[tuple(index[_conj(els[i], gp)] for i in qsorted)] = g
+                out.add(tuple(index[_conj(els[i], gp)] for i in qsorted))
     return out
 
 
 def maximal_conjugations(G, s_ids):
     """Each distinct c_g on its largest domain D_g = {x in S : x^g in S},
-    as (D_g, table aligned with sorted(D_g), least g), by increasing g."""
+    as (D_g, table aligned with sorted(D_g)), by increasing least g."""
     els, index = G.elements, G.index
     seen = set()
     out = []
@@ -86,5 +87,5 @@ def maximal_conjugations(G, s_ids):
         t = tuple(index[_conj(els[i], gp)] for i in dom)
         if (tuple(dom), t) not in seen:
             seen.add((tuple(dom), t))
-            out.append((frozenset(dom), t, g))
+            out.append((frozenset(dom), t))
     return out

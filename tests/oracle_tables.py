@@ -25,7 +25,7 @@ def transporter(F, G, Q):
     conjugation pairs (D_g, c_g) with Q inside D_g."""
     return tuple(sorted({
         tuple(table[i] for i in Q.sorted_ids)
-        for D, table, _g in _conjugation_pairs(F, G) if Q.ids <= D.ids
+        for D, table in _conjugation_pairs(F, G) if Q.ids <= D.ids
     }))
 
 

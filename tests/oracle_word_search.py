@@ -14,7 +14,7 @@ came in runs of consecutive maps that share a domain: it tests each map's
 domain and builds each image in Python, one map at a time.
 
 All three take their moves from the arguments, in the library's order, so
-that the chains, words and parent links they return can be compared one
+that the chains, tables and parent links they return can be compared one
 for one.
 """
 
@@ -64,18 +64,17 @@ def decompose(moves, source_sorted, target):
 
 
 def closure(seeds, gens, qsorted):
-    """{full table over qsorted: ("word", seed indices)} for every map
-    reachable from the identity of Q under the partial maps `seeds`,
-    given as (domain ids, {x: image})."""
+    """The set of full tables over qsorted of every map reachable from the
+    identity of Q under the partial maps `seeds`, given as
+    (domain ids, {x: image})."""
     start_vec = tuple(gens)
     seen = {start_vec: tuple(qsorted)}
-    parents = {start_vec: None}
     frontier = [start_vec]
     while frontier:
         new = []
         for vec in frontier:
             full = seen[vec]
-            for k, (dom, table) in enumerate(seeds):
+            for dom, table in seeds:
                 applies = True
                 for v in vec:
                     if v not in dom:
@@ -87,18 +86,9 @@ def closure(seeds, gens, qsorted):
                 if nvec in seen:
                     continue
                 seen[nvec] = tuple(table[x] for x in full)
-                parents[nvec] = (vec, k)
                 new.append(nvec)
         frontier = new
-    prov = {}
-    for vec, full in seen.items():
-        word = []
-        cur = vec
-        while parents[cur] is not None:
-            cur, k = parents[cur]
-            word.append(k)
-        prov[full] = ("word", tuple(reversed(word)))
-    return prov
+    return set(seen.values())
 
 
 def flat_search(gens, maps, target=None):

@@ -276,7 +276,7 @@ def _d8_system(vectors):
     D = sylow_p(G.full(), 2)
 
     def rule(F, Q):
-        return (vectors(Q) if Q == D else (tuple(Q.generator_ids()),)), None
+        return vectors(Q) if Q == D else (tuple(Q.generator_ids()),)
     return FusionSystem(D, 2, rule, "derived")
 
 

@@ -434,15 +434,42 @@ def test_group_cap_respected(files, capsys, monkeypatch):
     assert "FUSIONKIT_MAX_GROUP_ORDER" in json.loads(err)["error"]
 
 
-def test_subprocess_entry_point(files):
-    # the child finds fusionkit where this process imported it from
+def _child(argv, timeout):
+    """`python -m fusionkit.cli argv` in a child process, which finds
+    fusionkit where this process imported it from; a child that outlives
+    `timeout` seconds fails the test rather than hanging it."""
     src = str(pathlib.Path(fusionkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fusionkit.cli", "saturation",
-         "--group", files["s4"], "--sylow", "2"],
-        capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-m", "fusionkit.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("saturation", ["--sylow", "0"]),
+    ("saturation", ["--sylow", "1"]),
+    ("saturation", ["--sylow", "4"]),
+    ("saturation", ["--sylow", "6"]),
+    ("product", ["--sylow", "2", "--group2", "s4", "--sylow2", "1"]),
+], ids=["sylow-0", "sylow-1", "sylow-4", "sylow-6", "product-sylow2-1"])
+def test_non_prime_exits_2_with_an_error_report(files, command, flags):
+    """Over S4, `--sylow 1` looped forever, 0 and 6 exited 1 with a
+    traceback, and 4 reported a saturated system over a subgroup of order
+    4; every p that is not a prime exits 2 with an error report."""
+    argv = [command, "--group", files["s4"]] + [files.get(f, f)
+                                                for f in flags]
+    proc = _child(argv, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    rep = json.loads(proc.stderr)
+    assert rep["command"] == command
+    assert "is not a prime" in rep["error"]
+
+
+def test_subprocess_entry_point(files):
+    proc = _child(["saturation", "--group", files["s4"], "--sylow", "2"],
+                  timeout=120)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["verdict"] is True

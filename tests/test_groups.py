@@ -30,6 +30,7 @@ from fusionkit import (
     elementary_abelian_group,
     exponent,
     extraspecial_plus,
+    generated_fusion,
     group_isomorphic,
     hom_from_images,
     inner_automorphisms,
@@ -43,8 +44,9 @@ from fusionkit import (
     subgroup_generated,
     sylow_p,
     symmetric_group,
+    transporter_fusion,
 )
-from fusionkit.groups import FiniteGroup, Subgroup, right_cosets
+from fusionkit.groups import FiniteGroup, Subgroup, _check_prime, right_cosets
 
 
 def test_named_orders():
@@ -152,6 +154,34 @@ def test_sylow_order_and_conjugacy():
         for g in G.elements
     )
     assert found
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 97])
+def test_check_prime_accepts_primes(p):
+    assert _check_prime(p) == p
+
+
+# 1 made `_p_part` loop forever, 0 divided by zero, and a negative prime
+# power is its own `_sole_prime`
+@pytest.mark.parametrize("p", [0, 1, -4, -3, 4, 6, 49, True, 2.0, "3", None])
+def test_check_prime_rejects_everything_else(p):
+    with pytest.raises(ValueError, match="not a prime"):
+        _check_prime(p)
+
+
+def test_non_prime_p_is_rejected_before_any_loop_on_it():
+    """`transporter_fusion` accepted p = 4 over a subgroup of order 4, and
+    `sylow_p` failed on p = 6 with an AssertionError; each entry point
+    that takes p now raises ValueError."""
+    G = symmetric_group(4)
+    S = sylow_p(G.full(), 2)
+    V4 = subgroup_generated(G, [G.index[(1, 0, 3, 2)], G.index[(2, 3, 0, 1)]])
+    with pytest.raises(ValueError, match="not a prime"):
+        transporter_fusion(G, V4, 4)
+    with pytest.raises(ValueError, match="not a prime"):
+        generated_fusion(S, 1, [])
+    with pytest.raises(ValueError, match="not a prime"):
+        sylow_p(G.full(), 6)
 
 
 def test_p_core():

@@ -14,7 +14,10 @@ tables through `fusion.automorphism_closure`.
 
 `groups.GroupHom` is the one class that holds a morphism's image table: no
 other module defines a class with an `images` slot. A fusion system stores
-a morphism by its images of the domain's generators. Every kind of memo
+a morphism by its images of the domain's generators, and each of its hom
+rules (transporter, generated, product, quotient, normalizer) returns
+Hom(Q, S) as a plain tuple of such vectors, the `hom` memo entry of Q.
+Every kind of memo
 entry is named below: those that hold morphisms as such vectors, the
 transport of generated systems (vectors of the searched object's
 generators, and each other member's psi^-1 as a vector), those that hold
@@ -40,8 +43,11 @@ from fusionkit import (
     build_rv,
     fcr_objects,
     is_saturated,
+    normalizer_subsystem,
     out_F,
     product_fusion,
+    quotient_fusion,
+    regenerate_from_fcr,
     sylow_p,
     symmetric_group,
     transporter_fusion,
@@ -337,8 +343,7 @@ PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of",
 # object R it was recorded from, psi: R -> it) in every system, and
 # `transported`, keyed by a member Q' of a generated system that is read
 # off its searched member R, is (R, the vector of psi^-1 on Q''s
-# generators, the two compiled walks that carry a vector across psi, and
-# Q''s deferred words)
+# generators, and the two compiled walks that carry a vector across psi)
 TRANSPORT_KINDS = {"transport", "transported"}
 # the stated exceptions, which keep whole tables
 TABLE_KINDS = {
@@ -383,10 +388,7 @@ def test_memo_stores_morphisms_as_generator_images(name):
     kinds = set()
     for key, value in F._memo.items():
         kinds.add(key[0])
-        if key[0] == "hom":
-            vectors, _provenance = value
-            assert {len(v) for v in vectors} <= {width(key[1])}
-        elif key[0] in VECTOR_KINDS:
+        if key[0] in VECTOR_KINDS:
             assert {len(v) for v in value} <= {width(key[-1])}, key[0]
         elif key[0] == "centralizer_cosets":
             # Aut_S(Q): (r, coset, conjugation by r on Q's generators)
@@ -409,8 +411,7 @@ def test_memo_stores_morphisms_as_generator_images(name):
         elif key[0] == "transported":
             # a member other than the searched one reads R's hom set
             # through psi
-            R, inverse, to_r, from_r, words = value
-            assert callable(words)
+            R, inverse, to_r, from_r = value
             assert (R.order == len(key[1]) and R.ids != key[1]
                     and R.ids <= F.S.ids)
             assert (frozenset(inverse) <= R.ids
@@ -433,3 +434,40 @@ def test_memo_stores_morphisms_as_generator_images(name):
     assert ("seed_runs" in kinds) == (F.backend == "generated")
     assert kinds & TRANSPORT_KINDS == (
         TRANSPORT_KINDS if F.backend == "generated" else {"transport"})
+
+
+def _quotient():
+    F = _product()
+    return quotient_fusion(F, F.factor_embeddings[1])[0]
+
+
+def _normalizer():
+    F = _s6()
+    return normalizer_subsystem(F, min(
+        (Q for Q in F.objects() if Q.order == 4), key=lambda Q: Q.sorted_ids))
+
+
+RULE_SYSTEMS = {
+    "transporter": _s6,
+    "generated": lambda: regenerate_from_fcr(_s6()),
+    "product": _product,
+    "quotient": _quotient,
+    "normalizer": _normalizer,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_SYSTEMS))
+def test_hom_rules_return_plain_vectors(rule):
+    """The `hom` memo entry of each object is what `hom_vectors` returns:
+    a non-empty tuple of vectors, each a tuple of ids of S with one entry
+    per generator of the object, and nothing else."""
+    F = RULE_SYSTEMS[rule]()
+    for Q in F.objects():
+        vectors = F.hom_vectors(Q)
+        assert F._memo[("hom", Q.ids)] is vectors
+        assert type(vectors) is tuple and vectors
+        width = len(Q.generator_ids())
+        for vec in vectors:
+            assert type(vec) is tuple and len(vec) == width
+            assert all(type(x) is int for x in vec)
+            assert F.S.ids.issuperset(vec)

@@ -1,12 +1,12 @@
 """Receptivity by generator images against the full-table oracle.
 
-For every object P the library's Aut_S(P) tables and least-s provenance,
-and for every isomorphism phi: Q -> P with Q in the F-class of P, its
-N_phi and whether it extends over N_phi, must equal those of
-`oracle_receptivity`, and so must the verdict of `is_receptive`. Each
-transporter case also runs on a copy of G with its points relabelled by a
-seeded random permutation, and the systems that `test_word_search` makes
-unsaturated supply objects that are not receptive.
+For every object P the library's Aut_S(P) tables, and for every
+isomorphism phi: Q -> P with Q in the F-class of P, its N_phi and whether
+it extends over N_phi, must equal those of `oracle_receptivity`, and so
+must the verdict of `is_receptive`. Each transporter case also runs on a
+copy of G with its points relabelled by a seeded random permutation, and
+the systems that `test_word_search` makes unsaturated supply objects that
+are not receptive.
 
 `is_receptive` decides a map either from the restrictions of all of
 Hom(N_phi, S) (`FusionSystem.extension_index`) or from the map's own
@@ -61,8 +61,6 @@ def _check_against_oracle(F, objects):
         want = ref.aut_s(P)
         aut_s = F.aut_s(P)
         assert [a.images for a in aut_s] == sorted(want)
-        assert [a.provenance for a in aut_s] == [
-            ("conjugation", want[t]) for t in sorted(want)]
         verdict = True
         for Q in F.f_conjugates(P):
             rows = list(_extensions(F, Q, P, F.hom_into(Q, P)[1]))

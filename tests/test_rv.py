@@ -19,6 +19,9 @@ from fusionkit import (
     build_rv,
     certify_rv,
     comparison_out_group,
+    equal_hom_tables,
+    fcr_objects,
+    generated_fusion,
     group_isomorphic,
     hom_from_images,
     hom_table_digest,
@@ -41,6 +44,7 @@ from fusionkit.rv import (
     _mclose,
     _mmul,
 )
+from fusionkit.classify import _automizer_generators
 from fusionkit.fusion import automorphism_closure
 
 
@@ -259,6 +263,34 @@ def test_rv_outer_group_shapes(rv_systems):
         assert out.order == OUT_ORDERS[name], name
         want = comparison_out_group(name)
         assert group_isomorphic(out.full(), want.full()) is not None, name
+
+
+def _automizer_seeds(F, objects):
+    """A generating set of Aut_F(P) for each P of `objects`, as
+    (P, image table) seeds."""
+    return [(P, table) for P in objects
+            for _vec, table in _automizer_generators(F, P,
+                                                     F.aut_f_vectors(P))]
+
+
+@pytest.mark.parametrize("name,seeds", [("rv1", 35), ("rv2", 41),
+                                        ("rv3", 39)])
+def test_fcr_automizer_generators_generate_the_system(rv_systems, name,
+                                                      seeds):
+    """Alperin's theorem (Aschbacher, Kessar & Oliver 2011, Thm I.3.5): a
+    saturated F is generated by the automizers of its fully normalised fcr
+    subgroups, Aut_F(S) among them, so a generating set of each automizer
+    generates F. Without the generators of Aut_F(S) the closure is a
+    smaller system."""
+    F = rv_systems[name]
+    fcr = fcr_objects(F)
+    assert F.S in fcr
+    gens = _automizer_seeds(F, fcr)
+    assert len(gens) == seeds
+    assert equal_hom_tables(generated_fusion(F.S, F.p, gens), F)
+    without_s = _automizer_seeds(F, [P for P in fcr if P != F.S])
+    assert len(without_s) < seeds
+    assert not equal_hom_tables(generated_fusion(F.S, F.p, without_s), F)
 
 
 def test_rv_axiom_audit(rv_systems):
