@@ -9,8 +9,11 @@ order, when Q is first asked for; a system hands out plain
 `groups.GroupHom`s, which carry no record of how they were found
 (`alperin.alperin_decompose` explains why a morphism lies in F).
 `transporter_fusion` restricts the conjugations by an ambient group G (one
-sweep conjugates S by a representative of each right coset of S in G and
-reads the other elements' conjugations off S's table), `generated_fusion`
+sweep conjugates S by a representative r of each right coset of S in G,
+reading one shared row of products x*r for x in S both as the coset and as
+the conjugates x^r, and reads the other elements' conjugations off S's
+table; each element of S indexes the pairs whose domain holds it, so
+Hom(Q, S) visits no other pair), `generated_fusion`
 closes a seed set of injective homomorphisms, and the constructions
 (products, quotients, normalizer and centralizer subsystems) read the
 vectors of their parent systems. The closure is `word_search`, a
@@ -154,7 +157,7 @@ class FusionSystem:
 
     def __init__(self, S: Subgroup, p: int, hom, backend: str,
                  generators=None):
-        if not is_p_group(S, _check_prime(p)):
+        if not is_p_group(S, p):
             raise ValueError(f"top group order {S.order} is not a power of {p}")
         # every subgroup closure and every table rebuilt inside S reads
         # S's multiplication table
@@ -543,22 +546,23 @@ def _conjugation_pairs(F: FusionSystem, G: FiniteGroup) -> tuple:
     order in which the transporter rule lists Hom(Q, S).
 
     The row of g lists x^g for x in S, or -1 where x^g leaves S. S is
-    conjugated by one representative r of each right coset S*r alone;
-    since x^(s*r) = (x^s)^r, the row of s*r is the row of r read through
-    c_s on S by position, a lookup in S's table. One getter of c_s at a
-    time is held, so the sweep keeps O(|G|) more than its rows."""
+    conjugated by one representative r of each right coset S*r alone,
+    and `right_cosets` forms the products x*r for x in S once per coset:
+    read through G's index they are the coset, and through one getter of
+    r^-1 they are the row of r. Since x^(s*r) = (x^s)^r, the row of s*r
+    is the row of r read through c_s on S by position, a lookup in S's
+    table. One getter of c_s at a time is held, so the sweep keeps O(|G|)
+    more than its rows."""
     def sweep():
         S, ssorted, pos = F.S, F.S.sorted_ids, F.S.positions
-        cosets = right_cosets(G.full(), S)
-        rows = [tuple(j if j in S.ids else -1 for j in G.conj_row(ssorted, r))
-                for r, _coset in cosets]
+        cosets = right_cosets(G.full(), S, conjugates=True)
         least = {}
         for a, s in enumerate(ssorted):
             c_s = [pos[y] for y in G.conj_row(ssorted, s)]
             # a single position (S = 1) would make the getter return an
             # entry, not a row; then s = 1 and every row is its own
             read = itemgetter(*c_s) if len(c_s) > 1 else tuple
-            for row_r, (_r, coset) in zip(rows, cosets):
+            for _r, coset, row_r in cosets:
                 row, g = read(row_r), coset[a]
                 if g < least.get(row, G.order):
                     least[row] = g
@@ -570,11 +574,28 @@ def _conjugation_pairs(F: FusionSystem, G: FiniteGroup) -> tuple:
     return F.cached(("conjugation_pairs",), sweep)
 
 
+def _pair_masks(F: FusionSystem, G: FiniteGroup) -> dict:
+    """{x: mask} over the elements x of S, where bit k of the mask is set
+    when the domain of the k-th conjugation pair holds x. A subgroup lies
+    in a domain exactly when its generators do."""
+    def build():
+        masks = dict.fromkeys(F.S.sorted_ids, 0)
+        for k, (D, _table) in enumerate(_conjugation_pairs(F, G)):
+            bit = 1 << k
+            for x in D.ids:
+                masks[x] |= bit
+        return masks
+    return F.cached(("pair_masks",), build)
+
+
 def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
     """F_S(G): morphisms are conjugations by elements of G. Hom(Q, S) is
     read from the conjugation pairs by restriction: c_g maps Q into S
     exactly when Q <= D_g, and each map is listed at the first pair that
-    gives it. The generating morphisms are one conjugation map per pair."""
+    gives it. The pairs whose domain holds Q are the set bits of the AND
+    of the masks of Q's generators, read in pair order, so no other pair
+    is visited. The generating morphisms are one conjugation map per
+    pair."""
     _check_prime(p)
     if S.ambient is not G:
         raise ValueError("S must be a subgroup of G")
@@ -587,11 +608,19 @@ def transporter_fusion(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
         )
 
     def hom(F, Q):
-        qids = Q.ids
+        pairs = _conjugation_pairs(F, G)
         gens_q = Q.generator_ids()
-        return tuple(dict.fromkeys(
-            tuple(table[i] for i in gens_q)
-            for D, table in _conjugation_pairs(F, G) if qids <= D.ids))
+        held = (1 << len(pairs)) - 1
+        masks = _pair_masks(F, G)
+        for i in gens_q:
+            held &= masks[i]
+        vectors = {}
+        while held:
+            low = held & -held
+            table = pairs[low.bit_length() - 1][1]
+            vectors[tuple([table[i] for i in gens_q])] = None
+            held ^= low
+        return tuple(vectors)
 
     def generators(F):
         return [GroupHom(D, F.S, [table[i] for i in D.sorted_ids])

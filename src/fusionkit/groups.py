@@ -1,9 +1,9 @@
 """Finite permutation groups, subgroups and the group-theoretic toolbox.
 
 A FiniteGroup stores the fully enumerated, sorted element list of a
-permutation group, closed breadth-first with one `perms.left_mul` getter
-per element applied to every generator, under the order cap checked per
-new element; everything downstream (subgroups, homomorphisms, fusion
+permutation group, closed coset by coset by Dimino's algorithm with one
+`perms.left_mul` getter per element of the subgroup already listed, under
+the order cap checked per new element; everything downstream (subgroups, homomorphisms, fusion
 data) refers to elements by their index into that list. Subgroups are
 id-sets over a fixed ambient FiniteGroup and are cheap to hash and compare;
 there is one live Subgroup instance per id set of an ambient group.
@@ -22,8 +22,8 @@ Operands inside S read the table, which has |S|^2 two-byte entries
 Only a p-group of order at most 4096 is tabled (34 MB), so a scan of a
 larger one, even one that needs no products, keeps the tuple path.
 Every other operand takes the permutation-tuple path: the representatives
-of the right cosets of S in G outside S, which the transporter sweep lists
-and conjugates S by, and the elements of a non-p-group that the Sylow
+of the right cosets of S in G, which the transporter sweep lists and
+conjugates S by through one getter per element, and the elements of a non-p-group that the Sylow
 ascent scans: at each step it stops at the first element that grows H
 and builds no N_G(H). `classify` composes automizers as generator-image
 vectors, not as permutations. The ambient itself is never tabled unless
@@ -106,24 +106,39 @@ class FiniteGroup:
         self._subgroups: WeakValueDictionary = WeakValueDictionary()
 
     def _close(self, gens):
+        """The elements of <gens> by Dimino's algorithm (G. Butler,
+        Fundamental Algorithms for Permutation Groups, LNCS 559, 1991):
+        <g_1..g_i> is listed as right cosets D*x of D = <g_1..g_(i-1)>.
+        Each level builds one `perms.left_mul` getter per element of D,
+        and only the coset representatives are multiplied by the
+        generators; a new coset D*y is the getters applied to y. A
+        generator already listed adds nothing. The cap is checked per new
+        element, so at most cap + 1 are held: the coset that crosses it is
+        cut to the room left."""
         cap = max_group_order()
         e = perms.identity(self.degree)
         seen = {e}
-        frontier = [e]
-        while frontier:
-            new = []
-            for x in frontier:
-                # one getter per element, applied to every generator; the
-                # cap is checked per new element, so at most cap + 1 are held
-                for y in map(perms.left_mul(x), gens):
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-                        if len(seen) > cap:
-                            raise GroupTooLarge(
-                                "group exceeds "
-                                f"FUSIONKIT_MAX_GROUP_ORDER={cap}")
-            frontier = new
+        listed = [e]
+        used = []
+        for g in gens:
+            if g in seen:
+                continue
+            used.append(g)
+            lefts = [perms.left_mul(d) for d in listed]
+            reps = [e]
+            # reps grows as new cosets are found, and the loop reads them
+            for x in reps:
+                for y in map(perms.left_mul(x), used):
+                    if y in seen:
+                        continue
+                    coset = [f(y) for f in lefts[:cap + 1 - len(seen)]]
+                    seen.update(coset)
+                    if len(seen) > cap:
+                        raise GroupTooLarge(
+                            "group exceeds "
+                            f"FUSIONKIT_MAX_GROUP_ORDER={cap}")
+                    listed.extend(coset)
+                    reps.append(y)
         return seen
 
     @property
@@ -179,6 +194,41 @@ class FiniteGroup:
         els, index, conjugate = self.elements, self.index, perms.conjugate
         xp = els[x]
         return tuple(index[conjugate(xp, els[g])] for g in gs)
+
+    def _right_cosets(self, G: "Subgroup", N: "Subgroup",
+                      conjugates: bool) -> tuple:
+        """`right_cosets(G, N, conjugates)`. When the table holds G, each
+        coset is a `mul_row` of the table. Otherwise each n in N gets one
+        getter, built once, and the products n*r of a coset are formed
+        once: read through the index they are the coset, and through one
+        getter of r^-1 and a {permutation: id} map of N they are the row,
+        since n^r = r^-1 (n*r)."""
+        t, nids = self._table, N.sorted_ids
+        tabled = not conjugates and t is not None and t.ids >= G.ids
+        els, index = self.elements, self.index
+        if not tabled:
+            lefts = [perms.left_mul(els[x]) for x in nids]
+        if conjugates:
+            members = {els[x]: x for x in nids}
+        covered = bytearray(self.order)
+        out = []
+        for r in G.sorted_ids:
+            if covered[r]:
+                continue
+            if tabled:
+                coset = self.mul_row(nids, r)
+            else:
+                prods = [f(els[r]) for f in lefts]
+                coset = tuple(map(index.__getitem__, prods))
+            for j in coset:
+                covered[j] = 1
+            if conjugates:
+                back = map(perms.left_mul(perms.inverse(els[r])), prods)
+                out.append((r, coset,
+                            tuple([members.get(y, -1) for y in back])))
+            else:
+                out.append((r, coset))
+        return tuple(out)
 
     def power_ids(self, i: int, k: int) -> int:
         t = self._table
@@ -563,6 +613,9 @@ def product_ids(A: Subgroup, B: Subgroup) -> frozenset:
 
 
 def is_p_group(G: Subgroup, p: int) -> bool:
+    """Whether the order of G is a power of the prime `p`; ValueError when
+    `p` is not a prime."""
+    _check_prime(p)
     n = G.order
     while n % p == 0:
         n //= p
@@ -1024,22 +1077,14 @@ def _p_group_subgroups(S: Subgroup, p: int) -> list[Subgroup]:
 # quotients
 
 
-def right_cosets(G: Subgroup, N: Subgroup) -> tuple:
+def right_cosets(G: Subgroup, N: Subgroup, conjugates=False) -> tuple:
     """The right cosets of N in G as (r, N*r), by increasing r, where r is
     the least id of its coset and N*r is the tuple `mul_row(N.sorted_ids,
-    r)`: its k-th entry is n*r for the k-th element n of N. This is the
+    r)`: its k-th entry is n*r for the k-th element n of N. With
+    `conjugates`, each entry is (r, N*r, row), where row[k] is the id of
+    n^r for the k-th element n of N, or -1 where n^r leaves N. This is the
     one routine that splits a group into cosets."""
-    amb = _same_ambient(G, N)
-    covered = bytearray(amb.order)
-    out = []
-    for r in G.sorted_ids:
-        if covered[r]:
-            continue
-        coset = amb.mul_row(N.sorted_ids, r)
-        for j in coset:
-            covered[j] = 1
-        out.append((r, coset))
-    return tuple(out)
+    return _same_ambient(G, N)._right_cosets(G, N, conjugates)
 
 
 def quotient_group(G: Subgroup, N: Subgroup):

@@ -15,7 +15,8 @@ grew before it stopped building N_G(H) at each step of the ascent.
 `automizer_generators` and `grow_sylow` are the generating set of
 Aut_F(P) and the Sylow ascent inside it that `classify` computed with
 closures written out by hand, before it read them off
-`fusion.automorphism_closure`.
+`fusion.automorphism_closure`. `breadth_first_close` is the closure
+that enumerated a FiniteGroup before Dimino's algorithm.
 """
 
 import fusionkit
@@ -37,6 +38,28 @@ def power(x, k):
     for _ in range(k):
         out = _mul(out, x)
     return out
+
+
+def breadth_first_close(degree, gens, cap):
+    """The elements of <gens> as a set, closed breadth-first: every element
+    of a level times every generator, raising GroupTooLarge as soon as
+    cap + 1 elements are held."""
+    e = tuple(range(degree))
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = _mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if len(seen) > cap:
+                        raise fusionkit.GroupTooLarge(
+                            f"group exceeds {cap} elements")
+        frontier = new
+    return seen
 
 
 def normalizer(G, X):

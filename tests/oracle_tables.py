@@ -11,7 +11,8 @@ checking that the result is well defined; the normalizer rule restricts
 each table on PQ to Q and to P.
 The derived rules read the parent systems' tables through
 `hom_to_S_tables`, so each rule is checked against the level below it.
-Every function returns the sorted tables of one object.
+Every function returns the sorted tables of one object, except
+`transporter_vectors`, which keeps the rule's vectors in their order.
 """
 
 from operator import add
@@ -27,6 +28,16 @@ def transporter(F, G, Q):
         tuple(table[i] for i in Q.sorted_ids)
         for D, table in _conjugation_pairs(F, G) if Q.ids <= D.ids
     }))
+
+
+def transporter_vectors(F, G, Q):
+    """Hom(Q, S) in F_S(G) as the transporter rule listed it before it
+    indexed the pairs by element: a scan of every conjugation pair, keeping
+    the first vector of each map out of Q in pair order."""
+    gens = Q.generator_ids()
+    return tuple(dict.fromkeys(
+        tuple(table[i] for i in gens)
+        for D, table in _conjugation_pairs(F, G) if Q.ids <= D.ids))
 
 
 def _seeds(F):

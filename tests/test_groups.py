@@ -2,9 +2,13 @@
 
 import copy
 import gc
+import os
+import pathlib
 import pickle
 import random
 import re
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -12,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionkit
 import oracle_groups
 from conftest import extraspecial27_c2, sl33_group
 from oracle_product import direct_sum
 from oracle_sweep import _conj, _mul
-from test_sweep import relabelled
+from test_sweep import GROUPS, relabelled
 from fusionkit import (
     GroupTooLarge,
     all_subgroups,
@@ -36,6 +41,7 @@ from fusionkit import (
     inner_automorphisms,
     is_abelian,
     isomorphisms,
+    max_group_order,
     normalizer,
     perms,
     quotient_group,
@@ -46,7 +52,13 @@ from fusionkit import (
     symmetric_group,
     transporter_fusion,
 )
-from fusionkit.groups import FiniteGroup, Subgroup, _check_prime, right_cosets
+from fusionkit.groups import (
+    FiniteGroup,
+    Subgroup,
+    _check_prime,
+    is_p_group,
+    right_cosets,
+)
 
 
 def test_named_orders():
@@ -472,14 +484,87 @@ def test_group_cap(monkeypatch):
         assert repr(bad) in str(err.value)
     monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", "")
     assert symmetric_group(4).order == 24
-    # the cap is checked per new element, not once per breadth-first
-    # level: SL(3,3) on its six generators would otherwise hold 1,816 and
-    # 5,517 elements when it raises
+    # the cap is checked per new element, not at the end of a coset:
+    # SL(3,3) on its six generators would otherwise hold 1,080 and 5,184
+    # elements when it raises
     for cap in (1000, 5000):
         monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", str(cap))
         with pytest.raises(GroupTooLarge) as err:
             sl33_group()
         assert len(err.traceback[-1].locals["seen"]) == cap + 1
+
+
+def _generator_lists(gens, degree):
+    """`gens` as given, with a repeated generator, with the identity first,
+    and with a redundant generator between the first two and at the end:
+    Dimino's closure skips a generator that is already listed."""
+    e = tuple(range(degree))
+    yield gens
+    yield gens + gens[:1]
+    yield [e] + gens
+    yield gens[:1] + [_mul(gens[0], gens[0])] + gens[1:] + [
+        _mul(gens[0], gens[-1])]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_dimino_closure_matches_breadth_first_oracle(name):
+    """The coset-by-coset closure lists the same sorted element tuple as
+    the breadth-first closure it replaced, on the group and on a copy with
+    its points relabelled, from every variant of the generator list."""
+    G = GROUPS[name]()
+    cap = max_group_order()
+    for K in (G, relabelled(G, random.Random(f"closure {name}"))):
+        want = tuple(sorted(oracle_groups.breadth_first_close(
+            K.degree, K.generators, cap)))
+        assert K.elements == want
+        for gens in _generator_lists(K.generators, K.degree):
+            assert FiniteGroup(K.degree, gens).elements == want
+
+
+def test_dimino_cap_inside_a_coset(monkeypatch):
+    """A cap that falls inside the second coset D*g of the last level that
+    grows the group: the closure cuts that coset to the room left, so the
+    raising frame holds cap + 1 elements of the group."""
+    G = sl33_group()
+    gens = G.generators
+    orders = [len(oracle_groups.breadth_first_close(G.degree, gens[:i],
+                                                    G.order))
+              for i in range(len(gens) + 1)]
+    i = max(k for k in range(1, len(gens) + 1) if orders[k] > orders[k - 1])
+    m = orders[i - 1]
+    cap = m + m // 2
+    assert m < cap + 1 < 2 * m <= G.order
+    monkeypatch.setenv("FUSIONKIT_MAX_GROUP_ORDER", str(cap))
+    with pytest.raises(GroupTooLarge) as err:
+        FiniteGroup(G.degree, gens)
+    seen = err.traceback[-1].locals["seen"]
+    assert len(seen) == cap + 1 and seen <= set(G.elements)
+    with pytest.raises(GroupTooLarge):
+        oracle_groups.breadth_first_close(G.degree, gens, cap)
+
+
+def test_is_p_group_rejects_a_non_prime():
+    """`is_p_group(G, 1)` looped forever and `is_p_group(G, 0)` divided by
+    zero; both raise ValueError, in a child process whose timeout fails
+    the test rather than hanging it."""
+    S = sylow_p(symmetric_group(4).full(), 2)
+    assert is_p_group(S, 2) and not is_p_group(S, 3)
+    code = (
+        "from fusionkit import symmetric_group, sylow_p\n"
+        "from fusionkit.groups import is_p_group\n"
+        "S = sylow_p(symmetric_group(4).full(), 2)\n"
+        "for p in (1, 0):\n"
+        "    try:\n"
+        "        is_p_group(S, p)\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n")
+    src = str(pathlib.Path(fusionkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1 is not a prime", "0 is not a prime"]
 
 
 SYLOW_GROUPS = {

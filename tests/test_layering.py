@@ -334,10 +334,13 @@ def _product():
 # each vector has one entry per generator of the domain
 VECTOR_KINDS = {"hom", "vector_set", "aut_f_vectors"}
 # memo kinds that hold no morphism: subgroups, id sets, element classes,
-# and the climbs of `extension_chain` (subgroups and compiled walks)
+# the climbs of `extension_chain` (subgroups and compiled walks), and the
+# transporter rule's index from each element of S to the conjugation
+# pairs whose domain holds it, as bitmasks
 PLAIN_KINDS = {"objects", "normalizer_of", "centralizer_of",
                "objects_through", "class_members", "conjugacy_classes",
-               "f_classes", "cr_classes", "fcr_objects", "extension_chain"}
+               "f_classes", "cr_classes", "fcr_objects", "extension_chain",
+               "pair_masks"}
 # the class record and the transport of generated systems: `transport`,
 # keyed by an order, maps each object whose class was recorded to (the
 # object R it was recorded from, psi: R -> it) in every system, and

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 import oracle_sweep
+import oracle_tables
 from conftest import extraspecial27_c2, sl33_group
 from fusionkit import (
     FiniteGroup,
@@ -87,21 +88,48 @@ def test_generating_morphisms_match_oracle(name, p):
         assert got == oracle_sweep.maximal_conjugations(K, F.S.ids)
 
 
-@pytest.mark.parametrize("name,p,calls", [("S7", 2, 5024), ("A8", 2, 20096)])
-def test_sweep_conjugates_one_representative_per_coset(monkeypatch, name, p,
-                                                       calls):
-    """Only the |G:S| - 1 representatives outside S take the tuple path:
-    |S| products each to list their coset and |S| conjugations each to
-    conjugate S; every other element is read off S's table."""
+@pytest.mark.parametrize("name,p,getters,products", [
+    ("S7", 2, 331, 10080), ("A8", 2, 379, 40320)])
+def test_sweep_conjugates_one_representative_per_coset(
+        monkeypatch, name, p, getters, products):
+    """S is conjugated by one representative r of each of the |G:S| right
+    cosets, through permutation getters alone: one per element of S, built
+    once, forms the products x*r of the coset, and one of r^-1 per coset
+    reads them as x^r = r^-1 (x*r). That is |S| + |G:S| getters, 2|G|
+    products and |G:S| inverses; every other element is read off S's
+    table, and no `perms.mul` or `perms.conjugate` runs."""
     G = GROUPS[name]()
     S = sylow_p(G.full(), p)
     F = transporter_fusion(G, S, p)
-    assert (G.order // S.order - 1) * S.order == calls
+    cosets = G.order // S.order
+    assert (S.order + cosets, 2 * G.order) == (getters, products)
     counts = Counter()
-    for kernel in ("conjugate", "mul"):
-        def counted(*args, _real=getattr(perms, kernel), _kernel=kernel):
-            counts[_kernel] += 1
-            return _real(*args)
-        monkeypatch.setattr(perms, kernel, counted)
+
+    def counted(kernel, real):
+        def call(*args):
+            counts[kernel] += 1
+            return real(*args)
+        return call
+
+    def left_mul(a, _real=perms.left_mul):
+        counts["left_mul"] += 1
+        return counted("product", _real(a))
+
+    for kernel in ("conjugate", "mul", "inverse"):
+        monkeypatch.setattr(perms, kernel,
+                            counted(kernel, getattr(perms, kernel)))
+    monkeypatch.setattr(perms, "left_mul", left_mul)
     fusion._conjugation_pairs(F, G)
-    assert counts == {"conjugate": calls, "mul": calls}
+    assert counts == {"left_mul": getters, "product": products,
+                      "inverse": cosets}
+
+
+@pytest.mark.parametrize("name,p", [
+    ("S6", 2), ("S7", 2), ("SL(3,3)", 3), ("3^(1+2):2", 3), ("A8", 2)])
+def test_hom_vectors_keep_the_order_of_a_full_pair_scan(name, p):
+    """The transporter rule reads only the pairs whose domain holds Q's
+    generators; every Hom(Q, S) it returns is the full scan's, in order."""
+    G = GROUPS[name]()
+    F = transporter_fusion(G, sylow_p(G.full(), p), p)
+    for Q in F.objects():
+        assert F.hom_vectors(Q) == oracle_tables.transporter_vectors(F, G, Q)
