@@ -4,6 +4,17 @@ Products over S1 x S2, quotients by strongly closed subgroups, normalizer
 and centralizer subsystems (and normality, read from the normalizer
 subsystem), a fusion-system isomorphism search, and the structural witness
 report combining all of them.
+
+A quotient reads its hom sets off the parent's. Modulo a factor embedding
+T = 1 x S2 of a product, a1 x a2 pushes forward to a1 alone (the factor
+rule, Aschbacher, Kessar & Oliver 2011, I.6), so F/T reads Hom(P/T, S/T)
+off the other factor's hom set at the projection of the preimage of P/T,
+and walks no vector of the product. A product records this read for each
+factor embedding; the centralizer C_F(T) of a factor embedding inherits
+the read for T itself when C_S(T) = S, since C_F(T) keeps the maps
+a1 x 1, which push forward to the same a1. Every other kernel and system
+takes the generic rule, which pushes forward the parent's morphisms out
+of the preimage.
 """
 
 from __future__ import annotations
@@ -35,7 +46,9 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     element i*|G2| + j is (g_i, h_j), so an id projects by divmod. Each
     object's vectors are a1 x a2 on its generators, from the factors'
     vectors when it is first asked for; `factor_embeddings` holds S1 x 1
-    and 1 x S2."""
+    and 1 x S2. `factor_quotients` maps each factor embedding T to the
+    other factor and the projection of an id of S onto it, from which
+    `quotient_fusion` reads F/T."""
     if F1.p != F2.p:
         raise ValueError(f"prime mismatch: {F1.p} != {F2.p}")
     amb = direct_product(F1.ambient, F2.ambient)
@@ -58,10 +71,12 @@ def product_fusion(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     ))
     F = FusionSystem(S12, F1.p, hom, "derived")
     e1, e2 = F1.ambient.identity_id, F2.ambient.identity_id
-    F.factor_embeddings = (
+    F.factor_embeddings = left, right = (
         F.subgroup(i * n2 + e2 for i in F1.S.ids),
         F.subgroup(e1 * n2 + j for j in F2.S.ids),
     )
+    F.factor_quotients = {left: (F2, lambda x: x % n2),
+                          right: (F1, lambda x: x // n2)}
     return F
 
 
@@ -103,11 +118,39 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
     preimage P, computed when P/T is first asked for. A morphism phi is
     injective, so it maps T onto T when it maps T's generators into T, and
     then theta(x) -> theta(phi(x)) is well defined: its vector is theta of
-    phi at one lift of each generator of P/T."""
+    phi at one lift of each generator of P/T.
+
+    When T is a key of F's `factor_quotients` (a product, or the
+    centralizer of a factor embedding over all of S), P = P1 x T and each
+    push-forward is the other factor's a1, so Hom(P/T, S/T) is that
+    factor's Hom(P1, S1) carried to S/T, in its order."""
     if not is_strongly_closed(F, T):
         raise ValueError("kernel is not strongly closed")
     Sq_group, theta = quotient_group(F.S, T)
     Sq = Sq_group.full()
+    read = getattr(F, "factor_quotients", {}).get(T)
+    hom = (_pushed_rule(F, T, theta) if read is None
+           else _factor_quotient_rule(theta, *read))
+    Fq = FusionSystem(Sq, F.p, hom, "derived")
+    return Fq, QuotientMap(F, Fq, T, theta)
+
+
+def _factor_quotient_rule(theta: dict, other: FusionSystem, proj):
+    """Hom(P/T, S/T) read off `other` at P1 = proj(P): `up` carries S/T
+    onto the other factor, and back again `down`."""
+    up = {c: proj(x) for x, c in theta.items()}
+    down = {a: c for c, a in up.items()}
+
+    def hom(_F, Pq: Subgroup):
+        P1 = other.subgroup(up[c] for c in Pq.ids)
+        at = [up[c] for c in Pq.generator_ids()]
+        return tuple(tuple([down[a] for a in im])
+                     for im in other.images_at(P1, at))
+    return hom
+
+
+def _pushed_rule(F: FusionSystem, T: Subgroup, theta: dict):
+    """Hom(P/T, S/T) as the push-forwards of Hom_F(P, S)."""
     preimage: dict = {}
     for i in F.S.sorted_ids:
         preimage.setdefault(theta[i], []).append(i)
@@ -123,9 +166,7 @@ def quotient_fusion(F: FusionSystem, T: Subgroup):
             if tids.issuperset(im[:k]):
                 pushed[tuple([theta[y] for y in im[k:]])] = None
         return tuple(pushed)
-
-    Fq = FusionSystem(Sq, F.p, hom, "derived")
-    return Fq, QuotientMap(F, Fq, T, theta)
+    return hom
 
 
 def _coerce_aut_set(Q: Subgroup, K):
@@ -169,7 +210,8 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup,
         Sp = F.subgroup(frozenset().union(*(
             coset for _r, coset, vec in F.centralizer_cosets(Q) if in_k(vec)
         )))
-        assert Sp.is_subgroup_closed(), "N_S^K(Q) did not close"
+        if not Sp.is_subgroup_closed():
+            raise AssertionError("N_S^K(Q) did not close")
     s_ids = Sp.ids
 
     def hom(_F, P: Subgroup):
@@ -199,10 +241,17 @@ def is_normal_in_F(F: FusionSystem, P: Subgroup) -> bool:
 
 
 def centralizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    """C_F(Q) = N_F^{1}(Q), over C_S(Q)."""
+    """C_F(Q) = N_F^{1}(Q), over C_S(Q). When Q is a factor embedding of
+    a product F and C_S(Q) = S, C_F(Q) keeps the maps a1 x 1 of F, whose
+    push-forwards modulo Q are those of F, so it inherits F's read of the
+    quotient by Q (see `quotient_fusion`)."""
     sub = normalizer_subsystem(F, Q, "trivial")
     C = centralizer(F.S, Q)
-    assert sub.S.ids == C.ids, "N_S^1(Q) differs from C_S(Q)"
+    if sub.S.ids != C.ids:
+        raise AssertionError("N_S^1(Q) differs from C_S(Q)")
+    read = getattr(F, "factor_quotients", {}).get(Q)
+    if read is not None and C == F.S:
+        sub.factor_quotients = {Q: read}
     return sub
 
 
@@ -287,7 +336,10 @@ def main_theorem_witness(F1: FusionSystem, F2: FusionSystem) -> WitnessReport:
     """Build F = F1 x F2 over (p^(1+2)) x A and certify: the abelian
     factor A is strongly closed, F/A is isomorphic to F1, and the
     quotient of C_F(A) by A is isomorphic to F1. Both factors must be
-    saturated."""
+    saturated. A is a factor embedding and, being abelian, is centralized
+    by all of S, so both quotients read F1's hom sets rather than the
+    product's, and F and C_F(A) build hom sets only inside A, for the
+    strong-closure checks."""
     p = F1.p
     _check_extraspecial(F1.S, p)
     if not is_abelian(F2.S):

@@ -550,7 +550,8 @@ def sylow_p(G: Subgroup, p: int) -> Subgroup:
         if part > 1:
             H = subgroup_generated(amb, [amb.power_ids(i, o // part)])
             break
-    assert H is not None
+    if H is None:
+        raise AssertionError(f"no element of order divisible by {p}")
     while H.order < target:
         H = _extend_by_normalizing_p_element(
             amb, H, _next_sylow_step(G, H, p), p)

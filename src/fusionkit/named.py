@@ -129,7 +129,8 @@ def extraspecial_plus(p: int) -> FiniteGroup:
     y = tuple(pt(b + 1, d) for b in range(p) for d in range(p))
     z = tuple(pt(b, d + 1) for b in range(p) for d in range(p))
     g = FiniteGroup(n, [x, y, z], name=f"{p}^(1+2)")
-    assert g.order == p**3
+    if g.order != p**3:
+        raise AssertionError(f"{p}^(1+2) closed to order {g.order}")
     return g
 
 
@@ -196,5 +197,7 @@ def semidirect_product(
     ]
     name = f"({base.name or '?'}):({actor.name or '?'})"
     g = FiniteGroup(nb * nh, gens, name=name)
-    assert g.order == nb * nh
+    if g.order != nb * nh:
+        raise AssertionError(f"{name} closed to order {g.order}, "
+                             f"not {nb * nh}")
     return g

@@ -29,8 +29,8 @@ entry by a subgroup, and only `FusionSystem.cached` touches the memo.
 `FusionSystem.images_at` alone: outside `groups`, `named` and `fusion` no
 module names the tree, and `classify` builds no `quotient_group`. No
 module of the package imports a name it never uses, and every CLI
-command has a job in `test_cli`. `build_rv` and `certify_rv` hold no
-`assert` statement, so their checks stay under `python -O`.
+command has a job in `test_cli`. No module of the package holds an
+`assert` statement, so its checks stay under `python -O`.
 """
 
 import ast
@@ -284,6 +284,14 @@ def test_rv_checks_survive_python_O(func):
     [node] = [n for n in _tree("rv.py").body
               if isinstance(n, ast.FunctionDef) and n.name == func]
     assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_holds_an_assert_statement(name):
+    """Every check in the package raises `AssertionError` explicitly, as
+    `python -O` strips `assert` statements."""
+    assert [n.lineno for n in ast.walk(_tree(name))
+            if isinstance(n, ast.Assert)] == []
 
 
 def _unused_imports(tree):
